@@ -16,20 +16,32 @@ All moments are integrals over t from 0 to infinity:
 so the first index always counts I-type factors and the second K-type
 factors, including the sqrt(u)-argument factor.
 
-Numerical design: K0/K1 from their integral representations
-int_0^inf exp(-t cosh v) (cosh v)^j dv by trapezoidal sums with level
-doubling (the integrand decays double-exponentially); I0/I1 by their
-all-positive power series.  Moment integrals split at t = 1: tanh-sinh
-on (0,1) (absorbs the log-power singularity at 0) and a double-
-exponential substitution t = 1 + c exp((pi/2) sinh w) on (1,oo) with c
-matched to the exponential decay rate.  Each quadrature doubles its
-level until two successive levels agree to the target, within a hard
-level budget, at a guard precision of ``digits`` + 15.
+Numerical design: one kernel ``_ik(order, t)`` gives I and K of order 0
+or 1 together.  Below a crossover it sums the power series of DLMF
+10.31.1 (K0 = -(ln(t/2)+gamma) I0 + sum H_m (t^2/4)^m/(m!)^2, and its
+order-1 analogue) in Python-integer fixed point, with 2.9 t extra bits to
+absorb the cancellation between the two parts of K, which grow like e^t
+while K decays like e^-t; only t^2/4 enters fixed point, and 1/t, t/2 and
+ln(t/2) are formed in mpf, so arbitrarily small t is safe.  At and above
+the crossover it sums the asymptotic expansions of DLMF 10.40.1 and
+10.40.2 up to their smallest term.  The crossover depends on the working
+precision alone: it is the least t at which the asymptotic series has a
+term below 2^-prec, so both branches hold every value to a few ulp.
+``_BESSEL_MEMO`` stores the (I, K) pair per order, argument and
+precision, so a node that needs I0 and K0 costs one pass.  Moment
+integrals split at t = 1: tanh-sinh on (0,1) (absorbs the log-power
+singularity at 0) and a double-exponential substitution
+t = 1 + c exp((pi/2) sinh w) on (1,oo) with c matched to the exponential
+decay rate.  Each quadrature doubles its level until two successive
+levels agree to the target, within a hard level budget, at a guard
+precision of ``digits`` + 15.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -39,6 +51,7 @@ from typing import Callable, Optional
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import to_fixed
 
 from .brmatrices import beta_matrix
 from .exactalg import exact_inverse
@@ -95,102 +108,120 @@ def tolerance(digits: int):
 # ---------------------------------------------------------------------------
 
 _BESSEL_MEMO: dict = {}
-_BESSEL_LOCK = threading.Lock()
+
+#: (order, 0 for I or 1 for K) of each Bessel kind.
+_KIND_SLOT = {"I0": (0, 0), "K0": (0, 1), "I1": (1, 0), "K1": (1, 1)}
 
 
-def _i_series(t, order: int):
-    """I0 (order 0) or I1 (order 1) by the all-positive power series."""
-    q = t * t / 4
+@functools.cache
+def _crossover(prec: int) -> float:
+    """The smallest t at which the asymptotic series of DLMF 10.40.1 and
+    10.40.2 has a term below 2^-prec for both orders 0 and 1.  Term k is
+    |a_k(nu)| / t^k, so it falls to 2^-prec at t = (|a_k| 2^prec)^(1/k)."""
+    log_eps = prec * math.log(2)
+    worst = 0.0
+    for nu in (0, 1):
+        log_a = 0.0
+        best = math.inf
+        for k in range(1, 2 * prec):
+            log_a += math.log(abs(4 * nu * nu - (2 * k - 1) ** 2) / (8 * k))
+            best = min(best, math.exp((log_a + log_eps) / k))
+        worst = max(worst, best)
+    return worst
+
+
+def _ik_series(order: int, t):
+    """(I, K) of the given order by DLMF 10.31.1: the power series in
+    q = t^2/4 with harmonic-number weights H_m, summed in fixed point with
+    2.9 t extra bits against the cancellation in K.  Only q enters fixed
+    point; 1/t, t/2 and ln(t/2) stay in mpf, so tiny t is safe."""
+    prec = mp.prec
+    wp = prec + int(2.9 * float(t)) + 20
+    one = 1 << wp
+    tf = to_fixed(t._mpf_, wp)
+    q = (tf * tf) >> (wp + 2)
+    term, s, h, sh, m = one, one, 0, 0, 0
     if order == 0:
-        term = mp.mpf(1)
-        total = mp.mpf(1)
-        m = 1
-        while True:
-            term *= q / (m * m)
-            total += term
-            if term < mp.eps * total:
-                return total
+        # s = sum q^m/(m!)^2, sh = sum H_m q^m/(m!)^2
+        while term:
             m += 1
-    term = mp.mpf(1)
-    total = mp.mpf(1)
-    m = 1
-    while True:
-        term *= q / (m * (m + 1))
-        total += term
-        if term < mp.eps * total:
-            return total * t / 2
-        m += 1
+            term = (term * q >> wp) // (m * m)
+            h += one // m
+            s += term
+            sh += term * h >> wp
+    else:
+        # s = sum q^m/(m!(m+1)!), sh = sum (H_m + H_(m+1)) q^m/(m!(m+1)!)
+        h1 = sh = one
+        while term:
+            m += 1
+            term = (term * q >> wp) // (m * (m + 1))
+            h, h1 = h1, h1 + one // (m + 1)
+            s += term
+            sh += term * (h + h1) >> wp
+    with mp.workprec(wp):
+        log_term = to_fixed((mp.log(t / 2) + mp.euler)._mpf_, wp)
+        if order == 0:
+            i_val = mp.mpf((s, -wp))
+            k_val = mp.mpf((sh - (log_term * s >> wp), -wp))
+        else:
+            half_t = t / 2
+            i_val = half_t * mp.mpf((s, -wp))
+            inner = (log_term * s >> wp) - (sh >> 1)
+            k_val = 1 / t + half_t * mp.mpf((inner, -wp))
+    return +i_val, +k_val
 
 
-def _k_integral(t, order: int):
-    """K0 (order 0) or K1 (order 1) via the integral representation
-    int_0^inf exp(-t cosh v) (cosh v)^order dv, trapezoid with level
-    doubling."""
-
-    def f(v):
-        c = mp.cosh(v)
-        val = mp.exp(-t * c)
-        return val * c if order else val
-
-    eps = mp.eps
-    # a few digits above the rounding-noise floor of the trapezoid sums
-    target = mp.mpf(10) ** (5 - mp.dps)
-    h = mp.mpf(1) / 2
-    # initial level
-    total = f(mp.mpf(0)) / 2
-    n = 1
-    while True:
-        val = f(n * h)
-        total += val
-        if n * h > 1 and val < eps * total:
-            break
-        n += 1
-    prev = total * h
-    for _ in range(LEVEL_BUDGET):
-        # refine: add midpoints at odd multiples of h/2
-        h /= 2
-        extra = mp.mpf(0)
-        n = 1
+def _ik_asymptotic(order: int, t):
+    """(I, K) of the given order by the large-t expansions of DLMF 10.40.1
+    and 10.40.2, sum_k (-+1)^k a_k(nu)/t^k, truncated at the first term
+    below 2^-wp or at the smallest term, whichever comes first."""
+    wp = mp.prec + 20
+    one = 1 << wp
+    mu = 4 * order * order
+    with mp.workprec(wp):
+        inv_t = to_fixed((1 / t)._mpf_, wp)
+        term, s_k, s_i, k = one, one, one, 0
         while True:
-            val = f(n * h)
-            extra += val
-            if n * h > 1 and val < eps * extra:
+            k += 1
+            nxt = (term * (mu - (2 * k - 1) ** 2) * inv_t >> wp) // (8 * k)
+            if not nxt or abs(nxt) > abs(term):
                 break
-            n += 2
-        cur = prev / 2 + extra * h
-        if abs(cur - prev) <= target * abs(cur):
-            return cur
-        prev = cur
-    raise QuadratureError(
-        f"Bessel K integral did not converge for t={t} at {mp.dps} digits"
-    )
+            term = nxt
+            s_k += term
+            s_i += -term if k % 2 else term
+        e = mp.exp(t)
+        r = mp.sqrt(mp.pi / (2 * t))
+        i_val = e * r * mp.mpf((s_i, -wp)) / mp.pi
+        k_val = r * mp.mpf((s_k, -wp)) / e
+    return +i_val, +k_val
+
+
+def _ik(order: int, t):
+    """(I_order(t), K_order(t)) at the working precision, order 0 or 1:
+    the power series below the crossover, the asymptotic expansions at or
+    above it."""
+    if t < _crossover(mp.prec):
+        return _ik_series(order, t)
+    return _ik_asymptotic(order, t)
 
 
 def _bessel_at(kind: str, t):
-    """Memoized Bessel value at the current working precision."""
-    key = (kind, t._mpf_, mp.prec)
-    with _BESSEL_LOCK:
-        hit = _BESSEL_MEMO.get(key)
-    if hit is not None:
-        return hit
-    if kind == "I0":
-        val = _i_series(t, 0)
-    elif kind == "I1":
-        val = _i_series(t, 1)
-    elif kind == "K0":
-        val = _k_integral(t, 0)
-    elif kind == "K1":
-        val = _k_integral(t, 1)
-    else:
-        raise ValueError(f"unknown Bessel kind {kind!r}")
-    with _BESSEL_LOCK:
-        _BESSEL_MEMO[key] = val
-    return val
+    """Memoized Bessel value at the current working precision; one pass
+    of the kernel stores both I and K of that order."""
+    try:
+        order, slot = _KIND_SLOT[kind]
+    except KeyError:
+        raise ValueError(f"unknown Bessel kind {kind!r}") from None
+    key = (order, t._mpf_, mp.prec)
+    pair = _BESSEL_MEMO.get(key)
+    if pair is None:
+        pair = _BESSEL_MEMO[key] = _ik(order, t)
+    return pair[slot]
 
 
 def bessel(kind: str, t, digits: int):
     """I0, I1, K0 or K1 at t > 0, with relative error below 10^-digits."""
-    if kind not in ("I0", "I1", "K0", "K1"):
+    if kind not in _KIND_SLOT:
         raise ValueError(f"unknown Bessel kind {kind!r}")
     if digits < 1:
         raise ValueError("digits must be positive")
@@ -439,16 +470,34 @@ def _u_str(u: Optional[Fraction]) -> Optional[str]:
     return f"{u.numerator}/{u.denominator}"
 
 
-def _u_parse(s) -> Optional[Fraction]:
-    if s is None:
-        return None
-    return Fraction(s)
+#: Stored with every cache record: the Bessel kernel that computed it.
+#: Records with another tag, or none, are stale and never served.
+_KERNEL_TAG = "ik-series-asymptotic/1"
+
+
+def _parse_record(line: str) -> Optional[dict]:
+    """The cache record on one line, or None when the line is torn or a
+    field is missing or malformed."""
+    try:
+        rec = json.loads(line)
+        if rec["kind"] in _KINDS and all(
+            type(rec[f]) is int for f in ("a", "b", "n", "digits")
+        ):
+            mpmath.mpf(rec["value"])
+            if rec["u"] is not None:
+                Fraction(rec["u"])
+            return rec
+    except (KeyError, TypeError, ValueError, ZeroDivisionError):
+        pass
+    return None
 
 
 class MomentCache:
     """Persistent append-only cache of computed moments, one JSON record
-    per line: {"kind","a","b","n","u","digits","value"}.  A lookup hits
-    when a stored record has at least the requested digits."""
+    per line: {"kind","a","b","n","u","digits","value","kernel"}.  A
+    lookup hits when a record with the current kernel tag has at least
+    the requested digits.  Torn or malformed lines are skipped and
+    counted, as are stale records from another kernel."""
 
     def __init__(self, path: Optional[str] = None):
         if path is None:
@@ -458,6 +507,7 @@ class MomentCache:
         self.path = str(path)
         self._lock = threading.Lock()
         self._map: dict = {}
+        self._counts = {"records": 0, "skipped": 0, "stale": 0}
         self._load()
 
     @staticmethod
@@ -470,14 +520,19 @@ class MomentCache:
             return
         with p.open() as fh:
             for line in fh:
-                line = line.strip()
-                if not line:
+                if not line.strip():
                     continue
-                rec = json.loads(line)
-                mk = (rec["kind"], rec["a"], rec["b"], rec["n"], rec["u"])
-                old = self._map.get(mk)
-                if old is None or rec["digits"] > old[0]:
-                    self._map[mk] = (rec["digits"], rec["value"])
+                self._counts["records"] += 1
+                rec = _parse_record(line)
+                if rec is None:
+                    self._counts["skipped"] += 1
+                elif rec.get("kernel") != _KERNEL_TAG:
+                    self._counts["stale"] += 1
+                else:
+                    mk = (rec["kind"], rec["a"], rec["b"], rec["n"], rec["u"])
+                    old = self._map.get(mk)
+                    if old is None or rec["digits"] > old[0]:
+                        self._map[mk] = (rec["digits"], rec["value"])
 
     def get(self, key: MomentKey) -> Optional[str]:
         with self._lock:
@@ -495,7 +550,9 @@ class MomentCache:
             "u": _u_str(key.u),
             "digits": key.digits,
             "value": value,
+            "kernel": _KERNEL_TAG,
         }
+        line = (json.dumps(rec) + "\n").encode()
         with self._lock:
             mk = self._map_key(key)
             old = self._map.get(mk)
@@ -503,8 +560,13 @@ class MomentCache:
                 self._map[mk] = (key.digits, value)
             p = Path(self.path)
             p.parent.mkdir(parents=True, exist_ok=True)
-            with p.open("a") as fh:
-                fh.write(json.dumps(rec) + "\n")
+            with p.open("a+b") as fh:
+                # end a torn last line first, so this record stays whole
+                if fh.seek(0, os.SEEK_END):
+                    fh.seek(-1, os.SEEK_END)
+                    if fh.read(1) != b"\n":
+                        line = b"\n" + line
+                fh.write(line)
 
     def stats(self) -> dict:
         with self._lock:
@@ -517,33 +579,18 @@ class MomentCache:
             "path": self.path,
             "entries": entries,
             "by_kind": by_kind,
+            "stale": self._counts["stale"],
+            "skipped": self._counts["skipped"],
             "file_exists": p.exists(),
             "file_bytes": p.stat().st_size if p.exists() else 0,
         }
 
     def verify(self) -> dict:
-        """Re-parse the backing file and check record well-formedness and
-        in-memory consistency."""
-        bad = 0
-        records = 0
-        p = Path(self.path)
-        if p.exists():
-            with p.open() as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    records += 1
-                    try:
-                        rec = json.loads(line)
-                        assert rec["kind"] in _KINDS
-                        assert isinstance(rec["digits"], int)
-                        mpmath.mpf(rec["value"])
-                        if rec["u"] is not None:
-                            Fraction(rec["u"])
-                    except Exception:
-                        bad += 1
-        return {"records": records, "malformed": bad, "ok": bad == 0}
+        """Re-read the backing file: its records, the lines a load skips
+        (torn or malformed) and the stale records.  ``ok`` when no line is
+        skipped."""
+        counts = MomentCache(self.path)._counts
+        return {**counts, "ok": counts["skipped"] == 0}
 
 
 _DEFAULT_CACHE: Optional[MomentCache] = None

@@ -31,7 +31,6 @@ Naming overview (sizes in parentheses):
 
 from __future__ import annotations
 
-import json
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -1441,7 +1440,3 @@ def matrix_from_json(d: dict) -> Tuple[str, int, ExactMatrix]:
                 )
         rows.append(out_row)
     return d["name"], d["k"], ExactMatrix(rows)
-
-
-def matrix_json_str(name: str, k: int, M: ExactMatrix) -> str:
-    return json.dumps(matrix_to_json(name, k, M))

@@ -8,9 +8,15 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
+from bwv import cli
 from bwv.besselnum import (
+    GUARD_DIGITS,
+    _KERNEL_TAG,
+    _crossover,
     MomentCache,
     MomentKey,
     bessel,
@@ -70,6 +76,51 @@ def test_bessel_wronskian_relation():
                 "I1", tt, d
             ) * bessel("K0", tt, d)
             assert abs(val - 1 / tt) < mpmath.mpf(10) ** (-(d - 2))
+
+
+def _crossover_at(digits):
+    """The kernel's series/asymptotic crossover at bessel(..., digits)."""
+    with mp.workdps(digits + GUARD_DIGITS):
+        return _crossover(mp.prec)
+
+
+@pytest.mark.parametrize("digits", [30, 50, 100])
+def test_bessel_both_branches_against_mpmath(digits):
+    # each side of the crossover, the tiny-t series and the far asymptotic
+    # branch; every value to a few ulp of the working precision, which is
+    # far inside the requested 10^-(digits-1)
+    tc = _crossover_at(digits)
+    with mp.workdps(digits + GUARD_DIGITS):
+        ulp = +mp.eps
+    for t in (mp.mpf("1e-40"), tc * 0.97, tc * 1.03, mp.mpf(10) ** 4):
+        with mp.workdps(digits + 20):
+            t = mp.mpf(t)
+            refs = {"I0": mpmath.besseli(0, t), "I1": mpmath.besseli(1, t),
+                    "K0": mpmath.besselk(0, t), "K1": mpmath.besselk(1, t)}
+            for kind, ref in refs.items():
+                rel = abs(bessel(kind, t, digits) / ref - 1)
+                assert rel < 8 * ulp, (kind, t, digits)
+                assert rel < mpmath.mpf(10) ** -(digits - 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    digits=st.sampled_from([30, 50, 100]),
+    log10_t=st.floats(min_value=-30, max_value=4),
+    near=st.floats(min_value=-0.2, max_value=0.2),
+    at_crossover=st.booleans(),
+)
+def test_bessel_wronskian_property_across_crossover(
+    digits, log10_t, near, at_crossover
+):
+    # I0(t) K1(t) + I1(t) K0(t) = 1/t on both sides of the crossover
+    t = _crossover_at(digits) * (1 + near) if at_crossover else 10**log10_t
+    with mp.workdps(digits + GUARD_DIGITS):
+        t = mp.mpf(t)
+        val = bessel("I0", t, digits) * bessel("K1", t, digits) + bessel(
+            "I1", t, digits
+        ) * bessel("K0", t, digits)
+        assert abs(val * t - 1) < mpmath.mpf(10) ** -(digits + 10)
 
 
 def test_bessel_rejects_bad_arguments():
@@ -171,8 +222,54 @@ def test_cache_roundtrip_and_hit(tmp_path):
     # records are one JSON object per line with the documented fields
     with path.open() as fh:
         rec = json.loads(fh.readline())
-    assert set(rec) == {"kind", "a", "b", "n", "u", "digits", "value"}
+    assert set(rec) == {"kind", "a", "b", "n", "u", "digits", "value",
+                        "kernel"}
     assert rec["u"] is None and rec["kind"] == "IKM"
+
+
+def test_cache_tags_records_and_never_serves_stale(tmp_path):
+    path = tmp_path / "m.jsonl"
+    key = MomentKey("IKM", 1, 2, 1, None, 20)
+    moment(key, cache=MomentCache(str(path)))
+    rec = json.loads(path.read_text())
+    assert rec["kernel"] == _KERNEL_TAG
+    untagged = {k: v for k, v in rec.items() if k != "kernel"}
+    retagged = {**rec, "kernel": "trapezoid-k-integral"}
+    path.write_text(json.dumps(untagged) + "\n" + json.dumps(retagged) + "\n")
+    c = MomentCache(str(path))
+    assert c.get(key) is None
+    stats = c.stats()
+    assert stats["stale"] == 2 and stats["entries"] == 0
+    # a recomputed value is tagged and served again, the old lines stay stale
+    moment(key, cache=c)
+    c2 = MomentCache(str(path))
+    assert c2.get(key) is not None
+    assert c2.stats()["stale"] == 2 and c2.verify()["ok"]
+
+
+def test_cache_skips_torn_last_line(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "m.jsonl"
+    key = MomentKey("IKM", 1, 2, 1, None, 20)
+    moment(key, cache=MomentCache(str(path)))
+    whole = path.read_text()
+    # a record without its fields, then a record cut off mid-append
+    path.write_text(whole + '{"kind": "IKM"}\n' + whole[: len(whole) // 2])
+    c = MomentCache(str(path))
+    assert c.get(key) is not None
+    assert c.stats()["skipped"] == 2
+    rep = c.verify()
+    assert rep["skipped"] == 2 and rep["records"] == 3 and not rep["ok"]
+    # the CLI diagnoses the file instead of failing on it
+    monkeypatch.setenv("BWV_CACHE", str(path))
+    assert cli.main(["cache", "stats"]) == 0
+    assert json.loads(capsys.readouterr().out)["skipped"] == 2
+    assert cli.main(["cache", "verify"]) == 1
+    assert json.loads(capsys.readouterr().out)["skipped"] == 2
+    # an append after the torn line stays a whole record
+    other = MomentKey("IKM", 1, 3, 1, None, 20)
+    moment(other, cache=c)
+    c2 = MomentCache(str(path))
+    assert c2.get(other) is not None and c2.stats()["skipped"] == 2
 
 
 def test_cache_determinism(tmp_path):
