@@ -492,6 +492,15 @@ def _parse_record(line: str) -> Optional[dict]:
     return None
 
 
+def _cache_path() -> str:
+    """The path a cache opened without one uses: BWV_CACHE if set, else
+    ``~/.cache/bwv/moments.jsonl``."""
+    path = os.environ.get("BWV_CACHE")
+    if path is None:
+        path = str(Path.home() / ".cache" / "bwv" / "moments.jsonl")
+    return path
+
+
 class MomentCache:
     """Persistent append-only cache of computed moments, one JSON record
     per line: {"kind","a","b","n","u","digits","value","kernel"}.  A
@@ -500,11 +509,7 @@ class MomentCache:
     counted, as are stale records from another kernel."""
 
     def __init__(self, path: Optional[str] = None):
-        if path is None:
-            path = os.environ.get("BWV_CACHE")
-        if path is None:
-            path = str(Path.home() / ".cache" / "bwv" / "moments.jsonl")
-        self.path = str(path)
+        self.path = str(_cache_path() if path is None else path)
         self._lock = threading.Lock()
         self._map: dict = {}
         self._counts = {"records": 0, "skipped": 0, "stale": 0}
@@ -598,12 +603,11 @@ _DEFAULT_CACHE_LOCK = threading.Lock()
 
 
 def default_cache() -> MomentCache:
-    """The process-wide cache (honors BWV_CACHE at first use)."""
+    """The process-wide cache, reopened whenever the path it would resolve
+    (BWV_CACHE, or the default) has changed since it was opened."""
     global _DEFAULT_CACHE
     with _DEFAULT_CACHE_LOCK:
-        if _DEFAULT_CACHE is None or _DEFAULT_CACHE.path != (
-            os.environ.get("BWV_CACHE") or _DEFAULT_CACHE.path
-        ):
+        if _DEFAULT_CACHE is None or _DEFAULT_CACHE.path != _cache_path():
             _DEFAULT_CACHE = MomentCache()
         return _DEFAULT_CACHE
 

@@ -31,9 +31,9 @@ Naming overview (sizes in parentheses):
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Dict, Tuple
 
 from .exactalg import (
@@ -43,7 +43,6 @@ from .exactalg import (
     bernoulli,
     binom_ext,
     exact_inverse,
-    ratfunc_value_or_limit,
     recip_fact_ext,
 )
 from .vanhove import vanhove_operator
@@ -101,30 +100,12 @@ def _even_gate(n: int) -> int:
     return 2 if n % 2 == 0 else 0
 
 
-def _memoized(fn):
-    cache: dict = {}
-    lock = threading.Lock()
-
-    def wrapper(*args):
-        with lock:
-            if args in cache:
-                return cache[args]
-        value = fn(*args)
-        with lock:
-            cache.setdefault(args, value)
-        return cache[args]
-
-    wrapper.__name__ = fn.__name__
-    wrapper.__doc__ = fn.__doc__
-    return wrapper
-
-
 # ---------------------------------------------------------------------------
 # Leading coefficients and their signs
 # ---------------------------------------------------------------------------
 
 
-@_memoized
+@cache
 def top_coeff(m: int) -> UniPoly:
     """The leading coefficient ell_{m,m}(u) of the order-m operator,
     asserted (not assumed) equal to its closed product form
@@ -190,7 +171,7 @@ def _vmat(m: int, skew: bool) -> ExactMatrix:
     return ExactMatrix.from_fn(m, m, entry)
 
 
-@_memoized
+@cache
 def matV(k: int) -> ExactMatrix:
     """V_{2k-1}(u): symmetric (2k-1) x (2k-1) matrix over Q(u)."""
     if k < 1:
@@ -198,7 +179,7 @@ def matV(k: int) -> ExactMatrix:
     return _vmat(2 * k - 1, skew=False)
 
 
-@_memoized
+@cache
 def matUpsilon(k: int) -> ExactMatrix:
     """upsilon_{2k}(u): skew-symmetric 2k x 2k matrix over Q(u)."""
     if k < 1:
@@ -252,7 +233,7 @@ def _sigma_odd_D(k: int, ap: int, bp: int) -> Fraction:
     return pref * par * binom_ext(k, ap + 1) * binom_ext(k, bp + 1)
 
 
-@_memoized
+@cache
 def matSigma(k: int) -> ExactMatrix:
     """Sigma_{2k-1}: symmetric (2k-1) x (2k-1) matrix over Q assembled
     from its four closed-form blocks (sizes k and k-1)."""
@@ -306,7 +287,7 @@ def _sigma_even_B(k: int, a: int, bp: int) -> Fraction:
     return pref * ssum / den
 
 
-@_memoized
+@cache
 def matsigma(k: int) -> ExactMatrix:
     """sigma_{2k}: skew-symmetric 2k x 2k matrix over Q assembled from
     its closed-form blocks (sizes k+1 and k-1; lower-right block is 0)."""
@@ -330,7 +311,7 @@ def matsigma(k: int) -> ExactMatrix:
 # ---------------------------------------------------------------------------
 
 
-@_memoized
+@cache
 def matSigmaInvBernoulli(k: int) -> ExactMatrix:
     """Closed form of (Sigma_{2k-1})^{-1} with Bernoulli-number entries."""
     if k < 1:
@@ -366,7 +347,7 @@ def matSigmaInvBernoulli(k: int) -> ExactMatrix:
     return ExactMatrix.from_fn(2 * k - 1, 2 * k - 1, entry)
 
 
-@_memoized
+@cache
 def matsigmaInvBernoulli(k: int) -> ExactMatrix:
     """Closed form of (sigma_{2k})^{-1} with Bernoulli-number entries."""
     if k < 1:
@@ -408,7 +389,7 @@ def matsigmaInvBernoulli(k: int) -> ExactMatrix:
 # ---------------------------------------------------------------------------
 
 
-@_memoized
+@cache
 def betti_B(k: int) -> ExactMatrix:
     """B_k (k x k, symmetric): Bernoulli-number matrix for odd weight."""
     if k < 1:
@@ -426,7 +407,7 @@ def betti_B(k: int) -> ExactMatrix:
     return ExactMatrix.from_fn(k, k, entry)
 
 
-@_memoized
+@cache
 def betti_b(k: int) -> ExactMatrix:
     """b_k (k x k, skew-symmetric): Bernoulli-number matrix for even weight."""
     if k < 1:
@@ -444,7 +425,7 @@ def betti_b(k: int) -> ExactMatrix:
     return ExactMatrix.from_fn(k, k, entry)
 
 
-@_memoized
+@cache
 def betti_Bring(k: int) -> ExactMatrix:
     """Ringed companion of B_k (k x k)."""
     if k < 1:
@@ -467,7 +448,7 @@ def betti_Bring(k: int) -> ExactMatrix:
     return ExactMatrix.from_fn(k, k, entry)
 
 
-@_memoized
+@cache
 def betti_bring(k: int) -> ExactMatrix:
     """Ringed companion of b_k (k x k)."""
     if k < 1:
@@ -526,7 +507,7 @@ def frakSring_entry(k: int, a: int, b: int) -> Fraction:
     return pref * ssum * recip_fact_ext(a) * recip_fact_ext(2 * k + 1 - a) / den_sign
 
 
-@_memoized
+@cache
 def frakS(k: int) -> ExactMatrix:
     """S_k (k x k): up to block scaling, the inverse Betti intersection
     matrix; satisfies S_k = (B_k)^{-1} up to the stated normalization."""
@@ -535,7 +516,7 @@ def frakS(k: int) -> ExactMatrix:
     return ExactMatrix.from_fn(k, k, lambda a, b: _frakS_entry(k, a, b))
 
 
-@_memoized
+@cache
 def frakSring(k: int) -> ExactMatrix:
     """Ringed-S_k (k x k)."""
     if k < 1:
@@ -567,7 +548,7 @@ def _beta_coeff_power(m: int, a: int, b: int) -> tuple[Fraction, int]:
     return coef, b - a + h
 
 
-@_memoized
+@cache
 def _beta_symbolic(m: int) -> ExactMatrix:
     def entry(a: int, b: int) -> RatFunc:
         coef, power = _beta_coeff_power(m, a, b)
@@ -685,7 +666,7 @@ _AUX: Dict[str, Callable[[int], ExactMatrix]] = {
 }
 
 
-@_memoized
+@cache
 def aux_matrix(name: str, k: int) -> ExactMatrix:
     """Bookkeeping matrices: A, psi, rho, Theta, Phi, theta, phi, R, Psi.
 
@@ -711,7 +692,7 @@ def _promote_q_to_u(M: ExactMatrix) -> ExactMatrix:
     return M.map(lambda e: RatFunc.of("u", e))
 
 
-@_memoized
+@cache
 def derham_D(k: int) -> ExactMatrix:
     """D_k (k x k, symmetric, upper-left triangular): the de Rham
     intersection matrix extracted from V_{2k+1}(1) through beta_{2k+1}."""
@@ -727,7 +708,7 @@ def derham_D(k: int) -> ExactMatrix:
     )
 
 
-@_memoized
+@cache
 def _derham_d_full_limit(k: int) -> ExactMatrix:
     """u -> 1 limit of |ell_{2k+2,2k+2}(u)| (beta^{-T} upsilon beta^{-1}),
     the full (2k+2) x (2k+2) matrix, by exact cancellation."""
@@ -739,12 +720,12 @@ def _derham_d_full_limit(k: int) -> ExactMatrix:
     lead = RatFunc(top_coeff(m)) * s
 
     def entry(a: int, b: int) -> Fraction:
-        return ratfunc_value_or_limit(lead * mid.at(a, b), 1)
+        return (lead * mid.at(a, b)).eval(1)
 
     return ExactMatrix.from_fn(m, m, entry)
 
 
-@_memoized
+@cache
 def derham_d(k: int) -> ExactMatrix:
     """d_k (k x k, skew-symmetric): the de Rham intersection matrix
     extracted from the u -> 1 limit of upsilon_{2k+2} through beta_{2k+2}.
@@ -762,7 +743,7 @@ def derham_d(k: int) -> ExactMatrix:
     )
 
 
-@_memoized
+@cache
 def _derham_Dring_blocks(k: int) -> tuple[ExactMatrix, ExactMatrix]:
     """u -> 0 route: returns (D_k, ringed-D_k) from the block limit
     lim_{u->0+} |ell_{2k,2k}(u)| beta_{2k}^{-T} upsilon_{2k} beta_{2k}^{-1}
@@ -775,7 +756,7 @@ def _derham_Dring_blocks(k: int) -> tuple[ExactMatrix, ExactMatrix]:
     lead = RatFunc(top_coeff(m)) * s
     pref = Fraction(1, 8 * (-1) ** k)
     full = ExactMatrix.from_fn(
-        m, m, lambda a, b: pref * ratfunc_value_or_limit(lead * mid.at(a, b), 0)
+        m, m, lambda a, b: pref * (lead * mid.at(a, b)).eval(0)
     )
     idx_lo = list(range(1, k + 1))
     idx_hi = list(range(k + 1, 2 * k + 1))
@@ -788,7 +769,7 @@ def _derham_Dring_blocks(k: int) -> tuple[ExactMatrix, ExactMatrix]:
     return D_bot, full.submatrix(idx_hi, idx_hi)
 
 
-@_memoized
+@cache
 def derham_Dring(k: int) -> ExactMatrix:
     """Ringed-D_k (k x k), from the u -> 0 block limit route."""
     if k < 1:
@@ -796,7 +777,7 @@ def derham_Dring(k: int) -> ExactMatrix:
     return _derham_Dring_blocks(k)[1]
 
 
-@_memoized
+@cache
 def _derham_dring_blocks(k: int) -> tuple[ExactMatrix, ExactMatrix]:
     """u -> 0 route for the even family: returns (d_k, ringed-d_k) from
     lim_{u->0+} |ell_{2k+1,2k+1}(u)| Psi^T beta_{2k+1}^{-T} V_{2k+1}
@@ -811,7 +792,7 @@ def _derham_dring_blocks(k: int) -> tuple[ExactMatrix, ExactMatrix]:
     pref = Fraction(1, 8 * (-1) ** (k + 1))
     full = ExactMatrix.from_fn(
         2 * k, 2 * k,
-        lambda a, b: pref * ratfunc_value_or_limit(lead * mid.at(a, b), 0),
+        lambda a, b: pref * (lead * mid.at(a, b)).eval(0),
     )
     idx_lo = list(range(1, k + 1))
     idx_hi = list(range(k + 1, 2 * k + 1))
@@ -824,7 +805,7 @@ def _derham_dring_blocks(k: int) -> tuple[ExactMatrix, ExactMatrix]:
     return d_bot, full.submatrix(idx_hi, idx_hi)
 
 
-@_memoized
+@cache
 def derham_dring(k: int) -> ExactMatrix:
     """Ringed-d_k (k x k), from the u -> 0 block limit route."""
     if k < 1:
@@ -843,7 +824,7 @@ def _split_blocks(M: ExactMatrix, top: int) -> tuple[ExactMatrix, ...]:
     )
 
 
-@_memoized
+@cache
 def derham_alternatives(k: int) -> dict:
     """Recompute D_k and d_k along the independent routes and cross-check.
 
@@ -1161,7 +1142,7 @@ def _is_block_diag(M: ExactMatrix, top: int, A: ExactMatrix, D: ExactMatrix) -> 
     )
 
 
-@_memoized
+@cache
 def verify_block_identities(k: int) -> dict:
     """Exact verification of the block identities tying Sigma/sigma, the
     S matrices, the Bernoulli matrices and their ringed companions.

@@ -9,8 +9,13 @@ Conventions
 -----------
 * ``ExactScalar`` is :class:`fractions.Fraction`: arbitrary-size rationals
   with gcd-reduced representation and positive denominator.
-* ``UniPoly`` stores dense coefficients from degree 0 upward with no
-  trailing zeros; the zero polynomial has an empty coefficient tuple.
+* ``UniPoly`` stores dense coefficients from degree 0 upward as a tuple
+  of Python integers ``nums`` over one positive integer ``den``, with
+  gcd(content(nums), den) = 1 and no trailing zeros; the zero polynomial
+  is ``nums = ()``, ``den = 1``.  So each polynomial has exactly one
+  representation.  Arithmetic, evaluation, division and the gcd (a
+  primitive pseudo-remainder sequence) run on the integers and normalize
+  once per result; ``coeffs`` and ``coeff(k)`` return ``Fraction``.
 * ``RatFunc`` keeps ``gcd(num, den) = 1`` and ``den`` monic after every
   operation.
 * ``DiffOp`` is Σ_j c_j(x)·D^j with rational-function coefficients, all
@@ -19,10 +24,10 @@ Conventions
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from functools import cache
+from math import comb, factorial, gcd, lcm
 from typing import Iterable, Sequence, Union
 
 __all__ = [
@@ -37,7 +42,6 @@ __all__ = [
     "recip_fact_ext",
     "exact_det",
     "exact_inverse",
-    "ratfunc_value_or_limit",
     "diffop_compose",
     "diffop_scale_mul",
     "diffop_poly_of",
@@ -54,29 +58,24 @@ ScalarLike = Union[int, Fraction]
 # Bernoulli numbers and extended binomial conventions
 # ---------------------------------------------------------------------------
 
-_BERNOULLI_CACHE: list[Fraction] = [Fraction(1)]
-_BERNOULLI_LOCK = threading.Lock()
 
-
+@cache
 def bernoulli(n: int) -> Fraction:
     """Bernoulli number B_n under the generating function t/(e^t - 1).
 
-    In this convention B_1 = -1/2.  Values are memoized; the memo table is
-    extended under a lock so concurrent callers are safe.
+    In this convention B_1 = -1/2.  Values are memoized.
     """
     if n < 0:
         raise ValueError("Bernoulli index must be non-negative")
-    if n < len(_BERNOULLI_CACHE):
-        return _BERNOULLI_CACHE[n]
-    with _BERNOULLI_LOCK:
-        # Defining recurrence: sum_{k=0}^{m} C(m+1, k) B_k = 0 for m >= 1.
-        while len(_BERNOULLI_CACHE) <= n:
-            m = len(_BERNOULLI_CACHE)
-            acc = Fraction(0)
-            for k in range(m):
-                acc += comb(m + 1, k) * _BERNOULLI_CACHE[k]
-            _BERNOULLI_CACHE.append(-acc / (m + 1))
-    return _BERNOULLI_CACHE[n]
+    if n == 0:
+        return Fraction(1)
+    # Defining recurrence: sum_{k=0}^{n} C(n+1, k) B_k = 0 for n >= 1.  The
+    # smaller indices are taken in increasing order, so each call finds
+    # its predecessors memoized and the recursion stays one level deep.
+    acc = Fraction(0)
+    for k in range(n):
+        acc += comb(n + 1, k) * bernoulli(k)
+    return -acc / (n + 1)
 
 
 def binom_ext(n: int, k: int) -> Fraction:
@@ -92,21 +91,12 @@ def binom_ext(n: int, k: int) -> Fraction:
     return Fraction(comb(n, k))
 
 
-_FACT_CACHE: dict[int, int] = {0: 1}
-
-
-def _factorial(n: int) -> int:
-    if n not in _FACT_CACHE:
-        _FACT_CACHE[n] = n * _factorial(n - 1)
-    return _FACT_CACHE[n]
-
-
 def recip_fact_ext(n: int) -> Fraction:
     """1/n! for n >= 0 and 0 for negative n (the reciprocal-factorial
     convention used throughout the matrix entry formulas)."""
     if n < 0:
         return Fraction(0)
-    return Fraction(1, _factorial(n))
+    return Fraction(1, factorial(n))
 
 
 # ---------------------------------------------------------------------------
@@ -122,57 +112,158 @@ def _as_fraction(x: ScalarLike) -> Fraction:
     raise TypeError(f"cannot coerce {type(x).__name__} to an exact scalar")
 
 
-@dataclass(frozen=True)
+def _int_primitive(a: Sequence[int]) -> list[int]:
+    """Primitive part of a nonzero integer coefficient list: content
+    removed and leading coefficient positive."""
+    c = gcd(*a)
+    if a[-1] < 0:
+        c = -c
+    return list(a) if c == 1 else [x // c for x in a]
+
+
+def _int_divmod(
+    a: Sequence[int], b: Sequence[int]
+) -> tuple[list[int], list[int], int]:
+    """Division with remainder over Q, kept in integers: (q, r, s) with
+    s·a = q·b + r, deg r < deg b and no trailing zeros in r.
+
+    Each step scales the running quotient and remainder by lc(b)/g only,
+    where g = gcd(top coefficient, lc(b)), so no rational is formed and
+    s = 1 whenever b divides a in Z[x].
+    """
+    r = list(a)
+    lb, nb = b[-1], len(b)
+    q = [0] * max(len(r) - nb + 1, 0)
+    s = 1
+    for k in range(len(q) - 1, -1, -1):
+        top = r[-1]
+        if top:
+            g = gcd(top, lb)
+            f = lb // g
+            if f != 1:
+                r = [x * f for x in r]
+                q = [x * f for x in q]
+                s *= f
+            c = top // g
+            q[k] = c
+            for j, y in enumerate(b, k):
+                r[j] -= c * y
+        r.pop()
+    while r and not r[-1]:
+        r.pop()
+    return q, r, s
+
+
+def _int_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Primitive gcd of two nonzero integer polynomials by the primitive
+    pseudo-remainder sequence (Collins 1967; Knuth TAOCP 2, 4.6.1)."""
+    a, b = _int_primitive(a), _int_primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        r = _int_divmod(a, b)[1]
+        a, b = b, (_int_primitive(r) if r else r)
+    return a
+
+
 class UniPoly:
-    """Dense univariate polynomial over Q, coefficients from degree 0 up."""
+    """Dense univariate polynomial over Q, coefficients from degree 0 up.
+
+    Stored as integer numerators ``nums`` over one positive common
+    denominator ``den`` in canonical form (see the module docstring), so
+    equal polynomials have equal fields.  Instances are immutable; build
+    them with :meth:`of`, :meth:`const`, :meth:`x` or :meth:`zero`.
+    """
+
+    __slots__ = ("var", "nums", "den")
 
     var: str
-    coeffs: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
+
+    @staticmethod
+    def _make(var: str, nums: list[int], den: int = 1) -> "UniPoly":
+        """Canonical polynomial sum_i nums[i]/den * var^i (den nonzero);
+        trailing zeros are popped from ``nums`` in place."""
+        while nums and not nums[-1]:
+            nums.pop()
+        if not nums:
+            den = 1
+        else:
+            g = gcd(den, *nums)
+            if den < 0:
+                g = -g
+            if g != 1:
+                nums = [x // g for x in nums]
+                den //= g
+        p = object.__new__(UniPoly)
+        p.var = var
+        p.nums = tuple(nums)
+        p.den = den
+        return p
 
     @staticmethod
     def of(var: str, coeffs: Iterable[ScalarLike]) -> "UniPoly":
         cs = [_as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return UniPoly(var, tuple(cs))
+        den = lcm(*(c.denominator for c in cs))
+        return UniPoly._make(
+            var, [c.numerator * (den // c.denominator) for c in cs], den
+        )
 
     @staticmethod
     def zero(var: str) -> "UniPoly":
-        return UniPoly(var, ())
+        return UniPoly._make(var, [])
 
     @staticmethod
     def const(var: str, c: ScalarLike) -> "UniPoly":
-        return UniPoly.of(var, [c])
+        c = _as_fraction(c)
+        return UniPoly._make(var, [c.numerator], c.denominator)
 
     @staticmethod
     def x(var: str) -> "UniPoly":
-        return UniPoly.of(var, [0, 1])
+        return UniPoly._make(var, [0, 1])
 
     # -- basic queries ------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.den) for n in self.nums)
+
+    @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     @property
     def leading(self) -> Fraction:
         if self.is_zero:
             return Fraction(0)
-        return self.coeffs[-1]
+        return Fraction(self.nums[-1], self.den)
 
     def coeff(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k < len(self.nums):
+            return Fraction(self.nums[k], self.den)
         return Fraction(0)
 
     def is_integral(self) -> bool:
         """True iff every coefficient is an integer."""
-        return all(c.denominator == 1 for c in self.coeffs)
+        return self.den == 1
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, UniPoly):
+            return NotImplemented
+        return (self.var == other.var and self.den == other.den
+                and self.nums == other.nums)
+
+    def __hash__(self) -> int:
+        return hash((self.var, self.nums, self.den))
+
+    def __repr__(self) -> str:
+        return f"UniPoly.of({self.var!r}, {list(self.coeffs)!r})"
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -184,15 +275,28 @@ class UniPoly:
         if not isinstance(other, UniPoly):
             other = UniPoly.const(self.var, other)
         self._check_var(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly.of(
-            self.var, [self.coeff(i) + other.coeff(i) for i in range(n)]
-        )
+        a, b, den = self.nums, other.nums, self.den
+        if den != other.den:
+            g = gcd(den, other.den)
+            fa, fb = other.den // g, den // g
+            a = [x * fa for x in a]
+            b = [x * fb for x in b]
+            den *= fa
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, x in enumerate(b):
+            out[i] += x
+        return UniPoly._make(self.var, out, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "UniPoly":
-        return UniPoly(self.var, tuple(-c for c in self.coeffs))
+        p = object.__new__(UniPoly)
+        p.var = self.var
+        p.nums = tuple(-x for x in self.nums)
+        p.den = self.den
+        return p
 
     def __sub__(self, other: "UniPoly | ScalarLike") -> "UniPoly":
         if not isinstance(other, UniPoly):
@@ -205,17 +309,20 @@ class UniPoly:
     def __mul__(self, other: "UniPoly | ScalarLike") -> "UniPoly":
         if not isinstance(other, UniPoly):
             c = _as_fraction(other)
-            return UniPoly.of(self.var, [c * a for a in self.coeffs])
+            return UniPoly._make(
+                self.var, [x * c.numerator for x in self.nums],
+                self.den * c.denominator,
+            )
         self._check_var(other)
         if self.is_zero or other.is_zero:
             return UniPoly.zero(self.var)
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return UniPoly.of(self.var, out)
+        b = other.nums
+        out = [0] * (len(self.nums) + len(b) - 1)
+        for i, x in enumerate(self.nums):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        return UniPoly._make(self.var, out, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -235,20 +342,12 @@ class UniPoly:
         self._check_var(other)
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dlen = len(other.coeffs)
-        qdeg = len(rem) - dlen
-        if qdeg < 0:
-            return UniPoly.zero(self.var), self
-        quo = [Fraction(0)] * (qdeg + 1)
-        dlc = other.leading
-        for k in range(qdeg, -1, -1):
-            c = rem[dlen - 1 + k] / dlc
-            if c != 0:
-                quo[k] = c
-                for j, b in enumerate(other.coeffs):
-                    rem[j + k] -= c * b
-        return UniPoly.of(self.var, quo), UniPoly.of(self.var, rem[: dlen - 1])
+        q, r, s = _int_divmod(self.nums, other.nums)
+        den = s * self.den
+        return (
+            UniPoly._make(self.var, [x * other.den for x in q], den),
+            UniPoly._make(self.var, r, den),
+        )
 
     def exact_div(self, other: "UniPoly") -> "UniPoly":
         q, r = self.divmod(other)
@@ -258,21 +357,6 @@ class UniPoly:
 
     # -- gcd via primitive pseudo-remainder sequences ----------------------
 
-    def _int_primitive(self) -> tuple[int, ...]:
-        """Integer primitive part (content and sign of leading term removed)."""
-        if self.is_zero:
-            return ()
-        den_lcm = 1
-        for c in self.coeffs:
-            den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
-        ints = [int(c * den_lcm) for c in self.coeffs]
-        content = 0
-        for v in ints:
-            content = gcd(content, v)
-        if ints[-1] < 0:
-            content = -content
-        return tuple(v // content for v in ints)
-
     def gcd(self, other: "UniPoly") -> "UniPoly":
         """Monic gcd, computed by a primitive PRS over the integers to keep
         coefficient growth under control."""
@@ -281,24 +365,8 @@ class UniPoly:
             return other.monic()
         if other.is_zero:
             return self.monic()
-        a = list(self._int_primitive())
-        b = list(other._int_primitive())
-        if len(a) < len(b):
-            a, b = b, a
-        while b:
-            # pseudo-remainder of a by b
-            rem = [Fraction(c) for c in a]
-            lc = Fraction(b[-1])
-            while len(rem) >= len(b):
-                c = rem[-1] / lc
-                k = len(rem) - len(b)
-                for j, bj in enumerate(b):
-                    rem[j + k] -= c * bj
-                rem.pop()
-                while rem and rem[-1] == 0:
-                    rem.pop()
-            a, b = b, list(UniPoly.of(self.var, rem)._int_primitive())
-        return UniPoly.of(self.var, a).monic()
+        g = _int_gcd(self.nums, other.nums)
+        return UniPoly._make(self.var, g, g[-1])
 
     def lcm(self, other: "UniPoly") -> "UniPoly":
         if self.is_zero or other.is_zero:
@@ -308,40 +376,41 @@ class UniPoly:
     def monic(self) -> "UniPoly":
         if self.is_zero:
             return self
-        lc = self.leading
-        return UniPoly(self.var, tuple(c / lc for c in self.coeffs))
+        p = _int_primitive(self.nums)
+        return UniPoly._make(self.var, p, p[-1])
 
     # -- calculus and evaluation -------------------------------------------
 
     def deriv(self, order: int = 1) -> "UniPoly":
         if order < 0:
             raise ValueError("negative derivative order")
-        p = self
+        nums = list(self.nums)
         for _ in range(order):
-            p = UniPoly.of(
-                p.var, [i * c for i, c in enumerate(p.coeffs)][1:]
-            )
-        return p
+            nums = [i * c for i, c in enumerate(nums)][1:]
+        return UniPoly._make(self.var, nums, self.den)
 
     def eval(self, x: ScalarLike) -> Fraction:
         x = _as_fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        p, q = x.numerator, x.denominator
+        # Homogeneous Horner: sum_i c_i p^i q^(n-i), over den * q^n.
+        acc, qpow = 0, 1
+        for c in reversed(self.nums):
+            acc = acc * p + c * qpow
+            qpow *= q
+        return Fraction(acc, self.den * q ** max(self.degree, 0))
 
     def compose_poly(self, inner: "UniPoly") -> "UniPoly":
         """Substitute another polynomial for the variable."""
         acc = UniPoly.zero(inner.var)
-        for c in reversed(self.coeffs):
+        for c in reversed(self.nums):
             acc = acc * inner + c
-        return acc
+        return acc * Fraction(1, self.den)
 
     def shift_mul(self, k: int) -> "UniPoly":
         """Multiply by var**k."""
         if self.is_zero:
             return self
-        return UniPoly(self.var, (Fraction(0),) * k + self.coeffs)
+        return UniPoly._make(self.var, [0] * k + list(self.nums), self.den)
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -371,26 +440,30 @@ class RatFunc:
     __slots__ = ("num", "den")
 
     def __init__(self, num: UniPoly, den: UniPoly | None = None):
+        var = num.var
         if den is None:
-            den = UniPoly.const(num.var, 1)
-        if num.var != den.var:
+            den = UniPoly._make(var, [1])
+        elif var != den.var:
             raise ValueError("variable mismatch in RatFunc")
         if den.is_zero:
             raise ZeroDivisionError("zero denominator in RatFunc")
-        if num.is_zero:
-            num = UniPoly.zero(num.var)
-            den = UniPoly.const(num.var, 1)
-        else:
-            g = num.gcd(den)
-            if g.degree > 0:
-                num = num.exact_div(g)
-                den = den.exact_div(g)
-            lc = den.leading
-            if lc != 1:
-                num = num * (1 / lc)
-                den = den.monic()
-        self.num = num
-        self.den = den
+        if den.den == 1 and den.nums == (1,):
+            self.num, self.den = num, den
+            return
+        N, D = num.nums, den.nums
+        if not N:
+            D = (1,)
+        elif len(D) > 1:  # a constant denominator needs no gcd
+            # g is primitive, so by Gauss's lemma it divides N and D in
+            # Z[x] and both quotients come back unscaled
+            g = _int_gcd(N, D)
+            if len(g) > 1:
+                N, D = _int_divmod(N, g)[0], _int_divmod(D, g)[0]
+        # num/den = N*dd / (D*dn) with dn, dd the common denominators;
+        # dividing both by lc(D) makes the denominator monic.
+        lead = D[-1]
+        self.num = UniPoly._make(var, [x * den.den for x in N], num.den * lead)
+        self.den = UniPoly._make(var, list(D), lead)
 
     # -- constructors -------------------------------------------------------
 
@@ -433,6 +506,8 @@ class RatFunc:
 
     def __add__(self, other) -> "RatFunc":
         o = self._coerce(other)
+        if self.den == o.den:
+            return RatFunc(self.num + o.num, self.den)
         return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
 
     __radd__ = __add__
@@ -484,10 +559,11 @@ class RatFunc:
     def deriv(self, order: int = 1) -> "RatFunc":
         f = self
         for _ in range(order):
-            f = RatFunc(
-                f.num.deriv() * f.den - f.num * f.den.deriv(),
-                f.den * f.den,
-            )
+            n, d = f.num, f.den
+            if f.is_polynomial():
+                f = RatFunc(n.deriv())
+            else:
+                f = RatFunc(n.deriv() * d - n * d.deriv(), d * d)
         return f
 
     def eval(self, x: ScalarLike) -> Fraction:
@@ -504,15 +580,6 @@ class RatFunc:
 
     def __repr__(self) -> str:
         return f"RatFunc({self})"
-
-
-def ratfunc_value_or_limit(f: RatFunc, u0: ScalarLike) -> Fraction:
-    """Evaluate a rational function at u0 on its reduced representative.
-
-    Since RatFunc is always kept reduced, this is the removable-singularity
-    limit; a genuine pole (denominator zero after cancellation) raises.
-    """
-    return f.eval(u0)
 
 
 # ---------------------------------------------------------------------------

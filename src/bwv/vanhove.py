@@ -18,9 +18,9 @@ at m = 2, n = 1; the recursion test below guards this choice permanently.)
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb
 
 from .exactalg import (
@@ -52,10 +52,6 @@ __all__ = [
 # Verrill polynomials and Bessel power numbers
 # ---------------------------------------------------------------------------
 
-_VP_CACHE: dict[tuple[int, int], UniPoly] = {}
-_VP_LOCK = threading.Lock()
-
-
 def _alpha_tuples(m: int, k: int):
     """All tuples (α_1, …, α_k) with α_n ∈ [1, m+1] and
     α_{n+1} ≤ α_n − 2 for n ∈ [1, k−1]."""
@@ -74,16 +70,13 @@ def _alpha_tuples(m: int, k: int):
     yield from rec(())
 
 
+@cache
 def verrill_poly(m: int, k: int) -> UniPoly:
     """Verrill polynomial 𝒱_{m,k}(t); 𝒱_{m,0}(t) = t^m and for k ≥ 1 the
     sum over admissible tuples of t^{m+1−α₁}·∏ α_n(α_n−m−2)(t−n)^{α_n−α_{n+1}}
     with terminator α_{k+1} = 1.  The empty sum is the zero polynomial."""
     if m < 1 or k < 0:
         raise ValueError("verrill_poly requires m >= 1, k >= 0")
-    key = (m, k)
-    cached = _VP_CACHE.get(key)
-    if cached is not None:
-        return cached
     t = UniPoly.x("t")
     if k == 0:
         poly = t**m
@@ -99,8 +92,6 @@ def verrill_poly(m: int, k: int) -> UniPoly:
                 term = term * (t - n) ** (a_n - ext[n])
             term = term * coeff
             poly = poly + term.shift_mul(m + 1 - alpha[0])
-    with _VP_LOCK:
-        _VP_CACHE[key] = poly
     return poly
 
 
@@ -141,10 +132,6 @@ class VanhoveOperator:
     @property
     def leading(self) -> UniPoly:
         return self.coeffs[self.m]
-
-
-_VANHOVE_CACHE: dict[int, VanhoveOperator] = {}
-_VANHOVE_LOCK = threading.Lock()
 
 
 def _route_a(m: int) -> DiffOp:
@@ -194,14 +181,12 @@ def _route_b(m: int) -> DiffOp:
     return total
 
 
+@cache
 def vanhove_operator(m: int) -> VanhoveOperator:
     """Construct L̃_m along both routes, assert agreement and integer
     polynomial coefficients, and return the coefficient list."""
     if m < 1:
         raise ValueError("vanhove_operator requires m >= 1")
-    cached = _VANHOVE_CACHE.get(m)
-    if cached is not None:
-        return cached
     op_a = _route_a(m)
     op_b = _route_b(m)
     if op_a != op_b:
@@ -224,10 +209,7 @@ def vanhove_operator(m: int) -> VanhoveOperator:
                 f"coefficient of D^{j} in L~_{m} is not an integer polynomial"
             )
         coeffs.append(p)
-    result = VanhoveOperator(m, tuple(coeffs))
-    with _VANHOVE_LOCK:
-        _VANHOVE_CACHE[m] = result
-    return result
+    return VanhoveOperator(m, tuple(coeffs))
 
 
 def leading_coeff_product(m: int) -> UniPoly:

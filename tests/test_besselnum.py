@@ -21,6 +21,7 @@ from bwv.besselnum import (
     MomentKey,
     bessel,
     bologna,
+    default_cache,
     ibp_sanity,
     matM,
     matN,
@@ -300,6 +301,16 @@ def test_cache_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("BWV_CACHE", str(tmp_path / "env.jsonl"))
     c = MomentCache()
     assert c.path == str(tmp_path / "env.jsonl")
+
+
+def test_default_cache_returns_to_default_path_after_unset(tmp_path, monkeypatch):
+    monkeypatch.setenv("HOME", str(tmp_path))
+    monkeypatch.setenv("BWV_CACHE", str(tmp_path / "env.jsonl"))
+    assert default_cache().path == str(tmp_path / "env.jsonl")
+    monkeypatch.delenv("BWV_CACHE")
+    default = str(tmp_path / ".cache" / "bwv" / "moments.jsonl")
+    assert MomentCache().path == default
+    assert default_cache().path == default
 
 
 # -- matrices ---------------------------------------------------------------

@@ -2,6 +2,7 @@
 rational functions, matrices, differential operators, truncated series."""
 
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +21,6 @@ from bwv.exactalg import (
     diffop_scale_mul,
     exact_det,
     exact_inverse,
-    ratfunc_value_or_limit,
     recip_fact_ext,
     series_apply,
 )
@@ -143,6 +143,152 @@ def test_unipoly_shift_mul_and_compose():
     assert p.compose_poly(inner) == UniPoly.of("u", [3, 2])
 
 
+# -- the integer-backed core against a plain-Fraction reference -------------
+
+
+def _strip(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _ref_add(a, b):
+    n = max(len(a), len(b))
+    pad = [F(0)] * n
+    return _strip(x + y for x, y in zip((a + pad)[:n], (b + pad)[:n]))
+
+
+def _ref_mul(a, b):
+    out = [F(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _strip(out)
+
+
+def _ref_divmod(a, b):
+    rem = list(a)
+    quo = [F(0)] * max(len(a) - len(b) + 1, 0)
+    for k in range(len(quo) - 1, -1, -1):
+        c = rem[k + len(b) - 1] / b[-1]
+        quo[k] = c
+        for j, y in enumerate(b):
+            rem[k + j] -= c * y
+    return _strip(quo), _strip(rem[: len(b) - 1])
+
+
+def _ref_gcd(a, b):
+    """Monic gcd by Euclid's algorithm over Q."""
+    while b:
+        a, b = b, _ref_divmod(a, b)[1]
+    return [c / a[-1] for c in a]
+
+
+def _ref_deriv(a):
+    return _strip([i * c for i, c in enumerate(a)][1:])
+
+
+def _ref_eval(a, x):
+    return sum((c * x**i for i, c in enumerate(a)), F(0))
+
+
+def _is_canonical(p):
+    """Integer numerators over a positive denominator, coprime to their
+    content, with no trailing zeros."""
+    return (
+        all(type(v) is int for v in p.nums)
+        and type(p.den) is int
+        and p.den > 0
+        and (not p.nums or p.nums[-1] != 0)
+        and gcd(p.den, *p.nums) == 1
+    )
+
+
+wide_fractions = st.fractions(
+    min_value=-(10**6), max_value=10**6, max_denominator=10**4
+)
+
+
+def coeff_lists(max_deg=4):
+    return st.lists(
+        st.one_of(fractions, wide_fractions), max_size=max_deg + 1
+    ).map(_strip)
+
+
+def nonzero_coeff_lists(max_deg=4):
+    return coeff_lists(max_deg).filter(bool)
+
+
+@given(coeff_lists(), coeff_lists())
+@settings(max_examples=80)
+def test_unipoly_ring_ops_match_reference(a, b):
+    p, q = UniPoly.of("u", a), UniPoly.of("u", b)
+    neg_b = [-c for c in b]
+    for got, want in (
+        (p, a),
+        (p + q, _ref_add(a, b)),
+        (p - q, _ref_add(a, neg_b)),
+        (p * q, _ref_mul(a, b)),
+        (p.deriv(), _ref_deriv(a)),
+    ):
+        assert _is_canonical(got)
+        assert list(got.coeffs) == want
+
+
+@given(coeff_lists(), nonzero_coeff_lists(3))
+@settings(max_examples=80)
+def test_unipoly_divmod_matches_reference(a, b):
+    q, r = UniPoly.of("u", a).divmod(UniPoly.of("u", b))
+    want_q, want_r = _ref_divmod(a, b)
+    assert _is_canonical(q) and _is_canonical(r)
+    assert list(q.coeffs) == want_q
+    assert list(r.coeffs) == want_r
+
+
+@given(coeff_lists(3), coeff_lists(3), nonzero_coeff_lists(2))
+@settings(max_examples=80)
+def test_unipoly_gcd_matches_reference(a, b, c):
+    # a common factor c makes gcds of positive degree common
+    a, b = _ref_mul(a, c), _ref_mul(b, c)
+    g = UniPoly.of("u", a).gcd(UniPoly.of("u", b))
+    gs = list(g.coeffs)
+    assert _is_canonical(g)
+    assert gs == _ref_gcd(a, b)
+    if a or b:
+        assert gs[-1] == 1
+    for x in (a, b):
+        if x:
+            assert _ref_divmod(x, gs)[1] == []
+
+
+@given(coeff_lists(), st.one_of(fractions, wide_fractions))
+@settings(max_examples=80)
+def test_unipoly_eval_matches_reference(a, x):
+    assert UniPoly.of("u", a).eval(x) == _ref_eval(a, x)
+
+
+@given(coeff_lists(3), nonzero_coeff_lists(3), nonzero_coeff_lists(2))
+@settings(max_examples=80)
+def test_ratfunc_is_reduced_with_monic_denominator(a, b, c):
+    num, den = _ref_mul(a, c), _ref_mul(b, c)
+    f = RatFunc(UniPoly.of("u", num), UniPoly.of("u", den))
+    n, d = list(f.num.coeffs), list(f.den.coeffs)
+    assert _is_canonical(f.num) and _is_canonical(f.den)
+    assert d[-1] == 1
+    assert _ref_gcd(n, d) == [1]
+    assert _ref_mul(n, den) == _ref_mul(num, d)
+
+
+@given(ratfuncs(2), ratfuncs(2))
+@settings(max_examples=60)
+def test_ratfunc_results_stay_canonical(f, g):
+    for h in (f + g, f - g, f * g, f.deriv()):
+        n, d = list(h.num.coeffs), list(h.den.coeffs)
+        assert d[-1] == 1
+        assert _ref_gcd(n, d) == [1]
+
+
 # -- rational functions -----------------------------------------------------
 
 
@@ -167,18 +313,18 @@ def test_ratfunc_arithmetic_matches_evaluation(f, g, x):
         assert (f / g).eval(x) == fx / gx
 
 
-def test_ratfunc_value_or_limit_removable_singularity():
+def test_ratfunc_eval_removable_singularity():
     u = UniPoly.x("u")
     one = UniPoly.const("u", 1)
     f = RatFunc(u * u - one, u - one)  # (u^2-1)/(u-1)
-    assert ratfunc_value_or_limit(f, 1) == 2
+    assert f.eval(1) == 2
 
 
-def test_ratfunc_value_or_limit_genuine_pole_raises():
+def test_ratfunc_eval_genuine_pole_raises():
     u = UniPoly.x("u")
     f = RatFunc(UniPoly.const("u", 1), u - UniPoly.const("u", 1))
     with pytest.raises(ZeroDivisionError):
-        ratfunc_value_or_limit(f, 1)
+        f.eval(1)
 
 
 # -- exact matrices ---------------------------------------------------------
