@@ -27,14 +27,19 @@ the crossover it sums the asymptotic expansions of DLMF 10.40.1 and
 10.40.2 up to their smallest term.  The crossover depends on the working
 precision alone: it is the least t at which the asymptotic series has a
 term below 2^-prec, so both branches hold every value to a few ulp.
-``_BESSEL_MEMO`` stores the (I, K) pair per order, argument and
-precision, so a node that needs I0 and K0 costs one pass.  Moment
-integrals split at t = 1: tanh-sinh on (0,1) (absorbs the log-power
-singularity at 0) and a double-exponential substitution
+Moment integrals split at t = 1: tanh-sinh on (0,1) (absorbs the
+log-power singularity at 0) and a double-exponential substitution
 t = 1 + c exp((pi/2) sinh w) on (1,oo) with c matched to the exponential
-decay rate.  Each quadrature doubles its level until two successive
-levels agree to the target, within a hard level budget, at a guard
-precision of ``digits`` + 15.
+decay rate and rounded down to a power of two.  Each interval, scale c
+and working precision has one shared grid (``_grid``): a node's t and
+weight, and the (I, K) pairs at t and at sqrt(u) t, are computed when a
+moment first reaches the node and reused by every later moment, so a
+matrix of moments costs one set of node evaluations plus one integrand
+product per entry and node.  The grids are held in a small LRU cache, so
+their memory stays bounded.  Each moment still walks the grid on its own:
+its own tail cut-off, and level doubling until two successive levels agree
+to the target, within a hard level budget, at a guard precision of
+``digits`` + 15.
 """
 
 from __future__ import annotations
@@ -43,7 +48,6 @@ import functools
 import json
 import math
 import os
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -106,8 +110,6 @@ def tolerance(digits: int):
 # ---------------------------------------------------------------------------
 # Bessel functions
 # ---------------------------------------------------------------------------
-
-_BESSEL_MEMO: dict = {}
 
 #: (order, 0 for I or 1 for K) of each Bessel kind.
 _KIND_SLOT = {"I0": (0, 0), "K0": (0, 1), "I1": (1, 0), "K1": (1, 1)}
@@ -205,32 +207,19 @@ def _ik(order: int, t):
     return _ik_asymptotic(order, t)
 
 
-def _bessel_at(kind: str, t):
-    """Memoized Bessel value at the current working precision; one pass
-    of the kernel stores both I and K of that order."""
+def bessel(kind: str, t, digits: int):
+    """I0, I1, K0 or K1 at t > 0, with relative error below 10^-digits."""
     try:
         order, slot = _KIND_SLOT[kind]
     except KeyError:
         raise ValueError(f"unknown Bessel kind {kind!r}") from None
-    key = (order, t._mpf_, mp.prec)
-    pair = _BESSEL_MEMO.get(key)
-    if pair is None:
-        pair = _BESSEL_MEMO[key] = _ik(order, t)
-    return pair[slot]
-
-
-def bessel(kind: str, t, digits: int):
-    """I0, I1, K0 or K1 at t > 0, with relative error below 10^-digits."""
-    if kind not in _KIND_SLOT:
-        raise ValueError(f"unknown Bessel kind {kind!r}")
     if digits < 1:
         raise ValueError("digits must be positive")
     with mp.workdps(digits + GUARD_DIGITS):
         tt = _to_mpf(t)
         if tt <= 0:
             raise ValueError("bessel requires t > 0")
-        val = _bessel_at(kind, tt)
-        return +val
+        return +_ik(order, tt)[slot]
 
 
 def _to_mpf(x):
@@ -302,64 +291,67 @@ def _check_convergent(key: MomentKey) -> None:
 
 
 def _integrand(key: MomentKey) -> Callable:
+    """The integrand as a function of a quadrature node (``_Node``)."""
     a, b, n = key.a, key.b, key.n
     if key.kind in _ONSHELL_KINDS:
         log_weighted = key.kind == "IKM_LOG"
 
-        def f(t):
+        def f(node):
+            t = node.t
             val = mp.mpf(1)
             if a:
-                val *= _bessel_at("I0", t) ** a
+                val *= node.bessel("I0") ** a
             if b:
-                val *= _bessel_at("K0", t) ** b
+                val *= node.bessel("K0") ** b
             if log_weighted:
                 val *= mp.log(t)
                 if a == 1:
-                    val -= _bessel_at("K0", t) ** (a + b) / (a + b)
+                    val -= node.bessel("K0") ** (a + b) / (a + b)
             return val * t**n
 
         return f
 
-    su = mp.sqrt(_to_mpf(key.u))
+    # at u = 1 the sqrt(u) t factors share the pairs at t
+    su = None if key.u == 1 else mp.sqrt(_to_mpf(key.u))
     if key.kind == "IvKM":
 
-        def f(t):
-            val = _bessel_at("I0", su * t)
+        def f(node):
+            val = node.bessel("I0", su)
             if a > 1:
-                val *= _bessel_at("I0", t) ** (a - 1)
+                val *= node.bessel("I0") ** (a - 1)
             if b:
-                val *= _bessel_at("K0", t) ** b
-            return val * t**n
+                val *= node.bessel("K0") ** b
+            return val * node.t**n
 
     elif key.kind == "IKvM":
 
-        def f(t):
-            val = _bessel_at("K0", su * t)
+        def f(node):
+            val = node.bessel("K0", su)
             if a:
-                val *= _bessel_at("I0", t) ** a
+                val *= node.bessel("I0") ** a
             if b > 1:
-                val *= _bessel_at("K0", t) ** (b - 1)
-            return val * t**n
+                val *= node.bessel("K0") ** (b - 1)
+            return val * node.t**n
 
     elif key.kind == "IpKM":
 
-        def f(t):
-            val = _bessel_at("I1", su * t)
+        def f(node):
+            val = node.bessel("I1", su)
             if a > 1:
-                val *= _bessel_at("I0", t) ** (a - 1)
+                val *= node.bessel("I0") ** (a - 1)
             if b:
-                val *= _bessel_at("K0", t) ** b
-            return val * t ** (n + 1)
+                val *= node.bessel("K0") ** b
+            return val * node.t ** (n + 1)
 
     else:  # IKpM
 
-        def f(t):
-            val = -_bessel_at("K1", su * t)
+        def f(node):
+            val = -node.bessel("K1", su)
             if a:
-                val *= _bessel_at("I0", t) ** a
+                val *= node.bessel("I0") ** a
             if b > 1:
-                val *= _bessel_at("K0", t) ** (b - 1)
-            return val * t ** (n + 1)
+                val *= node.bessel("K0") ** (b - 1)
+            return val * node.t ** (n + 1)
 
     return f
 
@@ -369,19 +361,112 @@ def _integrand(key: MomentKey) -> Callable:
 # ---------------------------------------------------------------------------
 
 
-def _trapezoid_levels(term, h0, target, what: str):
-    """Generic double-exponential trapezoid over integer multiples of h:
-    sum_{n in Z} h*term(n*h), refined by level doubling until two
-    successive levels agree to ``target`` (relative)."""
+class _Node:
+    """One quadrature node: the abscissa t, the weight, and the (I, K)
+    pairs at t and at scale*t, each computed on first use and shared
+    with every node of the grid at the same t."""
 
-    def sweep(h, step, start_pos, start_neg):
+    __slots__ = ("t", "weight", "_pairs")
+
+    def __init__(self, t, weight, pairs: dict):
+        self.t = t
+        self.weight = weight
+        self._pairs = pairs
+
+    def bessel(self, kind: str, scale=None):
+        """I0, I1, K0 or K1 at t, or at scale*t (the sqrt(u) t factors)."""
+        order, slot = _KIND_SLOT[kind]
+        key = (order, None if scale is None else scale._mpf_)
+        pair = self._pairs.get(key)
+        if pair is None:
+            x = self.t if scale is None else scale * self.t
+            pair = self._pairs[key] = _ik(order, x)
+        return pair[slot]
+
+
+class _Grid:
+    """The nodes of one double-exponential substitution at one working
+    precision.  Level 0 holds w = m/4 for every integer m and level L >= 1
+    the odd multiples of 2^-(L+2), so each node belongs to one level.  A
+    node is placed on first use and then shared by every moment that
+    walks the grid.  ``place(w)`` gives (t, weight), or None where the
+    integrand term vanishes in working precision.  Far in the tails many
+    nodes round to the same t, so their Bessel pairs are kept per t."""
+
+    def __init__(self, place: Callable):
+        self._place = place
+        self._nodes: dict = {}
+        self._pairs: dict = {}
+
+    def node(self, level: int, m: int) -> Optional[_Node]:
+        key = (level, m)
+        try:
+            return self._nodes[key]
+        except KeyError:
+            pass
+        placed = self._place(mp.ldexp(m, -2 - level))
+        if placed is not None:
+            t, weight = placed
+            placed = _Node(t, weight, self._pairs.setdefault(t._mpf_, {}))
+        self._nodes[key] = placed
+        return placed
+
+
+@functools.lru_cache(maxsize=16)
+def _grid(halvings: Optional[int], prec: int) -> _Grid:
+    """The shared grid at working precision ``prec``, which must be the
+    current one: tanh-sinh on (0,1) when ``halvings`` is None, else
+    t = 1 + c exp((pi/2) sinh w) on (1,oo) with c = 2^-halvings.  The
+    cache bounds the grids, and with them the nodes and Bessel pairs,
+    kept alive at once."""
+    half_pi = mp.pi / 2
+    if halvings is None:
+
+        def place(w):
+            x = half_pi * mp.sinh(w)
+            # t computed so that both t and 1-t stay accurate
+            if x >= 0:
+                omt = 1 / (1 + mp.exp(2 * x))  # 1 - t
+                t = 1 - omt
+            else:
+                t = 1 / (1 + mp.exp(-2 * x))
+                omt = 1 - t
+            if t == 0 or omt == 0:
+                return None
+            return t, mp.pi * mp.cosh(w) * t * omt
+
+    else:
+        c = mp.ldexp(1, -halvings)
+
+        def place(w):
+            g = mp.exp(half_pi * mp.sinh(w))
+            t = 1 + c * g
+            weight = c * half_pi * mp.cosh(w) * g
+            if weight == 0 or mp.isinf(t):
+                return None
+            return t, weight
+
+    return _Grid(place)
+
+
+def _trapezoid_levels(grid: _Grid, f, target, what: str):
+    """Double-exponential trapezoid sum_m h*f(node m)*weight over the
+    grid, refined by level doubling until two successive levels agree to
+    ``target`` (relative).  Each direction of a sweep stops after three
+    successive terms below eps times the largest term so far."""
+
+    def term(level, m):
+        node = grid.node(level, m)
+        return f(node) * node.weight if node else mp.mpf(0)
+
+    def sweep(level, step):
         total = mp.mpf(0)
         largest = mp.mpf(0)
-        for direction, start in ((1, start_pos), (-1, start_neg)):
-            n = start
+        for direction in (1, -1):
+            n = 1
             tiny = 0
             while True:
-                val = term(direction * n * h)
+                val = term(level, direction * n)
                 total += val
                 a = abs(val)
                 if a > largest:
@@ -395,11 +480,11 @@ def _trapezoid_levels(term, h0, target, what: str):
                 n += step
         return total
 
-    h = h0
-    prev = (term(mp.mpf(0)) + sweep(h, 1, 1, 1)) * h
-    for _ in range(LEVEL_BUDGET):
+    h = mp.mpf(1) / 4
+    prev = (term(0, 0) + sweep(0, 1)) * h
+    for level in range(1, LEVEL_BUDGET + 1):
         h /= 2
-        extra = sweep(h, 2, 1, 1) * h
+        extra = sweep(level, 2) * h
         cur = prev / 2 + extra
         if abs(cur - prev) <= target * (abs(cur) + 1):
             return cur
@@ -409,54 +494,23 @@ def _trapezoid_levels(term, h0, target, what: str):
     )
 
 
-def _quad_01(f, target):
-    """tanh-sinh quadrature of f over (0,1)."""
-    half_pi = mp.pi / 2
-
-    def term(w):
-        x = half_pi * mp.sinh(w)
-        # t computed so that both t and 1-t stay accurate
-        if x >= 0:
-            omt = 1 / (1 + mp.exp(2 * x))  # 1 - t
-            t = 1 - omt
-        else:
-            t = 1 / (1 + mp.exp(-2 * x))
-            omt = 1 - t
-        if t == 0 or omt == 0:
-            return mp.mpf(0)
-        weight = mp.pi * mp.cosh(w) * t * omt
-        return f(t) * weight
-
-    return _trapezoid_levels(term, mp.mpf(1) / 4, target, "interval (0,1)")
-
-
-def _quad_1_inf(f, delta_float, target):
-    """Double-exponential quadrature of f over (1,oo) with substitution
-    t = 1 + c*exp((pi/2) sinh w), c matched to the decay rate (rounded
-    to a power of two so quadrature grids coincide across moments)."""
-    half_pi = mp.pi / 2
-    c = mp.mpf(1)
-    while c > 1 / mp.mpf(delta_float):
-        c /= 2
-
-    def term(w):
-        g = mp.exp(half_pi * mp.sinh(w))
-        t = 1 + c * g
-        weight = c * half_pi * mp.cosh(w) * g
-        if weight == 0 or mp.isinf(t):
-            return mp.mpf(0)
-        return f(t) * weight
-
-    return _trapezoid_levels(term, mp.mpf(1) / 4, target, "interval (1,oo)")
-
-
 def _compute_moment(key: MomentKey):
-    """Evaluate the moment integral at guard precision (caller sets dps)."""
+    """Evaluate the moment integral at guard precision (caller sets dps):
+    tanh-sinh over (0,1) plus the (1,oo) grid whose c is the largest power
+    of two at most min(1, 1/delta), delta the decay rate, so moments share
+    grids."""
     c, s = _decay(key)
     delta_float = c + s * mp.sqrt(_to_mpf(key.u)) if s else mp.mpf(c)
+    halvings = 0
+    while mp.ldexp(1, -halvings) > 1 / delta_float:
+        halvings += 1
     f = _integrand(key)
     target = mpmath.mpf(10) ** (-(key.digits + 5))
-    return _quad_01(f, target) + _quad_1_inf(f, delta_float, target)
+    return _trapezoid_levels(
+        _grid(None, mp.prec), f, target, "interval (0,1)"
+    ) + _trapezoid_levels(
+        _grid(halvings, mp.prec), f, target, "interval (1,oo)"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +525,10 @@ def _u_str(u: Optional[Fraction]) -> Optional[str]:
 
 
 #: Stored with every cache record: the Bessel kernel that computed it.
-#: Records with another tag, or none, are stale and never served.
+#: Records with another tag, or none, are stale and never served.  Any
+#: change to the kernel, the quadrature or the guard digits that alters a
+#: stored value must bump this tag; ``tests/test_golden.py`` pins the
+#: cache a cold build writes under it.
 _KERNEL_TAG = "ik-series-asymptotic/1"
 
 
@@ -510,7 +567,6 @@ class MomentCache:
 
     def __init__(self, path: Optional[str] = None):
         self.path = str(_cache_path() if path is None else path)
-        self._lock = threading.Lock()
         self._map: dict = {}
         self._counts = {"records": 0, "skipped": 0, "stale": 0}
         self._load()
@@ -540,8 +596,7 @@ class MomentCache:
                         self._map[mk] = (rec["digits"], rec["value"])
 
     def get(self, key: MomentKey) -> Optional[str]:
-        with self._lock:
-            hit = self._map.get(self._map_key(key))
+        hit = self._map.get(self._map_key(key))
         if hit is not None and hit[0] >= key.digits:
             return hit[1]
         return None
@@ -558,27 +613,25 @@ class MomentCache:
             "kernel": _KERNEL_TAG,
         }
         line = (json.dumps(rec) + "\n").encode()
-        with self._lock:
-            mk = self._map_key(key)
-            old = self._map.get(mk)
-            if old is None or key.digits > old[0]:
-                self._map[mk] = (key.digits, value)
-            p = Path(self.path)
-            p.parent.mkdir(parents=True, exist_ok=True)
-            with p.open("a+b") as fh:
-                # end a torn last line first, so this record stays whole
-                if fh.seek(0, os.SEEK_END):
-                    fh.seek(-1, os.SEEK_END)
-                    if fh.read(1) != b"\n":
-                        line = b"\n" + line
-                fh.write(line)
+        mk = self._map_key(key)
+        old = self._map.get(mk)
+        if old is None or key.digits > old[0]:
+            self._map[mk] = (key.digits, value)
+        p = Path(self.path)
+        p.parent.mkdir(parents=True, exist_ok=True)
+        with p.open("a+b") as fh:
+            # end a torn last line first, so this record stays whole
+            if fh.seek(0, os.SEEK_END):
+                fh.seek(-1, os.SEEK_END)
+                if fh.read(1) != b"\n":
+                    line = b"\n" + line
+            fh.write(line)
 
     def stats(self) -> dict:
-        with self._lock:
-            entries = len(self._map)
-            by_kind: dict = {}
-            for (kind, *_rest) in self._map:
-                by_kind[kind] = by_kind.get(kind, 0) + 1
+        entries = len(self._map)
+        by_kind: dict = {}
+        for (kind, *_rest) in self._map:
+            by_kind[kind] = by_kind.get(kind, 0) + 1
         p = Path(self.path)
         return {
             "path": self.path,
@@ -599,17 +652,15 @@ class MomentCache:
 
 
 _DEFAULT_CACHE: Optional[MomentCache] = None
-_DEFAULT_CACHE_LOCK = threading.Lock()
 
 
 def default_cache() -> MomentCache:
     """The process-wide cache, reopened whenever the path it would resolve
     (BWV_CACHE, or the default) has changed since it was opened."""
     global _DEFAULT_CACHE
-    with _DEFAULT_CACHE_LOCK:
-        if _DEFAULT_CACHE is None or _DEFAULT_CACHE.path != _cache_path():
-            _DEFAULT_CACHE = MomentCache()
-        return _DEFAULT_CACHE
+    if _DEFAULT_CACHE is None or _DEFAULT_CACHE.path != _cache_path():
+        _DEFAULT_CACHE = MomentCache()
+    return _DEFAULT_CACHE
 
 
 # ---------------------------------------------------------------------------

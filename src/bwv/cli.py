@@ -166,6 +166,8 @@ def _print_report(report: Report) -> None:
         line = f"{c.check_id:<{width}}  {c.status:<7}"
         if c.residual is not None:
             line += f"  residual={c.residual}"
+        if c.error is not None:
+            line += f"  error={c.error}"
         line += f"  ({c.runtime_ms} ms)"
         print(line)
     s = report.summary

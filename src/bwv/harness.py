@@ -105,9 +105,10 @@ class CheckResult:
     digits: Optional[int] = None
     runtime_ms: int = 0
     refs: List[str] = field(default_factory=list)
+    error: Optional[str] = None  # "ExcType: message" when status is error
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "check_id": self.check_id,
             "status": self.status,
             "residual": self.residual,
@@ -115,6 +116,9 @@ class CheckResult:
             "runtime_ms": self.runtime_ms,
             "refs": list(self.refs),
         }
+        if self.status == "error":
+            out["error"] = self.error
+        return out
 
     @classmethod
     def from_dict(cls, d: dict) -> "CheckResult":
@@ -125,6 +129,7 @@ class CheckResult:
             digits=d.get("digits"),
             runtime_ms=d.get("runtime_ms", 0),
             refs=list(d.get("refs", [])),
+            error=d.get("error"),
         )
 
 
@@ -185,32 +190,38 @@ def report_from_json(text: str) -> Report:
 # ---------------------------------------------------------------------------
 
 
+def _describe(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
 def _run_exact(check_id: str, refs: Sequence[str],
                fn: Callable[[], bool]) -> CheckResult:
     t0 = time.perf_counter()
+    error = None
     try:
         ok = bool(fn())
         status = "pass" if ok else "fail"
-    except Exception:
-        status = "error"
+    except Exception as exc:
+        status, error = "error", _describe(exc)
     ms = int(round(1000 * (time.perf_counter() - t0)))
-    return CheckResult(check_id, status, None, None, ms, list(refs))
+    return CheckResult(check_id, status, None, None, ms, list(refs), error)
 
 
 def _run_numeric(check_id: str, refs: Sequence[str], digits: int,
                  fn: Callable[[], object]) -> CheckResult:
     """Run fn at guarded precision; fn returns the max-abs residual."""
     t0 = time.perf_counter()
-    residual = None
+    residual = error = None
     try:
         with mp.workdps(digits + GUARD_DIGITS):
             res = mp.mpf(fn())
             residual = mp.nstr(res, 8)
             status = "pass" if res < tolerance(digits) else "fail"
-    except Exception:
-        status = "error"
+    except Exception as exc:
+        status, error = "error", _describe(exc)
     ms = int(round(1000 * (time.perf_counter() - t0)))
-    return CheckResult(check_id, status, residual, digits, ms, list(refs))
+    return CheckResult(check_id, status, residual, digits, ms, list(refs),
+                       error)
 
 
 def _collect(jobs: List[Callable[[], CheckResult]],

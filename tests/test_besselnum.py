@@ -19,6 +19,7 @@ from bwv.besselnum import (
     _crossover,
     MomentCache,
     MomentKey,
+    QuadratureError,
     bessel,
     bologna,
     default_cache,
@@ -271,6 +272,17 @@ def test_cache_skips_torn_last_line(tmp_path, monkeypatch, capsys):
     moment(other, cache=c)
     c2 = MomentCache(str(path))
     assert c2.get(other) is not None and c2.stats()["skipped"] == 2
+
+
+def test_quadrature_failure_raises_and_caches_nothing(tmp_path, monkeypatch):
+    monkeypatch.setattr("bwv.besselnum.LEVEL_BUDGET", 0)
+    path = tmp_path / "m.jsonl"
+    c = MomentCache(str(path))
+    key = MomentKey("IKM", 1, 2, 1, None, 20)
+    with pytest.raises(QuadratureError):
+        moment(key, cache=c)
+    assert c.get(key) is None and not path.exists()
+    assert MomentCache(str(path)).stats()["entries"] == 0
 
 
 def test_cache_determinism(tmp_path):

@@ -1,19 +1,27 @@
-"""Golden output of the exact layers.
+"""Golden output of the exact layers and of the moment cache.
 
-Each hash is the SHA-256 of text the exact layers print: the JSON output of
-``bwv vanhove --m M --json`` for m <= 12, and ``matrix_to_json`` of the de
-Rham matrices and the Q(u) families for k <= 5.  The hashes were taken
-from the Fraction-backed polynomial core that preceded the integer-backed
-one, so a change of representation must reproduce its output byte for
-byte.
+Each exact hash is the SHA-256 of text the exact layers print: the JSON
+output of ``bwv vanhove --m M --json`` for m <= 12, and ``matrix_to_json``
+of the de Rham matrices and the Q(u) families for k <= 5.  The hashes were
+taken from the Fraction-backed polynomial core that preceded the
+integer-backed one, so a change of representation must reproduce its output
+byte for byte.
+
+The moment hash is the SHA-256 of the cache file a cold build of matM and
+matN for k <= 3 and matOmega(2, 1/3) at 20 digits writes.  It was taken
+from the quadrature that rebuilt every node for every moment, before the
+shared grid.  A change to the quadrature, the kernel or the guard digits
+that alters a stored value must bump ``besselnum._KERNEL_TAG``, and then
+this hash.
 """
 
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
-from bwv import cli
+from bwv import besselnum, cli
 from bwv.brmatrices import matrix_family, matrix_to_json
 
 GOLDEN_SHA256 = {
@@ -33,7 +41,12 @@ GOLDEN_SHA256 = {
         "d1ba8d16cf0c3c09710d0904dee390e6d8ec88f9c221eeb6dbb40fc341bb750f",
     "Beta":
         "5dce301d58b4b50119db438bf6ea0098d95bab1783f9af5759d215d5048ccff4",
+    "moments":
+        "d5226d0636636c0e0abd6d613477bc26ede045bdb1fe19b79b413416659ff385",
 }
+
+#: The tag the moment hash was taken under.
+GOLDEN_KERNEL_TAG = "ik-series-asymptotic/1"
 
 
 def _sha256(text: str) -> str:
@@ -59,3 +72,15 @@ def test_matrix_json_golden(family):
         for k in range(1, 6)
     )
     assert _sha256(text) == GOLDEN_SHA256[family]
+
+
+def test_moment_cache_golden(tmp_path, monkeypatch):
+    path = tmp_path / "moments.jsonl"
+    monkeypatch.setenv("BWV_CACHE", str(path))
+    for k in (1, 2, 3):
+        besselnum.matM(k, 20)
+        besselnum.matN(k, 20)
+    besselnum.matOmega(2, Fraction(1, 3), 20)
+    assert besselnum._KERNEL_TAG == GOLDEN_KERNEL_TAG
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        GOLDEN_SHA256["moments"])

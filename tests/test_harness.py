@@ -11,6 +11,7 @@ from bwv import __version__
 from bwv.harness import (
     CheckResult,
     Report,
+    _run_exact,
     _run_numeric,
     report_from_json,
     report_to_json,
@@ -118,6 +119,33 @@ def test_run_numeric_records_error():
 
     r = _run_numeric("x", ["a"], 30, boom)
     assert r.status == "error" and r.residual is None
+    assert r.error == "RuntimeError: nope"
+
+
+def test_error_text_in_report_and_cli(monkeypatch, capsys):
+    def boom():
+        raise ZeroDivisionError("singular matrix")
+
+    good = _run_exact("good", ["a"], lambda: True)
+    bad = _run_exact("bad", ["a"], boom)
+    assert bad.status == "error"
+    assert bad.to_dict()["error"] == "ZeroDivisionError: singular matrix"
+    # a passing record keeps its schema-1 fields
+    assert good.error is None and "error" not in good.to_dict()
+    rep = Report(__version__, {"suite": "test"}, [good, bad])
+    back = report_from_json(report_to_json(rep))
+    assert back.to_dict() == rep.to_dict()
+    assert back.checks[1].error == bad.error
+    # a schema-1 record without the field reads as no error text
+    d = rep.to_dict()
+    del d["checks"][1]["error"]
+    assert Report.from_dict(d).checks[1].error is None
+
+    monkeypatch.setattr(cli, "run_exact_suite", lambda *a, **kw: rep)
+    assert cli.main(["verify", "exact"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "error=ZeroDivisionError: singular matrix" in out[1]
+    assert "error=" not in out[0]
 
 
 # -- CLI --------------------------------------------------------------------
