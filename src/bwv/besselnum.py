@@ -16,6 +16,13 @@ All moments are integrals over t from 0 to infinity:
 so the first index always counts I-type factors and the second K-type
 factors, including the sqrt(u)-argument factor.
 
+One table builds every moment family.  With parity p = 0 for the odd
+family (mu, M, Omega) and p = 1 for the even one (nu, N, omega), each
+entry is pi^(a-k-1-p/2) times one moment with a I-type factors out of
+2k+1+p.  The plain families take the kinds IvKM and IKvM, the
+differentiated ("acute") ones IpKM and IKpM; M and N take IKM, and their
+log-weighted companions IKM_LOG.
+
 Numerical design: one kernel ``_ik(order, t)`` gives I and K of order 0
 or 1 together.  Below a crossover it sums the power series of DLMF
 10.31.1 (K0 = -(ln(t/2)+gamma) I0 + sum H_m (t^2/4)^m/(m!)^2, and its
@@ -51,7 +58,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import mpmath
 from mpmath import mp
@@ -89,9 +96,27 @@ __all__ = [
 GUARD_DIGITS = 15
 LEVEL_BUDGET = 12
 
-_OFFSHELL_KINDS = frozenset({"IvKM", "IKvM", "IpKM", "IKpM"})
+
+class _OffShell(NamedTuple):
+    """How an off-shell kind departs from IKM: one ``factor`` at sqrt(u) t
+    (I0, K0, I1 or K1), times ``sign``, stands in for an I0 (``slot`` 0,
+    counted by a) or a K0 (``slot`` 1, counted by b), and the power of t
+    rises by ``extra``."""
+
+    factor: str
+    sign: int
+    slot: int
+    extra: int
+
+
+_OFFSHELL = {
+    "IvKM": _OffShell("I0", 1, 0, 0),
+    "IKvM": _OffShell("K0", 1, 1, 0),
+    "IpKM": _OffShell("I1", 1, 0, 1),
+    "IKpM": _OffShell("K1", -1, 1, 1),
+}
 _ONSHELL_KINDS = frozenset({"IKM", "IKM_LOG"})
-_KINDS = _OFFSHELL_KINDS | _ONSHELL_KINDS
+_KINDS = _ONSHELL_KINDS | frozenset(_OFFSHELL)
 
 #: Public tuple of the recognized moment kinds.
 MOMENT_KINDS = tuple(sorted(_KINDS))
@@ -251,29 +276,28 @@ class MomentKey:
             raise ValueError("moment indices must be non-negative")
         if self.digits < 1:
             raise ValueError("digits must be positive")
-        if self.kind in _OFFSHELL_KINDS:
+        spec = _OFFSHELL.get(self.kind)
+        if spec is not None:
             if self.u is None:
                 raise ValueError(f"{self.kind} requires an exact rational u")
             object.__setattr__(self, "u", Fraction(self.u))
             if self.u <= 0:
                 raise ValueError("u must be a positive rational")
+            if (self.a, self.b)[spec.slot] < 1:
+                index = "ab"[spec.slot]
+                raise ValueError(f"{self.kind} requires {index} >= 1")
         elif self.u is not None:
             raise ValueError(f"{self.kind} does not take u")
-        if self.kind in ("IvKM", "IpKM") and self.a < 1:
-            raise ValueError(f"{self.kind} requires a >= 1")
-        if self.kind in ("IKvM", "IKpM") and self.b < 1:
-            raise ValueError(f"{self.kind} requires b >= 1")
 
 
 def _decay(key: MomentKey) -> tuple[int, int]:
     """The exponential decay rate of the integrand at infinity, written
-    delta = c + s*sqrt(u) with integer c and s in {-1, 0, +1}."""
-    if key.kind in _ONSHELL_KINDS:
-        return key.b - key.a, 0
-    if key.kind in ("IvKM", "IpKM"):
-        return key.b - (key.a - 1), -1
-    # IKvM / IKpM
-    return (key.b - 1) - key.a, 1
+    delta = c + s*sqrt(u) with integer c and s in {-1, 0, +1}: a sqrt(u) t
+    factor in place of an I0 gives s = -1, in place of a K0 s = +1, and
+    c = b - a - s."""
+    spec = _OFFSHELL.get(key.kind)
+    s = 0 if spec is None else 2 * spec.slot - 1
+    return key.b - key.a - s, s
 
 
 def _check_convergent(key: MomentKey) -> None:
@@ -311,47 +335,21 @@ def _integrand(key: MomentKey) -> Callable:
 
         return f
 
+    factor, sign, slot, extra = _OFFSHELL[key.kind]
+    i0_power, k0_power = a - (slot == 0), b - (slot == 1)
+    n += extra
     # at u = 1 the sqrt(u) t factors share the pairs at t
     su = None if key.u == 1 else mp.sqrt(_to_mpf(key.u))
-    if key.kind == "IvKM":
 
-        def f(node):
-            val = node.bessel("I0", su)
-            if a > 1:
-                val *= node.bessel("I0") ** (a - 1)
-            if b:
-                val *= node.bessel("K0") ** b
-            return val * node.t**n
-
-    elif key.kind == "IKvM":
-
-        def f(node):
-            val = node.bessel("K0", su)
-            if a:
-                val *= node.bessel("I0") ** a
-            if b > 1:
-                val *= node.bessel("K0") ** (b - 1)
-            return val * node.t**n
-
-    elif key.kind == "IpKM":
-
-        def f(node):
-            val = node.bessel("I1", su)
-            if a > 1:
-                val *= node.bessel("I0") ** (a - 1)
-            if b:
-                val *= node.bessel("K0") ** b
-            return val * node.t ** (n + 1)
-
-    else:  # IKpM
-
-        def f(node):
-            val = -node.bessel("K1", su)
-            if a:
-                val *= node.bessel("I0") ** a
-            if b > 1:
-                val *= node.bessel("K0") ** (b - 1)
-            return val * node.t ** (n + 1)
+    def f(node):
+        val = node.bessel(factor, su)
+        if sign < 0:
+            val = -val
+        if i0_power:
+            val *= node.bessel("I0") ** i0_power
+        if k0_power:
+            val *= node.bessel("K0") ** k0_power
+        return val * node.t**n
 
     return f
 
@@ -701,172 +699,135 @@ def moment_value(
 
 
 # ---------------------------------------------------------------------------
-# Normalized moment families (the mu/nu entries)
+# Normalized moment families (the mu/nu entries) and moment matrices
 # ---------------------------------------------------------------------------
+
+
+#: The (I-kind, K-kind) pairs of the plain and the differentiated ("acute")
+#: families.
+_PLAIN = ("IvKM", "IKvM")
+_ACUTE = ("IpKM", "IKpM")
+
+
+def _pi_power(a: int, k: int, p: int):
+    """pi^(a-k-1-p/2), the weight of an entry with a I-type factors in the
+    family of parity p at size k."""
+    return mp.pi ** (a - k - 1 - mp.mpf(p) / 2)
+
+
+def _family_moment(kinds, p: int, k: int, j: int, ell: int, u, digits: int):
+    """Column j of the normalized family of parity p at n = 2 ell - 1: the
+    blend of both kinds at column 1, the I-kind at a = j up to column k+p,
+    the K-kind at a = j-k+1-p up to column 3k-1+2p."""
+    last = 3 * k - 1 + 2 * p
+    if not 1 <= j <= last:
+        raise ValueError(f"column j={j} out of range [1, {last}] for k={k}")
+    u = Fraction(u)
+    n = 2 * ell - 1
+    w = 2 * k + 1 + p
+    i_kind, k_kind = kinds
+    with mp.workdps(digits + GUARD_DIGITS):
+        if j == 1:
+            val = (
+                moment_value(i_kind, 1, w - 1, n, u, digits)
+                + (w - 1) * moment_value(k_kind, 1, w - 1, n, u, digits)
+            ) / w
+            return val * _pi_power(1, k, p)
+        kind, a = (i_kind, j) if j <= k + p else (k_kind, j - k + 1 - p)
+        return _pi_power(a, k, p) * moment_value(kind, a, w - a, n, u, digits)
 
 
 def mu_moment(k: int, j: int, ell: int, u: Fraction, digits: int):
     """The odd-family normalized moment at column index j in [1, 3k-1]."""
-    u = Fraction(u)
-    n = 2 * ell - 1
-    with mp.workdps(digits + GUARD_DIGITS):
-        if j == 1:
-            val = (
-                moment_value("IvKM", 1, 2 * k, n, u, digits)
-                + 2 * k * moment_value("IKvM", 1, 2 * k, n, u, digits)
-            ) / (2 * k + 1)
-            return val * mp.pi ** (-k)
-        if 2 <= j <= k:
-            return mp.pi ** (j - k - 1) * moment_value(
-                "IvKM", j, 2 * k + 1 - j, n, u, digits
-            )
-        if k + 1 <= j <= 3 * k - 1:
-            return mp.pi ** (j - 2 * k) * moment_value(
-                "IKvM", j - k + 1, 3 * k - j, n, u, digits
-            )
-    raise ValueError(f"mu_moment index j={j} out of range for k={k}")
+    return _family_moment(_PLAIN, 0, k, j, ell, u, digits)
 
 
 def mu_acute_moment(k: int, j: int, ell: int, u: Fraction, digits: int):
     """The differentiated odd-family normalized moment."""
-    u = Fraction(u)
-    n = 2 * ell - 1
-    with mp.workdps(digits + GUARD_DIGITS):
-        if j == 1:
-            val = (
-                moment_value("IpKM", 1, 2 * k, n, u, digits)
-                + 2 * k * moment_value("IKpM", 1, 2 * k, n, u, digits)
-            ) / (2 * k + 1)
-            return val * mp.pi ** (-k)
-        if 2 <= j <= k:
-            return mp.pi ** (j - k - 1) * moment_value(
-                "IpKM", j, 2 * k + 1 - j, n, u, digits
-            )
-        if k + 1 <= j <= 3 * k - 1:
-            return mp.pi ** (j - 2 * k) * moment_value(
-                "IKpM", j - k + 1, 3 * k - j, n, u, digits
-            )
-    raise ValueError(f"mu_acute_moment index j={j} out of range for k={k}")
+    return _family_moment(_ACUTE, 0, k, j, ell, u, digits)
 
 
 def nu_moment(k: int, j: int, ell: int, u: Fraction, digits: int):
     """The even-family normalized moment at column index j in [1, 3k+1]."""
-    u = Fraction(u)
-    n = 2 * ell - 1
-    with mp.workdps(digits + GUARD_DIGITS):
-        if j == 1:
-            val = (
-                moment_value("IvKM", 1, 2 * k + 1, n, u, digits)
-                + (2 * k + 1) * moment_value("IKvM", 1, 2 * k + 1, n, u, digits)
-            ) / (2 * (k + 1))
-            return val * mp.pi ** (-k - mp.mpf(1) / 2)
-        if 2 <= j <= k + 1:
-            return mp.pi ** (j - k - mp.mpf(3) / 2) * moment_value(
-                "IvKM", j, 2 * k + 2 - j, n, u, digits
-            )
-        if k + 2 <= j <= 3 * k + 1:
-            return mp.pi ** (j - 2 * k - mp.mpf(3) / 2) * moment_value(
-                "IKvM", j - k, 3 * k + 2 - j, n, u, digits
-            )
-    raise ValueError(f"nu_moment index j={j} out of range for k={k}")
+    return _family_moment(_PLAIN, 1, k, j, ell, u, digits)
 
 
 def nu_acute_moment(k: int, j: int, ell: int, u: Fraction, digits: int):
     """The differentiated even-family normalized moment."""
-    u = Fraction(u)
-    n = 2 * ell - 1
+    return _family_moment(_ACUTE, 1, k, j, ell, u, digits)
+
+
+def _moment_matrix(kind: str, p: int, k: int, digits: int):
+    """((-1)^(b-1) pi^(a-k-1-p/2) kind(a, 2k+1+p-a; 2b-1)), k x k."""
+    if k < 1:
+        raise ValueError("moment matrices require k >= 1")
     with mp.workdps(digits + GUARD_DIGITS):
-        if j == 1:
-            val = (
-                moment_value("IpKM", 1, 2 * k + 1, n, u, digits)
-                + (2 * k + 1) * moment_value("IKpM", 1, 2 * k + 1, n, u, digits)
-            ) / (2 * (k + 1))
-            return val * mp.pi ** (-k - mp.mpf(1) / 2)
-        if 2 <= j <= k + 1:
-            return mp.pi ** (j - k - mp.mpf(3) / 2) * moment_value(
-                "IpKM", j, 2 * k + 2 - j, n, u, digits
-            )
-        if k + 2 <= j <= 3 * k + 1:
-            return mp.pi ** (j - 2 * k - mp.mpf(3) / 2) * moment_value(
-                "IKpM", j - k, 3 * k + 2 - j, n, u, digits
-            )
-    raise ValueError(f"nu_acute_moment index j={j} out of range for k={k}")
-
-
-# ---------------------------------------------------------------------------
-# Moment matrices
-# ---------------------------------------------------------------------------
+        out = mp.matrix(k, k)
+        for a in range(1, k + 1):
+            for b in range(1, k + 1):
+                v = moment_value(kind, a, 2 * k + 1 + p - a, 2 * b - 1, None,
+                                 digits)
+                out[a - 1, b - 1] = (-1) ** (b - 1) * _pi_power(a, k, p) * v
+        return out
 
 
 def matM(k: int, digits: int):
     """M_k: ((-1)^(b-1) pi^(a-k-1) IKM(a, 2k+1-a; 2b-1)), k x k."""
-    if k < 1:
-        raise ValueError("matM requires k >= 1")
-    with mp.workdps(digits + GUARD_DIGITS):
-        out = mp.matrix(k, k)
-        for a in range(1, k + 1):
-            for b in range(1, k + 1):
-                v = moment_value("IKM", a, 2 * k + 1 - a, 2 * b - 1, None, digits)
-                out[a - 1, b - 1] = (-1) ** (b - 1) * mp.pi ** (a - k - 1) * v
-        return out
+    return _moment_matrix("IKM", 0, k, digits)
 
 
 def matN(k: int, digits: int):
     """N_k: ((-1)^(b-1) pi^(a-k-3/2) IKM(a, 2k+2-a; 2b-1)), k x k."""
-    if k < 1:
-        raise ValueError("matN requires k >= 1")
-    with mp.workdps(digits + GUARD_DIGITS):
-        out = mp.matrix(k, k)
-        for a in range(1, k + 1):
-            for b in range(1, k + 1):
-                v = moment_value("IKM", a, 2 * k + 2 - a, 2 * b - 1, None, digits)
-                out[a - 1, b - 1] = (
-                    (-1) ** (b - 1) * mp.pi ** (a - k - mp.mpf(3) / 2) * v
-                )
-        return out
+    return _moment_matrix("IKM", 1, k, digits)
 
 
 def matMring(k: int, digits: int):
     """Log-weighted companion of M_k built from IKM_LOG moments."""
-    if k < 1:
-        raise ValueError("matMring requires k >= 1")
-    with mp.workdps(digits + GUARD_DIGITS):
-        out = mp.matrix(k, k)
-        for a in range(1, k + 1):
-            for b in range(1, k + 1):
-                v = moment_value(
-                    "IKM_LOG", a, 2 * k + 1 - a, 2 * b - 1, None, digits
-                )
-                out[a - 1, b - 1] = (-1) ** (b - 1) * mp.pi ** (a - k - 1) * v
-        return out
+    return _moment_matrix("IKM_LOG", 0, k, digits)
 
 
 def matNring(k: int, digits: int):
     """Log-weighted companion of N_k built from IKM_LOG moments."""
-    if k < 1:
-        raise ValueError("matNring requires k >= 1")
-    with mp.workdps(digits + GUARD_DIGITS):
-        out = mp.matrix(k, k)
-        for a in range(1, k + 1):
-            for b in range(1, k + 1):
-                v = moment_value(
-                    "IKM_LOG", a, 2 * k + 2 - a, 2 * b - 1, None, digits
-                )
-                out[a - 1, b - 1] = (
-                    (-1) ** (b - 1) * mp.pi ** (a - k - mp.mpf(3) / 2) * v
-                )
-        return out
+    return _moment_matrix("IKM_LOG", 1, k, digits)
 
 
-def _beta_inverse_numeric(m: int, u: Fraction, digits: int):
+def _beta_inverse_numeric(m: int, u: Fraction):
     """Exact inverse of the beta matrix at rational u, as an mpf matrix."""
     Binv = exact_inverse(beta_matrix(m, Fraction(u)))
     out = mp.matrix(m, m)
     for a in range(m):
         for b in range(m):
-            q = Fraction(Binv[a, b])
-            out[a, b] = mp.mpf(q.numerator) / mp.mpf(q.denominator)
+            out[a, b] = _to_mpf(Fraction(Binv[a, b]))
     return out
+
+
+def _wronskian(p: int, k: int, u, digits: int):
+    """The Wronskian matrix of the family of parity p, size 2k-1+p, with
+    u in (0, 1] for the odd family and (0, 1) for the even one.  Column j
+    is the inverse beta matrix applied to the signed vector of k plain
+    and k-1+p differentiated moments at column j."""
+    if k < 1:
+        raise ValueError("Wronskian matrices require k >= 1")
+    u = Fraction(u)
+    if not (0 < u < 1 or u == 1 and not p):
+        raise ValueError(f"u must be rational in (0, 1{')' if p else ']'}")
+    m = 2 * k - 1 + p
+    with mp.workdps(digits + GUARD_DIGITS):
+        binv = _beta_inverse_numeric(m, u)
+        su = mp.sqrt(_to_mpf(u))
+        out = mp.matrix(m, m)
+        for j in range(1, m + 1):
+            vec = mp.matrix(m, 1)
+            for ell in range(1, k + 1):
+                vec[ell - 1] = (-1) ** (ell - 1) * _family_moment(
+                    _PLAIN, p, k, j, ell, u, digits)
+            for ell in range(1, k + p):
+                vec[k + ell - 1] = (-1) ** (ell - 1) * su * _family_moment(
+                    _ACUTE, p, k, j, ell, u, digits)
+            col = binv * vec
+            for i in range(m):
+                out[i, j - 1] = col[i]
+        return out
 
 
 def matOmega(k: int, u: Fraction, digits: int):
@@ -874,55 +835,13 @@ def matOmega(k: int, u: Fraction, digits: int):
     D^(i-1) mu^1_{k,j}(u).  Derivatives are reconstructed exactly through
     the inverse beta matrix applied to signed moment vectors -- no
     numerical differentiation."""
-    if k < 1:
-        raise ValueError("matOmega requires k >= 1")
-    u = Fraction(u)
-    if not 0 < u <= 1:
-        raise ValueError("matOmega requires rational u in (0, 1]")
-    m = 2 * k - 1
-    with mp.workdps(digits + GUARD_DIGITS):
-        binv = _beta_inverse_numeric(m, u, digits)
-        su = mp.sqrt(_to_mpf(u))
-        out = mp.matrix(m, m)
-        for j in range(1, m + 1):
-            vec = mp.matrix(m, 1)
-            for ell in range(1, k + 1):
-                vec[ell - 1] = (-1) ** (ell - 1) * mu_moment(k, j, ell, u, digits)
-            for ell in range(1, k):
-                vec[k + ell - 1] = (
-                    (-1) ** (ell - 1) * su * mu_acute_moment(k, j, ell, u, digits)
-                )
-            col = binv * vec
-            for i in range(m):
-                out[i, j - 1] = col[i]
-        return out
+    return _wronskian(0, k, u, digits)
 
 
 def matomega(k: int, u: Fraction, digits: int):
     """The even Wronskian matrix omega_{2k}(u), (i,j) entry
     D^(i-1) nu^1_{k,j}(u), via the inverse beta matrix."""
-    if k < 1:
-        raise ValueError("matomega requires k >= 1")
-    u = Fraction(u)
-    if not 0 < u < 1:
-        raise ValueError("matomega requires rational u in (0, 1)")
-    m = 2 * k
-    with mp.workdps(digits + GUARD_DIGITS):
-        binv = _beta_inverse_numeric(m, u, digits)
-        su = mp.sqrt(_to_mpf(u))
-        out = mp.matrix(m, m)
-        for j in range(1, m + 1):
-            vec = mp.matrix(m, 1)
-            for ell in range(1, k + 1):
-                vec[ell - 1] = (-1) ** (ell - 1) * nu_moment(k, j, ell, u, digits)
-            for ell in range(1, k + 1):
-                vec[k + ell - 1] = (
-                    (-1) ** (ell - 1) * su * nu_acute_moment(k, j, ell, u, digits)
-                )
-            col = binv * vec
-            for i in range(m):
-                out[i, j - 1] = col[i]
-        return out
+    return _wronskian(1, k, u, digits)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 All matrices follow 1-based index conventions.  Matrices over Q carry
 Fraction entries; matrices over Q(u) carry RatFunc entries in the
 variable ``u``.  Every constructor is pure and memoized on immutable
-outputs, so the module is safe for concurrent use.
+outputs.
 
 Naming overview (sizes in parentheses):
 

@@ -9,8 +9,7 @@ Subcommands:
 * ``moment KIND A B N [--u P/Q] --digits D`` — evaluate one moment
   integral.
 * ``verify {exact,numeric,all} [--max-k K] [--digits D]
-  [--report FILE] [--extended] [--threads N]`` — run verification
-  suites.
+  [--report FILE] [--extended]`` — run verification suites.
 * ``cache {stats,verify,path}`` — inspect the moment cache.
 
 Exit codes: 0 when no check failed, 1 when a verification check failed
@@ -105,7 +104,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", type=str, default=None,
                    help="write the JSON report to this file")
     p.add_argument("--extended", action="store_true")
-    p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("cache", help="inspect the moment cache")
     p.add_argument("action", choices=("stats", "verify", "path"))
@@ -179,18 +177,16 @@ def _cmd_verify(args) -> int:
     if args.mode == "exact":
         report = run_exact_suite(
             args.max_k if args.max_k is not None else 5,
-            extended=args.extended, threads=args.threads)
+            extended=args.extended)
     elif args.mode == "numeric":
         report = run_numeric_suite(
             args.max_k if args.max_k is not None else 3,
-            digits=args.digits, extended=args.extended,
-            threads=args.threads)
+            digits=args.digits, extended=args.extended)
     else:
         report = run_all(
             exact_max_k=args.max_k if args.max_k is not None else 5,
             numeric_max_k=args.max_k if args.max_k is not None else 3,
-            digits=args.digits, extended=args.extended,
-            threads=args.threads)
+            digits=args.digits, extended=args.extended)
     _print_report(report)
     if args.report:
         with open(args.report, "w") as fh:

@@ -12,18 +12,12 @@ The numeric suite evaluates moment integrals at a requested precision
 and checks the quadratic relations, determinant closed forms, off-shell
 Wronskian identities, reflection formulae and sum rules.  A numeric
 check passes when its max-abs residual is below ``tolerance(digits)``.
-
-Concurrency: ``threads`` dispatches exact checks to a thread pool.  The
-numeric suite always runs serially because the arbitrary-precision
-context is process-global; moment values themselves are cached on disk,
-so repeated runs are cheap regardless.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence
@@ -224,14 +218,6 @@ def _run_numeric(check_id: str, refs: Sequence[str], digits: int,
                        error)
 
 
-def _collect(jobs: List[Callable[[], CheckResult]],
-             threads: int) -> List[CheckResult]:
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda j: j(), jobs))
-    return [job() for job in jobs]
-
-
 # ---------------------------------------------------------------------------
 # frozen reference tables (Betti and de Rham matrices, k = 2..5)
 # ---------------------------------------------------------------------------
@@ -402,8 +388,7 @@ def _check_det_corollaries(k: int) -> bool:
     return True
 
 
-def run_exact_suite(max_k: int = 5, extended: bool = False,
-                    threads: int = 1) -> Report:
+def run_exact_suite(max_k: int = 5, extended: bool = False) -> Report:
     """Run the exact (rational-arithmetic) verification suite.
 
     ``max_k`` bounds the matrix sizes (operators are checked for orders
@@ -411,10 +396,10 @@ def run_exact_suite(max_k: int = 5, extended: bool = False,
     """
     if max_k < 2:
         raise ValueError("run_exact_suite requires max_k >= 2")
-    jobs: List[Callable[[], CheckResult]] = []
+    checks: List[CheckResult] = []
 
     def add(check_id, refs, fn):
-        jobs.append(lambda: _run_exact(check_id, refs, fn))
+        checks.append(_run_exact(check_id, refs, fn))
 
     for m in range(1, 2 * max_k):
         add(f"operator-structure-m{m}", ["vanhove.check_vanhove_structure"],
@@ -448,9 +433,7 @@ def run_exact_suite(max_k: int = 5, extended: bool = False,
             add(f"table-reference-k{k}", ["harness.TABLE_BETTI_B"],
                 lambda k=k: _check_table1(k))
 
-    checks = _collect(jobs, threads)
-    config = {"suite": "exact", "max_k": max_k, "extended": extended,
-              "threads": threads}
+    config = {"suite": "exact", "max_k": max_k, "extended": extended}
     return Report(__version__, config, checks)
 
 
@@ -675,12 +658,8 @@ def _blocktridiag_check(digits: int):
 
 
 def run_numeric_suite(max_k: int = 3, digits: int = 50,
-                      extended: bool = False, threads: int = 1) -> Report:
-    """Run the numeric verification suite at the requested precision.
-
-    ``threads`` is accepted for interface symmetry but the numeric
-    checks always run serially (the precision context is global).
-    """
+                      extended: bool = False) -> Report:
+    """Run the numeric verification suite at the requested precision."""
     if max_k < 2:
         raise ValueError("run_numeric_suite requires max_k >= 2")
     if digits < 30:
@@ -749,16 +728,15 @@ def run_numeric_suite(max_k: int = 3, digits: int = 50,
             lambda: ibp_sanity(3, digits)["max_residual"])
 
     config = {"suite": "numeric", "max_k": max_k, "digits": digits,
-              "extended": extended, "threads": threads}
+              "extended": extended}
     return Report(__version__, config, checks)
 
 
 def run_all(exact_max_k: int = 5, numeric_max_k: int = 3, digits: int = 50,
-            extended: bool = False, threads: int = 1) -> Report:
+            extended: bool = False) -> Report:
     """Run both suites and merge the reports."""
-    rep = run_exact_suite(exact_max_k, extended=extended, threads=threads)
-    num = run_numeric_suite(numeric_max_k, digits=digits, extended=extended,
-                            threads=threads)
+    rep = run_exact_suite(exact_max_k, extended=extended)
+    num = run_numeric_suite(numeric_max_k, digits=digits, extended=extended)
     merged = rep.merged_with(num)
     merged.config = {
         "suite": "all",
@@ -766,6 +744,5 @@ def run_all(exact_max_k: int = 5, numeric_max_k: int = 3, digits: int = 50,
         "numeric_max_k": numeric_max_k,
         "digits": digits,
         "extended": extended,
-        "threads": threads,
     }
     return merged

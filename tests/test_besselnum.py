@@ -3,8 +3,11 @@ the moment cache, matrix assembly, and the integration-by-parts sanity
 checks.  Precision is kept modest so the suite stays fast; the heavy
 high-precision runs live in the acceptance tests."""
 
+import importlib
+import inspect
 import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -12,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from bwv import cli
+from bwv import besselnum, cli
 from bwv.besselnum import (
     GUARD_DIGITS,
     _KERNEL_TAG,
@@ -29,7 +32,10 @@ from bwv.besselnum import (
     matOmega,
     moment,
     moment_value,
+    mu_acute_moment,
     mu_moment,
+    nu_acute_moment,
+    nu_moment,
     tolerance,
 )
 
@@ -147,8 +153,20 @@ def test_moment_key_validation():
         MomentKey("IvKM", 1, 2, 1, None, 30)  # u required off-shell
     with pytest.raises(ValueError):
         MomentKey("IKM", -1, 2, 1, None, 30)
-    with pytest.raises(ValueError):
-        MomentKey("IvKM", 0, 2, 1, F(1, 2), 30)
+    # each off-shell kind needs the I0 or K0 its sqrt(u) t factor replaces
+    for kind, a, b in (("IvKM", 0, 2), ("IpKM", 0, 2),
+                       ("IKvM", 1, 0), ("IKpM", 1, 0)):
+        with pytest.raises(ValueError, match=f"{kind} requires"):
+            MomentKey(kind, a, b, 1, F(1, 2), 30)
+    # the families have columns 1..3k-1 (odd) and 1..3k+1 (even)
+    for k in (1, 2, 3):
+        for family, last in ((mu_moment, 3 * k - 1),
+                             (mu_acute_moment, 3 * k - 1),
+                             (nu_moment, 3 * k + 1),
+                             (nu_acute_moment, 3 * k + 1)):
+            for j in (0, last + 1):
+                with pytest.raises(ValueError, match="out of range"):
+                    family(k, j, 1, F(1, 2), 20)
 
 
 def test_divergent_configurations_refused(cache):
@@ -163,6 +181,15 @@ def test_divergent_configurations_refused(cache):
     # boundary case delta = 2 - sqrt(4) = 0
     with pytest.raises(ValueError, match="divergent"):
         moment(MomentKey("IvKM", 1, 2, 0, F(4), 20), cache=cache)
+    # IKvM(2,1;0|u): delta = 1 - 2 - 1 + sqrt(u) < 0
+    with pytest.raises(ValueError, match="divergent"):
+        moment(MomentKey("IKvM", 2, 1, 0, F(1, 4), 20), cache=cache)
+    # IpKM(2,1;0|u): delta = 1 - 2 + 1 - sqrt(u) < 0
+    with pytest.raises(ValueError, match="divergent"):
+        moment(MomentKey("IpKM", 2, 1, 0, F(1, 4), 20), cache=cache)
+    # boundary case IKpM(1,1;1|1): delta = 1 - 1 - 1 + sqrt(1) = 0
+    with pytest.raises(ValueError, match="divergent"):
+        moment(MomentKey("IKpM", 1, 1, 1, F(1), 20), cache=cache)
 
 
 # -- moment values ----------------------------------------------------------
@@ -405,3 +432,22 @@ def test_ibp_sanity_k2(cache, monkeypatch):
 
 def test_tolerance_policy():
     assert tolerance(50) == mpmath.mpf(10) ** -40
+
+
+# -- the names the benchmark traces ----------------------------------------
+
+
+def test_benchmark_spans_are_public_functions(monkeypatch):
+    """perfbench wraps only the public functions a module defines, and reads
+    the spans of the matrix builders, moment, bessel and default_cache by
+    name: an alias or a partial under one of those names would leave its
+    span, and the metrics summed from it, at zero."""
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))
+    run = importlib.import_module("run")
+    tracing = importlib.import_module("tracing")
+    traced = dict(tracing.public_functions(besselnum))
+    for name in (*run.MATRIX_BUILDERS, "moment", "bessel", "default_cache"):
+        fn = getattr(besselnum, name)
+        assert inspect.isfunction(fn) and fn.__name__ == name, name
+        assert traced.get(name) is fn, name

@@ -13,6 +13,14 @@ from the quadrature that rebuilt every node for every moment, before the
 shared grid.  A change to the quadrature, the kernel or the guard digits
 that alters a stored value must bump ``besselnum._KERNEL_TAG``, and then
 this hash.
+
+A second cold build, of matMring, matNring and matomega(k, 1/3) for
+k <= 2 at 20 digits, pins the log-weighted and even off-shell families
+the same way ("families").  The two "entries" hashes pin what the builders
+assemble from the moments (the pi powers, the signs and the inverse beta
+product): the SHA-256 of ``repr(x._mpf_)`` of every entry, row by row.
+All four were taken from the ten separate builders that preceded the
+family table.
 """
 
 import hashlib
@@ -43,6 +51,12 @@ GOLDEN_SHA256 = {
         "5dce301d58b4b50119db438bf6ea0098d95bab1783f9af5759d215d5048ccff4",
     "moments":
         "d5226d0636636c0e0abd6d613477bc26ede045bdb1fe19b79b413416659ff385",
+    "moment_entries":
+        "7ee05dacbd59de310b91683a6fada3f813d33c42856aa8c26eabd820d1f196bb",
+    "families":
+        "c5ff7599c6f1c20f57da14aa71470199e80865db54337b2a56e8fcb7270bd839",
+    "family_entries":
+        "f36cebf9ae01732c133cd809c7ad2bb68ef882b68555b4ab1502ad9f28751560",
 }
 
 #: The tag the moment hash was taken under.
@@ -51,6 +65,12 @@ GOLDEN_KERNEL_TAG = "ik-series-asymptotic/1"
 
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _entries_sha256(matrices) -> str:
+    return _sha256("".join(
+        repr(m[i, j]._mpf_) + "\n"
+        for m in matrices for i in range(m.rows) for j in range(m.cols)))
 
 
 def test_vanhove_cli_json_golden(capsys):
@@ -77,10 +97,23 @@ def test_matrix_json_golden(family):
 def test_moment_cache_golden(tmp_path, monkeypatch):
     path = tmp_path / "moments.jsonl"
     monkeypatch.setenv("BWV_CACHE", str(path))
+    built = []
     for k in (1, 2, 3):
-        besselnum.matM(k, 20)
-        besselnum.matN(k, 20)
-    besselnum.matOmega(2, Fraction(1, 3), 20)
+        built.append(besselnum.matM(k, 20))
+        built.append(besselnum.matN(k, 20))
+    built.append(besselnum.matOmega(2, Fraction(1, 3), 20))
     assert besselnum._KERNEL_TAG == GOLDEN_KERNEL_TAG
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
         GOLDEN_SHA256["moments"])
+    assert _entries_sha256(built) == GOLDEN_SHA256["moment_entries"]
+
+    path = tmp_path / "families.jsonl"
+    monkeypatch.setenv("BWV_CACHE", str(path))
+    built = []
+    for k in (1, 2):
+        built.append(besselnum.matMring(k, 20))
+        built.append(besselnum.matNring(k, 20))
+        built.append(besselnum.matomega(k, Fraction(1, 3), 20))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        GOLDEN_SHA256["families"])
+    assert _entries_sha256(built) == GOLDEN_SHA256["family_entries"]
