@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from math import factorial
 from typing import Callable, Dict, Tuple
 
 from .exactalg import (
@@ -81,13 +82,6 @@ __all__ = [
     "top_coeff_sign_on_01",
     "verify_block_identities",
 ]
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 def _msign(n: int) -> int:
@@ -203,7 +197,7 @@ def _sigma_odd_A(k: int, a: int, b: int) -> Fraction:
     for s in range(1, k + 2 - a):
         ssum += (-1) ** s * binom_ext(2 * k + 1 - a, k + s) * binom_ext(k - s, b - 1)
     den = Fraction(
-        _msign(a // 2 + b // 2 - k) * _factorial(a - 1) * _factorial(2 * k + 1 - a)
+        _msign(a // 2 + b // 2 - k) * factorial(a - 1) * factorial(2 * k + 1 - a)
     )
     return pref * ssum / den
 
@@ -220,7 +214,7 @@ def _sigma_odd_B(k: int, a: int, bp: int) -> Fraction:
             binom_ext(k - s, bp + 1) + _msign(bp) * binom_ext(k + s, bp + 1)
         )
     den = Fraction(
-        _msign(a // 2 + bp // 2 - k) * _factorial(a - 1) * _factorial(2 * k + 1 - a)
+        _msign(a // 2 + bp // 2 - k) * factorial(a - 1) * factorial(2 * k + 1 - a)
     )
     return pref * ssum / den
 
@@ -228,7 +222,7 @@ def _sigma_odd_B(k: int, a: int, bp: int) -> Fraction:
 def _sigma_odd_D(k: int, ap: int, bp: int) -> Fraction:
     if ap % 2 == 1 or bp % 2 == 1:
         return Fraction(0)
-    pref = Fraction((-4) ** (k - 1), _factorial(k) ** 2)
+    pref = Fraction((-4) ** (k - 1), factorial(k) ** 2)
     par = Fraction(4, _msign(ap // 2 + bp // 2))
     return pref * par * binom_ext(k, ap + 1) * binom_ext(k, bp + 1)
 
@@ -263,8 +257,8 @@ def _sigma_even_A(k: int, a: int, b: int) -> Fraction:
         ssum += (-1) ** s * binom_ext(2 * k + 2 - a, k + s) * binom_ext(k + 1 - s, b - 1)
     den = Fraction(
         _msign(a // 2 + (b - 1) // 2 + k - 1)
-        * _factorial(a - 1)
-        * _factorial(2 * k + 2 - a)
+        * factorial(a - 1)
+        * factorial(2 * k + 2 - a)
     )
     return pref * body * ssum / den
 
@@ -281,8 +275,8 @@ def _sigma_even_B(k: int, a: int, bp: int) -> Fraction:
         )
     den = Fraction(
         _msign((a - 1) // 2 + (bp + 1) // 2 + k)
-        * _factorial(a - 1)
-        * _factorial(2 * k + 2 - a)
+        * factorial(a - 1)
+        * factorial(2 * k + 2 - a)
     )
     return pref * ssum / den
 
@@ -321,7 +315,7 @@ def matSigmaInvBernoulli(k: int) -> ExactMatrix:
         lo, hi = min(a, b), max(a, b)
         if hi <= k:
             idx = 2 * k + 2 - a - b
-            num = Fraction(4 * (lo == 1) * _factorial(2 * k), 2 ** (2 * k)) * bernoulli(idx)
+            num = Fraction(4 * (lo == 1) * factorial(2 * k), 2 ** (2 * k)) * bernoulli(idx)
             den = Fraction((2 * k + 1) * _msign(k + 1 + (2 * k + 1 - a - b) // 2))
             return num / den
         if lo <= k < hi:
@@ -331,16 +325,16 @@ def matSigmaInvBernoulli(k: int) -> ExactMatrix:
             )
             pref /= _msign(hi + 1 + (3 * k - a - b) // 2)
             frac = Fraction(
-                _factorial(3 * k - 1 - hi) * _factorial(2 * k + 1 - lo),
-                _factorial(3 * k + 1 - a - b),
+                factorial(3 * k - 1 - hi) * factorial(2 * k + 1 - lo),
+                factorial(3 * k + 1 - a - b),
             )
             return pref * frac * bernoulli(idx)
         idx = 4 * k - a - b
         pref = Fraction(4 * (4 * k - 1 - a - b), 2 ** (2 * k))
         pref /= _msign(a + 1 + (4 * k - 1 - a - b) // 2)
         frac = Fraction(
-            _factorial(3 * k - 1 - a) * _factorial(3 * k - 1 - b),
-            _factorial(4 * k - a - b),
+            factorial(3 * k - 1 - a) * factorial(3 * k - 1 - b),
+            factorial(4 * k - a - b),
         )
         return pref * frac * bernoulli(idx)
 
@@ -357,7 +351,7 @@ def matsigmaInvBernoulli(k: int) -> ExactMatrix:
         lo, hi = min(a, b), max(a, b)
         if hi <= k + 1:
             idx = 2 * k + 3 - a - b
-            num = Fraction(2 * (lo == 1) * _factorial(2 * k + 1), 2 ** (2 * k)) * bernoulli(idx)
+            num = Fraction(2 * (lo == 1) * factorial(2 * k + 1), 2 ** (2 * k)) * bernoulli(idx)
             den = Fraction((2 * k + 2) * _msign(k + a + (2 * k + 2 - a - b) // 2))
             return num / den
         if lo <= k + 1 < hi:
@@ -368,16 +362,16 @@ def matsigmaInvBernoulli(k: int) -> ExactMatrix:
             )
             pref /= _msign(hi + 1 + (3 * k + 2 - a - b) // 2)
             frac = Fraction(
-                _factorial(3 * k + 1 - hi) * _factorial(2 * k + 2 - lo),
-                _factorial(3 * k + 3 - a - b) * sgn,
+                factorial(3 * k + 1 - hi) * factorial(2 * k + 2 - lo),
+                factorial(3 * k + 3 - a - b) * sgn,
             )
             return pref * frac * bernoulli(idx)
         idx = 4 * k + 3 - a - b
         pref = Fraction(2 * (4 * k + 2 - a - b), 2 ** (2 * k))
         pref /= _msign(a + (4 * k + 2 - a - b) // 2)
         frac = Fraction(
-            _factorial(3 * k + 1 - a) * _factorial(3 * k + 1 - b),
-            _factorial(4 * k + 3 - a - b),
+            factorial(3 * k + 1 - a) * factorial(3 * k + 1 - b),
+            factorial(4 * k + 3 - a - b),
         )
         return pref * frac * bernoulli(idx)
 
@@ -389,22 +383,46 @@ def matsigmaInvBernoulli(k: int) -> ExactMatrix:
 # ---------------------------------------------------------------------------
 
 
+def _betti(p: int, k: int) -> ExactMatrix:
+    """B_k (p = 0) or b_k (p = 1) at weight w = 2k + 1 + p."""
+    w = 2 * k + 1 + p
+
+    def entry(a: int, b: int) -> Fraction:
+        pref = Fraction((-1) ** (a + 1), 2 ** (w + 1))
+        frac = Fraction(factorial(w - a) * factorial(w - b),
+                        factorial(w + 1 - a - b))
+        return pref * frac * bernoulli(w + 1 - a - b) * _msign((w - a - b) // 2)
+
+    return ExactMatrix.from_fn(k, k, entry)
+
+
+def _betti_ring(p: int, k: int) -> ExactMatrix:
+    """Ringed B_k (p = 0) or ringed b_k (p = 1) at weight w = 2k + 1 + p;
+    the even (1, 1) corner carries an extra factor 1 + 1/w."""
+    w = 2 * k + 1 + p
+
+    def entry(a: int, b: int) -> Fraction:
+        lo, hi = min(a, b), max(a, b)
+        if lo == 1:
+            pref = Fraction(factorial(w - 1), 2 ** (w + 1))
+            extra = 1 + Fraction(p * (a == 1) * (b == 1), w)
+            return (pref * bernoulli(w + 1 - hi) * extra
+                    * _msign(a + (w - hi) // 2))
+        pref = Fraction(w + 1 - a - b, 2 ** (w + 1))
+        frac = Fraction(factorial(w - a) * factorial(w - b),
+                        factorial(w + 2 - a - b))
+        return (pref * frac * bernoulli(w + 2 - a - b)
+                * _msign(a + (w + 1 - a - b) // 2))
+
+    return ExactMatrix.from_fn(k, k, entry)
+
+
 @cache
 def betti_B(k: int) -> ExactMatrix:
     """B_k (k x k, symmetric): Bernoulli-number matrix for odd weight."""
     if k < 1:
         raise ValueError("betti_B requires k >= 1")
-
-    def entry(a: int, b: int) -> Fraction:
-        idx = 2 * k + 2 - a - b
-        pref = Fraction((-1) ** (a + 1), 2 ** (2 * k + 2))
-        frac = Fraction(
-            _factorial(2 * k + 1 - a) * _factorial(2 * k + 1 - b),
-            _factorial(2 * k + 2 - a - b),
-        )
-        return pref * frac * bernoulli(idx) * _msign((2 * k + 1 - a - b) // 2)
-
-    return ExactMatrix.from_fn(k, k, entry)
+    return _betti(0, k)
 
 
 @cache
@@ -412,17 +430,7 @@ def betti_b(k: int) -> ExactMatrix:
     """b_k (k x k, skew-symmetric): Bernoulli-number matrix for even weight."""
     if k < 1:
         raise ValueError("betti_b requires k >= 1")
-
-    def entry(a: int, b: int) -> Fraction:
-        idx = 2 * k + 3 - a - b
-        pref = Fraction((-1) ** (a + 1), 2 ** (2 * k + 3))
-        frac = Fraction(
-            _factorial(2 * k + 2 - a) * _factorial(2 * k + 2 - b),
-            _factorial(2 * k + 3 - a - b),
-        )
-        return pref * frac * bernoulli(idx) * _msign((2 * k + 2 - a - b) // 2)
-
-    return ExactMatrix.from_fn(k, k, entry)
+    return _betti(1, k)
 
 
 @cache
@@ -430,22 +438,7 @@ def betti_Bring(k: int) -> ExactMatrix:
     """Ringed companion of B_k (k x k)."""
     if k < 1:
         raise ValueError("betti_Bring requires k >= 1")
-
-    def entry(a: int, b: int) -> Fraction:
-        lo, hi = min(a, b), max(a, b)
-        if lo == 1:
-            idx = 2 * k + 2 - hi
-            pref = Fraction(_factorial(2 * k), 2 ** (2 * k + 2))
-            return pref * bernoulli(idx) * _msign(a + (2 * k + 1 - hi) // 2)
-        idx = 2 * k + 3 - a - b
-        pref = Fraction(2 * k + 2 - a - b, 2 ** (2 * k + 2))
-        frac = Fraction(
-            _factorial(2 * k + 1 - a) * _factorial(2 * k + 1 - b),
-            _factorial(2 * k + 3 - a - b),
-        )
-        return pref * frac * bernoulli(idx) * _msign(a + (2 * k + 2 - a - b) // 2)
-
-    return ExactMatrix.from_fn(k, k, entry)
+    return _betti_ring(0, k)
 
 
 @cache
@@ -453,23 +446,7 @@ def betti_bring(k: int) -> ExactMatrix:
     """Ringed companion of b_k (k x k)."""
     if k < 1:
         raise ValueError("betti_bring requires k >= 1")
-
-    def entry(a: int, b: int) -> Fraction:
-        lo, hi = min(a, b), max(a, b)
-        if lo == 1:
-            idx = 2 * k + 3 - hi
-            pref = Fraction(_factorial(2 * k + 1), 2 ** (2 * k + 3))
-            extra = 1 + Fraction((a == 1) * (b == 1), 2 * k + 2)
-            return pref * bernoulli(idx) * extra * _msign(a + (2 * k + 2 - hi) // 2)
-        idx = 2 * k + 4 - a - b
-        pref = Fraction(2 * k + 3 - a - b, 2 ** (2 * k + 3))
-        frac = Fraction(
-            _factorial(2 * k + 2 - a) * _factorial(2 * k + 2 - b),
-            _factorial(2 * k + 4 - a - b),
-        )
-        return pref * frac * bernoulli(idx) * _msign(a + (2 * k + 3 - a - b) // 2)
-
-    return ExactMatrix.from_fn(k, k, entry)
+    return _betti_ring(1, k)
 
 
 # ---------------------------------------------------------------------------
@@ -534,14 +511,14 @@ def _beta_coeff_power(m: int, a: int, b: int) -> tuple[Fraction, int]:
     h = (m + 1) // 2
     if a <= h:
         coef = (
-            Fraction((-4) ** (a - 1) * _factorial(a - 1))
+            Fraction((-4) ** (a - 1) * factorial(a - 1))
             * recip_fact_ext(b - a)
             * binom_ext(a - 1, b - a)
         )
         return coef, b - a
     ln = a - h
     coef = (
-        Fraction((-4) ** (ln - 1) * 2 * _factorial(ln - 1))
+        Fraction((-4) ** (ln - 1) * 2 * factorial(ln - 1))
         * recip_fact_ext(b - a + h - 1)
         * binom_ext(ln, b - a + h)
     )
@@ -743,30 +720,36 @@ def derham_d(k: int) -> ExactMatrix:
     )
 
 
+def _u0_blocks(m: int, mid: ExactMatrix,
+               pref: Fraction) -> tuple[ExactMatrix, ExactMatrix]:
+    """The u -> 0+ limit of pref |ell_{m,m}(u)| mid(u), a 2k x 2k matrix
+    that must have the block form [[0, -X], [X, ringed-X]]; returns
+    (X, ringed-X)."""
+    lead = RatFunc(top_coeff(m)) * top_coeff_sign_on_01(m)
+    full = ExactMatrix.from_fn(
+        mid.rows, mid.cols,
+        lambda a, b: pref * (lead * mid.at(a, b)).eval(0),
+    )
+    k = mid.rows // 2
+    idx_lo = list(range(1, k + 1))
+    idx_hi = list(range(k + 1, 2 * k + 1))
+    if full.submatrix(idx_lo, idx_lo) != ExactMatrix.zeros(k, k):
+        raise AssertionError("u->0 block limit: upper-left block not zero")
+    X_top = full.submatrix(idx_lo, idx_hi).scale(-1)
+    X_bot = full.submatrix(idx_hi, idx_lo)
+    if X_top != X_bot:
+        raise AssertionError("u->0 block limit: off-diagonal blocks disagree")
+    return X_bot, full.submatrix(idx_hi, idx_hi)
+
+
 @cache
 def _derham_Dring_blocks(k: int) -> tuple[ExactMatrix, ExactMatrix]:
     """u -> 0 route: returns (D_k, ringed-D_k) from the block limit
     lim_{u->0+} |ell_{2k,2k}(u)| beta_{2k}^{-T} upsilon_{2k} beta_{2k}^{-1}
     / (8 (-1)^k) = [[0, -D_k], [D_k, ringed-D_k]]."""
-    m = 2 * k
-    ups = matUpsilon(k)
-    binv = exact_inverse(beta_matrix(m))
-    mid = binv.T @ ups @ binv
-    s = top_coeff_sign_on_01(m)
-    lead = RatFunc(top_coeff(m)) * s
-    pref = Fraction(1, 8 * (-1) ** k)
-    full = ExactMatrix.from_fn(
-        m, m, lambda a, b: pref * (lead * mid.at(a, b)).eval(0)
-    )
-    idx_lo = list(range(1, k + 1))
-    idx_hi = list(range(k + 1, 2 * k + 1))
-    if full.submatrix(idx_lo, idx_lo) != ExactMatrix.zeros(k, k):
-        raise AssertionError("u->0 block limit: upper-left block not zero")
-    D_top = full.submatrix(idx_lo, idx_hi).scale(-1)
-    D_bot = full.submatrix(idx_hi, idx_lo)
-    if D_top != D_bot:
-        raise AssertionError("u->0 block limit: off-diagonal blocks disagree")
-    return D_bot, full.submatrix(idx_hi, idx_hi)
+    binv = exact_inverse(beta_matrix(2 * k))
+    mid = binv.T @ matUpsilon(k) @ binv
+    return _u0_blocks(2 * k, mid, Fraction(1, 8 * (-1) ** k))
 
 
 @cache
@@ -782,27 +765,10 @@ def _derham_dring_blocks(k: int) -> tuple[ExactMatrix, ExactMatrix]:
     """u -> 0 route for the even family: returns (d_k, ringed-d_k) from
     lim_{u->0+} |ell_{2k+1,2k+1}(u)| Psi^T beta_{2k+1}^{-T} V_{2k+1}
     beta_{2k+1}^{-1} Psi / (8 (-1)^{k+1}) = [[0, -d_k], [d_k, ringed-d_k]]."""
-    m = 2 * k + 1
-    V = matV(k + 1)
-    binv = exact_inverse(beta_matrix(m))
+    binv = exact_inverse(beta_matrix(2 * k + 1))
     Psi = _promote_q_to_u(aux_matrix("Psi", k + 1))
-    mid = Psi.T @ binv.T @ V @ binv @ Psi
-    s = top_coeff_sign_on_01(m)
-    lead = RatFunc(top_coeff(m)) * s
-    pref = Fraction(1, 8 * (-1) ** (k + 1))
-    full = ExactMatrix.from_fn(
-        2 * k, 2 * k,
-        lambda a, b: pref * (lead * mid.at(a, b)).eval(0),
-    )
-    idx_lo = list(range(1, k + 1))
-    idx_hi = list(range(k + 1, 2 * k + 1))
-    if full.submatrix(idx_lo, idx_lo) != ExactMatrix.zeros(k, k):
-        raise AssertionError("u->0 block limit: upper-left block not zero")
-    d_top = full.submatrix(idx_lo, idx_hi).scale(-1)
-    d_bot = full.submatrix(idx_hi, idx_lo)
-    if d_top != d_bot:
-        raise AssertionError("u->0 block limit: off-diagonal blocks disagree")
-    return d_bot, full.submatrix(idx_hi, idx_hi)
+    mid = Psi.T @ binv.T @ matV(k + 1) @ binv @ Psi
+    return _u0_blocks(2 * k + 1, mid, Fraction(1, 8 * (-1) ** (k + 1)))
 
 
 @cache
@@ -977,7 +943,7 @@ class NamedConstant:
 def _lambda_odd(k: int) -> Fraction:
     val = Fraction(k, 2 * k + 1) * (-1) ** (((k - 1) * (k - 2) // 2) % 2)
     val *= Fraction(2) ** (-k * (2 * k - 3))
-    val *= Fraction(_factorial(2 * k)) ** (2 * k - 1)
+    val *= Fraction(factorial(2 * k)) ** (2 * k - 1)
     for n in range(1, 2 * k + 1):
         val /= Fraction(n) ** n
     return val
@@ -986,7 +952,7 @@ def _lambda_odd(k: int) -> Fraction:
 def _lambda_even(k: int) -> Fraction:
     val = Fraction(2 * k + 1, 2 * (k + 1)) * (-1) ** ((k * (k - 1) // 2) % 2)
     val *= Fraction(2) ** (-(2 * k - 1) * k)
-    val *= Fraction(_factorial(2 * k + 1)) ** (2 * k)
+    val *= Fraction(factorial(2 * k + 1)) ** (2 * k)
     for n in range(1, 2 * k + 2):
         val /= Fraction(n) ** n
     return val
@@ -1011,11 +977,11 @@ def _det_N(k: int) -> Surd:
         prod *= Fraction((2 * j - 1) ** (k + 1 - j), (2 * j) ** j)
     if k % 2 == 1:
         # Gamma((k+1)/2) = ((k-1)/2)! and the pi exponent is an integer.
-        gamma = Fraction(_factorial((k - 1) // 2))
+        gamma = Fraction(factorial((k - 1) // 2))
         return Surd.of(2 * prod / gamma, 1, (k + 1) ** 2 // 2)
     # Gamma(j0 + 1/2) = (2 j0)! sqrt(pi) / (4^j0 j0!) with j0 = k/2.
     j0 = k // 2
-    gamma_rat = Fraction(_factorial(2 * j0), 4 ** j0 * _factorial(j0))
+    gamma_rat = Fraction(factorial(2 * j0), 4 ** j0 * factorial(j0))
     return Surd.of(
         2 * prod / gamma_rat, 1, ((k + 1) ** 2 - 1) // 2
     )
@@ -1023,7 +989,7 @@ def _det_N(k: int) -> Surd:
 
 def _det_betti(k: int) -> Fraction:
     return (
-        Fraction((-1) ** (k - 1) * _factorial(2 * k - 1))
+        Fraction((-1) ** (k - 1) * factorial(2 * k - 1))
         * _lambda_odd(k)
         / Fraction(2) ** (5 * k - 1)
     )
@@ -1253,7 +1219,7 @@ def verify_block_identities(k: int) -> dict:
     ok = True
     for b in range(1, k + 1):
         expect = (
-            Fraction(4 ** (k + 1) * (2 * k + 1), _factorial(k) ** 2)
+            Fraction(4 ** (k + 1) * (2 * k + 1), factorial(k) ** 2)
             * _even_gate(b + 1)
             * _msign(b // 2)
             * binom_ext(k, b)
@@ -1268,7 +1234,7 @@ def verify_block_identities(k: int) -> dict:
         for b in range(-1, k + 1):
             lhs_v = Fraction(4, 2 * k + 2 - b) * frakSring_entry(k, a, b)
             rhs_v = (
-                -Fraction(4 ** (k + 2) * (2 * k + 3), _factorial(k + 1) ** 2)
+                -Fraction(4 ** (k + 2) * (2 * k + 3), factorial(k + 1) ** 2)
                 * _even_gate(a + b + 1)
                 * _msign(a // 2 + (b + 1) // 2)
                 * binom_ext(k + 1, a + 1)

@@ -9,7 +9,9 @@ Subcommands:
 * ``moment KIND A B N [--u P/Q] --digits D`` — evaluate one moment
   integral.
 * ``verify {exact,numeric,all} [--max-k K] [--digits D]
-  [--report FILE] [--extended]`` — run verification suites.
+  [--report FILE] [--extended]`` — run verification suites;
+  ``--extended`` adds heavier numeric checks, so ``verify exact``
+  rejects it.
 * ``cache {stats,verify,path}`` — inspect the moment cache.
 
 Exit codes: 0 when no check failed, 1 when a verification check failed
@@ -103,7 +105,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--digits", type=int, default=50)
     p.add_argument("--report", type=str, default=None,
                    help="write the JSON report to this file")
-    p.add_argument("--extended", action="store_true")
+    p.add_argument("--extended", action="store_true",
+                   help="add the heavier numeric checks (numeric, all)")
 
     p = sub.add_parser("cache", help="inspect the moment cache")
     p.add_argument("action", choices=("stats", "verify", "path"))
@@ -175,9 +178,10 @@ def _print_report(report: Report) -> None:
 
 def _cmd_verify(args) -> int:
     if args.mode == "exact":
-        report = run_exact_suite(
-            args.max_k if args.max_k is not None else 5,
-            extended=args.extended)
+        if args.extended:
+            raise ValueError("--extended selects numeric checks; "
+                             "'verify exact' does not take it")
+        report = run_exact_suite(args.max_k if args.max_k is not None else 5)
     elif args.mode == "numeric":
         report = run_numeric_suite(
             args.max_k if args.max_k is not None else 3,

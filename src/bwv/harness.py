@@ -12,6 +12,12 @@ The numeric suite evaluates moment integrals at a requested precision
 and checks the quadratic relations, determinant closed forms, off-shell
 Wronskian identities, reflection formulae and sum rules.  A numeric
 check passes when its max-abs residual is below ``tolerance(digits)``.
+
+The quadratic relations come in an odd and an even family, p = 0 and
+p = 1 at weight w = 2k + 1 + p; ``_FAMILIES`` holds one row per parity,
+and the determinant, quadratic and ringed checks each take p.  The
+normalized period determinant carries pi^{-k(k+1+p)/2}, the sum of the
+row weights a - k - 1 - p/2.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, NamedTuple, Optional, Sequence
 
 import mpmath
 from mpmath import mp
@@ -41,6 +47,7 @@ from .besselnum import (
     tolerance,
 )
 from .brmatrices import (
+    _double_factorial,
     aux_matrix,
     beta_matrix,
     betti_B,
@@ -317,14 +324,6 @@ TABLE_DERHAM_d = {
 # ---------------------------------------------------------------------------
 
 
-def _double_factorial(n: int) -> int:
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
-
-
 def _check_symmetry(k: int) -> bool:
     V = matV(k)
     if V != V.T:
@@ -388,7 +387,7 @@ def _check_det_corollaries(k: int) -> bool:
     return True
 
 
-def run_exact_suite(max_k: int = 5, extended: bool = False) -> Report:
+def run_exact_suite(max_k: int = 5) -> Report:
     """Run the exact (rational-arithmetic) verification suite.
 
     ``max_k`` bounds the matrix sizes (operators are checked for orders
@@ -433,7 +432,7 @@ def run_exact_suite(max_k: int = 5, extended: bool = False) -> Report:
             add(f"table-reference-k{k}", ["harness.TABLE_BETTI_B"],
                 lambda k=k: _check_table1(k))
 
-    config = {"suite": "exact", "max_k": max_k, "extended": extended}
+    config = {"suite": "exact", "max_k": max_k}
     return Report(__version__, config, checks)
 
 
@@ -459,52 +458,55 @@ def _frac_mpf(q: Fraction) -> mpmath.mpf:
     return mp.mpf(q.numerator) / q.denominator
 
 
-def _det_M_check(k: int, digits: int):
+class _Family(NamedTuple):
+    """One parity of the quadratic relations P D P^T = B and their ringed
+    form: p = 0 is the odd family (M_k, D_k, B_k), p = 1 the even family
+    (N_k, d_k, b_k), at weight w = 2k + 1 + p."""
+
+    letter: str
+    mat: Callable
+    mat_ring: Callable
+    derham: Callable
+    derham_ring: Callable
+    betti: Callable
+    betti_ring: Callable
+    det_name: str
+
+
+_FAMILIES = (
+    _Family("M", matM, matMring, derham_D, derham_Dring, betti_B,
+            betti_Bring, "detM_formula"),
+    _Family("N", matN, matNring, derham_d, derham_dring, betti_b,
+            betti_bring, "detN_formula"),
+)
+
+
+def _det_check(p: int, k: int, digits: int):
     # det of the normalized matrix: the closed form times
-    # pi^{-k(k+1)/2} (normalization) times (-1)^{k(k-1)/2} (column signs).
-    c = named_constant("detM_formula", k).value.to_mpf(mp)
-    expect = c * mp.pi ** (-(k * (k + 1) // 2))
+    # pi^{-k(k+1+p)/2} (normalization: the sum of the row weights
+    # a - k - 1 - p/2) times (-1)^{k(k-1)/2} (column signs).
+    fam = _FAMILIES[p]
+    c = named_constant(fam.det_name, k).value.to_mpf(mp)
+    expect = c * mp.pi ** _frac_mpf(F(-k * (k + 1 + p), 2))
     expect *= (-1) ** ((k * (k - 1) // 2) % 2)
-    return abs(mpmath.det(matM(k, digits)) - expect)
+    return abs(mpmath.det(fam.mat(k, digits)) - expect)
 
 
-def _det_N_check(k: int, digits: int):
-    c = named_constant("detN_formula", k).value.to_mpf(mp)
-    # Normalization exponent: sum of (a - k - 3/2) over rows, with the
-    # first row carrying -k - 1/2.
-    s = F(-k) - F(1, 2) + sum(F(a) - k - F(3, 2) for a in range(2, k + 1))
-    expect = c * mp.pi ** _frac_mpf(s)
-    expect *= (-1) ** ((k * (k - 1) // 2) % 2)
-    return abs(mpmath.det(matN(k, digits)) - expect)
-
-
-def _quad_M_check(k: int, digits: int):
-    Mk = matM(k, digits)
-    R = Mk * _to_mpf_matrix(derham_D(k)) * Mk.T - _to_mpf_matrix(betti_B(k))
+def _quad_check(p: int, k: int, digits: int):
+    fam = _FAMILIES[p]
+    P = fam.mat(k, digits)
+    R = (P * _to_mpf_matrix(fam.derham(k)) * P.T
+         - _to_mpf_matrix(fam.betti(k)))
     return _max_abs(R)
 
 
-def _quad_N_check(k: int, digits: int):
-    Nk = matN(k, digits)
-    R = Nk * _to_mpf_matrix(derham_d(k)) * Nk.T - _to_mpf_matrix(betti_b(k))
-    return _max_abs(R)
-
-
-def _ringed_quad_M_check(k: int, digits: int):
-    Mk, Mr = matM(k, digits), matMring(k, digits)
-    Dk = _to_mpf_matrix(derham_D(k))
-    R = (Mk * _to_mpf_matrix(derham_Dring(k)) * Mk.T
-         - mp.pi * _to_mpf_matrix(betti_Bring(k))
-         - Mr * Dk * Mk.T + Mk * Dk * Mr.T)
-    return _max_abs(R)
-
-
-def _ringed_quad_N_check(k: int, digits: int):
-    Nk, Nr = matN(k, digits), matNring(k, digits)
-    dk = _to_mpf_matrix(derham_d(k))
-    R = (Nk * _to_mpf_matrix(derham_dring(k)) * Nk.T
-         - mp.pi * _to_mpf_matrix(betti_bring(k))
-         - Nr * dk * Nk.T + Nk * dk * Nr.T)
+def _ringed_quad_check(p: int, k: int, digits: int):
+    fam = _FAMILIES[p]
+    P, Pr = fam.mat(k, digits), fam.mat_ring(k, digits)
+    D = _to_mpf_matrix(fam.derham(k))
+    R = (P * _to_mpf_matrix(fam.derham_ring(k)) * P.T
+         - mp.pi * _to_mpf_matrix(fam.betti_ring(k))
+         - Pr * D * P.T + P * D * Pr.T)
     return _max_abs(R)
 
 
@@ -679,16 +681,17 @@ def run_numeric_suite(max_k: int = 3, digits: int = 50,
     if extended and 4 not in det_ks:
         det_ks.append(4)
     for k in det_ks:
-        run(f"bm-det-M-k{k}", ["besselnum.matM", "brmatrices.named_constant"],
-            lambda k=k: _det_M_check(k, digits))
-        run(f"bm-det-N-k{k}", ["besselnum.matN", "brmatrices.named_constant"],
-            lambda k=k: _det_N_check(k, digits))
+        for p, fam in enumerate(_FAMILIES):
+            run(f"bm-det-{fam.letter}-k{k}",
+                [f"besselnum.{fam.mat.__name__}", "brmatrices.named_constant"],
+                lambda p=p, k=k: _det_check(p, k, digits))
 
-    for k in range(2, min(max_k, 3) + 1):
-        run(f"quad-M-k{k}", ["besselnum.matM", "brmatrices.derham_D"],
-            lambda k=k: _quad_M_check(k, digits))
-        run(f"quad-N-k{k}", ["besselnum.matN", "brmatrices.derham_d"],
-            lambda k=k: _quad_N_check(k, digits))
+    for k in range(2, max_k + 1):
+        for p, fam in enumerate(_FAMILIES):
+            run(f"quad-{fam.letter}-k{k}",
+                [f"besselnum.{fam.mat.__name__}",
+                 f"brmatrices.{fam.derham.__name__}"],
+                lambda p=p, k=k: _quad_check(p, k, digits))
 
     for u in (F(1, 4), F(1, 2)):
         run(f"offshell-cov-k2-u{u}", ["besselnum.matOmega",
@@ -718,10 +721,10 @@ def run_numeric_suite(max_k: int = 3, digits: int = 50,
         lambda: _blocktridiag_check(digits))
 
     if extended:
-        run("ringed-quad-M-k2", ["besselnum.matMring"],
-            lambda: _ringed_quad_M_check(2, digits))
-        run("ringed-quad-N-k2", ["besselnum.matNring"],
-            lambda: _ringed_quad_N_check(2, digits))
+        for p, fam in enumerate(_FAMILIES):
+            run(f"ringed-quad-{fam.letter}-k2",
+                [f"besselnum.{fam.mat_ring.__name__}"],
+                lambda p=p: _ringed_quad_check(p, 2, digits))
         run("sumrule-N5-linear", ["besselnum.nu_moment"],
             lambda: _sumrule_N5_check(digits))
         run("ibp-sanity-k3", ["besselnum.ibp_sanity"],
@@ -735,7 +738,7 @@ def run_numeric_suite(max_k: int = 3, digits: int = 50,
 def run_all(exact_max_k: int = 5, numeric_max_k: int = 3, digits: int = 50,
             extended: bool = False) -> Report:
     """Run both suites and merge the reports."""
-    rep = run_exact_suite(exact_max_k, extended=extended)
+    rep = run_exact_suite(exact_max_k)
     num = run_numeric_suite(numeric_max_k, digits=digits, extended=extended)
     merged = rep.merged_with(num)
     merged.config = {

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import comb
+from math import comb, factorial
 
 from .exactalg import (
     DiffOp,
@@ -324,18 +324,11 @@ def _i0_sqrtu_t_times_t(order: int) -> TruncBiSeries:
     for j in range(order + 1):
         if j % 2 == 0:
             m = j // 2
-            c = Fraction(1, 4**m) / Fraction(_fact(m)) ** 2
+            c = Fraction(1, 4**m) / Fraction(factorial(m)) ** 2
             coeffs.append((u**m) * c)
         else:
             coeffs.append(UniPoly.zero("u"))
     return TruncBiSeries.of(order, coeffs, "u")
-
-
-def _fact(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 def _conjugate_by_t(P: DiffOp) -> DiffOp:

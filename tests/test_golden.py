@@ -21,6 +21,12 @@ assemble from the moments (the pi powers, the signs and the inverse beta
 product): the SHA-256 of ``repr(x._mpf_)`` of every entry, row by row.
 All four were taken from the ten separate builders that preceded the
 family table.
+
+The Betti hashes (BettiB, Bettib, BettiBring, Bettibring, k <= 5) and the
+numeric-report hash were taken from the separate odd and even builders
+and checks that preceded the parity tables.  The report hash covers one
+JSON line ``[check_id, status, residual, refs]`` per check of a cold
+``run_numeric_suite(3, 30, extended=True)``.
 """
 
 import hashlib
@@ -31,6 +37,7 @@ import pytest
 
 from bwv import besselnum, cli
 from bwv.brmatrices import matrix_family, matrix_to_json
+from bwv.harness import run_numeric_suite
 
 GOLDEN_SHA256 = {
     "vanhove":
@@ -49,6 +56,14 @@ GOLDEN_SHA256 = {
         "d1ba8d16cf0c3c09710d0904dee390e6d8ec88f9c221eeb6dbb40fc341bb750f",
     "Beta":
         "5dce301d58b4b50119db438bf6ea0098d95bab1783f9af5759d215d5048ccff4",
+    "BettiB":
+        "ae73e9dd389060eee578c23d0bd376b8951228059e0a9617adce957f1f54b54a",
+    "Bettib":
+        "2e36932f4435037a2bcde1a2d84438cd7885dd4c2c3c257c167946f9939f0215",
+    "BettiBring":
+        "bb0781fa3f368fc9e746c36ae566cdb6aeccb298c9b9e6144cd3a1b3dd7df321",
+    "Bettibring":
+        "1372575edafc0b646c06b22c8c57e347e0e82b9100de43162fbbe0858d9fab5a",
     "moments":
         "d5226d0636636c0e0abd6d613477bc26ede045bdb1fe19b79b413416659ff385",
     "moment_entries":
@@ -57,6 +72,8 @@ GOLDEN_SHA256 = {
         "c5ff7599c6f1c20f57da14aa71470199e80865db54337b2a56e8fcb7270bd839",
     "family_entries":
         "f36cebf9ae01732c133cd809c7ad2bb68ef882b68555b4ab1502ad9f28751560",
+    "numeric_report":
+        "cce51b46fc455e204c9dc812e32770192c3d815ccf6ee1e3ccc56996d9a59276",
 }
 
 #: The tag the moment hash was taken under.
@@ -83,7 +100,8 @@ def test_vanhove_cli_json_golden(capsys):
 
 @pytest.mark.parametrize(
     "family",
-    ["DerhamD", "Derhamd", "DerhamDring", "Derhamdring", "V", "Upsilon", "Beta"],
+    ["DerhamD", "Derhamd", "DerhamDring", "Derhamdring", "V", "Upsilon", "Beta",
+     "BettiB", "Bettib", "BettiBring", "Bettibring"],
 )
 def test_matrix_json_golden(family):
     text = "".join(
@@ -117,3 +135,12 @@ def test_moment_cache_golden(tmp_path, monkeypatch):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
         GOLDEN_SHA256["families"])
     assert _entries_sha256(built) == GOLDEN_SHA256["family_entries"]
+
+
+def test_numeric_report_golden(tmp_path, monkeypatch):
+    monkeypatch.setenv("BWV_CACHE", str(tmp_path / "moments.jsonl"))
+    report = run_numeric_suite(3, 30, extended=True)
+    text = "".join(
+        json.dumps([c.check_id, c.status, c.residual, c.refs]) + "\n"
+        for c in report.checks)
+    assert _sha256(text) == GOLDEN_SHA256["numeric_report"]

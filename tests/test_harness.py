@@ -7,7 +7,7 @@ import json
 import pytest
 
 import bwv.cli as cli
-from bwv import __version__
+from bwv import __version__, harness
 from bwv.harness import (
     CheckResult,
     Report,
@@ -72,13 +72,26 @@ def test_numeric_suite_preconditions():
         run_numeric_suite(3, 20)
 
 
+def test_numeric_suite_max_k_drives_quad_checks(monkeypatch):
+    ids = []
+
+    def record(check_id, refs, digits, fn):
+        ids.append(check_id)
+        return CheckResult(check_id, "pass")
+
+    monkeypatch.setattr(harness, "_run_numeric", record)
+    run_numeric_suite(4, 30)
+    assert "quad-M-k4" in ids and "quad-N-k4" in ids
+    assert "bm-det-M-k4" in ids and "bm-det-N-k4" in ids
+
+
 # -- exact suite ------------------------------------------------------------
 
 
 def test_exact_suite_small_all_pass():
     rep = run_exact_suite(2)
     assert rep.ok, [c.to_dict() for c in rep.checks if c.status != "pass"]
-    assert rep.config["max_k"] == 2
+    assert rep.config == {"suite": "exact", "max_k": 2}
     # every check carries at least one reference anchor
     assert all(c.refs for c in rep.checks)
     # exact checks carry no residual
@@ -198,6 +211,7 @@ def test_cli_usage_errors_exit_2():
     assert cli.main(["verify", "bogus"]) == 2
     assert cli.main(["no-such-command"]) == 2
     assert cli.main([]) == 2
+    assert cli.main(["verify", "exact", "--extended"]) == 2
 
 
 def test_cli_verify_exit_codes_with_injected_results(monkeypatch, capsys,
