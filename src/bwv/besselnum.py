@@ -649,16 +649,15 @@ class MomentCache:
         return {**counts, "ok": counts["skipped"] == 0}
 
 
-_DEFAULT_CACHE: Optional[MomentCache] = None
+@functools.lru_cache(maxsize=1)
+def _cache_at(path: str) -> MomentCache:
+    return MomentCache(path)
 
 
 def default_cache() -> MomentCache:
     """The process-wide cache, reopened whenever the path it would resolve
     (BWV_CACHE, or the default) has changed since it was opened."""
-    global _DEFAULT_CACHE
-    if _DEFAULT_CACHE is None or _DEFAULT_CACHE.path != _cache_path():
-        _DEFAULT_CACHE = MomentCache()
-    return _DEFAULT_CACHE
+    return _cache_at(_cache_path())
 
 
 # ---------------------------------------------------------------------------

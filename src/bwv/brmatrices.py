@@ -141,25 +141,23 @@ def _abs_top_at_1(m: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _vmat(m: int, skew: bool) -> ExactMatrix:
+def _vmat(m: int) -> ExactMatrix:
+    """V_m(u) for odd m, upsilon_m(u) for even m; the entry signs carry
+    m's parity."""
     op = vanhove_operator(m)
     lead = RatFunc(op.leading)
-    deriv_cache: dict[tuple[int, int], UniPoly] = {}
 
+    @cache
     def dell(n: int, order: int) -> UniPoly:
-        key = (n, order)
-        if key not in deriv_cache:
-            deriv_cache[key] = op.ell(n).deriv(order)
-        return deriv_cache[key]
+        return op.ell(n).deriv(order)
 
     def entry(a: int, b: int) -> RatFunc:
         num = UniPoly.zero("u")
         for n in range(a + b - 1, m + 1):
-            sign = (-1) ** (a + n + 1) if skew else (-1) ** (a + n)
             c = binom_ext(n - a, b - 1)
             if c == 0:
                 continue
-            num = num + dell(n, n - a - b + 1) * (sign * c)
+            num = num + dell(n, n - a - b + 1) * (_msign(a + n + m + 1) * c)
         return RatFunc(num) / lead
 
     return ExactMatrix.from_fn(m, m, entry)
@@ -170,7 +168,7 @@ def matV(k: int) -> ExactMatrix:
     """V_{2k-1}(u): symmetric (2k-1) x (2k-1) matrix over Q(u)."""
     if k < 1:
         raise ValueError("matV requires k >= 1")
-    return _vmat(2 * k - 1, skew=False)
+    return _vmat(2 * k - 1)
 
 
 @cache
@@ -178,7 +176,7 @@ def matUpsilon(k: int) -> ExactMatrix:
     """upsilon_{2k}(u): skew-symmetric 2k x 2k matrix over Q(u)."""
     if k < 1:
         raise ValueError("matUpsilon requires k >= 1")
-    return _vmat(2 * k, skew=True)
+    return _vmat(2 * k)
 
 
 # ---------------------------------------------------------------------------
@@ -686,13 +684,22 @@ def derham_D(k: int) -> ExactMatrix:
 
 
 @cache
+def _pairing(m: int) -> ExactMatrix:
+    """The Q(u) matrix beta_m^{-T} X_m beta_m^{-1}, with X_m = V_m(u) for
+    odd m and upsilon_m(u) for even m: the de Rham intersection pairing
+    in the Wronskian basis, whose u -> 1 and u -> 0 limits (after the
+    factor |ell_{m,m}(u)|) give D_k, d_k and their ringed forms."""
+    binv = exact_inverse(beta_matrix(m))
+    X = matV((m + 1) // 2) if m % 2 else matUpsilon(m // 2)
+    return binv.T @ X @ binv
+
+
+@cache
 def _derham_d_full_limit(k: int) -> ExactMatrix:
     """u -> 1 limit of |ell_{2k+2,2k+2}(u)| (beta^{-T} upsilon beta^{-1}),
     the full (2k+2) x (2k+2) matrix, by exact cancellation."""
     m = 2 * k + 2
-    ups = matUpsilon(k + 1)
-    binv = exact_inverse(beta_matrix(m))
-    mid = binv.T @ ups @ binv
+    mid = _pairing(m)
     s = top_coeff_sign_on_01(m)
     lead = RatFunc(top_coeff(m)) * s
 
@@ -747,9 +754,7 @@ def _derham_Dring_blocks(k: int) -> tuple[ExactMatrix, ExactMatrix]:
     """u -> 0 route: returns (D_k, ringed-D_k) from the block limit
     lim_{u->0+} |ell_{2k,2k}(u)| beta_{2k}^{-T} upsilon_{2k} beta_{2k}^{-1}
     / (8 (-1)^k) = [[0, -D_k], [D_k, ringed-D_k]]."""
-    binv = exact_inverse(beta_matrix(2 * k))
-    mid = binv.T @ matUpsilon(k) @ binv
-    return _u0_blocks(2 * k, mid, Fraction(1, 8 * (-1) ** k))
+    return _u0_blocks(2 * k, _pairing(2 * k), Fraction(1, 8 * (-1) ** k))
 
 
 @cache
@@ -765,9 +770,8 @@ def _derham_dring_blocks(k: int) -> tuple[ExactMatrix, ExactMatrix]:
     """u -> 0 route for the even family: returns (d_k, ringed-d_k) from
     lim_{u->0+} |ell_{2k+1,2k+1}(u)| Psi^T beta_{2k+1}^{-T} V_{2k+1}
     beta_{2k+1}^{-1} Psi / (8 (-1)^{k+1}) = [[0, -d_k], [d_k, ringed-d_k]]."""
-    binv = exact_inverse(beta_matrix(2 * k + 1))
     Psi = _promote_q_to_u(aux_matrix("Psi", k + 1))
-    mid = Psi.T @ binv.T @ matV(k + 1) @ binv @ Psi
+    mid = Psi.T @ _pairing(2 * k + 1) @ Psi
     return _u0_blocks(2 * k + 1, mid, Fraction(1, 8 * (-1) ** (k + 1)))
 
 

@@ -20,6 +20,11 @@ Conventions
   operation.
 * ``DiffOp`` is Σ_j c_j(x)·D^j with rational-function coefficients, all
   D's pushed to the right (right-normal form).
+* ``exact_det`` and ``exact_inverse`` share one Bareiss pass
+  (``_bareiss_forward``) in the ring that ``_cleared_rows`` picks: Z for
+  a matrix over Q, Q[u] for one over Q(u).  The inverse appends the
+  row-clearing factors to the rows it eliminates, and only its back
+  substitution works in the fraction field.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm, prod
 from typing import Iterable, Sequence, Union
 
 __all__ = [
@@ -472,10 +477,6 @@ class RatFunc:
         return RatFunc(UniPoly.const(var, value))
 
     @staticmethod
-    def from_poly(p: UniPoly) -> "RatFunc":
-        return RatFunc(p)
-
-    @staticmethod
     def x(var: str) -> "RatFunc":
         return RatFunc(UniPoly.x(var))
 
@@ -762,9 +763,6 @@ class ExactMatrix:
     def det(self) -> Entry:
         return exact_det(self)
 
-    def inv(self) -> "ExactMatrix":
-        return exact_inverse(self)
-
     def __str__(self) -> str:
         return "[" + ",\n ".join(
             "[" + ", ".join(str(e) for e in row) + "]" for row in self.entries
@@ -784,80 +782,69 @@ def _entry_pair_promote(a: Entry, b: Entry) -> tuple[Entry, Entry]:
 # -- fraction-free elimination ----------------------------------------------
 
 
-def _cleared_rows(M: ExactMatrix):
-    """Clear each row to ring elements suitable for Bareiss elimination.
+def _int_divide(a: int, b: int) -> int:
+    q, r = divmod(a, b)
+    if r:
+        raise ArithmeticError("Bareiss division not exact")
+    return q
 
-    Returns (rows, row_scales, kind) where the original matrix satisfies
-    M[i][j] = rows[i][j] / row_scales[i]; kind is "int" or "poly".
+
+def _cleared_rows(M: ExactMatrix):
+    """Clear each row of a nonempty matrix to the ring Bareiss works in:
+    Z for a matrix over Q, Q[u] for one over Q(u).
+
+    Returns (rows, scales, zero, divide, lift): M[i][j] = rows[i][j] /
+    scales[i]; ``zero`` and ``divide`` (exact division) belong to the
+    ring, and ``lift(a)`` or ``lift(a, b)`` forms a or a/b in the fraction
+    field (``Fraction`` or ``RatFunc``).
     """
-    if M.rows and isinstance(M.entries[0][0], RatFunc):
-        var = M.entries[0][0].var
-        rows: list[list[UniPoly]] = []
-        scales: list[UniPoly] = []
+    first = M.entries[0][0]
+    if isinstance(first, RatFunc):
+        rows, scales = [], []
         for row in M.entries:
-            d = UniPoly.const(var, 1)
+            d = UniPoly.const(first.var, 1)
             for e in row:
                 d = d.lcm(e.den)
             rows.append([e.num * d.exact_div(e.den) for e in row])
             scales.append(d)
-        return rows, scales, "poly"
-    rows_i: list[list[int]] = []
-    scales_i: list[int] = []
-    for row in M.entries:
-        d = 1
-        for e in row:
-            d = d * e.denominator // gcd(d, e.denominator)
-        rows_i.append([int(e * d) for e in row])
-        scales_i.append(d)
-    return rows_i, scales_i, "int"
+        return rows, scales, UniPoly.zero(first.var), UniPoly.exact_div, RatFunc
+    scales = [lcm(*(e.denominator for e in row)) for row in M.entries]
+    rows = [[e.numerator * (d // e.denominator) for e in row]
+            for row, d in zip(M.entries, scales)]
+    return rows, scales, 0, _int_divide, Fraction
 
 
-def _bareiss_forward(rows, kind: str):
-    """In-place Bareiss forward elimination with row pivoting.
+def _bareiss_forward(rows, zero, divide) -> tuple[int, bool]:
+    """In-place Bareiss forward elimination with row pivoting on the
+    first len(rows) columns; every column of a row takes part, so columns
+    appended to the square block ride along.
 
-    Returns (sign, rows, singular): rows becomes upper triangular with
-    rows[-1][-1] = sign-adjusted determinant of the input unless singular
-    is True (a zero pivot column was found, so the determinant is 0).
+    Each entry stays a minor of the input, so ``divide`` is always exact.
+    Returns (sign, singular): the square block becomes upper triangular
+    with rows[-1][n-1] = sign * its determinant, unless singular is True
+    (a pivot column was zero, so the determinant is 0).
     """
     n = len(rows)
-    sign = 1
-    if kind == "int":
-        def is_zero(x):
-            return x == 0
-
-        def divide(a, b):
-            q, r = divmod(a, b)
-            if r:
-                raise ArithmeticError("Bareiss division not exact")
-            return q
-    else:
-        def is_zero(x):
-            return x.is_zero
-
-        def divide(a, b):
-            return a.exact_div(b)
-
-    prev = 1 if kind == "int" else None
+    sign, prev = 1, None
     for k in range(n - 1):
-        # pivot
-        if is_zero(rows[k][k]):
+        if rows[k][k] == zero:
             for r in range(k + 1, n):
-                if not is_zero(rows[r][k]):
+                if rows[r][k] != zero:
                     rows[k], rows[r] = rows[r], rows[k]
                     sign = -sign
                     break
             else:
-                return sign, rows, True
-        piv = rows[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, len(rows[i])):
-                num = rows[i][j] * piv - rows[i][k] * rows[k][j]
-                if prev is not None:
-                    num = divide(num, prev)
-                rows[i][j] = num
-            rows[i][k] = UniPoly.zero(rows[k][k].var) if kind == "poly" else 0
+                return sign, True
+        top = rows[k]
+        piv = top[k]
+        for row in rows[k + 1:]:
+            f = row[k]
+            for j in range(k + 1, len(row)):
+                num = row[j] * piv - f * top[j]
+                row[j] = num if prev is None else divide(num, prev)
+            row[k] = zero
         prev = piv
-    return sign, rows, False
+    return sign, False
 
 
 def exact_det(M: ExactMatrix) -> Entry:
@@ -870,124 +857,40 @@ def exact_det(M: ExactMatrix) -> Entry:
     """
     if not M.is_square:
         raise ValueError("determinant of a non-square matrix")
-    n = M.rows
-    if n == 0:
+    if M.rows == 0:
         return Fraction(1)
-    rows, scales, kind = _cleared_rows(M)
-    work = [list(r) for r in rows]
-    sign, work, singular = _bareiss_forward(work, kind)
+    rows, scales, zero, divide, lift = _cleared_rows(M)
+    sign, singular = _bareiss_forward(rows, zero, divide)
     if singular:
-        if kind == "int":
-            return Fraction(0)
-        return RatFunc.of(M.entries[0][0].var, 0)
-    if kind == "int":
-        det_cleared = Fraction(sign * work[n - 1][n - 1])
-        denom = Fraction(1)
-        for s in scales:
-            denom *= s
-        return det_cleared / denom
-    var = M.entries[0][0].var
-    det_cleared = RatFunc(work[n - 1][n - 1]) * sign
-    denom = RatFunc.of(var, 1)
-    for s in scales:
-        denom = denom * RatFunc(s)
-    return det_cleared / denom
+        return lift(zero)
+    return lift(rows[-1][-1] * sign, prod(scales))
 
 
 def exact_inverse(M: ExactMatrix) -> ExactMatrix:
-    """Exact inverse via Bareiss forward elimination on the augmented
-    matrix followed by back substitution."""
+    """Exact inverse: the cleared rows S·M, augmented with S = diag(row
+    scales), go through the same Bareiss elimination as the determinant,
+    giving [U | R] with U upper triangular; M^-1 = U^-1 R is then found
+    by back substitution in the fraction field."""
     if not M.is_square:
         raise ValueError("inverse of a non-square matrix")
     n = M.rows
     if n == 0:
         return M
-    rows, scales, kind = _cleared_rows(M)
-    over_poly = kind == "poly"
-    if over_poly:
-        var = M.entries[0][0].var
-
-        def lift(p):
-            return RatFunc(p)
-
-        aug_id = [
-            [
-                RatFunc.from_poly(
-                    scales[i] if i == j else UniPoly.zero(var)
-                )
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-    else:
-        def lift(p):
-            return Fraction(p)
-
-        aug_id = [
-            [Fraction(scales[i]) if i == j else Fraction(0) for j in range(n)]
-            for i in range(n)
-        ]
-    # Forward Bareiss on the coefficient block; mirror the same row
-    # operations (in the fraction field) on the identity block.
-    work = [list(r) for r in rows]
-    if kind == "int":
-        def divide(a, b):
-            q, r = divmod(a, b)
-            if r:
-                raise ArithmeticError("Bareiss division not exact")
-            return q
-
-        def is_zero(x):
-            return x == 0
-    else:
-        def divide(a, b):
-            return a.exact_div(b)
-
-        def is_zero(x):
-            return x.is_zero
-
-    prev = None
-    for k in range(n - 1):
-        if is_zero(work[k][k]):
-            for r in range(k + 1, n):
-                if not is_zero(work[r][k]):
-                    work[k], work[r] = work[r], work[k]
-                    aug_id[k], aug_id[r] = aug_id[r], aug_id[k]
-                    break
-            else:
-                raise ZeroDivisionError(
-                    "matrix is singular (determinant 0)"
-                )
-        piv = work[k][k]
-        piv_f = lift(piv)
-        for i in range(k + 1, n):
-            fac = work[i][k]
-            fac_f = lift(fac)
-            for j in range(k + 1, n):
-                num = work[i][j] * piv - work[i][k] * work[k][j]
-                if prev is not None:
-                    num = divide(num, prev)
-                work[i][j] = num
-            for j in range(n):
-                aug_id[i][j] = aug_id[i][j] * piv_f - fac_f * aug_id[k][j]
-                if prev is not None:
-                    aug_id[i][j] = aug_id[i][j] / lift(prev)
-            work[i][k] = work[i][k] * 0 if kind == "int" else UniPoly.zero(var)
-        prev = piv
-    if is_zero(work[n - 1][n - 1]):
+    rows, scales, zero, divide, lift = _cleared_rows(M)
+    for i, row in enumerate(rows):
+        row.extend(scales[i] if j == i else zero for j in range(n))
+    _, singular = _bareiss_forward(rows, zero, divide)
+    if singular or rows[-1][n - 1] == zero:
         raise ZeroDivisionError("matrix is singular (determinant 0)")
-    # Back substitution in the fraction field.
-    inv_rows = [[None] * n for _ in range(n)]
+    U = [[lift(x) for x in row] for row in rows]
+    inv = [[None] * n for _ in range(n)]
     for col in range(n):
-        sol = [None] * n
         for i in range(n - 1, -1, -1):
-            acc = aug_id[i][col]
+            acc = U[i][n + col]
             for j in range(i + 1, n):
-                acc = acc - lift(work[i][j]) * sol[j]
-            sol[i] = acc / lift(work[i][i])
-        for i in range(n):
-            inv_rows[i][col] = sol[i]
-    return ExactMatrix(inv_rows)
+                acc = acc - U[i][j] * inv[j][col]
+            inv[i][col] = acc / U[i][i]
+    return ExactMatrix(inv)
 
 
 # ---------------------------------------------------------------------------

@@ -366,6 +366,62 @@ def test_det_over_polynomial_ring():
     assert M.det() == one - u * u
 
 
+def u_matrices(n):
+    """n x n matrices over Q(u) with entries p/q, p and q of degree <= 1
+    and coefficients in [-2, 2]: about one in five is singular."""
+    dens = st.sampled_from(
+        [UniPoly.of("u", cs) for cs in ([1], [2], [0, 1], [-1, 1], [1, 2])])
+    tiny = st.integers(min_value=-2, max_value=2)
+    nums = st.tuples(tiny, tiny).map(lambda cs: UniPoly.of("u", cs))
+    entry = st.tuples(nums, dens)
+    return st.lists(
+        st.lists(entry.map(lambda t: RatFunc(*t)), min_size=n, max_size=n),
+        min_size=n, max_size=n,
+    ).map(ExactMatrix)
+
+
+@given(u_matrices(3))
+@settings(max_examples=30, deadline=None)
+def test_inverse_roundtrip_over_ratfuncs(A):
+    if exact_det(A).is_zero:
+        with pytest.raises(ZeroDivisionError):
+            exact_inverse(A)
+        return
+    Ainv = exact_inverse(A)
+    assert A @ Ainv == ExactMatrix.identity(3, "u")
+    assert Ainv @ A == ExactMatrix.identity(3, "u")
+
+
+@given(u_matrices(3), u_matrices(3))
+@settings(max_examples=20, deadline=None)
+def test_det_multiplicative_over_ratfuncs(A, B):
+    assert exact_det(A @ B) == exact_det(A) * exact_det(B)
+
+
+def test_zero_first_pivot_swaps_rows():
+    A = ExactMatrix([[0, 2, 1], [1, 1, 0], [3, 0, F(1, 2)]])
+    assert exact_det(A) == -4
+    assert A @ exact_inverse(A) == ExactMatrix.identity(3)
+    u = RatFunc.x("u")
+    one, zero = RatFunc.of("u", 1), RatFunc.of("u", 0)
+    B = ExactMatrix([[zero, u], [one / u, one]])
+    assert exact_det(B) == -one
+    assert exact_inverse(B) == ExactMatrix([[-one, u], [one / u, zero]])
+
+
+def test_singular_matrix_over_ratfuncs():
+    u = RatFunc.x("u")
+    one, zero = RatFunc.of("u", 1), RatFunc.of("u", 0)
+    # the last pivot vanishes
+    A = ExactMatrix([[u, u * u], [one, u]])
+    # a pivot column vanishes
+    B = ExactMatrix([[zero, u], [zero, one / (u - 1)]])
+    for M in (A, B):
+        assert exact_det(M) == zero
+        with pytest.raises(ZeroDivisionError):
+            exact_inverse(M)
+
+
 def test_matrix_indexing_conventions():
     M = ExactMatrix([[1, 2], [3, 4]])
     assert M.at(1, 2) == 2  # 1-based

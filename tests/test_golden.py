@@ -27,6 +27,12 @@ numeric-report hash were taken from the separate odd and even builders
 and checks that preceded the parity tables.  The report hash covers one
 JSON line ``[check_id, status, residual, refs]`` per check of a cold
 ``run_numeric_suite(3, 30, extended=True)``.
+
+The k = 6 de Rham hashes (DerhamD, Derhamd, DerhamDring, Derhamdring, one
+``matrix_to_json`` line each) were taken from the separate inverse and
+determinant eliminations, and the two symbolic beta-pairings per order,
+that preceded the shared Bareiss pass and ``brmatrices._pairing``.  They
+add about 4 s.
 """
 
 import hashlib
@@ -74,6 +80,14 @@ GOLDEN_SHA256 = {
         "f36cebf9ae01732c133cd809c7ad2bb68ef882b68555b4ab1502ad9f28751560",
     "numeric_report":
         "cce51b46fc455e204c9dc812e32770192c3d815ccf6ee1e3ccc56996d9a59276",
+    "DerhamD-k6":
+        "03ee7b126df48f129aabbc9dc70ccfa93d581efd1177b28e6fec5dc9a50252bf",
+    "Derhamd-k6":
+        "cbd3b61ad91847ad77df0e23384dc18c683d6fe39cb71ec3feda90504b3bb614",
+    "DerhamDring-k6":
+        "f8888be335ffd766544c3f885abc94e458978a80bdef0296dc7220a63bdcf5ec",
+    "Derhamdring-k6":
+        "5c45cec783c8b429c713be5ed549fc0f4aa39ab8efa533ec15c2185638ab186e",
 }
 
 #: The tag the moment hash was taken under.
@@ -110,6 +124,14 @@ def test_matrix_json_golden(family):
         for k in range(1, 6)
     )
     assert _sha256(text) == GOLDEN_SHA256[family]
+
+
+@pytest.mark.parametrize(
+    "family", ["DerhamD", "Derhamd", "DerhamDring", "Derhamdring"])
+def test_derham_json_golden_k6(family):
+    text = json.dumps(matrix_to_json(family, 6, matrix_family(family, 6)),
+                      sort_keys=True) + "\n"
+    assert _sha256(text) == GOLDEN_SHA256[f"{family}-k6"]
 
 
 def test_moment_cache_golden(tmp_path, monkeypatch):
