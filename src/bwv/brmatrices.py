@@ -46,7 +46,7 @@ from .exactalg import (
     exact_inverse,
     recip_fact_ext,
 )
-from .vanhove import vanhove_operator
+from .vanhove import leading_coeff_product, vanhove_operator
 
 __all__ = [
     "MATRIX_FAMILIES",
@@ -103,14 +103,10 @@ def _even_gate(n: int) -> int:
 def top_coeff(m: int) -> UniPoly:
     """The leading coefficient ell_{m,m}(u) of the order-m operator,
     asserted (not assumed) equal to its closed product form
-    u^{floor((m+1)/2)} * prod_{1<=n<=m+1, n=m+1 mod 2} (u - n^2)."""
+    u^{floor((m+1)/2)} * prod_{1<=n<=m+1, n=m+1 mod 2} (u - n^2)
+    (``vanhove.leading_coeff_product``)."""
     ell = vanhove_operator(m).leading
-    h = (m + 1) // 2
-    prod = UniPoly.of("u", [0, 1]) ** h
-    for n in range(1, m + 2):
-        if (n - (m + 1)) % 2 == 0:
-            prod = prod * UniPoly.of("u", [-n * n, 1])
-    if ell != prod:
+    if ell != leading_coeff_product(m):
         raise AssertionError(f"leading coefficient of order {m} operator "
                              "does not match its product form")
     return ell

@@ -2,8 +2,8 @@
 
 Big rationals, dense univariate polynomials, normalized rational functions,
 exact dense linear algebra with fraction-free (Bareiss) elimination,
-Bernoulli numbers, extended binomial conventions, a differential-operator
-algebra in right-normal form, and truncated bivariate series.
+Bernoulli numbers, extended binomial conventions, and truncated bivariate
+series.
 
 Conventions
 -----------
@@ -18,8 +18,6 @@ Conventions
   once per result; ``coeffs`` and ``coeff(k)`` return ``Fraction``.
 * ``RatFunc`` keeps ``gcd(num, den) = 1`` and ``den`` monic after every
   operation.
-* ``DiffOp`` is Σ_j c_j(x)·D^j with rational-function coefficients, all
-  D's pushed to the right (right-normal form).
 * ``exact_det`` and ``exact_inverse`` share one Bareiss pass
   (``_bareiss_forward``) in the ring that ``_cleared_rows`` picks: Z for
   a matrix over Q, Q[u] for one over Q(u).  The inverse appends the
@@ -40,18 +38,12 @@ __all__ = [
     "UniPoly",
     "RatFunc",
     "ExactMatrix",
-    "DiffOp",
     "TruncBiSeries",
     "bernoulli",
     "binom_ext",
     "recip_fact_ext",
     "exact_det",
     "exact_inverse",
-    "diffop_compose",
-    "diffop_scale_mul",
-    "diffop_poly_of",
-    "diffop_adjoint",
-    "series_apply",
 ]
 
 ExactScalar = Fraction
@@ -894,177 +886,6 @@ def exact_inverse(M: ExactMatrix) -> ExactMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Differential operators in right-normal form
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DiffOp:
-    """Linear differential operator Σ_j c_j(x)·D^j in right-normal form
-    (coefficient functions to the left of all derivatives)."""
-
-    var: str
-    coeffs: tuple[RatFunc, ...]
-
-    @staticmethod
-    def of(var: str, coeffs: Iterable[RatFunc | UniPoly | ScalarLike]) -> "DiffOp":
-        cs: list[RatFunc] = []
-        for c in coeffs:
-            if isinstance(c, RatFunc):
-                cs.append(c)
-            elif isinstance(c, UniPoly):
-                cs.append(RatFunc(c))
-            else:
-                cs.append(RatFunc.of(var, c))
-        while cs and cs[-1].is_zero:
-            cs.pop()
-        return DiffOp(var, tuple(cs))
-
-    @staticmethod
-    def zero(var: str) -> "DiffOp":
-        return DiffOp(var, ())
-
-    @staticmethod
-    def identity(var: str) -> "DiffOp":
-        return DiffOp.of(var, [1])
-
-    @staticmethod
-    def D(var: str) -> "DiffOp":
-        return DiffOp.of(var, [0, 1])
-
-    @staticmethod
-    def mult(f: RatFunc | UniPoly) -> "DiffOp":
-        var = f.var
-        return DiffOp.of(var, [f])
-
-    @staticmethod
-    def theta_hat(var: str = "u") -> "DiffOp":
-        """The operator f ↦ D[x·f(x)], i.e. x·D + 1 in normal form."""
-        return DiffOp.of(var, [1, UniPoly.x(var)])
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coeff(self, j: int) -> RatFunc:
-        if 0 <= j < len(self.coeffs):
-            return self.coeffs[j]
-        return RatFunc.of(self.var, 0)
-
-    def _check_var(self, other: "DiffOp") -> None:
-        if self.var != other.var:
-            raise ValueError(f"variable mismatch: {self.var} vs {other.var}")
-
-    def __add__(self, other: "DiffOp") -> "DiffOp":
-        self._check_var(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return DiffOp.of(
-            self.var, [self.coeff(j) + other.coeff(j) for j in range(n)]
-        )
-
-    def __neg__(self) -> "DiffOp":
-        return DiffOp(self.var, tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "DiffOp") -> "DiffOp":
-        return self + (-other)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DiffOp):
-            return NotImplemented
-        return self.var == other.var and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.var, self.coeffs))
-
-    def apply_ratfunc(self, f: RatFunc) -> RatFunc:
-        """Apply the operator to a rational function."""
-        acc = RatFunc.of(self.var, 0)
-        df = f
-        for j, c in enumerate(self.coeffs):
-            if j > 0:
-                df = df.deriv()
-            acc = acc + c * df
-        return acc
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for j, c in enumerate(self.coeffs):
-            if c.is_zero:
-                continue
-            if j == 0:
-                parts.append(f"({c})")
-            else:
-                parts.append(f"({c})*D^{j}")
-        return " + ".join(parts)
-
-
-def diffop_compose(P: DiffOp, Q: DiffOp) -> DiffOp:
-    """Normal-form composition P∘Q using D∘c(x) = c(x)∘D + c'(x)."""
-    if P.var != Q.var:
-        raise ValueError("variable mismatch in operator composition")
-    var = P.var
-    result = DiffOp.zero(var)
-    # R_j = D^j ∘ Q in normal form, built incrementally.
-    R = Q
-    for j, c in enumerate(P.coeffs):
-        if j > 0:
-            # R ← D ∘ R = Σ (d_i' D^i + d_i D^{i+1})
-            new = [RatFunc.of(var, 0)] * (len(R.coeffs) + 1)
-            for i, d in enumerate(R.coeffs):
-                new[i] = new[i] + d.deriv()
-                new[i + 1] = new[i + 1] + d
-            R = DiffOp.of(var, new)
-        if not c.is_zero:
-            result = result + DiffOp.of(var, [c * d for d in R.coeffs])
-    return result
-
-
-def diffop_scale_mul(p: RatFunc | UniPoly | ScalarLike, P: DiffOp) -> DiffOp:
-    """Left multiplication by a function: p(x)·P."""
-    if isinstance(p, UniPoly):
-        p = RatFunc(p)
-    elif not isinstance(p, RatFunc):
-        p = RatFunc.of(P.var, p)
-    return DiffOp.of(P.var, [p * c for c in P.coeffs])
-
-
-def diffop_poly_of(op_poly: UniPoly, base: DiffOp) -> DiffOp:
-    """Substitute a differential operator into a scalar polynomial
-    (Horner evaluation in the operator algebra)."""
-    var = base.var
-    acc = DiffOp.zero(var)
-    for c in reversed(op_poly.coeffs):
-        acc = diffop_compose(acc, base) + DiffOp.of(var, [c])
-    return acc
-
-
-def diffop_adjoint(P: DiffOp) -> DiffOp:
-    """Formal adjoint Σ_k (−1)^k D^k ∘ (c_k ·) in normal form.
-
-    Expanded by the Leibniz rule: the D^i coefficient of the adjoint is
-    Σ_{k≥i} (−1)^k C(k,i) c_k^{(k−i)}.
-    """
-    var = P.var
-    n = len(P.coeffs)
-    out = [RatFunc.of(var, 0)] * n
-    for k, c in enumerate(P.coeffs):
-        sign = -1 if k % 2 else 1
-        d = c
-        # i = k down to 0; c^{(k-i)}
-        for i in range(k, -1, -1):
-            out[i] = out[i] + d * (sign * comb(k, i))
-            if i > 0:
-                d = d.deriv()
-    return DiffOp.of(var, out)
-
-
-# ---------------------------------------------------------------------------
 # Truncated bivariate series Σ_n a_n(u) t^n
 # ---------------------------------------------------------------------------
 
@@ -1124,50 +945,3 @@ class TruncBiSeries:
     def is_zero(self) -> bool:
         return all(a.is_zero for a in self.coeffs)
 
-
-def series_apply(P: DiffOp, s: TruncBiSeries) -> TruncBiSeries:
-    """Apply a differential operator to a truncated bivariate series.
-
-    A t-operator acts on the t-grading (D_t lowers degree, polynomial
-    coefficients in t shift it up); a u-operator acts on each polynomial
-    coefficient a_n(u).  Operator coefficients must be polynomial.
-    """
-    for c in P.coeffs:
-        if not c.is_polynomial():
-            raise ValueError(
-                "series_apply requires polynomial operator coefficients; "
-                "clear denominators first"
-            )
-    N = s.order
-    uvar = s.uvar
-    if P.var == uvar:
-        out = []
-        for a in s.coeffs:
-            acc = UniPoly.zero(uvar)
-            d = a
-            for j, c in enumerate(P.coeffs):
-                if j > 0:
-                    d = d.deriv()
-                acc = acc + c.as_poly() * d
-            out.append(acc)
-        return TruncBiSeries.of(N, out, uvar)
-    if P.order > N:
-        raise ValueError("truncation order too small for operator order")
-    # t-operator: coefficients are polynomials in t with rational constants.
-    total = TruncBiSeries.of(N, [], uvar)
-    deriv = s  # D_t^j s
-    for j, c in enumerate(P.coeffs):
-        if j > 0:
-            deriv = TruncBiSeries.of(
-                N,
-                [deriv.coeff(n + 1) * (n + 1) for n in range(N + 1)],
-                uvar,
-            )
-        cp = c.as_poly()
-        if cp.is_zero:
-            continue
-        for m, gamma in enumerate(cp.coeffs):
-            if gamma == 0:
-                continue
-            total = total + deriv.scale(gamma).shift_t(m)
-    return total

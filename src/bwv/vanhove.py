@@ -1,13 +1,27 @@
 """Vanhove operators, Verrill polynomials, and the Borwein–Salvy duality.
 
 The order-m Vanhove operator L̃_m = Σ_j ℓ_{m,j}(u)·D^j annihilates the
-off-shell Bessel-moment functions; its integer-polynomial coefficients are
-assembled here along two independent routes that must agree:
+off-shell Bessel-moment functions.  Every operator here is a sum
+Σ_s u^s·P_s(θ) of integer polynomials in the Euler operator θ = uD, so
+each is built as a θ-table of the P_s.  For L̃_m that is k ↦ P_k(x) with
+L̃_m = Σ_{k=0}^{⌊m/2⌋+1} u^{1−k}·P_k(θ̂), where θ̂ = θ + 1, i.e.
+(θ̂f)(u) = D[u·f(u)].  It is assembled along two independent routes that
+must agree:
 
-* route A: L̃_m = (−1)^m Σ_{k=0}^{⌊m/2⌋+1} u^{1−k} 𝒱_{m,k}(k − θ̂),
-  where 𝒱_{m,k} is the Verrill polynomial and (θ̂f)(u) = D[u·f(u)];
-* route B: the expanded tuple sum
-  u·θ̂^m + Σ_{k≥1} u^{1−k} Σ_α (θ̂−k)^{m+1−α₁} ∏_n α_n(α_n−m−2)(θ̂−k+n)^{α_n−α_{n+1}}.
+* route A: P_k(x) = (−1)^m 𝒱_{m,k}(k − x), where 𝒱_{m,k} is the Verrill
+  polynomial;
+* route B: P_0(x) = x^m and, for k ≥ 1, the expanded tuple sum
+  P_k(x) = Σ_α (x−k)^{m+1−α₁} ∏_n α_n(α_n−m−2)(x−k+n)^{α_n−α_{n+1}}.
+
+The routes are compared as θ-tables.  That is as strong as comparing the
+operators: θ̂u^e = (e+1)·u^e keeps each u^{1−k}P_k(θ̂) on its own shift
+of the u-degree, so the operator determines its table.  The agreed table
+is converted to D-form once (``theta_to_d``), by P_k(θ̂) = P_k(θ + 1) and
+θ^l = Σ_i S(l, i)·u^i·D^i, where S(l, i) are the Stirling numbers of the
+second kind.
+
+The Borwein–Salvy operator L_{n+2} = Σ_i t^{2i}·P_i(θ), θ = tD, is kept
+as its θ-table i ↦ P_i(x) too.
 
 Tuple convention: α_n ∈ [1, m+1] with the chain α_{n+1} ≤ α_n − 2 enforced
 for n ∈ [1, k−1] only; the terminator α_{k+1} := 1 enters exponents but is
@@ -23,22 +37,13 @@ from fractions import Fraction
 from functools import cache
 from math import comb, factorial
 
-from .exactalg import (
-    DiffOp,
-    RatFunc,
-    TruncBiSeries,
-    UniPoly,
-    diffop_adjoint,
-    diffop_compose,
-    diffop_poly_of,
-    diffop_scale_mul,
-    series_apply,
-)
+from .exactalg import TruncBiSeries, UniPoly
 
 __all__ = [
     "VanhoveOperator",
     "verrill_poly",
     "bessel_power_number",
+    "theta_to_d",
     "vanhove_operator",
     "check_vanhove_structure",
     "verify_verrill_recursion",
@@ -110,59 +115,76 @@ def bessel_power_number(p: int, k: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
+# θ-tables and their D-form
+# ---------------------------------------------------------------------------
+
+
+@cache
+def _stirling2(l: int, i: int) -> int:
+    """S(l, i), the Stirling numbers of the second kind."""
+    if l == 0 or i == 0:
+        return int(l == i)
+    return i * _stirling2(l - 1, i) + _stirling2(l - 1, i - 1)
+
+
+def theta_to_d(table: dict[int, UniPoly]) -> list[dict[int, Fraction]]:
+    """D-form of Σ_s x^s·P_s(θ), θ = x·D, by θ^l = Σ_i S(l, i)·x^i·D^i.
+
+    Entry i maps each exponent e to the nonzero coefficient of x^e·D^i;
+    the list ends at the last nonzero D^i.  A negative shift s may leave
+    negative exponents."""
+    out = []
+    for i in range(max((p.degree for p in table.values()), default=-1) + 1):
+        coeff = {}
+        for s, p in table.items():
+            c = sum(p.coeff(l) * _stirling2(l, i)
+                    for l in range(i, p.degree + 1))
+            if c:
+                coeff[s + i] = c
+        out.append(coeff)
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Vanhove operator, built along two independent routes
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class VanhoveOperator:
-    """L̃_m = Σ_{j=0}^{m} ℓ_{m,j}(u)·D^j with integer coefficients."""
+    """L̃_m = Σ_{j=0}^{m} ℓ_{m,j}(u)·D^j with integer coefficients, and its
+    θ-table: L̃_m = Σ_k u^{1−k}·theta[k](θ̂)."""
 
     m: int
     coeffs: tuple[UniPoly, ...]  # ℓ_{m,0} .. ℓ_{m,m}
+    theta: tuple[UniPoly, ...]  # P_0 .. P_{⌊m/2⌋+1}, in x
 
     def ell(self, j: int) -> UniPoly:
         if 0 <= j <= self.m:
             return self.coeffs[j]
         return UniPoly.zero("u")
 
-    def as_diffop(self) -> DiffOp:
-        return DiffOp.of("u", list(self.coeffs))
-
     @property
     def leading(self) -> UniPoly:
         return self.coeffs[self.m]
 
 
-def _route_a(m: int) -> DiffOp:
-    """(−1)^m Σ_{k=0}^{⌊m/2⌋+1} u^{1−k} 𝒱_{m,k}(k − θ̂)."""
-    theta = DiffOp.theta_hat("u")
-    u = UniPoly.x("u")
-    total = DiffOp.zero("u")
-    for k in range(m // 2 + 2):
-        vk = verrill_poly(m, k)
-        if vk.is_zero:
-            continue
-        inner = DiffOp.of("u", [k]) - theta
-        op_k = diffop_poly_of(vk, inner)
-        if k == 0:
-            scale = RatFunc(u)
-        else:
-            scale = RatFunc(UniPoly.const("u", 1), u ** (k - 1))
-        total = total + diffop_scale_mul(scale, op_k)
-    if m % 2:
-        total = -total
-    return total
-
-
-def _route_b(m: int) -> DiffOp:
-    """u·θ̂^m + Σ_{k=1}^{⌊m/2⌋+1} u^{1−k} Σ_α (θ̂−k)^{m+1−α₁}
-    ∏_n α_n(α_n−m−2)(θ̂−k+n)^{α_n−α_{n+1}}, expanded as polynomials in a
-    commuting indeterminate before a single operator substitution."""
-    theta = DiffOp.theta_hat("u")
-    u = UniPoly.x("u")
+def _route_a(m: int) -> tuple[UniPoly, ...]:
+    """P_k(x) = (−1)^m 𝒱_{m,k}(k − x) for k = 0..⌊m/2⌋+1."""
     x = UniPoly.x("x")
-    total = diffop_scale_mul(RatFunc(u), diffop_poly_of(x**m, theta))
+    sign = -1 if m % 2 else 1
+    return tuple(
+        verrill_poly(m, k).compose_poly(k - x) * sign for k in range(m // 2 + 2)
+    )
+
+
+def _route_b(m: int) -> tuple[UniPoly, ...]:
+    """P_0(x) = x^m and, for k = 1..⌊m/2⌋+1, the tuple sum
+    Σ_α (x−k)^{m+1−α₁} ∏_n α_n(α_n−m−2)(x−k+n)^{α_n−α_{n+1}}."""
+    x = UniPoly.x("x")
+    table = [x**m]
     for k in range(1, m // 2 + 2):
         qk = UniPoly.zero("x")
         for alpha in _alpha_tuples(m, k):
@@ -174,42 +196,43 @@ def _route_b(m: int) -> DiffOp:
                 coeff *= a_n * (a_n - m - 2)
                 term = term * (x - k + n) ** (a_n - ext[n])
             qk = qk + term * coeff
-        if qk.is_zero:
-            continue
-        scale = RatFunc(UniPoly.const("u", 1), u ** (k - 1))
-        total = total + diffop_scale_mul(scale, diffop_poly_of(qk, theta))
-    return total
+        table.append(qk)
+    return tuple(table)
 
 
 @cache
 def vanhove_operator(m: int) -> VanhoveOperator:
-    """Construct L̃_m along both routes, assert agreement and integer
-    polynomial coefficients, and return the coefficient list."""
+    """Construct the θ-table of L̃_m along both routes, assert agreement,
+    convert it to D-form and assert integer polynomial coefficients."""
     if m < 1:
         raise ValueError("vanhove_operator requires m >= 1")
-    op_a = _route_a(m)
-    op_b = _route_b(m)
-    if op_a != op_b:
+    table = _route_a(m)
+    if table != _route_b(m):
         raise ArithmeticError(
             f"Vanhove operator routes disagree at m={m}: "
             "construction bug or mis-resolved tuple convention"
         )
-    if op_a.order != m:
-        raise ArithmeticError(f"unexpected operator order {op_a.order} != {m}")
+    x = UniPoly.x("x")
+    d_form = theta_to_d(
+        {1 - k: p.compose_poly(x + 1) for k, p in enumerate(table)}
+    )
+    if len(d_form) - 1 != m:
+        raise ArithmeticError(
+            f"unexpected operator order {len(d_form) - 1} != {m}"
+        )
     coeffs = []
-    for j in range(m + 1):
-        c = op_a.coeff(j)
-        if not c.is_polynomial():
+    for j, c in enumerate(d_form):
+        if min(c, default=0) < 0:
             raise ArithmeticError(
                 f"coefficient of D^{j} in L~_{m} did not cancel to a polynomial"
             )
-        p = c.as_poly()
+        p = UniPoly.of("u", [c.get(e, 0) for e in range(max(c, default=-1) + 1)])
         if not p.is_integral():
             raise ArithmeticError(
                 f"coefficient of D^{j} in L~_{m} is not an integer polynomial"
             )
         coeffs.append(p)
-    return VanhoveOperator(m, tuple(coeffs))
+    return VanhoveOperator(m, tuple(coeffs), table)
 
 
 def leading_coeff_product(m: int) -> UniPoly:
@@ -231,7 +254,8 @@ def check_vanhove_structure(op: VanhoveOperator) -> dict[str, bool]:
     * ``subleading``: ℓ_{m,m−1} = (m/2)·D¹ℓ_{m,m};
     * ``constraint``: (−1)^m ℓ_{m,j} = Σ_{n=j}^{m} (−1)^n C(n,j) D^{n−j}ℓ_{m,n};
     * ``divisibility``: u^{m−j−⌊(m+1)/2⌋}·ℓ_{m,j} ∈ ℤ[u];
-    * ``adjoint_parity``: L̃_m* = (−1)^m L̃_m.
+    * ``adjoint_parity``: L̃_m* = (−1)^m L̃_m, read on the θ-table as
+      P_k(k − x) = (−1)^m P_k(x), since θ̂* = 1 − θ̂ and θ̂u^s = u^s(θ̂ + s).
     """
     m = op.m
     report: dict[str, bool] = {}
@@ -270,9 +294,11 @@ def check_vanhove_structure(op: VanhoveOperator) -> dict[str, bool]:
             ok = False
             break
     report["divisibility"] = ok
-    L = op.as_diffop()
-    adj = diffop_adjoint(L)
-    report["adjoint_parity"] = adj == (L if m % 2 == 0 else -L)
+    x = UniPoly.x("x")
+    sign = -1 if m % 2 else 1
+    report["adjoint_parity"] = all(
+        p.compose_poly(k - x) == p * sign for k, p in enumerate(op.theta)
+    )
     return report
 
 
@@ -297,23 +323,22 @@ def verify_verrill_recursion(m: int, n_max: int) -> dict[int, bool]:
 # ---------------------------------------------------------------------------
 
 
-def borwein_salvy_operator(n: int) -> DiffOp:
-    """The symmetric-power Bessel operator L_{n+2} in t, built by the
-    recursion 𝓛_{n+2,k+1} = tD·𝓛_{n+2,k} − k(n+2−k)t²·𝓛_{n+2,k−1}
-    from 𝓛_{n+2,0} = 1, 𝓛_{n+2,1} = tD."""
+def borwein_salvy_operator(n: int) -> tuple[UniPoly, ...]:
+    """The θ-table i ↦ P_i(x) of the symmetric-power Bessel operator
+    L_{n+2} = Σ_i t^{2i}·P_i(θ), θ = tD, built by the recursion
+    𝓛_{n+2,k+1} = θ·𝓛_{n+2,k} − k(n+2−k)t²·𝓛_{n+2,k−1} from 𝓛_{n+2,0} = 1,
+    𝓛_{n+2,1} = θ; θ∘t^{2i} = t^{2i}(θ + 2i) keeps it in θ-form."""
     if n < 0:
         raise ValueError("borwein_salvy_operator requires n >= 0")
-    t = UniPoly.x("t")
-    tD = DiffOp.of("t", [0, t])
-    prev = DiffOp.identity("t")
-    cur = tD
-    t2 = RatFunc(t * t)
+    x = UniPoly.x("x")
+    prev, cur = [UniPoly.const("x", 1)], [x]
     for k in range(1, n + 2):
-        nxt = diffop_compose(tD, cur) - diffop_scale_mul(
-            t2 * (k * (n + 2 - k)), prev
-        )
+        nxt = [(x + 2 * i) * p for i, p in enumerate(cur)]
+        nxt += [UniPoly.zero("x")] * (len(prev) + 1 - len(nxt))
+        for i, p in enumerate(prev):
+            nxt[i + 1] = nxt[i + 1] - p * (k * (n + 2 - k))
         prev, cur = cur, nxt
-    return cur
+    return tuple(cur)
 
 
 def _i0_sqrtu_t_times_t(order: int) -> TruncBiSeries:
@@ -331,43 +356,45 @@ def _i0_sqrtu_t_times_t(order: int) -> TruncBiSeries:
     return TruncBiSeries.of(order, coeffs, "u")
 
 
-def _conjugate_by_t(P: DiffOp) -> DiffOp:
-    """t ∘ P ∘ t⁻¹ in normal form; requires the result to have polynomial
-    coefficients (true for operators generated by tD and t²)."""
-    t = UniPoly.x("t")
-    mult_t = DiffOp.mult(RatFunc(t))
-    mult_t_inv = DiffOp.mult(RatFunc(UniPoly.const("t", 1), t))
-    conj = diffop_compose(mult_t, diffop_compose(P, mult_t_inv))
-    for c in conj.coeffs:
-        if not c.is_polynomial():
-            raise ArithmeticError("conjugated operator is not polynomial")
-    return conj
-
-
 def verify_bms_duality(n: int, N: int) -> dict[str, bool]:
     """Check L̃_n∘(uD²+D¹) applied to I₀(√u t)/t against
     (−1)^n/2^{n+2} · L*_{n+2} applied to the same function, on truncated
     series.  The t⁻¹ factor is absorbed by working with the shifted series
-    g = t·I₀(√u t)/t and conjugating the t-side operator by t; consistency
-    is asserted at three distinct truncation orders."""
+    g = t·I₀(√u t)/t and conjugating the t-side operator by t: θ* = −θ − 1
+    and tθt⁻¹ = θ − 1 give t∘L*_{n+2}∘t⁻¹ = Σ_i P_i(−θ)·t^{2i}, which maps
+    t^r to Σ_i P_i(−r−2i)·t^{r+2i}.  The u-side applies uD² + D and then
+    the D-form ℓ_{n,j} to each coefficient a_r(u).  Consistency is asserted
+    at three distinct truncation orders."""
     if n < 1:
         raise ValueError("verify_bms_duality requires n >= 1")
     if N < n + 6:
         raise ValueError("truncation order too small")
     u = UniPoly.x("u")
-    bessel_u = DiffOp.of("u", [0, UniPoly.const("u", 1), u])  # u·D² + D¹
-    lhs_op = diffop_compose(vanhove_operator(n).as_diffop(), bessel_u)
-    rhs_op = _conjugate_by_t(diffop_adjoint(borwein_salvy_operator(n)))
+    ell = vanhove_operator(n).coeffs
+    table = borwein_salvy_operator(n)
     sign = Fraction(-1 if n % 2 else 1, 2 ** (n + 2))
+
+    def lhs(g: TruncBiSeries) -> TruncBiSeries:
+        out = []
+        for a in g.coeffs:
+            b = u * a.deriv(2) + a.deriv()
+            out.append(sum((c * b.deriv(j) for j, c in enumerate(ell)),
+                           UniPoly.zero("u")))
+        return TruncBiSeries.of(g.order, out)
+
+    def rhs(g: TruncBiSeries) -> TruncBiSeries:
+        total = TruncBiSeries.of(g.order, [])
+        for i, p in enumerate(table):
+            total = total + TruncBiSeries.of(g.order, [
+                a * p.eval(-r - 2 * i) for r, a in enumerate(g.coeffs)
+            ]).shift_t(2 * i)
+        return total.scale(sign)
+
     out: dict[str, bool] = {}
     for order in (N - 4, N - 2, N):
         g = _i0_sqrtu_t_times_t(order)
-        lhs = series_apply(lhs_op, g)
-        rhs = series_apply(rhs_op, g).scale(sign)
-        out[f"order_{order}"] = lhs == rhs
+        out[f"order_{order}"] = lhs(g) == rhs(g)
     # zero-series sanity: both sides annihilate the zero series
-    z = TruncBiSeries.of(N, [], "u")
-    out["zero_series"] = (
-        series_apply(lhs_op, z).is_zero and series_apply(rhs_op, z).is_zero
-    )
+    z = TruncBiSeries.of(N, [])
+    out["zero_series"] = lhs(z).is_zero and rhs(z).is_zero
     return out

@@ -38,6 +38,7 @@ from bwv.besselnum import (
     nu_moment,
     tolerance,
 )
+from bwv.vanhove import borwein_salvy_operator
 
 DIGITS = 25
 
@@ -232,6 +233,24 @@ def test_precision_scaling(cache):
     hi = moment(MomentKey("IKM", 1, 3, 1, None, 40), cache=cache)
     with mp.workdps(45):
         assert abs(mp.mpf(lo) - mp.mpf(hi)) < mpmath.mpf(10) ** -20
+
+
+@pytest.mark.parametrize("a, b, k", [(1, 2, 1), (0, 3, 1), (1, 3, 1)])
+def test_borwein_salvy_moment_recurrence(cache, a, b, k):
+    # L_{n+2} = sum_i t^(2i) P_i(theta) annihilates I0^a K0^b for
+    # a + b = n + 1; integrating t^k L[.] by parts with theta* = -theta - 1
+    # gives sum_i P_i(-k-2i-1) IKM(a, b; k+2i) = 0.  The boundary terms
+    # vanish: b > a gives decay at infinity, and t^k K0^b -> 0 at 0 (k >= 1).
+    assert b > a and k >= 1
+    table = borwein_salvy_operator(a + b - 1)
+    coeffs = [int(p.eval(-k - 2 * i - 1)) for i, p in enumerate(table)]
+    values = [moment(MomentKey("IKM", a, b, k + 2 * i, None, 30), cache=cache)
+              for i in range(len(table))]
+    # the moments carry 45 digits; a sum at the default 15 would not see it
+    with mp.workdps(40):
+        terms = [c * mp.mpf(v) for c, v in zip(coeffs, values)]
+        residual = abs(mp.fsum(terms)) / max(abs(t) for t in terms)
+    assert residual < mpmath.mpf(10) ** -25, residual
 
 
 # -- cache ------------------------------------------------------------------

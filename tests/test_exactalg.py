@@ -1,5 +1,5 @@
 """Tests for the exact arithmetic layer: Bernoulli numbers, polynomials,
-rational functions, matrices, differential operators, truncated series."""
+rational functions, matrices, truncated series."""
 
 from fractions import Fraction as F
 from math import gcd
@@ -8,21 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bwv.exactalg import (
-    DiffOp,
     ExactMatrix,
     RatFunc,
     TruncBiSeries,
     UniPoly,
     bernoulli,
     binom_ext,
-    diffop_adjoint,
-    diffop_compose,
-    diffop_poly_of,
-    diffop_scale_mul,
     exact_det,
     exact_inverse,
     recip_fact_ext,
-    series_apply,
 )
 
 # -- strategies -------------------------------------------------------------
@@ -434,89 +428,17 @@ def test_empty_matrix_det_is_one():
     assert exact_det(ExactMatrix.zeros(0, 0)) == 1
 
 
-# -- differential operators -------------------------------------------------
-
-
-def _monomial(n):
-    return RatFunc(UniPoly.of("u", [0] * n + [1]))
-
-
-def test_theta_hat_action_on_monomials():
-    th = DiffOp.theta_hat("u")
-    for n in range(5):
-        assert th.apply_ratfunc(_monomial(n)) == _monomial(n) * (n + 1)
-
-
-def diffops(max_order=2, max_deg=2):
-    return st.lists(
-        polys(max_deg), min_size=1, max_size=max_order + 1
-    ).map(lambda cs: DiffOp.of("u", cs))
-
-
-@given(diffops(), diffops(), ratfuncs(2))
-@settings(max_examples=40)
-def test_compose_matches_sequential_application(P, Q, f):
-    try:
-        lhs = diffop_compose(P, Q).apply_ratfunc(f)
-        rhs = P.apply_ratfunc(Q.apply_ratfunc(f))
-    except ZeroDivisionError:
-        return
-    assert lhs == rhs
-
-
-@given(diffops(), diffops())
-@settings(max_examples=40)
-def test_adjoint_is_an_anti_homomorphism(P, Q):
-    assert diffop_adjoint(diffop_compose(P, Q)) == diffop_compose(
-        diffop_adjoint(Q), diffop_adjoint(P)
-    )
-
-
-@given(diffops(3, 2))
-@settings(max_examples=40)
-def test_adjoint_is_an_involution(P):
-    assert diffop_adjoint(diffop_adjoint(P)) == P
-
-
-def test_adjoint_of_first_derivative_is_negated():
-    D = DiffOp.D("u")
-    assert diffop_adjoint(D) == -D
-
-
-def test_scale_mul_and_poly_of():
-    D = DiffOp.D("u")
-    u = UniPoly.x("u")
-    uD = diffop_scale_mul(u, D)
-    # (uD)^2 = u^2 D^2 + u D
-    sq = diffop_compose(uD, uD)
-    assert sq == DiffOp.of("u", [0, u, u * u])
-    # polynomial substitution t^2 + 1 at uD
-    p = UniPoly.of("t", [1, 0, 1])
-    assert diffop_poly_of(p, uD) == DiffOp.of(
-        "u", [1, u, u * u]
-    )
-
-
 # -- truncated series -------------------------------------------------------
 
 
-def test_series_apply_derivative_shifts_coefficients():
-    # s = sum_n u^n t^n truncated at order 4; D_t s has coeff (n+1) u^{n+1} t^n
-    N = 4
-    s = TruncBiSeries.of(
-        N, [UniPoly.of("u", [0] * n + [1]) for n in range(N + 1)]
-    )
-    D = DiffOp.of("t", [0, 1])
-    out = series_apply(D, s)
-    for n in range(N):
-        assert out.coeff(n) == UniPoly.of("u", [0] * (n + 1) + [n + 1])
-
-
-def test_series_apply_multiplication_by_t():
+def test_trunc_series_shift_scale_and_add_truncate_at_order():
     N = 3
-    s = TruncBiSeries.of(N, [UniPoly.const("u", 1)] * (N + 1))
-    t_op = DiffOp.of("t", [UniPoly.x("t")])
-    out = series_apply(t_op, s)
-    assert out.coeff(0).is_zero
-    for n in range(1, N + 1):
-        assert out.coeff(n) == UniPoly.const("u", 1)
+    ones = TruncBiSeries.of(N, [UniPoly.const("u", 1)] * (N + 5))
+    assert ones.coeffs == (UniPoly.const("u", 1),) * (N + 1)
+    shifted = ones.shift_t(2)
+    assert [c.is_zero for c in shifted.coeffs] == [True, True, False, False]
+    total = (shifted + ones.scale(F(1, 2))).scale(2)
+    assert [total.coeff(n) for n in range(N + 2)] == [
+        UniPoly.const("u", c) for c in (1, 1, 3, 3, 0)
+    ]
+    assert (total - total).is_zero

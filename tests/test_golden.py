@@ -33,6 +33,13 @@ The k = 6 de Rham hashes (DerhamD, Derhamd, DerhamDring, Derhamdring, one
 determinant eliminations, and the two symbolic beta-pairings per order,
 that preceded the shared Bareiss pass and ``brmatrices._pairing``.  They
 add about 4 s.
+
+Three hashes pin the operator layer: the D-form coefficients of the
+Borwein–Salvy operator for n <= 8 (one JSON list of ``str()`` per n,
+converted here from its θ-table), the ``check_vanhove_structure`` dicts
+of the Vanhove operators for m <= 11 and the ``verify_bms_duality(n, 14)``
+dicts for n <= 4 (one sorted JSON object per line).  They were taken from
+the rational-function operator algebra that preceded the θ-tables.
 """
 
 import hashlib
@@ -43,7 +50,15 @@ import pytest
 
 from bwv import besselnum, cli
 from bwv.brmatrices import matrix_family, matrix_to_json
+from bwv.exactalg import UniPoly
 from bwv.harness import run_numeric_suite
+from bwv.vanhove import (
+    borwein_salvy_operator,
+    check_vanhove_structure,
+    theta_to_d,
+    vanhove_operator,
+    verify_bms_duality,
+)
 
 GOLDEN_SHA256 = {
     "vanhove":
@@ -88,6 +103,12 @@ GOLDEN_SHA256 = {
         "f8888be335ffd766544c3f885abc94e458978a80bdef0296dc7220a63bdcf5ec",
     "Derhamdring-k6":
         "5c45cec783c8b429c713be5ed549fc0f4aa39ab8efa533ec15c2185638ab186e",
+    "borwein_salvy":
+        "959963c40c181c68e793bbde3b76f35f0b755f944cf62079d13636306a03abf8",
+    "vanhove_structure":
+        "1befcf7df2bcddb565f0a659e3f80bbed2559620e6ac2410e6f694542391c4a0",
+    "bms_duality":
+        "3819eaf079f10360c539aef7b3b6e4a43de91aa52c22ac969d3bb96579974a08",
 }
 
 #: The tag the moment hash was taken under.
@@ -110,6 +131,30 @@ def test_vanhove_cli_json_golden(capsys):
         assert cli.main(["vanhove", "--m", str(m), "--json"]) == 0
         out.append(capsys.readouterr().out)
     assert _sha256("".join(out)) == GOLDEN_SHA256["vanhove"]
+
+
+def _bs_d_form_strings(n: int) -> list[str]:
+    """str() of the D-form coefficients of Σ_i t^{2i}·P_i(θ), θ = tD."""
+    table = borwein_salvy_operator(n)
+    out = []
+    for c in theta_to_d({2 * i: p for i, p in enumerate(table)}):
+        top = max(c, default=-1)
+        out.append(str(UniPoly.of("t", [c.get(e, 0) for e in range(top + 1)])))
+    return out
+
+
+def test_operator_golden():
+    text = "".join(json.dumps(_bs_d_form_strings(n)) + "\n" for n in range(9))
+    assert _sha256(text) == GOLDEN_SHA256["borwein_salvy"]
+    text = "".join(
+        json.dumps(check_vanhove_structure(vanhove_operator(m)),
+                   sort_keys=True) + "\n"
+        for m in range(1, 12))
+    assert _sha256(text) == GOLDEN_SHA256["vanhove_structure"]
+    text = "".join(
+        json.dumps(verify_bms_duality(n, 14), sort_keys=True) + "\n"
+        for n in range(1, 5))
+    assert _sha256(text) == GOLDEN_SHA256["bms_duality"]
 
 
 @pytest.mark.parametrize(
