@@ -40,13 +40,19 @@ t = 1 + c exp((pi/2) sinh w) on (1,oo) with c matched to the exponential
 decay rate and rounded down to a power of two.  Each interval, scale c
 and working precision has one shared grid (``_grid``): a node's t and
 weight, and the (I, K) pairs at t and at sqrt(u) t, are computed when a
-moment first reaches the node and reused by every later moment, so a
-matrix of moments costs one set of node evaluations plus one integrand
-product per entry and node.  The grids are held in a small LRU cache, so
-their memory stays bounded.  Each moment still walks the grid on its own:
-its own tail cut-off, and level doubling until two successive levels agree
-to the target, within a hard level budget, at a guard precision of
-``digits`` + 15.
+moment first reaches the node and reused by every later moment.  The grids
+are held in a small LRU cache, so their memory stays bounded.  The moments
+one call is missing (a whole matrix, or the one key of ``moment``) are
+summed together, one sweep per grid, in Python-integer fixed point: at
+each node the Bessel values, t and the weight become integer (mantissa,
+exponent) pairs once, I0^a, K0^b and t^n are running products, and each
+moment adds its term to its own integer accumulator, whose scale follows
+the moment's largest term.  Each moment keeps its own rules, so its sum
+does not depend on the moments it is swept with: its own tail cut-off,
+and level doubling until two successive levels agree to 10^-(digits+5),
+within a hard level budget, at a guard precision of ``digits`` + 15.  A
+value is stored to ``digits`` + 15 digits, and a cold call returns the
+stored string parsed, as a warm one does.
 """
 
 from __future__ import annotations
@@ -314,46 +320,6 @@ def _check_convergent(key: MomentKey) -> None:
         raise ValueError(f"divergent moment configuration: {key}")
 
 
-def _integrand(key: MomentKey) -> Callable:
-    """The integrand as a function of a quadrature node (``_Node``)."""
-    a, b, n = key.a, key.b, key.n
-    if key.kind in _ONSHELL_KINDS:
-        log_weighted = key.kind == "IKM_LOG"
-
-        def f(node):
-            t = node.t
-            val = mp.mpf(1)
-            if a:
-                val *= node.bessel("I0") ** a
-            if b:
-                val *= node.bessel("K0") ** b
-            if log_weighted:
-                val *= mp.log(t)
-                if a == 1:
-                    val -= node.bessel("K0") ** (a + b) / (a + b)
-            return val * t**n
-
-        return f
-
-    factor, sign, slot, extra = _OFFSHELL[key.kind]
-    i0_power, k0_power = a - (slot == 0), b - (slot == 1)
-    n += extra
-    # at u = 1 the sqrt(u) t factors share the pairs at t
-    su = None if key.u == 1 else mp.sqrt(_to_mpf(key.u))
-
-    def f(node):
-        val = node.bessel(factor, su)
-        if sign < 0:
-            val = -val
-        if i0_power:
-            val *= node.bessel("I0") ** i0_power
-        if k0_power:
-            val *= node.bessel("K0") ** k0_power
-        return val * node.t**n
-
-    return f
-
-
 # ---------------------------------------------------------------------------
 # Quadrature
 # ---------------------------------------------------------------------------
@@ -447,68 +413,290 @@ def _grid(halvings: Optional[int], prec: int) -> _Grid:
     return _Grid(place)
 
 
-def _trapezoid_levels(grid: _Grid, f, target, what: str):
-    """Double-exponential trapezoid sum_m h*f(node m)*weight over the
-    grid, refined by level doubling until two successive levels agree to
-    ``target`` (relative).  Each direction of a sweep stops after three
-    successive terms below eps times the largest term so far."""
+# Fixed-point arithmetic of the sweep: a value is a pair (m, e) of Python
+# integers standing for m 2^e.  Products are truncated to ``bits`` bits,
+# ``bits`` = working precision + _GUARD_BITS; each sum keeps _SUM_BITS more
+# bits below its largest term than the working precision.
+_GUARD_BITS = 16
+_SUM_BITS = 48
 
-    def term(level, m):
-        node = grid.node(level, m)
-        return f(node) * node.weight if node else mp.mpf(0)
 
-    def sweep(level, step):
-        total = mp.mpf(0)
-        largest = mp.mpf(0)
-        for direction in (1, -1):
-            n = 1
-            tiny = 0
-            while True:
-                val = term(level, direction * n)
-                total += val
-                a = abs(val)
-                if a > largest:
-                    largest = a
-                if a < mp.eps * (largest + 1):
-                    tiny += 1
-                    if tiny >= 3:
-                        break
+def _fixed(x) -> tuple[int, int]:
+    """The mpf x as an exact (m, e) pair."""
+    sign, man, exp, _ = x._mpf_
+    return (-man if sign else man), exp
+
+
+def _trunc(m: int, e: int, bits: int) -> tuple[int, int]:
+    """m 2^e truncated to at most ``bits`` bits."""
+    s = m.bit_length() - bits
+    return (m >> s, e + s) if s > 0 else (m, e)
+
+
+def _mul(x, y, bits: int) -> tuple[int, int]:
+    return _trunc(x[0] * y[0], x[1] + y[1], bits)
+
+
+def _sub(x, y, bits: int) -> tuple[int, int]:
+    lo = min(x[1], y[1])
+    return _trunc((x[0] << (x[1] - lo)) - (y[0] << (y[1] - lo)), lo, bits)
+
+
+def _below(m: int, e: int, lead: int, y) -> bool:
+    """m 2^e < y for m > 0 with lead = e + bitlen(m), y = (m, e, lead)."""
+    if lead != y[2]:
+        return lead < y[2]
+    if e >= y[1]:
+        return m << (e - y[1]) < y[0]
+    return m < y[0] << (y[1] - e)
+
+
+def _recipe(key: MomentKey) -> tuple[tuple, int]:
+    """(x, n): the integrand of ``key`` is X(x) t^n, with x naming the
+    product of Bessel factors X: (the sqrt(u) t factor as (kind, sqrt(u)),
+    or None; its sign; the powers of I0(t) and K0(t); 0 for no log t,
+    1 for a factor log t, 2 for log t and the a = 1 correction)."""
+    a, b, n = key.a, key.b, key.n
+    if key.kind in _ONSHELL_KINDS:
+        log = 0 if key.kind == "IKM" else 1 + (a == 1)
+        return (None, 1, a, b, log), n
+    factor, sign, slot, extra = _OFFSHELL[key.kind]
+    # at u = 1 the sqrt(u) t factors share the pairs at t
+    scale = None if key.u == 1 else mp.sqrt(_to_mpf(key.u))
+    powers = a - (slot == 0), b - (slot == 1)
+    return ((factor, scale), sign, *powers, 0), n + extra
+
+
+class _Products:
+    """The integrand factors at one node in fixed point, each formed on
+    first use, so a Bessel pair is computed only for a moment that needs
+    it: ``x(recipe)`` the product of Bessel factors, ``y(n)`` t^n times
+    the weight.  Powers are running products."""
+
+    __slots__ = ("node", "bits", "powers", "xs", "ys")
+
+    def __init__(self, node: _Node, bits: int):
+        self.node = node
+        self.bits = bits
+        self.powers: dict = {}
+        self.xs: dict = {}
+        self.ys: dict = {}
+
+    def power(self, name: str, j: int):
+        """t, I0(t) or K0(t) to the power j."""
+        if not j:
+            return 1, 0
+        table = self.powers.get(name)
+        if table is None:
+            base = self.node.t if name == "t" else self.node.bessel(name)
+            table = self.powers[name] = [(1, 0), _fixed(base)]
+        while len(table) <= j:
+            table.append(_mul(table[-1], table[1], self.bits))
+        return table[j]
+
+    def y(self, n: int):
+        v = self.ys.get(n)
+        if v is None:
+            v = self.ys[n] = _mul(self.power("t", n),
+                                  _fixed(self.node.weight), self.bits)
+        return v
+
+    def x(self, recipe: tuple):
+        v = self.xs.get(recipe)
+        if v is None:
+            factor, sign, i0, k0, log = recipe
+            bits = self.bits
+            v = _mul(self.power("I0", i0), self.power("K0", k0), bits)
+            if factor is not None:
+                v = _mul(v, _fixed(self.node.bessel(*factor)), bits)
+                if sign < 0:
+                    v = -v[0], v[1]
+            if log:
+                v = _mul(v, _fixed(mp.log(self.node.t)), bits)
+                if log == 2:
+                    m, e = self.power("K0", i0 + k0)
+                    v = _sub(v, ((m << bits) // (i0 + k0), e - bits), bits)
+            self.xs[recipe] = v
+        return v
+
+
+class _Sum:
+    """One moment's trapezoid sum over one grid.  ``acc`` holds the sum of
+    every term so far and ``prev`` the sum up to the previous level, both
+    in units of 2^exp; exp rises with the largest term, so the sum keeps
+    its relative digits whatever the moment's size.  ``largest`` and
+    ``limit`` = eps (largest + 1) drive the tail cut-off."""
+
+    __slots__ = ("key", "x", "n", "window", "acc", "prev", "exp", "largest",
+                 "limit", "tiny", "value")
+
+    def __init__(self, key: MomentKey):
+        self.key = key
+        self.x, self.n = _recipe(key)
+        self.window = mp.prec + _SUM_BITS
+        self.acc = self.prev = 0
+        self.exp = None
+        self.value = None
+
+    def term(self, products: _Products) -> tuple[int, int]:
+        x, y = products.x(self.x), products.y(self.n)
+        return x[0] * y[0], x[1] + y[1]
+
+    def add(self, m: int, e: int, lead: int) -> None:
+        """Add the term m 2^e (m != 0, lead = e + bitlen(m))."""
+        top = lead - self.window
+        if self.exp is None:
+            self.exp = top
+        elif top > self.exp:
+            d = top - self.exp
+            self.acc >>= d
+            self.prev >>= d
+            self.exp = top
+        d = e - self.exp
+        self.acc += m << d if d >= 0 else m >> -d
+
+    def raise_largest(self, m: int, e: int, lead: int, prec: int) -> None:
+        """Make m 2^e (m > 0) the largest term and update the limit
+        eps (largest + 1), eps = 2^(1-prec), truncated like an mpf sum."""
+        self.largest = m, e, lead
+        if lead < -prec - 2:
+            s, se = 1, 0
+        elif lead > prec + 2:
+            s, se = m, e
+        else:
+            se = min(e, 0)
+            s = (m << (e - se)) + (1 << -se)
+        se += 1 - prec
+        self.limit = s, se, se + s.bit_length()
+
+    def converged(self, level: int) -> bool:
+        """After ``level`` >= 1: whether |cur - prev| <= 10^-(digits+5)
+        (|cur| + 1), where cur = acc 2^(exp-level-2) is this level's sum
+        times the step and prev the previous level's; sets ``value``."""
+        exp = (self.exp or 0) - level - 2
+        cur = abs(self.acc)
+        diff = abs(self.acc - 2 * self.prev) * 10 ** (self.key.digits + 5)
+        if exp >= 0:
+            ok = diff << exp <= (cur << exp) + 1
+        else:
+            ok = diff <= cur + (1 << -exp)
+        if ok:
+            self.value = self.acc, exp
+        else:
+            self.prev = self.acc
+        return ok
+
+
+def _level(grid: _Grid, sums: list, level: int, bits: int) -> None:
+    """Add every sum's terms of one level: level 0 holds m = 0, whose
+    term counts toward no tail, and every m; level L >= 1 the odd m.  Each
+    direction is walked outward until a sum has seen three successive
+    terms below eps (largest + 1), largest being its largest term of the
+    level so far; the walk goes on while any sum is still walking."""
+    prec = mp.prec
+    for st in sums:
+        st.largest = None
+        st.limit = (1, 1 - prec, 2 - prec)
+    if level == 0:
+        node = grid.node(0, 0)
+        if node is not None:
+            products = _Products(node, bits)
+            for st in sums:
+                m, e = st.term(products)
+                if m:
+                    st.add(m, e, e + m.bit_length())
+    step = 1 if level == 0 else 2
+    for direction in (1, -1):
+        walking = sums
+        for st in walking:
+            st.tiny = 0
+        j = 1
+        while walking:
+            node = grid.node(level, direction * j)
+            j += step
+            still = []
+            if node is None:
+                for st in walking:
+                    st.tiny += 1
+                    if st.tiny < 3:
+                        still.append(st)
+                walking = still
+                continue
+            products = _Products(node, bits)
+            for st in walking:
+                m, e = st.term(products)
+                if m:
+                    lead = e + m.bit_length()
+                    st.add(m, e, lead)
+                    m = abs(m)
+                    largest = st.largest
+                    if largest is None or not _below(m, e, lead, largest):
+                        st.raise_largest(m, e, lead, prec)
+                    small = _below(m, e, lead, st.limit)
                 else:
-                    tiny = 0
-                n += step
-        return total
+                    small = True
+                if small:
+                    st.tiny += 1
+                    if st.tiny >= 3:
+                        continue
+                else:
+                    st.tiny = 0
+                still.append(st)
+            walking = still
 
-    h = mp.mpf(1) / 4
-    prev = (term(0, 0) + sweep(0, 1)) * h
+
+def _converge(grid: _Grid, sums: list, bits: int) -> list:
+    """Refine the sums on one grid by level doubling until each has
+    converged; the sums left unconverged after LEVEL_BUDGET levels."""
+    _level(grid, sums, 0, bits)
+    for st in sums:
+        st.prev = st.acc
     for level in range(1, LEVEL_BUDGET + 1):
-        h /= 2
-        extra = sweep(level, 2) * h
-        cur = prev / 2 + extra
-        if abs(cur - prev) <= target * (abs(cur) + 1):
-            return cur
-        prev = cur
-    raise QuadratureError(
-        f"{what}: quadrature did not converge within the level budget"
-    )
+        _level(grid, sums, level, bits)
+        sums = [st for st in sums if not st.converged(level)]
+        if not sums:
+            break
+    return sums
 
 
-def _compute_moment(key: MomentKey):
-    """Evaluate the moment integral at guard precision (caller sets dps):
-    tanh-sinh over (0,1) plus the (1,oo) grid whose c is the largest power
-    of two at most min(1, 1/delta), delta the decay rate, so moments share
+def _halvings(key: MomentKey) -> int:
+    """The (1,oo) grid of a moment: c = 2^-halvings is the largest power of
+    two at most min(1, 1/delta), delta the decay rate, so moments share
     grids."""
     c, s = _decay(key)
-    delta_float = c + s * mp.sqrt(_to_mpf(key.u)) if s else mp.mpf(c)
+    delta = c + s * mp.sqrt(_to_mpf(key.u)) if s else mp.mpf(c)
     halvings = 0
-    while mp.ldexp(1, -halvings) > 1 / delta_float:
+    while mp.ldexp(1, -halvings) > 1 / delta:
         halvings += 1
-    f = _integrand(key)
-    target = mpmath.mpf(10) ** (-(key.digits + 5))
-    return _trapezoid_levels(
-        _grid(None, mp.prec), f, target, "interval (0,1)"
-    ) + _trapezoid_levels(
-        _grid(halvings, mp.prec), f, target, "interval (1,oo)"
-    )
+    return halvings
+
+
+def _integrate(keys: list) -> tuple[dict, list]:
+    """The moments of ``keys``, which share their digits, at the working
+    precision the caller set (dps = digits + GUARD_DIGITS): each is its
+    tanh-sinh sum over (0,1) plus its sum over the (1,oo) grid, and each
+    grid is swept once for all the keys on it.  Returns {key: value} for
+    the keys that converged and a message naming each one that did not."""
+    bits = mp.prec + _GUARD_BITS
+    pairs = {key: (_Sum(key), _Sum(key)) for key in keys}
+    outer: dict = {}
+    for key, (_, st) in pairs.items():
+        outer.setdefault(_halvings(key), []).append(st)
+    sweeps = [(_grid(None, mp.prec), [p[0] for p in pairs.values()],
+               "interval (0,1)")]
+    sweeps += [(_grid(h, mp.prec), sums, "interval (1,oo)")
+               for h, sums in outer.items()]
+    failed = []
+    for grid, sums, what in sweeps:
+        failed += [f"{st.key}: {what}: quadrature did not converge within "
+                   "the level budget" for st in _converge(grid, sums, bits)]
+    values = {}
+    for key, (st0, st1) in pairs.items():
+        if st0.value is not None and st1.value is not None:
+            (m0, e0), (m1, e1) = st0.value, st1.value
+            lo = min(e0, e1)
+            values[key] = mp.mpf(((m0 << (e0 - lo)) + (m1 << (e1 - lo)), lo))
+    return values, failed
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +715,7 @@ def _u_str(u: Optional[Fraction]) -> Optional[str]:
 #: change to the kernel, the quadrature or the guard digits that alters a
 #: stored value must bump this tag; ``tests/test_golden.py`` pins the
 #: cache a cold build writes under it.
-_KERNEL_TAG = "ik-series-asymptotic/1"
+_KERNEL_TAG = "ik-series-asymptotic/2"
 
 
 def _parse_record(line: str) -> Optional[dict]:
@@ -665,23 +853,41 @@ def default_cache() -> MomentCache:
 # ---------------------------------------------------------------------------
 
 
+def _moments(keys: list, cache: Optional[MomentCache] = None) -> list:
+    """The moments named by ``keys``, in order.  Every key the cache
+    misses is computed in one batch (one sweep per grid and digits) and
+    stored at digits + GUARD_DIGITS digits; every value returned is the
+    stored string parsed at the guard precision, so a cold call returns
+    the same bits as a warm one."""
+    for key in keys:
+        _check_convergent(key)
+    if cache is None:
+        cache = default_cache()
+    missing = list(dict.fromkeys(k for k in keys if cache.get(k) is None))
+    failed = []
+    for digits in dict.fromkeys(key.digits for key in missing):
+        group = [key for key in missing if key.digits == digits]
+        with mp.workdps(digits + GUARD_DIGITS):
+            values, errors = _integrate(group)
+            for key in group:
+                if key in values:
+                    cache.put(key, mp.nstr(
+                        values[key], digits + GUARD_DIGITS,
+                        strip_zeros=False, min_fixed=1, max_fixed=0))
+        failed += errors
+    if failed:
+        raise QuadratureError(failed[0])
+    out = []
+    for key in keys:
+        with mp.workdps(key.digits + GUARD_DIGITS):
+            out.append(mp.mpf(cache.get(key)))
+    return out
+
+
 def moment(key: MomentKey, cache: Optional[MomentCache] = None):
     """The Bessel moment named by ``key``, with absolute error below
     10^-digits * max(1, |result|); consults and updates the cache."""
-    _check_convergent(key)
-    if cache is None:
-        cache = default_cache()
-    hit = cache.get(key)
-    if hit is not None:
-        with mp.workdps(key.digits + GUARD_DIGITS):
-            return mp.mpf(hit)
-    with mp.workdps(key.digits + GUARD_DIGITS):
-        val = _compute_moment(key)
-        text = mp.nstr(
-            val, key.digits + 5, strip_zeros=False, min_fixed=1, max_fixed=0
-        )
-        cache.put(key, text)
-        return +val
+    return _moments([key], cache)[0]
 
 
 def moment_value(
@@ -714,10 +920,11 @@ def _pi_power(a: int, k: int, p: int):
     return mp.pi ** (a - k - 1 - mp.mpf(p) / 2)
 
 
-def _family_moment(kinds, p: int, k: int, j: int, ell: int, u, digits: int):
-    """Column j of the normalized family of parity p at n = 2 ell - 1: the
-    blend of both kinds at column 1, the I-kind at a = j up to column k+p,
-    the K-kind at a = j-k+1-p up to column 3k-1+2p."""
+def _family_keys(kinds, p: int, k: int, j: int, ell: int, u, digits: int):
+    """The moments of column j of the normalized family of parity p at
+    n = 2 ell - 1: both kinds at a = 1 (the blend) at column 1, the I-kind
+    at a = j up to column k+p, the K-kind at a = j-k+1-p up to column
+    3k-1+2p."""
     last = 3 * k - 1 + 2 * p
     if not 1 <= j <= last:
         raise ValueError(f"column j={j} out of range [1, {last}] for k={k}")
@@ -725,15 +932,23 @@ def _family_moment(kinds, p: int, k: int, j: int, ell: int, u, digits: int):
     n = 2 * ell - 1
     w = 2 * k + 1 + p
     i_kind, k_kind = kinds
+    if j == 1:
+        return [MomentKey(kind, 1, w - 1, n, u, digits) for kind in kinds]
+    kind, a = (i_kind, j) if j <= k + p else (k_kind, j - k + 1 - p)
+    return [MomentKey(kind, a, w - a, n, u, digits)]
+
+
+def _family_moment(kinds, p: int, k: int, j: int, ell: int, u, digits: int):
+    """Column j of the normalized family of parity p at n = 2 ell - 1,
+    pi^(a-k-1-p/2) times its moment; column 1 blends (I-kind + (w-1)
+    K-kind)/w at a = 1, with w = 2k+1+p."""
+    keys = _family_keys(kinds, p, k, j, ell, u, digits)
+    w = 2 * k + 1 + p
     with mp.workdps(digits + GUARD_DIGITS):
+        vals = _moments(keys)
         if j == 1:
-            val = (
-                moment_value(i_kind, 1, w - 1, n, u, digits)
-                + (w - 1) * moment_value(k_kind, 1, w - 1, n, u, digits)
-            ) / w
-            return val * _pi_power(1, k, p)
-        kind, a = (i_kind, j) if j <= k + p else (k_kind, j - k + 1 - p)
-        return _pi_power(a, k, p) * moment_value(kind, a, w - a, n, u, digits)
+            return (vals[0] + (w - 1) * vals[1]) / w * _pi_power(1, k, p)
+        return _pi_power(keys[0].a, k, p) * vals[0]
 
 
 def mu_moment(k: int, j: int, ell: int, u: Fraction, digits: int):
@@ -760,13 +975,15 @@ def _moment_matrix(kind: str, p: int, k: int, digits: int):
     """((-1)^(b-1) pi^(a-k-1-p/2) kind(a, 2k+1+p-a; 2b-1)), k x k."""
     if k < 1:
         raise ValueError("moment matrices require k >= 1")
+    keys = [MomentKey(kind, a, 2 * k + 1 + p - a, 2 * b - 1, None, digits)
+            for a in range(1, k + 1) for b in range(1, k + 1)]
     with mp.workdps(digits + GUARD_DIGITS):
+        vals = iter(_moments(keys))
         out = mp.matrix(k, k)
         for a in range(1, k + 1):
             for b in range(1, k + 1):
-                v = moment_value(kind, a, 2 * k + 1 + p - a, 2 * b - 1, None,
-                                 digits)
-                out[a - 1, b - 1] = (-1) ** (b - 1) * _pi_power(a, k, p) * v
+                out[a - 1, b - 1] = (
+                    (-1) ** (b - 1) * _pi_power(a, k, p) * next(vals))
         return out
 
 
@@ -811,6 +1028,11 @@ def _wronskian(p: int, k: int, u, digits: int):
     if not (0 < u < 1 or u == 1 and not p):
         raise ValueError(f"u must be rational in (0, 1{')' if p else ']'}")
     m = 2 * k - 1 + p
+    # compute every missing moment of the matrix in one batch
+    _moments([key for j in range(1, m + 1)
+              for kinds, ells in ((_PLAIN, k), (_ACUTE, k - 1 + p))
+              for ell in range(1, ells + 1)
+              for key in _family_keys(kinds, p, k, j, ell, u, digits)])
     with mp.workdps(digits + GUARD_DIGITS):
         binv = _beta_inverse_numeric(m, u)
         su = mp.sqrt(_to_mpf(u))

@@ -235,22 +235,54 @@ def test_precision_scaling(cache):
         assert abs(mp.mpf(lo) - mp.mpf(hi)) < mpmath.mpf(10) ** -20
 
 
-@pytest.mark.parametrize("a, b, k", [(1, 2, 1), (0, 3, 1), (1, 3, 1)])
+def _recurrence_terms(cache, a, b, k, digits):
+    """The terms P_i(-k-2i-1) IKM(a, b; k+2i) of the Borwein-Salvy
+    recurrence, whose sum vanishes, and their keys."""
+    table = borwein_salvy_operator(a + b - 1)
+    coeffs = [int(p.eval(-k - 2 * i - 1)) for i, p in enumerate(table)]
+    keys = [MomentKey("IKM", a, b, k + 2 * i, None, digits)
+            for i in range(len(table))]
+    values = [moment(key, cache=cache) for key in keys]
+    # the moments carry 45 digits; a sum at the default 15 would not see it
+    with mp.workdps(digits + 10):
+        return [c * mp.mpf(v) for c, v in zip(coeffs, values)], keys
+
+
+def _relative_residual(terms):
+    return abs(mp.fsum(terms)) / max(abs(t) for t in terms)
+
+
+@pytest.mark.parametrize("a, b, k", [(1, 2, 1), (0, 3, 1), (1, 3, 1),
+                                     (2, 5, 1)])
 def test_borwein_salvy_moment_recurrence(cache, a, b, k):
     # L_{n+2} = sum_i t^(2i) P_i(theta) annihilates I0^a K0^b for
     # a + b = n + 1; integrating t^k L[.] by parts with theta* = -theta - 1
     # gives sum_i P_i(-k-2i-1) IKM(a, b; k+2i) = 0.  The boundary terms
     # vanish: b > a gives decay at infinity, and t^k K0^b -> 0 at 0 (k >= 1).
+    # (2, 5, 1) reaches IKM(2, 5; 5), a moment of the k = 3 M-row.
     assert b > a and k >= 1
-    table = borwein_salvy_operator(a + b - 1)
-    coeffs = [int(p.eval(-k - 2 * i - 1)) for i, p in enumerate(table)]
-    values = [moment(MomentKey("IKM", a, b, k + 2 * i, None, 30), cache=cache)
-              for i in range(len(table))]
-    # the moments carry 45 digits; a sum at the default 15 would not see it
-    with mp.workdps(40):
-        terms = [c * mp.mpf(v) for c, v in zip(coeffs, values)]
-        residual = abs(mp.fsum(terms)) / max(abs(t) for t in terms)
+    digits = 30
+    terms, keys = _recurrence_terms(cache, a, b, k, digits)
+    with mp.workdps(digits + 10):
+        residual = _relative_residual(terms)
     assert residual < mpmath.mpf(10) ** -25, residual
+    # an error of 10^-(digits-5) in one stored moment shows: the clean
+    # residual stays below 10^-(digits+2), and once the record of the
+    # largest term is perturbed the residual read back exceeds it
+    assert residual < mpmath.mpf(10) ** -(digits + 2), residual
+    n = keys[max(range(len(terms)), key=lambda i: abs(terms[i]))].n
+    path = Path(cache.path)
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    for rec in records:
+        if rec["n"] == n:
+            with mp.workdps(digits + GUARD_DIGITS):
+                wrong = mp.mpf(rec["value"]) * (
+                    1 + mpmath.mpf(10) ** -(digits - 5))
+                rec["value"] = mp.nstr(wrong, digits + GUARD_DIGITS)
+    path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    terms, _ = _recurrence_terms(MomentCache(str(path)), a, b, k, digits)
+    with mp.workdps(digits + 10):
+        assert _relative_residual(terms) > mpmath.mpf(10) ** -(digits + 2)
 
 
 # -- cache ------------------------------------------------------------------
@@ -331,7 +363,16 @@ def test_quadrature_failure_raises_and_caches_nothing(tmp_path, monkeypatch):
     assert MomentCache(str(path)).stats()["entries"] == 0
 
 
-def test_cache_determinism(tmp_path):
+def test_quadrature_failure_names_the_key(tmp_path, monkeypatch):
+    monkeypatch.setattr("bwv.besselnum.LEVEL_BUDGET", 0)
+    c = MomentCache(str(tmp_path / "m.jsonl"))
+    monkeypatch.setattr("bwv.besselnum.default_cache", lambda: c)
+    with pytest.raises(QuadratureError, match=r"kind='IKM', a=1, b=4, n=1"):
+        matM(2, 20)
+    assert c.stats()["entries"] == 0
+
+
+def test_cache_determinism(tmp_path, monkeypatch):
     key = MomentKey("IKM", 2, 5, 3, None, 22)
     c1 = MomentCache(str(tmp_path / "a.jsonl"))
     c2 = MomentCache(str(tmp_path / "b.jsonl"))
@@ -340,6 +381,20 @@ def test_cache_determinism(tmp_path):
     s1 = c1.get(key)
     s2 = c2.get(key)
     assert s1 == s2  # identical decimal strings from independent runs
+    # a key computed alone writes the string it writes when it is swept
+    # together with the rest of a matrix
+    u = F(1, 3)
+    for build, key in (
+        (lambda: matM(3, 20), MomentKey("IKM", 2, 5, 3, None, 20)),
+        (lambda: matOmega(2, u, 20), MomentKey("IKpM", 2, 3, 1, u, 20)),
+    ):
+        alone = MomentCache(str(tmp_path / f"alone-{key.kind}.jsonl"))
+        moment(key, cache=alone)
+        batch = MomentCache(str(tmp_path / f"batch-{key.kind}.jsonl"))
+        monkeypatch.setattr("bwv.besselnum.default_cache", lambda: batch)
+        build()
+        assert batch.get(key) is not None
+        assert batch.get(key) == alone.get(key)
 
 
 def test_cache_requests_more_digits_recomputes(tmp_path):

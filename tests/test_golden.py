@@ -8,25 +8,32 @@ integer-backed one, so a change of representation must reproduce its output
 byte for byte.
 
 The moment hash is the SHA-256 of the cache file a cold build of matM and
-matN for k <= 3 and matOmega(2, 1/3) at 20 digits writes.  It was taken
-from the quadrature that rebuilt every node for every moment, before the
-shared grid.  A change to the quadrature, the kernel or the guard digits
-that alters a stored value must bump ``besselnum._KERNEL_TAG``, and then
-this hash.
+matN for k <= 3 and matOmega(2, 1/3) at 20 digits writes.  A second cold
+build, of matMring, matNring and matomega(k, 1/3) for k <= 2 at 20
+digits, pins the log-weighted and even off-shell families the same way
+("families").  The two "entries" hashes pin what the builders assemble
+from the moments (the pi powers, the signs and the inverse beta product):
+the SHA-256 of ``repr(x._mpf_)`` of every entry, row by row.  All four
+were taken from the fixed-point sweep, which sums the moments a matrix is
+missing together, one pass per grid, and stores digits + 15 digits (tag
+"ik-series-asymptotic/2").  A change to the quadrature, the kernel or the
+guard digits that alters a stored value must bump
+``besselnum._KERNEL_TAG``, and then these hashes.
 
-A second cold build, of matMring, matNring and matomega(k, 1/3) for
-k <= 2 at 20 digits, pins the log-weighted and even off-shell families
-the same way ("families").  The two "entries" hashes pin what the builders
-assemble from the moments (the pi powers, the signs and the inverse beta
-product): the SHA-256 of ``repr(x._mpf_)`` of every entry, row by row.
-All four were taken from the ten separate builders that preceded the
-family table.
+``data/moments_previous.jsonl`` and ``data/families_previous.jsonl`` hold
+the values the quadrature before the sweep (an mpf walk per moment, tag
+"ik-series-asymptotic/1") computed in the same two builds, at digits + 15
+digits.  Rounded to the digits + 5 digits that quadrature stored, they
+rewrite its two caches byte for byte (``PREVIOUS_SHA256``), and every
+value the sweep stores agrees with them to 10^-(digits+5) max(1, |v|).
 
-The Betti hashes (BettiB, Bettib, BettiBring, Bettibring, k <= 5) and the
-numeric-report hash were taken from the separate odd and even builders
-and checks that preceded the parity tables.  The report hash covers one
-JSON line ``[check_id, status, residual, refs]`` per check of a cold
-``run_numeric_suite(3, 30, extended=True)``.
+The Betti hashes (BettiB, Bettib, BettiBring, Bettibring, k <= 5) were
+taken from the separate odd and even builders that preceded the parity
+tables.  The numeric-report hash covers one JSON line
+``[check_id, status, residual, refs]`` per check of a cold
+``run_numeric_suite(3, 30, extended=True)``; it was taken from the
+fixed-point sweep, with the check ids and verdicts of the checks before
+it.
 
 The k = 6 de Rham hashes (DerhamD, Derhamd, DerhamDring, Derhamdring, one
 ``matrix_to_json`` line each) were taken from the separate inverse and
@@ -45,8 +52,10 @@ the rational-function operator algebra that preceded the θ-tables.
 import hashlib
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from mpmath import mp
 
 from bwv import besselnum, cli
 from bwv.brmatrices import matrix_family, matrix_to_json
@@ -86,15 +95,15 @@ GOLDEN_SHA256 = {
     "Bettibring":
         "1372575edafc0b646c06b22c8c57e347e0e82b9100de43162fbbe0858d9fab5a",
     "moments":
-        "d5226d0636636c0e0abd6d613477bc26ede045bdb1fe19b79b413416659ff385",
+        "59b7d006b0d4053f09e6e289f607235168cc097a62d5d09af8d2a08cb0104d42",
     "moment_entries":
-        "7ee05dacbd59de310b91683a6fada3f813d33c42856aa8c26eabd820d1f196bb",
+        "ac0677eec2a8786e86f75533f6fdf544f3ba38ee40a76356595fc295f7d21af7",
     "families":
-        "c5ff7599c6f1c20f57da14aa71470199e80865db54337b2a56e8fcb7270bd839",
+        "966ebc11fc81562f8b7f6d6ecaa68223f697c48dc27fdb1ebdbe45d74935a4ae",
     "family_entries":
-        "f36cebf9ae01732c133cd809c7ad2bb68ef882b68555b4ab1502ad9f28751560",
+        "0a5f0e6e2391b67febeab1769b394170ab757048719f2df73f7d58c4c1e23b2a",
     "numeric_report":
-        "cce51b46fc455e204c9dc812e32770192c3d815ccf6ee1e3ccc56996d9a59276",
+        "7b123627272386c8db058ba2d3cb47be73458fd290d88746a62b1dc009420a1b",
     "DerhamD-k6":
         "03ee7b126df48f129aabbc9dc70ccfa93d581efd1177b28e6fec5dc9a50252bf",
     "Derhamd-k6":
@@ -111,8 +120,19 @@ GOLDEN_SHA256 = {
         "3819eaf079f10360c539aef7b3b6e4a43de91aa52c22ac969d3bb96579974a08",
 }
 
-#: The tag the moment hash was taken under.
-GOLDEN_KERNEL_TAG = "ik-series-asymptotic/1"
+#: The tag the moment hashes were taken under.
+GOLDEN_KERNEL_TAG = "ik-series-asymptotic/2"
+
+#: SHA-256 of the caches the two cold builds wrote under the previous tag,
+#: "ik-series-asymptotic/1", which stored digits + 5 digits.
+PREVIOUS_SHA256 = {
+    "moments":
+        "d5226d0636636c0e0abd6d613477bc26ede045bdb1fe19b79b413416659ff385",
+    "families":
+        "c5ff7599c6f1c20f57da14aa71470199e80865db54337b2a56e8fcb7270bd839",
+}
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def _sha256(text: str) -> str:
@@ -179,29 +199,67 @@ def test_derham_json_golden_k6(family):
     assert _sha256(text) == GOLDEN_SHA256[f"{family}-k6"]
 
 
-def test_moment_cache_golden(tmp_path, monkeypatch):
-    path = tmp_path / "moments.jsonl"
-    monkeypatch.setenv("BWV_CACHE", str(path))
-    built = []
-    for k in (1, 2, 3):
-        built.append(besselnum.matM(k, 20))
-        built.append(besselnum.matN(k, 20))
-    built.append(besselnum.matOmega(2, Fraction(1, 3), 20))
-    assert besselnum._KERNEL_TAG == GOLDEN_KERNEL_TAG
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        GOLDEN_SHA256["moments"])
-    assert _entries_sha256(built) == GOLDEN_SHA256["moment_entries"]
+#: The two cold builds: name -> the matrices each builds, at 20 digits.
+_COLD_BUILDS = {
+    "moments": lambda: [
+        *(m for k in (1, 2, 3)
+          for m in (besselnum.matM(k, 20), besselnum.matN(k, 20))),
+        besselnum.matOmega(2, Fraction(1, 3), 20)],
+    "families": lambda: [
+        m for k in (1, 2)
+        for m in (besselnum.matMring(k, 20), besselnum.matNring(k, 20),
+                  besselnum.matomega(k, Fraction(1, 3), 20))],
+}
 
-    path = tmp_path / "families.jsonl"
-    monkeypatch.setenv("BWV_CACHE", str(path))
-    built = []
-    for k in (1, 2):
-        built.append(besselnum.matMring(k, 20))
-        built.append(besselnum.matNring(k, 20))
-        built.append(besselnum.matomega(k, Fraction(1, 3), 20))
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        GOLDEN_SHA256["families"])
-    assert _entries_sha256(built) == GOLDEN_SHA256["family_entries"]
+
+@pytest.fixture(scope="module")
+def cold_builds(tmp_path_factory):
+    """name -> (the cache file a cold build wrote, the matrices it built)."""
+    out = {}
+    for name, build in _COLD_BUILDS.items():
+        path = tmp_path_factory.mktemp("cold") / f"{name}.jsonl"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv("BWV_CACHE", str(path))
+            out[name] = path, build()
+    return out
+
+
+def test_moment_cache_golden(cold_builds):
+    assert besselnum._KERNEL_TAG == GOLDEN_KERNEL_TAG
+    for name, entries in (("moments", "moment_entries"),
+                          ("families", "family_entries")):
+        path, built = cold_builds[name]
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            GOLDEN_SHA256[name])
+        assert _entries_sha256(built) == GOLDEN_SHA256[entries]
+
+
+def _records(path) -> list:
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+@pytest.mark.parametrize("name", ["moments", "families"])
+def test_moment_cache_agrees_with_the_previous_quadrature(cold_builds, name):
+    reference = _records(DATA / f"{name}_previous.jsonl")
+    # the reference values are the previous quadrature's: rounded to the
+    # digits + 5 it stored, they rewrite its cache byte for byte
+    rounded = []
+    for rec in reference:
+        with mp.workdps(rec["digits"] + besselnum.GUARD_DIGITS):
+            value = mp.nstr(mp.mpf(rec["value"]), rec["digits"] + 5,
+                            strip_zeros=False, min_fixed=1, max_fixed=0)
+        rounded.append(json.dumps({**rec, "value": value}) + "\n")
+    assert _sha256("".join(rounded)) == PREVIOUS_SHA256[name]
+    new = _records(cold_builds[name][0])
+    assert [r["kernel"] for r in new] == [GOLDEN_KERNEL_TAG] * len(new)
+    field = ("kind", "a", "b", "n", "u", "digits")
+    assert [[r[f] for f in field] for r in new] == [
+        [r[f] for f in field] for r in reference]
+    for old, rec in zip(reference, new):
+        with mp.workdps(rec["digits"] + besselnum.GUARD_DIGITS + 10):
+            v, w = mp.mpf(old["value"]), mp.mpf(rec["value"])
+            bound = mp.mpf(10) ** -(rec["digits"] + 5) * max(1, abs(v))
+            assert abs(w - v) <= bound, (rec, old["value"])
 
 
 def test_numeric_report_golden(tmp_path, monkeypatch):

@@ -119,6 +119,21 @@ def test_run_numeric_residual_and_determinism(tmp_path, monkeypatch):
     assert r1.residual == r2.residual
 
 
+def test_cold_and_warm_numeric_reports_agree(tmp_path, monkeypatch):
+    # a computed moment is read back from its stored string, so a cold run
+    # and a warm run from a fresh process's view of the cache print the
+    # same residuals
+    cold_path, warm_path = tmp_path / "cold.jsonl", tmp_path / "warm.jsonl"
+    monkeypatch.setenv("BWV_CACHE", str(cold_path))
+    cold = run_numeric_suite(2, 30)
+    warm_path.write_bytes(cold_path.read_bytes())
+    monkeypatch.setenv("BWV_CACHE", str(warm_path))
+    warm = run_numeric_suite(2, 30)
+    assert warm_path.read_bytes() == cold_path.read_bytes()  # nothing computed
+    assert [(c.check_id, c.status, c.residual) for c in warm.checks] == [
+        (c.check_id, c.status, c.residual) for c in cold.checks]
+
+
 def test_run_numeric_records_error():
     def boom():
         raise RuntimeError("nope")
