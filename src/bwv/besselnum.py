@@ -671,12 +671,12 @@ def _halvings(key: MomentKey) -> int:
     return halvings
 
 
-def _integrate(keys: list) -> tuple[dict, list]:
-    """The moments of ``keys``, which share their digits, at the working
-    precision the caller set (dps = digits + GUARD_DIGITS): each is its
-    tanh-sinh sum over (0,1) plus its sum over the (1,oo) grid, and each
-    grid is swept once for all the keys on it.  Returns {key: value} for
-    the keys that converged and a message naming each one that did not."""
+def _integrate(keys: list) -> dict:
+    """{key: moment} for ``keys``, which share their digits, at the
+    working precision the caller set (dps = digits + GUARD_DIGITS): each
+    is its tanh-sinh sum over (0,1) plus its sum over the (1,oo) grid, and
+    each grid is swept once for all the keys on it.  Raises
+    QuadratureError naming a key that did not converge."""
     bits = mp.prec + _GUARD_BITS
     pairs = {key: (_Sum(key), _Sum(key)) for key in keys}
     outer: dict = {}
@@ -686,17 +686,17 @@ def _integrate(keys: list) -> tuple[dict, list]:
                "interval (0,1)")]
     sweeps += [(_grid(h, mp.prec), sums, "interval (1,oo)")
                for h, sums in outer.items()]
-    failed = []
     for grid, sums, what in sweeps:
-        failed += [f"{st.key}: {what}: quadrature did not converge within "
-                   "the level budget" for st in _converge(grid, sums, bits)]
+        left = _converge(grid, sums, bits)
+        if left:
+            raise QuadratureError(f"{left[0].key}: {what}: quadrature did "
+                                  "not converge within the level budget")
     values = {}
     for key, (st0, st1) in pairs.items():
-        if st0.value is not None and st1.value is not None:
-            (m0, e0), (m1, e1) = st0.value, st1.value
-            lo = min(e0, e1)
-            values[key] = mp.mpf(((m0 << (e0 - lo)) + (m1 << (e1 - lo)), lo))
-    return values, failed
+        (m0, e0), (m1, e1) = st0.value, st1.value
+        lo = min(e0, e1)
+        values[key] = mp.mpf(((m0 << (e0 - lo)) + (m1 << (e1 - lo)), lo))
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -854,9 +854,9 @@ def default_cache() -> MomentCache:
 
 
 def _moments(keys: list, cache: Optional[MomentCache] = None) -> list:
-    """The moments named by ``keys``, in order.  Every key the cache
-    misses is computed in one batch (one sweep per grid and digits) and
-    stored at digits + GUARD_DIGITS digits; every value returned is the
+    """The moments named by ``keys``, which share their digits, in order.
+    The keys the cache misses are computed together (one sweep per grid)
+    and stored at digits + GUARD_DIGITS digits; every value returned is a
     stored string parsed at the guard precision, so a cold call returns
     the same bits as a warm one."""
     for key in keys:
@@ -864,24 +864,13 @@ def _moments(keys: list, cache: Optional[MomentCache] = None) -> list:
     if cache is None:
         cache = default_cache()
     missing = list(dict.fromkeys(k for k in keys if cache.get(k) is None))
-    failed = []
-    for digits in dict.fromkeys(key.digits for key in missing):
-        group = [key for key in missing if key.digits == digits]
-        with mp.workdps(digits + GUARD_DIGITS):
-            values, errors = _integrate(group)
-            for key in group:
-                if key in values:
-                    cache.put(key, mp.nstr(
-                        values[key], digits + GUARD_DIGITS,
-                        strip_zeros=False, min_fixed=1, max_fixed=0))
-        failed += errors
-    if failed:
-        raise QuadratureError(failed[0])
-    out = []
-    for key in keys:
-        with mp.workdps(key.digits + GUARD_DIGITS):
-            out.append(mp.mpf(cache.get(key)))
-    return out
+    dps = keys[0].digits + GUARD_DIGITS
+    with mp.workdps(dps):
+        if missing:
+            for key, value in _integrate(missing).items():
+                cache.put(key, mp.nstr(value, dps, strip_zeros=False,
+                                       min_fixed=1, max_fixed=0))
+        return [mp.mpf(cache.get(key)) for key in keys]
 
 
 def moment(key: MomentKey, cache: Optional[MomentCache] = None):
