@@ -853,23 +853,29 @@ def default_cache() -> MomentCache:
 # ---------------------------------------------------------------------------
 
 
-def _moments(keys: list, cache: Optional[MomentCache] = None) -> list:
-    """The moments named by ``keys``, which share their digits, in order.
-    The keys the cache misses are computed together (one sweep per grid)
-    and stored at digits + GUARD_DIGITS digits; every value returned is a
-    stored string parsed at the guard precision, so a cold call returns
-    the same bits as a warm one."""
+def _store_missing(keys: list, cache: MomentCache) -> None:
+    """Check ``keys``, which share their digits, compute the ones the cache
+    misses together (one sweep per grid) and store each at digits +
+    GUARD_DIGITS digits."""
     for key in keys:
         _check_convergent(key)
-    if cache is None:
-        cache = default_cache()
     missing = list(dict.fromkeys(k for k in keys if cache.get(k) is None))
-    dps = keys[0].digits + GUARD_DIGITS
-    with mp.workdps(dps):
-        if missing:
+    if missing:
+        dps = missing[0].digits + GUARD_DIGITS
+        with mp.workdps(dps):
             for key, value in _integrate(missing).items():
                 cache.put(key, mp.nstr(value, dps, strip_zeros=False,
                                        min_fixed=1, max_fixed=0))
+
+
+def _moments(keys: list, cache: Optional[MomentCache] = None) -> list:
+    """The moments named by ``keys``, which share their digits, in order,
+    each the stored string parsed at the guard precision, so a cold call
+    returns the same bits as a warm one."""
+    if cache is None:
+        cache = default_cache()
+    _store_missing(keys, cache)
+    with mp.workdps(keys[0].digits + GUARD_DIGITS):
         return [mp.mpf(cache.get(key)) for key in keys]
 
 
@@ -1018,10 +1024,11 @@ def _wronskian(p: int, k: int, u, digits: int):
         raise ValueError(f"u must be rational in (0, 1{')' if p else ']'}")
     m = 2 * k - 1 + p
     # compute every missing moment of the matrix in one batch
-    _moments([key for j in range(1, m + 1)
-              for kinds, ells in ((_PLAIN, k), (_ACUTE, k - 1 + p))
-              for ell in range(1, ells + 1)
-              for key in _family_keys(kinds, p, k, j, ell, u, digits)])
+    _store_missing([key for j in range(1, m + 1)
+                    for kinds, ells in ((_PLAIN, k), (_ACUTE, k - 1 + p))
+                    for ell in range(1, ells + 1)
+                    for key in _family_keys(kinds, p, k, j, ell, u, digits)],
+                   default_cache())
     with mp.workdps(digits + GUARD_DIGITS):
         binv = _beta_inverse_numeric(m, u)
         su = mp.sqrt(_to_mpf(u))
