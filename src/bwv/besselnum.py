@@ -21,7 +21,10 @@ family (mu, M, Omega) and p = 1 for the even one (nu, N, omega), each
 entry is pi^(a-k-1-p/2) times one moment with a I-type factors out of
 2k+1+p.  The plain families take the kinds IvKM and IKvM, the
 differentiated ("acute") ones IpKM and IKpM; M and N take IKM, and their
-log-weighted companions IKM_LOG.
+log-weighted companions IKM_LOG.  The families are read in batches:
+``family_moments`` gives any set of entries, of either parity, plain or
+acute, at any k, from one batch of moments, and the Wronskian builders
+and the numeric checks each make one such call.
 
 Numerical design: one kernel ``_ik(order, t)`` gives I and K of order 0
 or 1 together.  Below a crossover it sums the power series of DLMF
@@ -42,17 +45,17 @@ and working precision has one shared grid (``_grid``): a node's t and
 weight, and the (I, K) pairs at t and at sqrt(u) t, are computed when a
 moment first reaches the node and reused by every later moment.  The grids
 are held in a small LRU cache, so their memory stays bounded.  The moments
-one call is missing (a whole matrix, or the one key of ``moment``) are
-summed together, one sweep per grid, in Python-integer fixed point: at
-each node the Bessel values, t and the weight become integer (mantissa,
-exponent) pairs once, I0^a, K0^b and t^n are running products, and each
-moment adds its term to its own integer accumulator, whose scale follows
-the moment's largest term.  Each moment keeps its own rules, so its sum
-does not depend on the moments it is swept with: its own tail cut-off,
-and level doubling until two successive levels agree to 10^-(digits+5),
-within a hard level budget, at a guard precision of ``digits`` + 15.  A
-value is stored to ``digits`` + 15 digits, and a cold call returns the
-stored string parsed, as a warm one does.
+one call is missing (a whole matrix, the entries of one ``family_moments``
+call, or the one key of ``moment``) are summed together, one sweep per
+grid, in Python-integer fixed point: at each node the Bessel values, t and
+the weight become integer (mantissa, exponent) pairs once, I0^a, K0^b and
+t^n are running products, and each moment adds its term to its own integer
+accumulator, whose scale follows the moment's largest term.  Each moment
+keeps its own rules, so its sum does not depend on the moments it is swept
+with: its own tail cut-off, and level doubling until two successive levels
+agree to 10^-(digits+5), within a hard level budget, at a guard precision
+of ``digits`` + 15.  A value is stored to ``digits`` + 15 digits, and a
+cold call returns the stored string parsed, as a warm one does.
 """
 
 from __future__ import annotations
@@ -71,7 +74,7 @@ from mpmath import mp
 from mpmath.libmp import to_fixed
 
 from .brmatrices import beta_matrix
-from .exactalg import exact_inverse
+from .exactalg import ExactMatrix, exact_inverse
 
 __all__ = [
     "GUARD_DIGITS",
@@ -83,7 +86,7 @@ __all__ = [
     "bessel",
     "bologna",
     "default_cache",
-    "ibp_sanity",
+    "family_moments",
     "matM",
     "matMring",
     "matN",
@@ -92,10 +95,6 @@ __all__ = [
     "matomega",
     "moment",
     "moment_value",
-    "mu_moment",
-    "mu_acute_moment",
-    "nu_moment",
-    "nu_acute_moment",
     "tolerance",
 ]
 
@@ -254,9 +253,20 @@ def bessel(kind: str, t, digits: int):
 
 
 def _to_mpf(x):
+    """x as an mpf at the working precision; a Fraction is its numerator
+    divided by its denominator."""
     if isinstance(x, Fraction):
-        return mp.mpf(x.numerator) / mp.mpf(x.denominator)
+        return mp.mpf(x.numerator) / x.denominator
     return mp.mpf(x)
+
+
+def _to_mpf_matrix(E: ExactMatrix):
+    """The exact matrix E as an mpf matrix, entry by entry."""
+    out = mp.matrix(E.rows, E.cols)
+    for i in range(E.rows):
+        for j in range(E.cols):
+            out[i, j] = _to_mpf(Fraction(E[i, j]))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -933,37 +943,26 @@ def _family_keys(kinds, p: int, k: int, j: int, ell: int, u, digits: int):
     return [MomentKey(kind, a, w - a, n, u, digits)]
 
 
-def _family_moment(kinds, p: int, k: int, j: int, ell: int, u, digits: int):
-    """Column j of the normalized family of parity p at n = 2 ell - 1,
-    pi^(a-k-1-p/2) times its moment; column 1 blends (I-kind + (w-1)
-    K-kind)/w at a = 1, with w = 2k+1+p."""
-    keys = _family_keys(kinds, p, k, j, ell, u, digits)
-    w = 2 * k + 1 + p
+def family_moments(cells, u, digits: int) -> list:
+    """The normalized family entries named by ``cells`` at u, in order,
+    from one batch of moments.  A cell (p, acute, k, j, ell) is column j of
+    the plain (mu or nu) or, when ``acute``, the differentiated family of
+    parity p at size k and n = 2 ell - 1: pi^(a-k-1-p/2) times its moment,
+    where column 1 blends (I-kind + (w-1) K-kind)/w at a = 1, with
+    w = 2k+1+p."""
+    keys = [_family_keys(_ACUTE if acute else _PLAIN, p, k, j, ell, u, digits)
+            for p, acute, k, j, ell in cells]
     with mp.workdps(digits + GUARD_DIGITS):
-        vals = _moments(keys)
-        if j == 1:
-            return (vals[0] + (w - 1) * vals[1]) / w * _pi_power(1, k, p)
-        return _pi_power(keys[0].a, k, p) * vals[0]
-
-
-def mu_moment(k: int, j: int, ell: int, u: Fraction, digits: int):
-    """The odd-family normalized moment at column index j in [1, 3k-1]."""
-    return _family_moment(_PLAIN, 0, k, j, ell, u, digits)
-
-
-def mu_acute_moment(k: int, j: int, ell: int, u: Fraction, digits: int):
-    """The differentiated odd-family normalized moment."""
-    return _family_moment(_ACUTE, 0, k, j, ell, u, digits)
-
-
-def nu_moment(k: int, j: int, ell: int, u: Fraction, digits: int):
-    """The even-family normalized moment at column index j in [1, 3k+1]."""
-    return _family_moment(_PLAIN, 1, k, j, ell, u, digits)
-
-
-def nu_acute_moment(k: int, j: int, ell: int, u: Fraction, digits: int):
-    """The differentiated even-family normalized moment."""
-    return _family_moment(_ACUTE, 1, k, j, ell, u, digits)
+        vals = iter(_moments([key for column in keys for key in column]))
+        out = []
+        for (p, _, k, j, _), column in zip(cells, keys):
+            if j == 1:
+                w = 2 * k + 1 + p
+                i_val, k_val = next(vals), next(vals)
+                out.append((i_val + (w - 1) * k_val) / w * _pi_power(1, k, p))
+            else:
+                out.append(_pi_power(column[0].a, k, p) * next(vals))
+        return out
 
 
 def _moment_matrix(kind: str, p: int, k: int, digits: int):
@@ -1002,16 +1001,6 @@ def matNring(k: int, digits: int):
     return _moment_matrix("IKM_LOG", 1, k, digits)
 
 
-def _beta_inverse_numeric(m: int, u: Fraction):
-    """Exact inverse of the beta matrix at rational u, as an mpf matrix."""
-    Binv = exact_inverse(beta_matrix(m, Fraction(u)))
-    out = mp.matrix(m, m)
-    for a in range(m):
-        for b in range(m):
-            out[a, b] = _to_mpf(Fraction(Binv[a, b]))
-    return out
-
-
 def _wronskian(p: int, k: int, u, digits: int):
     """The Wronskian matrix of the family of parity p, size 2k-1+p, with
     u in (0, 1] for the odd family and (0, 1) for the even one.  Column j
@@ -1023,24 +1012,20 @@ def _wronskian(p: int, k: int, u, digits: int):
     if not (0 < u < 1 or u == 1 and not p):
         raise ValueError(f"u must be rational in (0, 1{')' if p else ']'}")
     m = 2 * k - 1 + p
-    # compute every missing moment of the matrix in one batch
-    _store_missing([key for j in range(1, m + 1)
-                    for kinds, ells in ((_PLAIN, k), (_ACUTE, k - 1 + p))
-                    for ell in range(1, ells + 1)
-                    for key in _family_keys(kinds, p, k, j, ell, u, digits)],
-                   default_cache())
+    cells = [(p, acute, k, j, ell) for j in range(1, m + 1)
+             for acute, ells in ((False, k), (True, k - 1 + p))
+             for ell in range(1, ells + 1)]
+    vals = iter(family_moments(cells, u, digits))
     with mp.workdps(digits + GUARD_DIGITS):
-        binv = _beta_inverse_numeric(m, u)
+        binv = _to_mpf_matrix(exact_inverse(beta_matrix(m, u)))
         su = mp.sqrt(_to_mpf(u))
         out = mp.matrix(m, m)
         for j in range(1, m + 1):
             vec = mp.matrix(m, 1)
             for ell in range(1, k + 1):
-                vec[ell - 1] = (-1) ** (ell - 1) * _family_moment(
-                    _PLAIN, p, k, j, ell, u, digits)
+                vec[ell - 1] = (-1) ** (ell - 1) * next(vals)
             for ell in range(1, k + p):
-                vec[k + ell - 1] = (-1) ** (ell - 1) * su * _family_moment(
-                    _ACUTE, p, k, j, ell, u, digits)
+                vec[k + ell - 1] = (-1) ** (ell - 1) * su * next(vals)
             col = binv * vec
             for i in range(m):
                 out[i, j - 1] = col[i]
@@ -1062,7 +1047,7 @@ def matomega(k: int, u: Fraction, digits: int):
 
 
 # ---------------------------------------------------------------------------
-# Named constants and sanity suites
+# Named constants
 # ---------------------------------------------------------------------------
 
 
@@ -1076,40 +1061,3 @@ def bologna(digits: int):
         for p in (1, 2, 4, 8):
             num *= mp.gamma(mp.mpf(p) / 15)
         return +(num / (240 * mp.sqrt(mp.mpf(5)) * mp.pi**2))
-
-
-def ibp_sanity(k: int, digits: int) -> dict:
-    """Integration-by-parts relations among odd-family moments at u = 1:
-
-    * mu'_{k,1} = -(2 ell / m) mu_{k,1} with m = 2k+1;
-    * mu'_{k,j} = (1 - j/m) mu_{k-1,j-1} - (2 ell / m) mu_{k,j}
-      for j in [2,k], ell in [1,k-1].
-    """
-    if k < 2:
-        raise ValueError("ibp_sanity requires k >= 2")
-    one = Fraction(1)
-    m_odd = 2 * k + 1
-    tol = tolerance(digits)
-    checks = []
-    with mp.workdps(digits + GUARD_DIGITS):
-        for ell in range(1, k):
-            lhs = mu_acute_moment(k, 1, ell, one, digits)
-            rhs = -mp.mpf(2 * ell) / m_odd * mu_moment(k, 1, ell, one, digits)
-            checks.append(("j=1", ell, abs(lhs - rhs)))
-            for j in range(2, k + 1):
-                lhs = mu_acute_moment(k, j, ell, one, digits)
-                rhs = (
-                    (1 - mp.mpf(j) / m_odd)
-                    * mu_moment(k - 1, j - 1, ell, one, digits)
-                    - mp.mpf(2 * ell) / m_odd * mu_moment(k, j, ell, one, digits)
-                )
-                checks.append((f"j={j}", ell, abs(lhs - rhs)))
-        worst = max(c[2] for c in checks)
-        return {
-            "k": k,
-            "digits": digits,
-            "tolerance": tol,
-            "residuals": checks,
-            "max_residual": worst,
-            "ok": worst < tol,
-        }

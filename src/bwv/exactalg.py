@@ -483,11 +483,6 @@ class RatFunc:
     def is_polynomial(self) -> bool:
         return self.den.degree == 0
 
-    def as_poly(self) -> UniPoly:
-        if not self.is_polynomial():
-            raise ValueError("rational function is not a polynomial")
-        return self.num
-
     def _coerce(self, other: "RatFunc | UniPoly | ScalarLike") -> "RatFunc":
         if isinstance(other, RatFunc):
             return other

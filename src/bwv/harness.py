@@ -34,16 +34,16 @@ from mpmath import mp
 from . import __version__
 from .besselnum import (
     GUARD_DIGITS,
+    _to_mpf,
+    _to_mpf_matrix,
     bologna,
-    ibp_sanity,
+    family_moments,
     matM,
     matMring,
     matN,
     matNring,
     matOmega,
     moment_value,
-    mu_moment,
-    nu_moment,
     tolerance,
 )
 from .brmatrices import (
@@ -441,21 +441,8 @@ def run_exact_suite(max_k: int = 5) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def _to_mpf_matrix(E: ExactMatrix) -> mpmath.matrix:
-    out = mpmath.matrix(E.rows, E.cols)
-    for i in range(E.rows):
-        for j in range(E.cols):
-            e = E[i, j]
-            out[i, j] = mp.mpf(e.numerator) / e.denominator
-    return out
-
-
 def _max_abs(M: mpmath.matrix) -> mpmath.mpf:
     return max(abs(x) for x in M)
-
-
-def _frac_mpf(q: Fraction) -> mpmath.mpf:
-    return mp.mpf(q.numerator) / q.denominator
 
 
 class _Family(NamedTuple):
@@ -487,7 +474,7 @@ def _det_check(p: int, k: int, digits: int):
     # a - k - 1 - p/2) times (-1)^{k(k-1)/2} (column signs).
     fam = _FAMILIES[p]
     c = named_constant(fam.det_name, k).value.to_mpf(mp)
-    expect = c * mp.pi ** _frac_mpf(F(-k * (k + 1 + p), 2))
+    expect = c * mp.pi ** _to_mpf(F(-k * (k + 1 + p), 2))
     expect *= (-1) ** ((k * (k - 1) // 2) % 2)
     return abs(mpmath.det(fam.mat(k, digits)) - expect)
 
@@ -515,7 +502,7 @@ def _offshell_cov_check(u: Fraction, digits: int):
     m3 = abs(top_coeff(3).eval(u))
     O = matOmega(2, u, digits)
     Vinv = _to_mpf_matrix(exact_inverse(matV(2).eval(u)))
-    R = O * _to_mpf_matrix(matSigma(2)) * O.T - Vinv / _frac_mpf(m3)
+    R = O * _to_mpf_matrix(matSigma(2)) * O.T - Vinv / _to_mpf(m3)
     return _max_abs(R)
 
 
@@ -524,7 +511,7 @@ def _offshell_inv_check(u: Fraction, digits: int):
     m3 = abs(top_coeff(3).eval(u))
     O = matOmega(2, u, digits)
     Sinv = _to_mpf_matrix(exact_inverse(matSigma(2)))
-    R = O.T * _to_mpf_matrix(matV(2).eval(u)) * O - Sinv / _frac_mpf(m3)
+    R = O.T * _to_mpf_matrix(matV(2).eval(u)) * O - Sinv / _to_mpf(m3)
     return _max_abs(R)
 
 
@@ -532,32 +519,30 @@ def _offshell_det_check(u: Fraction, digits: int):
     # det Omega_3(u) * |m_3(u)|^{3/2} = Lambda_3 = 1/20.
     m3 = abs(top_coeff(3).eval(u))
     O = matOmega(2, u, digits)
-    lam = _frac_mpf(named_constant("LambdaOdd", 2).rational)
-    return abs(mpmath.det(O) * _frac_mpf(m3) ** mp.mpf("1.5") - lam)
+    lam = _to_mpf(named_constant("LambdaOdd", 2).rational)
+    return abs(mpmath.det(O) * _to_mpf(m3) ** mp.mpf("1.5") - lam)
 
 
 def _reflection_check(k: int, digits: int):
     """Reflection formula between the even- and odd-index minor
     determinants of the threshold matrix, including the surd prefactor
     and its sign."""
-    one = Fraction(1)
-    ne = k // 2
-    no = (k + 1) // 2
-    if ne == 0:
-        det_e = mp.mpf(1)
-    else:
-        E = mpmath.matrix(ne, ne)
-        for a in range(1, ne + 1):
-            for b in range(1, ne + 1):
-                E[a - 1, b - 1] = (
-                    (-1) ** (b - 1) * mu_moment(k, 2 * a, b, one, digits))
-        det_e = mpmath.det(E)
-    Od = mpmath.matrix(no, no)
-    for a in range(1, no + 1):
-        for b in range(1, no + 1):
-            Od[a - 1, b - 1] = (
-                (-1) ** (b - 1) * mu_moment(k, 2 * a - 1, b, one, digits))
-    det_o = mpmath.det(Od)
+    # (first column, size): the even minor takes the columns j = 2, 4, ...,
+    # the odd one j = 1, 3, ..., each the rows ell = 1..size, signed
+    # (-1)^(ell-1)
+    minors = ((2, k // 2), (1, (k + 1) // 2))
+    cells = [(0, False, k, first + 2 * a, ell) for first, n in minors
+             for a in range(n) for ell in range(1, n + 1)]
+    mu = dict(zip(cells, family_moments(cells, 1, digits)))
+
+    def signed_det(first, n):
+        if n == 0:
+            return mp.mpf(1)
+        return mpmath.det(mpmath.matrix(
+            [[(-1) ** (ell - 1) * mu[0, False, k, first + 2 * a, ell]
+              for ell in range(1, n + 1)] for a in range(n)]))
+
+    det_e, det_o = (signed_det(first, n) for first, n in minors)
     sign = (-1) ** (((k + 1) // 4 + (k // 2) // 2) % 2)
     dfo = _double_factorial(2 * k + 1)
     surd = mp.sqrt(mp.mpf(dfo) ** (2 - (-1) ** k))
@@ -566,35 +551,34 @@ def _reflection_check(k: int, digits: int):
     return abs(det_e - sign * surd / denom * det_o)
 
 
+def _signed_nu(k: int, lj, digits: int) -> dict:
+    """{(ell, j): (-1)^(ell-1) nu^ell_{k,j}(1)} for the (ell, j) in lj, one
+    batch."""
+    vals = family_moments([(1, False, k, j, ell) for ell, j in lj], 1, digits)
+    return {(ell, j): (-1) ** (ell - 1) * v for (ell, j), v in zip(lj, vals)}
+
+
 def _sumrule_N3_linear_check(digits: int):
-    one = Fraction(1)
-    s = {(l, j): (-1) ** (l - 1) * nu_moment(3, j, l, one, digits)
-         for l in (1, 2, 3) for j in (1, 3)}
+    s = _signed_nu(3, [(l, j) for l in (1, 2, 3) for j in (1, 3)], digits)
     r1 = abs(s[(1, 1)] - s[(1, 3)])
     r2 = abs((s[(2, 1)] + 2 * s[(3, 1)]) - (s[(2, 3)] + 2 * s[(3, 3)]))
     return max(r1, r2)
 
 
 def _sumrule_N3_det_check(digits: int):
-    one = Fraction(1)
-    s = {(l, j): (-1) ** (l - 1) * nu_moment(3, j, l, one, digits)
-         for l in (1, 2, 3) for j in (2, 3)}
+    s = _signed_nu(3, [(l, j) for l in (1, 2, 3) for j in (2, 3)], digits)
     det = (s[(1, 2)] * (s[(2, 3)] + 2 * s[(3, 3)])
            - (s[(2, 2)] + 2 * s[(3, 2)]) * s[(1, 3)])
-    return abs(det - _frac_mpf(F(5, 6144)))
+    return abs(det - _to_mpf(F(5, 6144)))
 
 
 def _sumrule_N5_check(digits: int):
     # Linear sum rules for the k=5 threshold matrix, in signed-entry
     # convention: c_l := 3 s_{1,l} - 10 s_{3,l} + 3 s_{5,l} with
     # s_{j,l} = (-1)^{l-1} nu^l_{5,j}(1).
-    one = Fraction(1)
-    c = {}
-    for l in range(1, 6):
-        sgn = (-1) ** (l - 1)
-        c[l] = sgn * (3 * nu_moment(5, 1, l, one, digits)
-                      - 10 * nu_moment(5, 3, l, one, digits)
-                      + 3 * nu_moment(5, 5, l, one, digits))
+    ells = range(1, 6)
+    s = _signed_nu(5, [(l, j) for l in ells for j in (1, 3, 5)], digits)
+    c = {l: 3 * s[(l, 1)] - 10 * s[(l, 3)] + 3 * s[(l, 5)] for l in ells}
     sq = mp.sqrt(mp.pi)
     return max(
         abs(c[1]),
@@ -607,14 +591,14 @@ def _sumrule_N5_check(digits: int):
 
 def _bessel7_check(digits: int):
     # The 7-Bessel minor-determinant relation with its exact surd
-    # prefactor -(1/4) sqrt(5^3 7^3 / 3).
-    one = Fraction(1)
-    lhs = mu_moment(3, 2, 1, one, digits)
+    # prefactor -(1/4) sqrt(5^3 7^3 / 3): mu^1_{3,2} against the minor on
+    # the columns j = 1, 3 and the rows ell = 1, 2.
+    lhs, m11, m32, m12, m31 = family_moments(
+        [(0, False, 3, j, l) for j, l in ((2, 1), (1, 1), (3, 2), (1, 2),
+                                         (3, 1))], 1, digits)
     # Signed entries (-1)^{b-1}: the b=2 column flips, so the signed
     # determinant is minus the unsigned one.
-    det = -(mu_moment(3, 1, 1, one, digits) * mu_moment(3, 3, 2, one, digits)
-            - mu_moment(3, 1, 2, one, digits)
-            * mu_moment(3, 3, 1, one, digits))
+    det = -(m11 * m32 - m12 * m31)
     pref = -mp.mpf("0.25") * mp.sqrt(mp.mpf(5 ** 3) * 7 ** 3 / 3)
     return abs(lhs - pref * det)
 
@@ -625,9 +609,9 @@ def _bologna_check(digits: int):
     vals = (
         abs(Mk[0, 0] - C),
         abs(Mk[1, 0] - mp.sqrt(15) / 2 * C),
-        abs(Mk[0, 1] + _frac_mpf(F(4, 225)) * (13 * C - 1 / (10 * C))),
+        abs(Mk[0, 1] + _to_mpf(F(4, 225)) * (13 * C - 1 / (10 * C))),
         abs(Mk[1, 1]
-            + mp.sqrt(15) / 2 * _frac_mpf(F(4, 225)) * (13 * C + 1 / (10 * C))),
+            + mp.sqrt(15) / 2 * _to_mpf(F(4, 225)) * (13 * C + 1 / (10 * C))),
     )
     return max(vals)
 
@@ -651,11 +635,39 @@ def _blocktridiag_check(digits: int):
     res = [abs(L[i, j] - M2[j, i]) for i in range(2) for j in range(2)]
     res += [abs(L[i, 2]) for i in range(2)]
     res.append(abs(L[2, 2] + M1[0, 0]))
-    mp11 = -_frac_mpf(F(2, 5)) * mu_moment(2, 1, 1, one, digits)
-    mp21 = -(_frac_mpf(F(2, 5)) * mu_moment(2, 2, 1, one, digits)
-             - _frac_mpf(F(3, 5)) * mu_moment(1, 1, 1, one, digits))
+    mu211, mu221, mu111 = family_moments(
+        [(0, False, 2, 1, 1), (0, False, 2, 2, 1), (0, False, 1, 1, 1)],
+        one, digits)
+    mp11 = -_to_mpf(F(2, 5)) * mu211
+    mp21 = -(_to_mpf(F(2, 5)) * mu221 - _to_mpf(F(3, 5)) * mu111)
     res.append(abs(L[2, 0] - mp11))
     res.append(abs(L[2, 1] - mp21))
+    return max(res)
+
+
+def _ibp_check(k: int, digits: int):
+    """Integration-by-parts relations among the odd-family entries at
+    u = 1, with m = 2k+1:
+
+    * mu'_{k,1} = -(2 ell / m) mu_{k,1};
+    * mu'_{k,j} = (1 - j/m) mu_{k-1,j-1} - (2 ell / m) mu_{k,j}
+      for j in [2,k], ell in [1,k-1].
+    """
+    if k < 2:
+        raise ValueError("the integration-by-parts check requires k >= 2")
+    m = 2 * k + 1
+    cells = [(0, acute, k, j, ell) for ell in range(1, k)
+             for j in range(1, k + 1) for acute in (True, False)]
+    cells += [(0, False, k - 1, j - 1, ell) for ell in range(1, k)
+              for j in range(2, k + 1)]
+    mu = dict(zip(cells, family_moments(cells, 1, digits)))
+    res = []
+    for ell in range(1, k):
+        for j in range(1, k + 1):
+            drift = mp.mpf(2 * ell) / m * mu[0, False, k, j, ell]
+            rhs = -drift if j == 1 else (
+                (1 - mp.mpf(j) / m) * mu[0, False, k - 1, j - 1, ell] - drift)
+            res.append(abs(mu[0, True, k, j, ell] - rhs))
     return max(res)
 
 
@@ -705,18 +717,18 @@ def run_numeric_suite(max_k: int = 3, digits: int = 50,
             lambda u=u: _offshell_det_check(u, digits))
 
     for k in (2, 3):
-        run(f"reflection-k{k}", ["besselnum.mu_moment"],
+        run(f"reflection-k{k}", ["besselnum.family_moments"],
             lambda k=k: _reflection_check(k, digits))
 
-    run("sumrule-N3-linear", ["besselnum.nu_moment"],
+    run("sumrule-N3-linear", ["besselnum.family_moments"],
         lambda: _sumrule_N3_linear_check(digits))
-    run("sumrule-N3-det", ["besselnum.nu_moment"],
+    run("sumrule-N3-det", ["besselnum.family_moments"],
         lambda: _sumrule_N3_det_check(digits))
-    run("bessel7-minor", ["besselnum.mu_moment"],
+    run("bessel7-minor", ["besselnum.family_moments"],
         lambda: _bessel7_check(digits))
 
-    run("ibp-sanity-k2", ["besselnum.ibp_sanity"],
-        lambda: ibp_sanity(2, digits)["max_residual"])
+    run("ibp-sanity-k2", ["besselnum.family_moments"],
+        lambda: _ibp_check(2, digits))
     run("blocktridiag-k2", ["besselnum.matOmega", "brmatrices.beta_matrix"],
         lambda: _blocktridiag_check(digits))
 
@@ -725,10 +737,10 @@ def run_numeric_suite(max_k: int = 3, digits: int = 50,
             run(f"ringed-quad-{fam.letter}-k2",
                 [f"besselnum.{fam.mat_ring.__name__}"],
                 lambda p=p: _ringed_quad_check(p, 2, digits))
-        run("sumrule-N5-linear", ["besselnum.nu_moment"],
+        run("sumrule-N5-linear", ["besselnum.family_moments"],
             lambda: _sumrule_N5_check(digits))
-        run("ibp-sanity-k3", ["besselnum.ibp_sanity"],
-            lambda: ibp_sanity(3, digits)["max_residual"])
+        run("ibp-sanity-k3", ["besselnum.family_moments"],
+            lambda: _ibp_check(3, digits))
 
     config = {"suite": "numeric", "max_k": max_k, "digits": digits,
               "extended": extended}

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from bwv import besselnum, cli
+from bwv import besselnum, cli, harness
 from bwv.besselnum import (
     GUARD_DIGITS,
     _KERNEL_TAG,
@@ -26,16 +26,12 @@ from bwv.besselnum import (
     bessel,
     bologna,
     default_cache,
-    ibp_sanity,
+    family_moments,
     matM,
     matN,
     matOmega,
     moment,
     moment_value,
-    mu_acute_moment,
-    mu_moment,
-    nu_acute_moment,
-    nu_moment,
     tolerance,
 )
 from bwv.vanhove import borwein_salvy_operator
@@ -161,13 +157,11 @@ def test_moment_key_validation():
             MomentKey(kind, a, b, 1, F(1, 2), 30)
     # the families have columns 1..3k-1 (odd) and 1..3k+1 (even)
     for k in (1, 2, 3):
-        for family, last in ((mu_moment, 3 * k - 1),
-                             (mu_acute_moment, 3 * k - 1),
-                             (nu_moment, 3 * k + 1),
-                             (nu_acute_moment, 3 * k + 1)):
-            for j in (0, last + 1):
-                with pytest.raises(ValueError, match="out of range"):
-                    family(k, j, 1, F(1, 2), 20)
+        for p, last in ((0, 3 * k - 1), (1, 3 * k + 1)):
+            for acute in (False, True):
+                for j in (0, last + 1):
+                    with pytest.raises(ValueError, match="out of range"):
+                        family_moments([(p, acute, k, j, 1)], F(1, 2), 20)
 
 
 def test_divergent_configurations_refused(cache):
@@ -474,8 +468,9 @@ def test_omega_first_rows_are_moments_and_derivatives(cache, monkeypatch):
     O = matOmega(2, u, d)
     with mp.workdps(d + 10):
         tol = mpmath.mpf(10) ** (-(d - 5))
+        mu = family_moments([(0, False, 2, j, 1) for j in (1, 2, 3)], u, d)
         for j in (1, 2, 3):
-            assert abs(O[0, j - 1] - mu_moment(2, j, 1, u, d)) < tol
+            assert abs(O[0, j - 1] - mu[j - 1]) < tol
 
 
 def test_omega_determinant_scaling(cache, monkeypatch):
@@ -494,14 +489,13 @@ def test_omega_determinant_scaling(cache, monkeypatch):
         assert abs(vals[1] - mp.mpf(1) / 20) < mpmath.mpf(10) ** (-(d - 8))
 
 
-# -- ibp sanity -------------------------------------------------------------
+# -- integration by parts ---------------------------------------------------
 
 
 def test_ibp_sanity_k2(cache, monkeypatch):
     monkeypatch.setattr("bwv.besselnum.default_cache", lambda: cache)
-    rep = ibp_sanity(2, 20)
-    assert rep["ok"], rep
-    assert rep["max_residual"] < tolerance(20)
+    with mp.workdps(20 + GUARD_DIGITS):
+        assert harness._ibp_check(2, 20) < tolerance(20)
 
 
 def test_tolerance_policy():

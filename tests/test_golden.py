@@ -31,9 +31,11 @@ The Betti hashes (BettiB, Bettib, BettiBring, Bettibring, k <= 5) were
 taken from the separate odd and even builders that preceded the parity
 tables.  The numeric-report hash covers one JSON line
 ``[check_id, status, residual, refs]`` per check of a cold
-``run_numeric_suite(3, 30, extended=True)``; it was taken from the
-fixed-point sweep, with the check ids and verdicts of the checks before
-it.
+``run_numeric_suite(3, 30, extended=True)``; it was taken after the
+scalar checks moved to one ``family_moments`` batch each, which changed
+only their refs: the residual strings are those of the per-entry fetchers
+before it, and the check ids and verdicts those of the checks before the
+fixed-point sweep.
 
 The k = 6 de Rham hashes (DerhamD, Derhamd, DerhamDring, Derhamdring, one
 ``matrix_to_json`` line each) were taken from the separate inverse and
@@ -103,7 +105,7 @@ GOLDEN_SHA256 = {
     "family_entries":
         "0a5f0e6e2391b67febeab1769b394170ab757048719f2df73f7d58c4c1e23b2a",
     "numeric_report":
-        "7b123627272386c8db058ba2d3cb47be73458fd290d88746a62b1dc009420a1b",
+        "4ad06364467e2a94b397e24411006566810dde8954b4f8b0d21704a2eb7a39a9",
     "DerhamD-k6":
         "03ee7b126df48f129aabbc9dc70ccfa93d581efd1177b28e6fec5dc9a50252bf",
     "Derhamd-k6":

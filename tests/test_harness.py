@@ -2,12 +2,13 @@
 report plumbing, suite preconditions, exit-code contract, and cache
 subcommands.  The heavy 50-digit runs live in the acceptance tests."""
 
+import importlib
 import json
 
 import pytest
 
 import bwv.cli as cli
-from bwv import __version__, harness
+from bwv import __version__, besselnum, harness
 from bwv.harness import (
     CheckResult,
     Report,
@@ -72,17 +73,29 @@ def test_numeric_suite_preconditions():
         run_numeric_suite(3, 20)
 
 
-def test_numeric_suite_max_k_drives_quad_checks(monkeypatch):
-    ids = []
+def _unresolved(refs) -> list:
+    """The refs, "module.name", that name no attribute of a bwv module."""
+    out = []
+    for ref in refs:
+        module, _, name = ref.partition(".")
+        if not hasattr(importlib.import_module(f"bwv.{module}"), name):
+            out.append(ref)
+    return out
 
-    def record(check_id, refs, digits, fn):
+
+def test_numeric_suite_max_k_drives_quad_checks(monkeypatch):
+    ids, refs = [], []
+
+    def record(check_id, check_refs, digits, fn):
         ids.append(check_id)
+        refs.extend(check_refs)
         return CheckResult(check_id, "pass")
 
     monkeypatch.setattr(harness, "_run_numeric", record)
-    run_numeric_suite(4, 30)
+    run_numeric_suite(4, 30, extended=True)
     assert "quad-M-k4" in ids and "quad-N-k4" in ids
     assert "bm-det-M-k4" in ids and "bm-det-N-k4" in ids
+    assert refs and _unresolved(refs) == []
 
 
 # -- exact suite ------------------------------------------------------------
@@ -92,8 +105,10 @@ def test_exact_suite_small_all_pass():
     rep = run_exact_suite(2)
     assert rep.ok, [c.to_dict() for c in rep.checks if c.status != "pass"]
     assert rep.config == {"suite": "exact", "max_k": 2}
-    # every check carries at least one reference anchor
+    # every check carries at least one reference anchor, and each names
+    # an attribute of its bwv module
     assert all(c.refs for c in rep.checks)
+    assert _unresolved(r for c in rep.checks for r in c.refs) == []
     # exact checks carry no residual
     assert all(c.residual is None for c in rep.checks)
 
@@ -132,6 +147,29 @@ def test_cold_and_warm_numeric_reports_agree(tmp_path, monkeypatch):
     assert warm_path.read_bytes() == cold_path.read_bytes()  # nothing computed
     assert [(c.check_id, c.status, c.residual) for c in warm.checks] == [
         (c.check_id, c.status, c.residual) for c in cold.checks]
+
+
+def test_one_sweep_per_cold_check(tmp_path, monkeypatch):
+    # each scalar check reads all its family entries in one batch, so from
+    # an empty cache it makes one quadrature call
+    calls = []
+    integrate = besselnum._integrate
+
+    def counting(keys):
+        calls.append(len(keys))
+        return integrate(keys)
+
+    monkeypatch.setattr(besselnum, "_integrate", counting)
+    for name, check in (
+            ("reflection-k3", lambda: harness._reflection_check(3, 20)),
+            ("sumrule-N3-linear",
+             lambda: harness._sumrule_N3_linear_check(20)),
+            ("ibp-sanity-k2", lambda: harness._ibp_check(2, 20))):
+        monkeypatch.setenv("BWV_CACHE", str(tmp_path / f"{name}.jsonl"))
+        calls.clear()
+        result = _run_numeric(name, [], 20, check)
+        assert result.status == "pass", result
+        assert len(calls) == 1, (name, calls)
 
 
 def test_run_numeric_records_error():
