@@ -39,22 +39,22 @@ precision alone: it is the least t at which the asymptotic series has a
 term below 2^-prec, so both branches hold every value to a few ulp.
 Moment integrals split at t = 1: tanh-sinh on (0,1) (absorbs the
 log-power singularity at 0) and a double-exponential substitution
-t = 1 + c exp((pi/2) sinh w) on (1,oo) with c matched to the exponential
-decay rate and rounded down to a power of two.  Each interval, scale c
-and working precision has one shared grid (``_grid``): a node's t and
-weight, and the (I, K) pairs at t and at sqrt(u) t, are computed when a
-moment first reaches the node and reused by every later moment.  The grids
-are held in a small LRU cache, so their memory stays bounded.  The moments
-one call is missing (a whole matrix, the entries of one ``family_moments``
-call, or the one key of ``moment``) are summed together, one sweep per
-grid, in Python-integer fixed point: at each node the Bessel values, t and
-the weight become integer (mantissa, exponent) pairs once, I0^a, K0^b and
-t^n are running products, and each moment adds its term to its own integer
-accumulator, whose scale follows the moment's largest term.  Each moment
-keeps its own rules, so its sum does not depend on the moments it is swept
-with: its own tail cut-off, and level doubling until two successive levels
-agree to 10^-(digits+5), within a hard level budget, at a guard precision
-of ``digits`` + 15.  A value is stored to ``digits`` + 15 digits, and a
+t = 1 + exp((pi/2) sinh w) on (1,oo).  Each interval and working
+precision has one shared grid (``_grid``), whatever a moment's decay
+rate: a node's t and weight, and the (I, K) pairs at t and at sqrt(u) t,
+are computed when a moment first reaches the node and reused by every
+later moment.  The grids are held in a small LRU cache, so their memory
+stays bounded.  The moments one call is missing (a whole matrix, the
+entries of one ``family_moments`` call, or the one key of ``moment``) are
+summed together, one sweep per interval, in Python-integer fixed point:
+at each node the Bessel values, t and the weight become integer
+(mantissa, exponent) pairs once, I0^a, K0^b and t^n are running products,
+and each moment adds its term to its own integer accumulator, whose scale
+follows the moment's largest term.  Each moment keeps its own rules, so
+its sum does not depend on the moments it is swept with: its own tail
+cut-off, and level doubling until two successive levels agree to
+10^-(digits+5), within a hard level budget, at a guard precision of
+``digits`` + 15.  A value is stored to ``digits`` + 15 digits, and a
 cold call returns the stored string parsed, as a warm one does.
 """
 
@@ -387,14 +387,13 @@ class _Grid:
 
 
 @functools.lru_cache(maxsize=16)
-def _grid(halvings: Optional[int], prec: int) -> _Grid:
-    """The shared grid at working precision ``prec``, which must be the
-    current one: tanh-sinh on (0,1) when ``halvings`` is None, else
-    t = 1 + c exp((pi/2) sinh w) on (1,oo) with c = 2^-halvings.  The
-    cache bounds the grids, and with them the nodes and Bessel pairs,
-    kept alive at once."""
+def _grid(interval: str, prec: int) -> _Grid:
+    """The shared grid of ``interval``, "(0,1)" or "(1,oo)", at working
+    precision ``prec``, which must be the current one: tanh-sinh on (0,1),
+    t = 1 + exp((pi/2) sinh w) on (1,oo).  The cache bounds the grids, and
+    with them the nodes and Bessel pairs, kept alive at once."""
     half_pi = mp.pi / 2
-    if halvings is None:
+    if interval == "(0,1)":
 
         def place(w):
             x = half_pi * mp.sinh(w)
@@ -410,12 +409,11 @@ def _grid(halvings: Optional[int], prec: int) -> _Grid:
             return t, mp.pi * mp.cosh(w) * t * omt
 
     else:
-        c = mp.ldexp(1, -halvings)
 
         def place(w):
             g = mp.exp(half_pi * mp.sinh(w))
-            t = 1 + c * g
-            weight = c * half_pi * mp.cosh(w) * g
+            t = 1 + g
+            weight = half_pi * mp.cosh(w) * g
             if weight == 0 or mp.isinf(t):
                 return None
             return t, weight
@@ -669,38 +667,21 @@ def _converge(grid: _Grid, sums: list, bits: int) -> list:
     return sums
 
 
-def _halvings(key: MomentKey) -> int:
-    """The (1,oo) grid of a moment: c = 2^-halvings is the largest power of
-    two at most min(1, 1/delta), delta the decay rate, so moments share
-    grids."""
-    c, s = _decay(key)
-    delta = c + s * mp.sqrt(_to_mpf(key.u)) if s else mp.mpf(c)
-    halvings = 0
-    while mp.ldexp(1, -halvings) > 1 / delta:
-        halvings += 1
-    return halvings
-
-
 def _integrate(keys: list) -> dict:
     """{key: moment} for ``keys``, which share their digits, at the
     working precision the caller set (dps = digits + GUARD_DIGITS): each
-    is its tanh-sinh sum over (0,1) plus its sum over the (1,oo) grid, and
-    each grid is swept once for all the keys on it.  Raises
+    is its tanh-sinh sum over (0,1) plus its sum over (1,oo), and each
+    interval's grid is swept once for all the keys.  Raises
     QuadratureError naming a key that did not converge."""
     bits = mp.prec + _GUARD_BITS
     pairs = {key: (_Sum(key), _Sum(key)) for key in keys}
-    outer: dict = {}
-    for key, (_, st) in pairs.items():
-        outer.setdefault(_halvings(key), []).append(st)
-    sweeps = [(_grid(None, mp.prec), [p[0] for p in pairs.values()],
-               "interval (0,1)")]
-    sweeps += [(_grid(h, mp.prec), sums, "interval (1,oo)")
-               for h, sums in outer.items()]
-    for grid, sums, what in sweeps:
-        left = _converge(grid, sums, bits)
+    for i, interval in enumerate(("(0,1)", "(1,oo)")):
+        left = _converge(_grid(interval, mp.prec),
+                         [p[i] for p in pairs.values()], bits)
         if left:
-            raise QuadratureError(f"{left[0].key}: {what}: quadrature did "
-                                  "not converge within the level budget")
+            raise QuadratureError(f"{left[0].key}: interval {interval}: "
+                                  "quadrature did not converge within the "
+                                  "level budget")
     values = {}
     for key, (st0, st1) in pairs.items():
         (m0, e0), (m1, e1) = st0.value, st1.value
@@ -725,7 +706,7 @@ def _u_str(u: Optional[Fraction]) -> Optional[str]:
 #: change to the kernel, the quadrature or the guard digits that alters a
 #: stored value must bump this tag; ``tests/test_golden.py`` pins the
 #: cache a cold build writes under it.
-_KERNEL_TAG = "ik-series-asymptotic/2"
+_KERNEL_TAG = "ik-series-asymptotic/3"
 
 
 def _parse_record(line: str) -> Optional[dict]:
@@ -929,13 +910,16 @@ def _family_keys(kinds, p: int, k: int, j: int, ell: int, u, digits: int):
     """The moments of column j of the normalized family of parity p at
     n = 2 ell - 1: both kinds at a = 1 (the blend) at column 1, the I-kind
     at a = j up to column k+p, the K-kind at a = j-k+1-p up to column
-    3k-1+2p."""
+    3k-1+2p.  At u = 1 both plain kinds are the integral IKM, and take its
+    key."""
     last = 3 * k - 1 + 2 * p
     if not 1 <= j <= last:
         raise ValueError(f"column j={j} out of range [1, {last}] for k={k}")
     u = Fraction(u)
     n = 2 * ell - 1
     w = 2 * k + 1 + p
+    if u == 1 and kinds == _PLAIN:
+        kinds, u = ("IKM", "IKM"), None
     i_kind, k_kind = kinds
     if j == 1:
         return [MomentKey(kind, 1, w - 1, n, u, digits) for kind in kinds]

@@ -4,12 +4,9 @@ Each test pins one headline capability at its stated tolerance and
 (where applicable) its runtime budget.  The numeric tests run at
 50-digit working precision against a moment cache created for the test
 session, never the user's, so every run is cold: the whole file takes
-about 14 s on a 2-vCPU machine, most of it computing moments.
-
-Set BWV_EXTENDED=1 to include the heavy k=4 determinant check.
+about 6 s on a 2-vCPU machine, most of it computing moments.
 """
 
-import os
 import time
 from fractions import Fraction as F
 
@@ -51,12 +48,6 @@ def _session_cache(tmp_path_factory):
             "BWV_CACHE", str(tmp_path_factory.mktemp("bwv") / "moments.jsonl")
         )
         yield
-
-
-extended = pytest.mark.skipif(
-    not os.environ.get("BWV_EXTENDED"),
-    reason="heavy check; set BWV_EXTENDED=1 to run",
-)
 
 
 def _resid(fn, *args):
@@ -104,7 +95,7 @@ def test_criterion_3_bms_duality():
         assert all(flags.values()), (n, flags)
 
 
-# -- 4. determinant closed forms, k = 1..3 (k = 4 extended) -----------------
+# -- 4. determinant closed forms, k = 1..4 ----------------------------------
 
 
 def test_criterion_4_determinants():
@@ -115,7 +106,6 @@ def test_criterion_4_determinants():
     assert time.monotonic() - t0 < 600
 
 
-@extended
 def test_criterion_4_determinants_k4():
     assert _resid(_det_check, 0, 4) < _tol(35)
     assert _resid(_det_check, 1, 4) < _tol(35)

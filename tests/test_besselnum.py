@@ -222,6 +222,20 @@ def test_offshell_reduces_to_onshell_at_u_one(cache):
         assert _close(off, on)
 
 
+def test_plain_family_at_u_one_stores_ikm(tmp_path, monkeypatch):
+    # at u = 1 the plain family reads each integral under its IKM key, and
+    # the column-1 blend of the two equal keys is the moment itself
+    c = MomentCache(str(tmp_path / "m.jsonl"))
+    monkeypatch.setattr("bwv.besselnum.default_cache", lambda: c)
+    d = 20
+    mu = family_moments([(0, False, 2, j, 1) for j in (1, 2, 3)], 1, d)
+    assert c.stats()["by_kind"] == {"IKM": 2}
+    with mp.workdps(d + 10):
+        for v, a in zip(mu, (1, 2, 2)):
+            ikm = moment_value("IKM", a, 5 - a, 1, None, d, cache=c)
+            assert _close(v, mp.pi ** (a - 3) * ikm, d)
+
+
 def test_precision_scaling(cache):
     lo = moment(MomentKey("IKM", 1, 3, 1, None, 20), cache=cache)
     hi = moment(MomentKey("IKM", 1, 3, 1, None, 40), cache=cache)
@@ -247,13 +261,16 @@ def _relative_residual(terms):
 
 
 @pytest.mark.parametrize("a, b, k", [(1, 2, 1), (0, 3, 1), (1, 3, 1),
-                                     (2, 5, 1)])
+                                     (2, 5, 1), (1, 6, 1), (0, 7, 1),
+                                     (2, 7, 1)])
 def test_borwein_salvy_moment_recurrence(cache, a, b, k):
     # L_{n+2} = sum_i t^(2i) P_i(theta) annihilates I0^a K0^b for
     # a + b = n + 1; integrating t^k L[.] by parts with theta* = -theta - 1
     # gives sum_i P_i(-k-2i-1) IKM(a, b; k+2i) = 0.  The boundary terms
     # vanish: b > a gives decay at infinity, and t^k K0^b -> 0 at 0 (k >= 1).
-    # (2, 5, 1) reaches IKM(2, 5; 5), a moment of the k = 3 M-row.
+    # (2, 5, 1) reaches IKM(2, 5; 5), a moment of the k = 3 M-row.  The
+    # cases with b - a >= 5 decay fastest, so they are the moments that the
+    # shared (1,oo) grid, which ignores the decay rate, fits least well.
     assert b > a and k >= 1
     digits = 30
     terms, keys = _recurrence_terms(cache, a, b, k, digits)
@@ -277,6 +294,28 @@ def test_borwein_salvy_moment_recurrence(cache, a, b, k):
     terms, _ = _recurrence_terms(MomentCache(str(path)), a, b, k, digits)
     with mp.workdps(digits + 10):
         assert _relative_residual(terms) > mpmath.mpf(10) ** -(digits + 2)
+
+
+def test_every_moment_shares_one_grid_per_interval(tmp_path, monkeypatch):
+    # the golden "moments" cold build: its moments decay at rates 1 to 6,
+    # and all of them walk the same two grids, so each node's Bessel pairs
+    # are computed once for all of them
+    monkeypatch.setenv("BWV_CACHE", str(tmp_path / "moments.jsonl"))
+    besselnum._grid.cache_clear()
+    calls = []
+    ik = besselnum._ik
+
+    def counted(order, t):
+        calls.append(t)
+        return ik(order, t)
+
+    monkeypatch.setattr(besselnum, "_ik", counted)
+    for k in (1, 2, 3):
+        matM(k, 20)
+        matN(k, 20)
+    matOmega(2, F(1, 3), 20)
+    assert len(calls) == 2062
+    assert besselnum._grid.cache_info().currsize == 2
 
 
 # -- cache ------------------------------------------------------------------

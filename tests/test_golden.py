@@ -15,10 +15,14 @@ digits, pins the log-weighted and even off-shell families the same way
 from the moments (the pi powers, the signs and the inverse beta product):
 the SHA-256 of ``repr(x._mpf_)`` of every entry, row by row.  All four
 were taken from the fixed-point sweep, which sums the moments a matrix is
-missing together, one pass per grid, and stores digits + 15 digits (tag
-"ik-series-asymptotic/2").  A change to the quadrature, the kernel or the
-guard digits that alters a stored value must bump
-``besselnum._KERNEL_TAG``, and then these hashes.
+missing together, one pass per grid, and stores digits + 15 digits.  The
+two entries hashes date from tag "ik-series-asymptotic/2", which gave
+each moment a (1,oo) grid scaled to its decay rate.  The two cache hashes
+are those of tag "ik-series-asymptotic/3", one (1,oo) grid for every
+moment: it stores the same bytes in both builds, so the cache hashes
+moved only through the tag each record carries.  A change to the
+quadrature, the kernel or the guard digits that alters a stored value
+must bump ``besselnum._KERNEL_TAG``, and then these hashes.
 
 ``data/moments_previous.jsonl`` and ``data/families_previous.jsonl`` hold
 the values the quadrature before the sweep (an mpf walk per moment, tag
@@ -97,11 +101,11 @@ GOLDEN_SHA256 = {
     "Bettibring":
         "1372575edafc0b646c06b22c8c57e347e0e82b9100de43162fbbe0858d9fab5a",
     "moments":
-        "59b7d006b0d4053f09e6e289f607235168cc097a62d5d09af8d2a08cb0104d42",
+        "ca4f04ca95bd0f3ae1f9fe0f9d38f881ab610284e8ec9b257314bd4baa2c7e12",
     "moment_entries":
         "ac0677eec2a8786e86f75533f6fdf544f3ba38ee40a76356595fc295f7d21af7",
     "families":
-        "966ebc11fc81562f8b7f6d6ecaa68223f697c48dc27fdb1ebdbe45d74935a4ae",
+        "ab7a0e6a6ccea3326da86167efce09bf593d76d3504a61312ec6cf5da316650e",
     "family_entries":
         "0a5f0e6e2391b67febeab1769b394170ab757048719f2df73f7d58c4c1e23b2a",
     "numeric_report":
@@ -123,7 +127,7 @@ GOLDEN_SHA256 = {
 }
 
 #: The tag the moment hashes were taken under.
-GOLDEN_KERNEL_TAG = "ik-series-asymptotic/2"
+GOLDEN_KERNEL_TAG = "ik-series-asymptotic/3"
 
 #: SHA-256 of the caches the two cold builds wrote under the previous tag,
 #: "ik-series-asymptotic/1", which stored digits + 5 digits.
