@@ -23,8 +23,9 @@ Naming overview (sizes in parentheses):
 * ``aux_matrix(name, k)``: bookkeeping matrices A, psi, rho, Theta,
   Phi, theta, phi, R, Psi.
 * ``derham_D(k)`` / ``derham_d(k)``: the de Rham matrices D_k and d_k
-  (k x k) obtained from V / upsilon through beta, with the u -> 1 limit
-  taken by exact rational-function cancellation.
+  (k x k) obtained from V / upsilon through beta.  Each de Rham limit
+  is read off the polynomial numerators ell_{m,m} V and ell_{m,m} upsilon
+  through beta_m(1), as a product over Q or a Laurent coefficient.
 * ``derham_alternatives(k)``: recomputes D and d along the independent
   block-diagonal and u -> 0 routes and cross-checks them.
 """
@@ -124,24 +125,17 @@ def top_coeff_sign_on_01(m: int) -> int:
     return 1 if v > 0 else -1
 
 
-def _abs_top_at_1(m: int) -> Fraction:
-    """|ell_{m,m}(1)| for odd m (nonzero there)."""
-    v = top_coeff(m).eval(1)
-    if v == 0:
-        raise ValueError(f"leading coefficient of order {m} vanishes at u=1")
-    return abs(v)
-
-
 # ---------------------------------------------------------------------------
 # V and upsilon
 # ---------------------------------------------------------------------------
 
 
-def _vmat(m: int) -> ExactMatrix:
-    """V_m(u) for odd m, upsilon_m(u) for even m; the entry signs carry
-    m's parity."""
+@cache
+def _wmat(m: int) -> ExactMatrix:
+    """W_m(u) = ell_{m,m}(u) X_m(u), with X_m = V_m for odd m and
+    upsilon_m for even m: a matrix of polynomials in the coefficients
+    ell_{m,n} of Vanhove's operator; the entry signs carry m's parity."""
     op = vanhove_operator(m)
-    lead = RatFunc(op.leading)
 
     @cache
     def dell(n: int, order: int) -> UniPoly:
@@ -154,9 +148,15 @@ def _vmat(m: int) -> ExactMatrix:
             if c == 0:
                 continue
             num = num + dell(n, n - a - b + 1) * (_msign(a + n + m + 1) * c)
-        return RatFunc(num) / lead
+        return RatFunc(num)
 
     return ExactMatrix.from_fn(m, m, entry)
+
+
+def _vmat(m: int) -> ExactMatrix:
+    """V_m(u) for odd m, upsilon_m(u) for even m: W_m / ell_{m,m}."""
+    lead = RatFunc(top_coeff(m))
+    return _wmat(m).map(lambda w: w / lead)
 
 
 @cache
@@ -657,10 +657,43 @@ def aux_matrix(name: str, k: int) -> ExactMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _promote_q_to_u(M: ExactMatrix) -> ExactMatrix:
-    if M.ring != "Q":
-        return M
-    return M.map(lambda e: RatFunc.of("u", e))
+@cache
+def _pairing_limit(m: int, u0: int) -> ExactMatrix:
+    """lim_{u -> u0} |ell_{m,m}(u)| beta_m^{-T} X_m beta_m^{-1}, u0 = 1 or
+    0, with X_m = V_m for odd m and upsilon_m for even m: the de Rham
+    pairing in the Wronskian basis, whose limits give D_k, d_k and their
+    ringed forms.
+
+    Entry (a, b) of beta_m(u) is c_ab u^{b - r_a} (``_beta_coeff_power``),
+    so beta_m(u) = R^{-1} beta_m(1) C with R = diag(u^{r_a}), C =
+    diag(u^b); and |ell| X = s W with s the sign of ell on (0, 1).  The
+    product is the Laurent polynomial s R B^T C^{-1} W C^{-1} B R, B =
+    beta_m(1)^{-1}: at u = 1 it is s B^T W(1) B (for odd m, ell has no
+    root in (0, 1]), and at u = 0 its u^0 coefficient, every negative
+    power having to cancel.  No rational function of u is formed.
+    """
+    binv = exact_inverse(beta_matrix(m, 1))
+    s = top_coeff_sign_on_01(m)
+    W = _wmat(m)
+    if u0 == 1:
+        return (binv.T @ W.eval(1) @ binv).scale(s)
+    # P = B^T (u^{2m} C^{-1} W C^{-1}) B is polynomial, and entry (a, b)
+    # of the limit is the u^0 coefficient of s u^{r_a + r_b - 2m} P_ab
+    lifted = ExactMatrix.from_fn(
+        m, m, lambda a, b: RatFunc(W.at(a, b).num.shift_mul(2 * m - a - b)))
+    P = binv.T @ lifted @ binv
+
+    def entry(a: int, b: int) -> Fraction:
+        # 2m - r_a - r_b, with m - r_a the u-power of beta_m's entry (a, m)
+        low = _beta_coeff_power(m, a, m)[1] + _beta_coeff_power(m, b, m)[1]
+        p = P.at(a, b).num
+        if any(p.nums[:low]):
+            raise AssertionError(
+                f"u->0 limit of the order-{m} pairing: entry ({a}, {b}) "
+                "keeps a negative power of u")
+        return s * p.coeff(low)
+
+    return ExactMatrix.from_fn(m, m, entry)
 
 
 @cache
@@ -669,71 +702,39 @@ def derham_D(k: int) -> ExactMatrix:
     intersection matrix extracted from V_{2k+1}(1) through beta_{2k+1}."""
     if k < 1:
         raise ValueError("derham_D requires k >= 1")
-    m = 2 * k + 1
-    V1 = matV(k + 1).eval(1)
-    binv = exact_inverse(beta_matrix(m, 1))
-    mid = binv.T @ V1 @ binv
-    pref = _abs_top_at_1(m) / Fraction(4 * (2 * k + 3) * (-1) ** k)
+    full = _pairing_limit(2 * k + 1, 1)
+    pref = Fraction(1, 4 * (2 * k + 3) * (-1) ** k)
     return ExactMatrix.from_fn(
-        k, k, lambda a, b: pref * mid.at(a + k + 1, b + k + 1)
+        k, k, lambda a, b: pref * full.at(a + k + 1, b + k + 1)
     )
-
-
-@cache
-def _pairing(m: int) -> ExactMatrix:
-    """The Q(u) matrix beta_m^{-T} X_m beta_m^{-1}, with X_m = V_m(u) for
-    odd m and upsilon_m(u) for even m: the de Rham intersection pairing
-    in the Wronskian basis, whose u -> 1 and u -> 0 limits (after the
-    factor |ell_{m,m}(u)|) give D_k, d_k and their ringed forms."""
-    binv = exact_inverse(beta_matrix(m))
-    X = matV((m + 1) // 2) if m % 2 else matUpsilon(m // 2)
-    return binv.T @ X @ binv
-
-
-@cache
-def _derham_d_full_limit(k: int) -> ExactMatrix:
-    """u -> 1 limit of |ell_{2k+2,2k+2}(u)| (beta^{-T} upsilon beta^{-1}),
-    the full (2k+2) x (2k+2) matrix, by exact cancellation."""
-    m = 2 * k + 2
-    mid = _pairing(m)
-    s = top_coeff_sign_on_01(m)
-    lead = RatFunc(top_coeff(m)) * s
-
-    def entry(a: int, b: int) -> Fraction:
-        return (lead * mid.at(a, b)).eval(1)
-
-    return ExactMatrix.from_fn(m, m, entry)
 
 
 @cache
 def derham_d(k: int) -> ExactMatrix:
     """d_k (k x k, skew-symmetric): the de Rham intersection matrix
-    extracted from the u -> 1 limit of upsilon_{2k+2} through beta_{2k+2}.
+    extracted from the u -> 1 limit of |ell| upsilon_{2k+2} through
+    beta_{2k+2}.
 
-    The limit is taken entrywise by exact rational-function cancellation;
-    the sign making |ell(u)| definite near 1^- is sampled at a rational
+    The limit is s beta(1)^{-T} W(1) beta(1)^{-1}, a product over Q of
+    the polynomial numerators W = |ell| upsilon / s (``_pairing_limit``);
+    the sign s making |ell(u)| definite near 1^- is sampled at a rational
     interior point of (0, 1), where the leading coefficient has no roots.
     """
     if k < 1:
         raise ValueError("derham_d requires k >= 1")
-    full = _derham_d_full_limit(k)
+    full = _pairing_limit(2 * k + 2, 1)
     pref = Fraction(1, 4 * (2 * k + 4) * (-1) ** k)
     return ExactMatrix.from_fn(
         k, k, lambda a, b: pref * full.at(a + k + 1, b + k + 1)
     )
 
 
-def _u0_blocks(m: int, mid: ExactMatrix,
+def _u0_blocks(full: ExactMatrix,
                pref: Fraction) -> tuple[ExactMatrix, ExactMatrix]:
-    """The u -> 0+ limit of pref |ell_{m,m}(u)| mid(u), a 2k x 2k matrix
-    that must have the block form [[0, -X], [X, ringed-X]]; returns
-    (X, ringed-X)."""
-    lead = RatFunc(top_coeff(m)) * top_coeff_sign_on_01(m)
-    full = ExactMatrix.from_fn(
-        mid.rows, mid.cols,
-        lambda a, b: pref * (lead * mid.at(a, b)).eval(0),
-    )
-    k = mid.rows // 2
+    """pref times the u -> 0+ limit ``full``, a 2k x 2k matrix that must
+    have the block form [[0, -X], [X, ringed-X]]; returns (X, ringed-X)."""
+    full = full.scale(pref)
+    k = full.rows // 2
     idx_lo = list(range(1, k + 1))
     idx_hi = list(range(k + 1, 2 * k + 1))
     if full.submatrix(idx_lo, idx_lo) != ExactMatrix.zeros(k, k):
@@ -750,7 +751,7 @@ def _derham_Dring_blocks(k: int) -> tuple[ExactMatrix, ExactMatrix]:
     """u -> 0 route: returns (D_k, ringed-D_k) from the block limit
     lim_{u->0+} |ell_{2k,2k}(u)| beta_{2k}^{-T} upsilon_{2k} beta_{2k}^{-1}
     / (8 (-1)^k) = [[0, -D_k], [D_k, ringed-D_k]]."""
-    return _u0_blocks(2 * k, _pairing(2 * k), Fraction(1, 8 * (-1) ** k))
+    return _u0_blocks(_pairing_limit(2 * k, 0), Fraction(1, 8 * (-1) ** k))
 
 
 @cache
@@ -766,9 +767,9 @@ def _derham_dring_blocks(k: int) -> tuple[ExactMatrix, ExactMatrix]:
     """u -> 0 route for the even family: returns (d_k, ringed-d_k) from
     lim_{u->0+} |ell_{2k+1,2k+1}(u)| Psi^T beta_{2k+1}^{-T} V_{2k+1}
     beta_{2k+1}^{-1} Psi / (8 (-1)^{k+1}) = [[0, -d_k], [d_k, ringed-d_k]]."""
-    Psi = _promote_q_to_u(aux_matrix("Psi", k + 1))
-    mid = Psi.T @ _pairing(2 * k + 1) @ Psi
-    return _u0_blocks(2 * k + 1, mid, Fraction(1, 8 * (-1) ** (k + 1)))
+    Psi = aux_matrix("Psi", k + 1)
+    return _u0_blocks(Psi.T @ _pairing_limit(2 * k + 1, 0) @ Psi,
+                      Fraction(1, 8 * (-1) ** (k + 1)))
 
 
 @cache
@@ -812,10 +813,8 @@ def derham_alternatives(k: int) -> dict:
     # -- D_k via Theta-conjugated block diagonalization of V_{2k-1}(1) --
     m = 2 * k - 1
     Theta_inv = exact_inverse(aux_matrix("Theta", k))
-    binv = exact_inverse(beta_matrix(m, 1))
-    V1 = matV(k).eval(1)
-    X = (Theta_inv.T @ binv.T @ V1 @ binv @ Theta_inv).scale(
-        _abs_top_at_1(m) / Fraction(4 * (2 * k + 1) * (-1) ** (k - 1))
+    X = (Theta_inv.T @ _pairing_limit(m, 1) @ Theta_inv).scale(
+        Fraction(1, 4 * (2 * k + 1) * (-1) ** (k - 1))
     )
     tl, tr, bl, br = _split_blocks(X, k)
     scale = Fraction(2, 2 * k + 1) ** 2
@@ -832,7 +831,7 @@ def derham_alternatives(k: int) -> dict:
     report["Dring"] = Dring
 
     # -- d_k via theta/rho-conjugated block diagonalization (u -> 1) --
-    full = _derham_d_full_limit(k - 1)  # (2k) x (2k) limit matrix
+    full = _pairing_limit(2 * k, 1)  # (2k) x (2k) limit matrix
     # margin rows/columns vanish in the limit
     zero_row = all(full.at(2 * k, b) == 0 for b in range(1, 2 * k + 1))
     zero_col = all(full.at(a, 2 * k) == 0 for a in range(1, 2 * k + 1))

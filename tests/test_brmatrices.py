@@ -8,6 +8,7 @@ from fractions import Fraction as F
 import mpmath
 import pytest
 
+from bwv import brmatrices
 from bwv.brmatrices import (
     MATRIX_FAMILIES,
     NAMED_CONSTANTS,
@@ -41,7 +42,13 @@ from bwv.brmatrices import (
     top_coeff_sign_on_01,
     verify_block_identities,
 )
-from bwv.exactalg import ExactMatrix, exact_det, exact_inverse
+from bwv.exactalg import (
+    ExactMatrix,
+    RatFunc,
+    UniPoly,
+    exact_det,
+    exact_inverse,
+)
 
 M = ExactMatrix
 
@@ -407,6 +414,58 @@ def test_derham_alternatives(k):
                        if isinstance(val, bool) and not val}
     assert res["Dring"] == derham_Dring(k)
     assert res["dring"] == derham_dring(k - 1)
+
+
+# -- the de Rham pairing limits ---------------------------------------------
+
+
+def _abs_lead_times_pairing(m):
+    """|ell_{m,m}(u)| beta_m^{-T} X_m beta_m^{-1} as a Q(u) matrix, formed
+    by rational-function arithmetic: the reference for _pairing_limit."""
+    binv = exact_inverse(beta_matrix(m))
+    X = matV((m + 1) // 2) if m % 2 else matUpsilon(m // 2)
+    lead = RatFunc(top_coeff(m)) * top_coeff_sign_on_01(m)
+    return (binv.T @ X @ binv).scale(lead)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_pairing_limits_match_the_rational_function_product(m):
+    ref = _abs_lead_times_pairing(m)
+    # odd m: ell(1) != 0, so the u = 1 value is defined there too
+    assert brmatrices._pairing_limit(m, 1) == ref.eval(1)
+    assert brmatrices._pairing_limit(m, 0) == ref.eval(0)
+
+
+def test_beta_is_a_monomial_conjugate_of_beta_at_one():
+    # beta_m(u) = R(u)^{-1} beta_m(1) C(u), R = diag(u^{r_a}), C = diag(u^b),
+    # r_a = a for a <= ceil(m/2) and a - ceil(m/2) above
+    def u_power(e):
+        one = UniPoly.const("u", 1)
+        return RatFunc(one.shift_mul(e)) if e >= 0 else RatFunc(
+            one, one.shift_mul(-e))
+
+    def diag(m, power):
+        return M.from_fn(m, m, lambda a, b: u_power(power(a)) if a == b
+                         else RatFunc.of("u", 0))
+
+    for m in range(1, 17):
+        h = (m + 1) // 2
+        R_inv = diag(m, lambda a: -(a if a <= h else a - h))
+        C = diag(m, lambda b: b)
+        assert beta_matrix(m) == R_inv @ beta_matrix(m, 1) @ C, m
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_pairing_limit_rejects_a_surviving_negative_power(monkeypatch, m):
+    W = brmatrices._wmat(m)
+    assert brmatrices._pairing_limit.__wrapped__(m, 0) == (
+        brmatrices._pairing_limit(m, 0))
+    # a constant c in W_{m,m} adds c B_mi B_mj u^{r_i + r_j - 2m} to entry
+    # (i, j), B = beta_m(1)^{-1}: a negative power wherever B_mi B_mj != 0
+    bumped = M.from_fn(m, m, lambda a, b: W.at(a, b) + (a == b == m))
+    monkeypatch.setattr(brmatrices, "_wmat", lambda n: bumped)
+    with pytest.raises(AssertionError, match="negative power"):
+        brmatrices._pairing_limit.__wrapped__(m, 0)
 
 
 # -- named constants, numerically -------------------------------------------

@@ -44,8 +44,12 @@ fixed-point sweep.
 The k = 6 de Rham hashes (DerhamD, Derhamd, DerhamDring, Derhamdring, one
 ``matrix_to_json`` line each) were taken from the separate inverse and
 determinant eliminations, and the two symbolic beta-pairings per order,
-that preceded the shared Bareiss pass and ``brmatrices._pairing``.  They
-add about 4 s.
+that preceded the shared Bareiss pass.  The k = 7 hashes were taken from
+the route that followed it and preceded ``brmatrices._pairing_limit``:
+beta_m^{-T} X_m beta_m^{-1} formed once per order as a Q(u) matrix of
+rational functions, whose limits at u = 1 and u = 0 were then evaluated
+entrywise.  The k = 6 and k = 7 hashes take about 1.7 s together, 1.1 s
+of it for k = 7.
 
 Three hashes pin the operator layer: the D-form coefficients of the
 Borwein–Salvy operator for n <= 8 (one JSON list of ``str()`` per n,
@@ -118,6 +122,14 @@ GOLDEN_SHA256 = {
         "f8888be335ffd766544c3f885abc94e458978a80bdef0296dc7220a63bdcf5ec",
     "Derhamdring-k6":
         "5c45cec783c8b429c713be5ed549fc0f4aa39ab8efa533ec15c2185638ab186e",
+    "DerhamD-k7":
+        "a91106955cddba9e887d6b0af0ac2d2d93bf9cd5b051f2a12ce2c331f1933cc9",
+    "Derhamd-k7":
+        "fd33ecf938ee27c3c971bdb80c92990629a40385f4059a99edd557f8a3dc0246",
+    "DerhamDring-k7":
+        "e7368d3de87f3e5c0d45d0ce9137e7491edbebdb071fdca1c1f7cc246d7cfd3f",
+    "Derhamdring-k7":
+        "398f06fab0240420137c997081e9c33591c5bbe72b600068ab50999f014f23d7",
     "borwein_salvy":
         "959963c40c181c68e793bbde3b76f35f0b755f944cf62079d13636306a03abf8",
     "vanhove_structure":
@@ -200,9 +212,19 @@ def test_matrix_json_golden(family):
 @pytest.mark.parametrize(
     "family", ["DerhamD", "Derhamd", "DerhamDring", "Derhamdring"])
 def test_derham_json_golden_k6(family):
-    text = json.dumps(matrix_to_json(family, 6, matrix_family(family, 6)),
+    _check_derham_json(family, 6)
+
+
+@pytest.mark.parametrize(
+    "family", ["DerhamD", "Derhamd", "DerhamDring", "Derhamdring"])
+def test_derham_json_golden_k7(family):
+    _check_derham_json(family, 7)
+
+
+def _check_derham_json(family, k):
+    text = json.dumps(matrix_to_json(family, k, matrix_family(family, k)),
                       sort_keys=True) + "\n"
-    assert _sha256(text) == GOLDEN_SHA256[f"{family}-k6"]
+    assert _sha256(text) == GOLDEN_SHA256[f"{family}-k{k}"]
 
 
 #: The two cold builds: name -> the matrices each builds, at 20 digits.
