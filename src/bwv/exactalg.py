@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial, gcd, lcm, prod
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 __all__ = [
@@ -704,6 +705,16 @@ class ExactMatrix:
             raise ValueError("shape mismatch in matrix product")
         if self.cols == 0:
             return ExactMatrix.zeros(self.rows, other.cols)
+        if self.ring == other.ring == "Q":
+            # Over Q: each row of self and each column of other cleared to
+            # integers over its lcm denominator, one Fraction per entry.
+            left, dl = _cleared_int_rows(self.entries)
+            right, dr = _cleared_int_rows(list(zip(*other.entries)))
+            return ExactMatrix([
+                [Fraction(sum(map(mul, a, b)), da * db)
+                 for b, db in zip(right, dr)]
+                for a, da in zip(left, dl)
+            ])
         out = []
         for i in range(self.rows):
             row = []
@@ -758,6 +769,15 @@ class ExactMatrix:
     __repr__ = __str__
 
 
+def _cleared_int_rows(entries) -> tuple[list[list[int]], list[int]]:
+    """(rows, scales) with entries[i][j] = rows[i][j] / scales[i]: each row
+    of Fractions cleared to integers over its lcm denominator."""
+    scales = [lcm(*(e.denominator for e in row)) for row in entries]
+    rows = [[e.numerator * (d // e.denominator) for e in row]
+            for row, d in zip(entries, scales)]
+    return rows, scales
+
+
 def _entry_pair_promote(a: Entry, b: Entry) -> tuple[Entry, Entry]:
     if isinstance(a, RatFunc) and not isinstance(b, RatFunc):
         return a, RatFunc.of(a.var, b)
@@ -795,9 +815,7 @@ def _cleared_rows(M: ExactMatrix):
             rows.append([e.num * d.exact_div(e.den) for e in row])
             scales.append(d)
         return rows, scales, UniPoly.zero(first.var), UniPoly.exact_div, RatFunc
-    scales = [lcm(*(e.denominator for e in row)) for row in M.entries]
-    rows = [[e.numerator * (d // e.denominator) for e in row]
-            for row, d in zip(M.entries, scales)]
+    rows, scales = _cleared_int_rows(M.entries)
     return rows, scales, 0, _int_divide, Fraction
 
 

@@ -390,8 +390,9 @@ def _check_det_corollaries(k: int) -> bool:
 def run_exact_suite(max_k: int = 5) -> Report:
     """Run the exact (rational-arithmetic) verification suite.
 
-    ``max_k`` bounds the matrix sizes (operators are checked for orders
-    up to 2*max_k - 1).  All checks are exact identities.
+    ``max_k`` bounds the matrix sizes: operator structure is checked for
+    orders up to 2*max_k - 1, and the Verrill recursion for every order
+    the suite builds, up to 2*max_k + 2.  All checks are exact identities.
     """
     if max_k < 2:
         raise ValueError("run_exact_suite requires max_k >= 2")
@@ -405,10 +406,12 @@ def run_exact_suite(max_k: int = 5) -> Report:
             lambda m=m: all(
                 check_vanhove_structure(vanhove_operator(m)).values()))
 
+    # the two operator routes share one chain recursion, so this is the
+    # check on the recursion itself
     add("verrill-recursion", ["vanhove.verify_verrill_recursion"],
         lambda: all(
             all(verify_verrill_recursion(m, 12).values())
-            for m in range(1, 7)))
+            for m in range(1, 2 * max_k + 3)))
 
     for n in range(1, 5):
         add(f"bms-duality-n{n}", ["vanhove.verify_bms_duality"],

@@ -5,13 +5,20 @@ off-shell Bessel-moment functions.  Every operator here is a sum
 Σ_s u^s·P_s(θ) of integer polynomials in the Euler operator θ = uD, so
 each is built as a θ-table of the P_s.  For L̃_m that is k ↦ P_k(x) with
 L̃_m = Σ_{k=0}^{⌊m/2⌋+1} u^{1−k}·P_k(θ̂), where θ̂ = θ + 1, i.e.
-(θ̂f)(u) = D[u·f(u)].  It is assembled along two independent routes that
-must agree:
+(θ̂f)(u) = D[u·f(u)].  It is assembled along two routes that must agree:
 
 * route A: P_k(x) = (−1)^m 𝒱_{m,k}(k − x), where 𝒱_{m,k} is the Verrill
   polynomial;
-* route B: P_0(x) = x^m and, for k ≥ 1, the expanded tuple sum
+* route B: P_0(x) = x^m and, for k ≥ 1, the tuple sum
   P_k(x) = Σ_α (x−k)^{m+1−α₁} ∏_n α_n(α_n−m−2)(x−k+n)^{α_n−α_{n+1}}.
+
+Both sum over the tuples α by one chain recursion (``_chain_sum``) and
+differ only by the substitution t = k − x, so their agreement checks the
+substitution, not the recursion.  The checks independent of the
+recursion are the Verrill recursion against the Bessel power numbers
+(``verify_verrill_recursion``), ``check_vanhove_structure``, the series
+duality with the Borwein–Salvy operator (``verify_bms_duality``), and
+the golden hashes of ``bwv vanhove --json`` for m ≤ 12.
 
 The routes are compared as θ-tables.  That is as strong as comparing the
 operators: θ̂u^e = (e+1)·u^e keeps each u^{1−k}P_k(θ̂) on its own shift
@@ -57,47 +64,49 @@ __all__ = [
 # Verrill polynomials and Bessel power numbers
 # ---------------------------------------------------------------------------
 
-def _alpha_tuples(m: int, k: int):
-    """All tuples (α_1, …, α_k) with α_n ∈ [1, m+1] and
-    α_{n+1} ≤ α_n − 2 for n ∈ [1, k−1]."""
+def _chain_sum(m: int, k: int, head: UniPoly, step: int) -> UniPoly:
+    """Σ_α head^{m+1−α₁}·∏_{n=1}^{k} c(α_n)·L_n^{α_n−α_{n+1}} over the
+    admissible tuples, with L_n = head + n·step, c(a) = a(a−m−2) and the
+    terminator α_{k+1} = 1; for k = 0 the sum is head^m.
+
+    Summed level by level in O(k·m) polynomial products, not one product
+    per tuple: G_n(a) sums the chain tails from α_n = a, so
+    G_k(a) = c(a)·L_k^{a−1} and G_n(a) = c(a)·S_n(a), with the running sum
+    S_n(a) = Σ_{b ≤ a−2} L_n^{a−b}·G_{n+1}(b)
+           = L_n·S_n(a−1) + L_n²·G_{n+1}(a−2);
+    the result is Σ_a head^{m+1−a}·G_1(a)."""
+    top = m + 1
     if k == 0:
-        yield ()
-        return
-
-    def rec(prefix: tuple[int, ...]):
-        if len(prefix) == k:
-            yield prefix
-            return
-        hi = m + 1 if not prefix else prefix[-1] - 2
-        for a in range(1, hi + 1):
-            yield from rec(prefix + (a,))
-
-    yield from rec(())
+        return head**m
+    lk = head + k * step
+    g, power = [None], UniPoly.const(head.var, 1)  # g[a] = G_n(a), a ≥ 1
+    for a in range(1, top + 1):
+        g.append(power * (a * (a - m - 2)))
+        power = power * lk
+    zero = UniPoly.zero(head.var)
+    for n in range(k - 1, 0, -1):
+        ln = head + n * step
+        ln2, s = ln * ln, zero
+        nxt = [None, zero, zero]
+        for a in range(3, top + 1):
+            s = s * ln + ln2 * g[a - 2]
+            nxt.append(s * (a * (a - m - 2)))
+        g = nxt
+    acc = zero
+    for a in range(1, top + 1):
+        acc = acc * head + g[a]
+    return acc
 
 
 @cache
 def verrill_poly(m: int, k: int) -> UniPoly:
     """Verrill polynomial 𝒱_{m,k}(t); 𝒱_{m,0}(t) = t^m and for k ≥ 1 the
     sum over admissible tuples of t^{m+1−α₁}·∏ α_n(α_n−m−2)(t−n)^{α_n−α_{n+1}}
-    with terminator α_{k+1} = 1.  The empty sum is the zero polynomial."""
+    with terminator α_{k+1} = 1 (``_chain_sum`` with L_n = t − n).  The
+    empty sum is the zero polynomial."""
     if m < 1 or k < 0:
         raise ValueError("verrill_poly requires m >= 1, k >= 0")
-    t = UniPoly.x("t")
-    if k == 0:
-        poly = t**m
-    else:
-        poly = UniPoly.zero("t")
-        for alpha in _alpha_tuples(m, k):
-            ext = alpha + (1,)
-            coeff = 1
-            term = UniPoly.const("t", 1)
-            for n in range(1, k + 1):
-                a_n = ext[n - 1]
-                coeff *= a_n * (a_n - m - 2)
-                term = term * (t - n) ** (a_n - ext[n])
-            term = term * coeff
-            poly = poly + term.shift_mul(m + 1 - alpha[0])
-    return poly
+    return _chain_sum(m, k, UniPoly.x("t"), -1)
 
 
 def bessel_power_number(p: int, k: int) -> Fraction:
@@ -148,7 +157,7 @@ def theta_to_d(table: dict[int, UniPoly]) -> list[dict[int, Fraction]]:
 
 
 # ---------------------------------------------------------------------------
-# Vanhove operator, built along two independent routes
+# Vanhove operator, built along two routes
 # ---------------------------------------------------------------------------
 
 
@@ -181,23 +190,11 @@ def _route_a(m: int) -> tuple[UniPoly, ...]:
 
 
 def _route_b(m: int) -> tuple[UniPoly, ...]:
-    """P_0(x) = x^m and, for k = 1..⌊m/2⌋+1, the tuple sum
-    Σ_α (x−k)^{m+1−α₁} ∏_n α_n(α_n−m−2)(x−k+n)^{α_n−α_{n+1}}."""
+    """P_k(x) = Σ_α (x−k)^{m+1−α₁} ∏_n α_n(α_n−m−2)(x−k+n)^{α_n−α_{n+1}}
+    for k = 0..⌊m/2⌋+1 (``_chain_sum`` with head x − k and L_n = x − k + n),
+    so P_0(x) = x^m."""
     x = UniPoly.x("x")
-    table = [x**m]
-    for k in range(1, m // 2 + 2):
-        qk = UniPoly.zero("x")
-        for alpha in _alpha_tuples(m, k):
-            ext = alpha + (1,)
-            coeff = 1
-            term = (x - k) ** (m + 1 - alpha[0])
-            for n in range(1, k + 1):
-                a_n = ext[n - 1]
-                coeff *= a_n * (a_n - m - 2)
-                term = term * (x - k + n) ** (a_n - ext[n])
-            qk = qk + term * coeff
-        table.append(qk)
-    return tuple(table)
+    return tuple(_chain_sum(m, k, x - k, 1) for k in range(m // 2 + 2))
 
 
 @cache

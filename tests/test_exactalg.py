@@ -392,6 +392,60 @@ def test_det_multiplicative_over_ratfuncs(A, B):
     assert exact_det(A @ B) == exact_det(A) * exact_det(B)
 
 
+def _products(entry):
+    """(A, B) with A n x p and B p x q, n, p, q in 0..4 (a matrix with no
+    rows has no columns either, so n = 0 forces p = 0)."""
+    def pair(dims):
+        n, p, q = dims
+        p = p if n else 0
+        return st.tuples(
+            st.lists(st.lists(entry, min_size=p, max_size=p),
+                     min_size=n, max_size=n),
+            st.lists(st.lists(entry, min_size=q, max_size=q),
+                     min_size=p, max_size=p),
+        ).map(lambda ab: (ExactMatrix(ab[0]), ExactMatrix(ab[1])))
+    size = st.integers(min_value=0, max_value=4)
+    return st.tuples(size, size, size).flatmap(pair)
+
+
+# a few denominators shared across entries, so rows and columns clear to
+# a common denominator, beside fractions with unrelated large ones
+shared_den_fractions = st.builds(
+    F, st.integers(min_value=-(10**6), max_value=10**6),
+    st.sampled_from([1, 2, 3, 6, 7, 12]))
+
+
+def _loop_product(A, B):
+    """The entrywise loop Σ_k a_ik·b_kj, summed from k = 0 on in the
+    entries' own arithmetic."""
+    return ExactMatrix([
+        [sum((A[i, k] * B[k, j] for k in range(1, A.cols)), A[i, 0] * B[0, j])
+         for j in range(B.cols)]
+        for i in range(A.rows)
+    ])
+
+
+@given(_products(st.one_of(fractions, wide_fractions, shared_den_fractions)))
+@settings(max_examples=80)
+def test_q_matrix_product_matches_entrywise_fraction_sum(pair):
+    A, B = pair
+    C = A @ B
+    assert (C.rows, C.cols) == (A.rows, B.cols if A.rows else 0)
+    expect = [[sum((A[i, k] * B[k, j] for k in range(A.cols)), F(0))
+               for j in range(B.cols)] for i in range(A.rows)]
+    assert C.entries == ExactMatrix(expect).entries
+    assert all(type(e) is F for row in C.entries for e in row)
+
+
+@given(u_matrices(2), q_matrices(2))
+@settings(max_examples=20, deadline=None)
+def test_matrix_product_with_a_ratfunc_operand_is_the_entrywise_loop(A, B):
+    for X, Y in ((A, B), (B, A), (A, A)):
+        C = X @ Y
+        assert C.ring == "Q(u)"
+        assert C.entries == _loop_product(X, Y).entries
+
+
 def test_zero_first_pivot_swaps_rows():
     A = ExactMatrix([[0, 2, 1], [1, 1, 0], [3, 0, F(1, 2)]])
     assert exact_det(A) == -4

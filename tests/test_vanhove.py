@@ -1,8 +1,10 @@
 """Tests for the Vanhove operator module: Verrill polynomials, Bessel
-power numbers, the θ-table to D-form conversion, the dual-route operator
+power numbers, the chain recursion against the tuple enumeration it
+replaces, the θ-table to D-form conversion, the dual-route operator
 construction, structural checks, the recursion for power numbers, and the
 symmetric-power duality."""
 
+import inspect
 from fractions import Fraction as F
 from math import comb, perm
 
@@ -99,6 +101,80 @@ def test_verrill_recursion_holds():
 def test_verrill_recursion_extended_range():
     result = verify_verrill_recursion(6, 12)
     assert all(result.values()), result
+
+
+# -- the chain recursion against the tuple enumeration ----------------------
+
+
+def _alpha_tuples(m: int, k: int):
+    """All tuples (α_1, …, α_k) with α_n ∈ [1, m+1] and
+    α_{n+1} ≤ α_n − 2 for n ∈ [1, k−1]: Fib-many, so test-only."""
+    if k == 0:
+        yield ()
+        return
+    for a in range(1, m + 2):
+        if k == 1:
+            yield (a,)
+        else:
+            for rest in _alpha_tuples(a - 3, k - 1):
+                yield (a,) + rest
+
+
+def _tuple_sum(m: int, k: int, head: UniPoly, step: int) -> UniPoly:
+    """Σ_α head^{m+1−α₁}·∏_n α_n(α_n−m−2)·(head + n·step)^{α_n−α_{n+1}},
+    terminator α_{k+1} = 1, one product per tuple; head^m for k = 0."""
+    if k == 0:
+        return head**m
+    total = UniPoly.zero(head.var)
+    for alpha in _alpha_tuples(m, k):
+        ext = alpha + (1,)
+        term = head ** (m + 1 - alpha[0])
+        for n in range(1, k + 1):
+            a = ext[n - 1]
+            term = term * (head + n * step) ** (a - ext[n]) * (a * (a - m - 2))
+        total = total + term
+    return total
+
+
+def test_verrill_poly_matches_tuple_enumeration():
+    t = UniPoly.x("t")
+    for m in range(1, 13):
+        for k in range(m // 2 + 3):
+            assert verrill_poly(m, k) == _tuple_sum(m, k, t, -1), (m, k)
+
+
+def test_route_b_matches_tuple_enumeration():
+    x = UniPoly.x("x")
+    for m in range(1, 13):
+        assert vanhove._route_b(m) == tuple(
+            _tuple_sum(m, k, x - k, 1) for k in range(m // 2 + 2)), m
+
+
+def _mutant(fn, old: str, new: str):
+    """fn recompiled in its module's namespace with one source edit."""
+    src = inspect.getsource(fn)
+    assert src.count(old) == 1, old
+    namespace = dict(vars(inspect.getmodule(fn)))
+    exec(compile(src.replace(old, new), f"<mutant of {fn.__name__}>",
+                 "exec"), namespace)
+    return namespace[fn.__name__]
+
+
+def test_chain_gap_mutation_fails_the_verrill_recursion(monkeypatch):
+    # a gap of 1 instead of 2 between chain levels (S_n(a) summing
+    # L_n^{a−b}·G_{n+1}(b) over b ≤ a − 1) leaves the two operator routes
+    # in agreement, since both call the recursion, but not the Verrill
+    # recursion against the Bessel power numbers
+    monkeypatch.setattr(vanhove, "_chain_sum", _mutant(
+        vanhove._chain_sum, "ln2 * g[a - 2]", "ln * g[a - 1]"))
+    verrill_poly.cache_clear()
+    try:
+        assert all(vanhove._route_a(m) == vanhove._route_b(m)
+                   for m in range(1, 13))
+        assert not all(all(verify_verrill_recursion(m, 12).values())
+                       for m in range(1, 13))
+    finally:
+        verrill_poly.cache_clear()
 
 
 # -- the operator, both routes ----------------------------------------------
