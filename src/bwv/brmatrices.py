@@ -2,8 +2,10 @@
 
 All matrices follow 1-based index conventions.  Matrices over Q carry
 Fraction entries; matrices over Q(u) carry RatFunc entries in the
-variable ``u``.  Every constructor is pure and memoized on immutable
-outputs.
+variable ``u``.  Only the public Q(u) matrices (``matV``, ``matUpsilon``,
+the symbolic ``beta_matrix``) and matrices read back from JSON hold
+RatFunc entries: the de Rham limits and beta_m at a point are formed
+over Q.  Every constructor is pure and memoized on immutable outputs.
 
 Naming overview (sizes in parentheses):
 
@@ -24,8 +26,10 @@ Naming overview (sizes in parentheses):
   Phi, theta, phi, R, Psi.
 * ``derham_D(k)`` / ``derham_d(k)``: the de Rham matrices D_k and d_k
   (k x k) obtained from V / upsilon through beta.  Each de Rham limit
-  is read off the polynomial numerators ell_{m,m} V and ell_{m,m} upsilon
-  through beta_m(1), as a product over Q or a Laurent coefficient.
+  is read off the polynomial numerators W = ell_{m,m} V or
+  ell_{m,m} upsilon through beta_m(1) by products over Q: of W(1) at
+  u = 1, and of the coefficient matrices of W grouped by shifted degree
+  at u = 0.
 * ``derham_alternatives(k)``: recomputes D and d along the independent
   block-diagonal and u -> 0 routes and cross-checks them.
 """
@@ -131,32 +135,34 @@ def top_coeff_sign_on_01(m: int) -> int:
 
 
 @cache
-def _wmat(m: int) -> ExactMatrix:
+def _wmat(m: int) -> tuple[tuple[UniPoly, ...], ...]:
     """W_m(u) = ell_{m,m}(u) X_m(u), with X_m = V_m for odd m and
-    upsilon_m for even m: a matrix of polynomials in the coefficients
-    ell_{m,n} of Vanhove's operator; the entry signs carry m's parity."""
+    upsilon_m for even m, as rows of polynomials in u: polynomials in the
+    coefficients ell_{m,n} of Vanhove's operator; the entry signs carry
+    m's parity."""
     op = vanhove_operator(m)
 
     @cache
     def dell(n: int, order: int) -> UniPoly:
         return op.ell(n).deriv(order)
 
-    def entry(a: int, b: int) -> RatFunc:
+    def entry(a: int, b: int) -> UniPoly:
         num = UniPoly.zero("u")
         for n in range(a + b - 1, m + 1):
             c = binom_ext(n - a, b - 1)
             if c == 0:
                 continue
             num = num + dell(n, n - a - b + 1) * (_msign(a + n + m + 1) * c)
-        return RatFunc(num)
+        return num
 
-    return ExactMatrix.from_fn(m, m, entry)
+    return tuple(tuple(entry(a, b) for b in range(1, m + 1))
+                 for a in range(1, m + 1))
 
 
 def _vmat(m: int) -> ExactMatrix:
     """V_m(u) for odd m, upsilon_m(u) for even m: W_m / ell_{m,m}."""
-    lead = RatFunc(top_coeff(m))
-    return _wmat(m).map(lambda w: w / lead)
+    lead = top_coeff(m)
+    return ExactMatrix([[RatFunc(w, lead) for w in row] for row in _wmat(m)])
 
 
 @cache
@@ -535,14 +541,19 @@ def beta_matrix(m: int, u: Fraction | int | None = None) -> ExactMatrix:
     and the Bessel-moment basis of the solution space.
 
     With ``u=None`` the symbolic Q(u) matrix is returned; otherwise the
-    entries are evaluated at the given rational point.
+    entries c_ab u^p_ab (``_beta_coeff_power``) are evaluated over Q at
+    the given rational point.
     """
     if m < 1:
         raise ValueError("beta_matrix requires m >= 1")
-    B = _beta_symbolic(m)
     if u is None:
-        return B
-    return B.eval(u)
+        return _beta_symbolic(m)
+
+    def entry(a: int, b: int) -> Fraction:
+        coef, power = _beta_coeff_power(m, a, b)
+        return coef * u**power if coef else coef
+
+    return ExactMatrix.from_fn(m, m, entry)
 
 
 # ---------------------------------------------------------------------------
@@ -668,30 +679,36 @@ def _pairing_limit(m: int, u0: int) -> ExactMatrix:
     so beta_m(u) = R^{-1} beta_m(1) C with R = diag(u^{r_a}), C =
     diag(u^b); and |ell| X = s W with s the sign of ell on (0, 1).  The
     product is the Laurent polynomial s R B^T C^{-1} W C^{-1} B R, B =
-    beta_m(1)^{-1}: at u = 1 it is s B^T W(1) B (for odd m, ell has no
-    root in (0, 1]), and at u = 0 its u^0 coefficient, every negative
-    power having to cancel.  No rational function of u is formed.
+    beta_m(1)^{-1}.  At u = 1 it is s B^T W(1) B (for odd m, ell has no
+    root in (0, 1]).  At u = 0, split W by shifted degree: with (Z_q)_ij
+    the u^{i + j - q} coefficient of W_ij and P_q = B^T Z_q B, entry
+    (a, b) is sum_q s (P_q)_ab u^{r_a + r_b - q}, q = 2..2m.  Its limit is
+    s (P_d)_ab, d = r_a + r_b, and every (P_q)_ab with q > d must vanish.
+    Each P_q is a product over Q; no rational function of u is formed.
     """
-    binv = exact_inverse(beta_matrix(m, 1))
+    B = exact_inverse(beta_matrix(m, 1))
     s = top_coeff_sign_on_01(m)
     W = _wmat(m)
     if u0 == 1:
-        return (binv.T @ W.eval(1) @ binv).scale(s)
-    # P = B^T (u^{2m} C^{-1} W C^{-1}) B is polynomial, and entry (a, b)
-    # of the limit is the u^0 coefficient of s u^{r_a + r_b - 2m} P_ab
-    lifted = ExactMatrix.from_fn(
-        m, m, lambda a, b: RatFunc(W.at(a, b).num.shift_mul(2 * m - a - b)))
-    P = binv.T @ lifted @ binv
+        W1 = ExactMatrix([[w.eval(1) for w in row] for row in W])
+        return (B.T @ W1 @ B).scale(s)
+    # r_a = m - (u-power of beta_m's entry (a, m)), so 2 <= d <= 2m
+    r = [m - _beta_coeff_power(m, a, m)[1] for a in range(1, m + 1)]
+    Bt = B.T
+
+    def z(q: int) -> ExactMatrix:
+        return ExactMatrix.from_fn(
+            m, m, lambda i, j: W[i - 1][j - 1].coeff(i + j - q))
+
+    P = {q: Bt @ z(q) @ B for q in range(2, 2 * m + 1)}
 
     def entry(a: int, b: int) -> Fraction:
-        # 2m - r_a - r_b, with m - r_a the u-power of beta_m's entry (a, m)
-        low = _beta_coeff_power(m, a, m)[1] + _beta_coeff_power(m, b, m)[1]
-        p = P.at(a, b).num
-        if any(p.nums[:low]):
+        d = r[a - 1] + r[b - 1]
+        if any(P[q].at(a, b) for q in range(d + 1, 2 * m + 1)):
             raise AssertionError(
                 f"u->0 limit of the order-{m} pairing: entry ({a}, {b}) "
                 "keeps a negative power of u")
-        return s * p.coeff(low)
+        return s * P[d].at(a, b)
 
     return ExactMatrix.from_fn(m, m, entry)
 

@@ -2,8 +2,7 @@
 
 Big rationals, dense univariate polynomials, normalized rational functions,
 exact dense linear algebra with fraction-free (Bareiss) elimination,
-Bernoulli numbers, extended binomial conventions, and truncated bivariate
-series.
+Bernoulli numbers and extended binomial conventions.
 
 Conventions
 -----------
@@ -27,7 +26,6 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial, gcd, lcm, prod
@@ -39,7 +37,6 @@ __all__ = [
     "UniPoly",
     "RatFunc",
     "ExactMatrix",
-    "TruncBiSeries",
     "bernoulli",
     "binom_ext",
     "recip_fact_ext",
@@ -580,13 +577,16 @@ Entry = Union[Fraction, RatFunc]
 
 class ExactMatrix:
     """Dense rectangular matrix with uniform entry ring: all entries are
-    either ExactScalar (ring tag "Q") or RatFunc ("Q(<var>)")."""
+    either ExactScalar (ring tag "Q") or RatFunc ("Q(<var>)").  ``cols``
+    is read off the rows; a matrix with no rows takes it as given."""
 
     __slots__ = ("rows", "cols", "entries")
 
-    def __init__(self, entries: Sequence[Sequence[Entry | int]]):
+    def __init__(self, entries: Sequence[Sequence[Entry | int]],
+                 cols: int = 0):
         rows = len(entries)
-        cols = len(entries[0]) if rows else 0
+        if rows:
+            cols = len(entries[0])
         norm: list[tuple[Entry, ...]] = []
         has_rat = any(
             isinstance(e, RatFunc) for row in entries for e in row
@@ -635,14 +635,15 @@ class ExactMatrix:
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "ExactMatrix":
-        return ExactMatrix([[0] * cols for _ in range(rows)])
+        return ExactMatrix([[0] * cols for _ in range(rows)], cols)
 
     @staticmethod
     def from_fn(rows: int, cols: int, fn) -> "ExactMatrix":
         """Entries from fn(a, b) with 1-based indices, matching the
         conventional index ranges of the matrix definitions."""
         return ExactMatrix(
-            [[fn(a, b) for b in range(1, cols + 1)] for a in range(1, rows + 1)]
+            [[fn(a, b) for b in range(1, cols + 1)] for a in range(1, rows + 1)],
+            cols,
         )
 
     # -- queries ------------------------------------------------------------
@@ -691,14 +692,16 @@ class ExactMatrix:
             [
                 [a + b for a, b in zip(r1, r2)]
                 for r1, r2 in zip(self.entries, other.entries)
-            ]
+            ],
+            self.cols,
         )
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
         return self + (-other)
 
     def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix([[-e for e in row] for row in self.entries])
+        return ExactMatrix([[-e for e in row] for row in self.entries],
+                           self.cols)
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
@@ -714,7 +717,7 @@ class ExactMatrix:
                 [Fraction(sum(map(mul, a, b)), da * db)
                  for b, db in zip(right, dr)]
                 for a, da in zip(left, dl)
-            ])
+            ], other.cols)
         out = []
         for i in range(self.rows):
             row = []
@@ -724,10 +727,11 @@ class ExactMatrix:
                     acc = acc + self.entries[i][k] * other.entries[k][j]
                 row.append(acc)
             out.append(row)
-        return ExactMatrix(out)
+        return ExactMatrix(out, other.cols)
 
     def scale(self, c: Entry | int) -> "ExactMatrix":
-        return ExactMatrix([[e * c for e in row] for row in self.entries])
+        return ExactMatrix([[e * c for e in row] for row in self.entries],
+                           self.cols)
 
     @property
     def T(self) -> "ExactMatrix":
@@ -735,11 +739,13 @@ class ExactMatrix:
             [
                 [self.entries[i][j] for i in range(self.rows)]
                 for j in range(self.cols)
-            ]
+            ],
+            self.rows,
         )
 
     def map(self, fn) -> "ExactMatrix":
-        return ExactMatrix([[fn(e) for e in row] for row in self.entries])
+        return ExactMatrix([[fn(e) for e in row] for row in self.entries],
+                           self.cols)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "ExactMatrix":
         """Submatrix from 1-based row/column index lists."""
@@ -755,7 +761,8 @@ class ExactMatrix:
             [
                 [e.eval(x) if isinstance(e, RatFunc) else e for e in row]
                 for row in self.entries
-            ]
+            ],
+            self.cols,
         )
 
     def det(self) -> Entry:
@@ -896,65 +903,3 @@ def exact_inverse(M: ExactMatrix) -> ExactMatrix:
                 acc = acc - U[i][j] * inv[j][col]
             inv[i][col] = acc / U[i][i]
     return ExactMatrix(inv)
-
-
-# ---------------------------------------------------------------------------
-# Truncated bivariate series Σ_n a_n(u) t^n
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TruncBiSeries:
-    """Series Σ_{n=0}^{N} a_n(u)·t^n truncated at order N in t, with
-    polynomial coefficients in u."""
-
-    order: int
-    coeffs: tuple[UniPoly, ...]
-
-    @staticmethod
-    def of(order: int, coeffs: Sequence[UniPoly], uvar: str = "u") -> "TruncBiSeries":
-        if order < 0:
-            raise ValueError("negative truncation order")
-        cs = list(coeffs[: order + 1])
-        while len(cs) < order + 1:
-            cs.append(UniPoly.zero(uvar))
-        return TruncBiSeries(order, tuple(cs))
-
-    @property
-    def uvar(self) -> str:
-        return self.coeffs[0].var
-
-    def coeff(self, n: int) -> UniPoly:
-        if 0 <= n <= self.order:
-            return self.coeffs[n]
-        return UniPoly.zero(self.uvar)
-
-    def __add__(self, other: "TruncBiSeries") -> "TruncBiSeries":
-        N = min(self.order, other.order)
-        return TruncBiSeries.of(
-            N, [self.coeff(n) + other.coeff(n) for n in range(N + 1)], self.uvar
-        )
-
-    def __sub__(self, other: "TruncBiSeries") -> "TruncBiSeries":
-        return self + other.scale(Fraction(-1))
-
-    def scale(self, c: ScalarLike) -> "TruncBiSeries":
-        c = _as_fraction(c)
-        return TruncBiSeries.of(
-            self.order, [a * c for a in self.coeffs], self.uvar
-        )
-
-    def shift_t(self, k: int) -> "TruncBiSeries":
-        """Multiply by t**k (k >= 0), truncating at the original order."""
-        if k < 0:
-            raise ValueError("negative t-shift")
-        return TruncBiSeries.of(
-            self.order,
-            [UniPoly.zero(self.uvar)] * k + list(self.coeffs),
-            self.uvar,
-        )
-
-    @property
-    def is_zero(self) -> bool:
-        return all(a.is_zero for a in self.coeffs)
-

@@ -428,7 +428,8 @@ def _abs_lead_times_pairing(m):
     return (binv.T @ X @ binv).scale(lead)
 
 
-@pytest.mark.parametrize("m", range(1, 9))
+# m <= 11 covers every order the default exact suite builds
+@pytest.mark.parametrize("m", range(1, 12))
 def test_pairing_limits_match_the_rational_function_product(m):
     ref = _abs_lead_times_pairing(m)
     # odd m: ell(1) != 0, so the u = 1 value is defined there too
@@ -462,10 +463,23 @@ def test_pairing_limit_rejects_a_surviving_negative_power(monkeypatch, m):
         brmatrices._pairing_limit(m, 0))
     # a constant c in W_{m,m} adds c B_mi B_mj u^{r_i + r_j - 2m} to entry
     # (i, j), B = beta_m(1)^{-1}: a negative power wherever B_mi B_mj != 0
-    bumped = M.from_fn(m, m, lambda a, b: W.at(a, b) + (a == b == m))
+    bumped = [list(row) for row in W]
+    bumped[m - 1][m - 1] += 1
     monkeypatch.setattr(brmatrices, "_wmat", lambda n: bumped)
     with pytest.raises(AssertionError, match="negative power"):
         brmatrices._pairing_limit.__wrapped__(m, 0)
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_pairing_limits_form_no_rational_function(monkeypatch, m):
+    brmatrices._wmat(m)
+
+    def refuse(self, *args):
+        raise AssertionError("a rational function was formed")
+
+    monkeypatch.setattr(RatFunc, "__init__", refuse)
+    for u0 in (0, 1):
+        brmatrices._pairing_limit.__wrapped__(m, u0)
 
 
 # -- named constants, numerically -------------------------------------------

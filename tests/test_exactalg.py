@@ -1,5 +1,5 @@
 """Tests for the exact arithmetic layer: Bernoulli numbers, polynomials,
-rational functions, matrices, truncated series."""
+rational functions, matrices."""
 
 from fractions import Fraction as F
 from math import gcd
@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from bwv.exactalg import (
     ExactMatrix,
     RatFunc,
-    TruncBiSeries,
     UniPoly,
     bernoulli,
     binom_ext,
@@ -393,17 +392,16 @@ def test_det_multiplicative_over_ratfuncs(A, B):
 
 
 def _products(entry):
-    """(A, B) with A n x p and B p x q, n, p, q in 0..4 (a matrix with no
-    rows has no columns either, so n = 0 forces p = 0)."""
+    """(A, B) with A n x p and B p x q, n, p, q in 0..4; a matrix with no
+    rows is given its column count."""
     def pair(dims):
         n, p, q = dims
-        p = p if n else 0
         return st.tuples(
             st.lists(st.lists(entry, min_size=p, max_size=p),
                      min_size=n, max_size=n),
             st.lists(st.lists(entry, min_size=q, max_size=q),
                      min_size=p, max_size=p),
-        ).map(lambda ab: (ExactMatrix(ab[0]), ExactMatrix(ab[1])))
+        ).map(lambda ab: (ExactMatrix(ab[0], p), ExactMatrix(ab[1], q)))
     size = st.integers(min_value=0, max_value=4)
     return st.tuples(size, size, size).flatmap(pair)
 
@@ -430,7 +428,7 @@ def _loop_product(A, B):
 def test_q_matrix_product_matches_entrywise_fraction_sum(pair):
     A, B = pair
     C = A @ B
-    assert (C.rows, C.cols) == (A.rows, B.cols if A.rows else 0)
+    assert (C.rows, C.cols) == (A.rows, B.cols)
     expect = [[sum((A[i, k] * B[k, j] for k in range(A.cols)), F(0))
                for j in range(B.cols)] for i in range(A.rows)]
     assert C.entries == ExactMatrix(expect).entries
@@ -482,17 +480,12 @@ def test_empty_matrix_det_is_one():
     assert exact_det(ExactMatrix.zeros(0, 0)) == 1
 
 
-# -- truncated series -------------------------------------------------------
-
-
-def test_trunc_series_shift_scale_and_add_truncate_at_order():
-    N = 3
-    ones = TruncBiSeries.of(N, [UniPoly.const("u", 1)] * (N + 5))
-    assert ones.coeffs == (UniPoly.const("u", 1),) * (N + 1)
-    shifted = ones.shift_t(2)
-    assert [c.is_zero for c in shifted.coeffs] == [True, True, False, False]
-    total = (shifted + ones.scale(F(1, 2))).scale(2)
-    assert [total.coeff(n) for n in range(N + 2)] == [
-        UniPoly.const("u", c) for c in (1, 1, 3, 3, 0)
-    ]
-    assert (total - total).is_zero
+def test_a_matrix_with_no_rows_keeps_its_columns():
+    Z = ExactMatrix.zeros(0, 3)
+    assert (Z.rows, Z.cols) == (0, 3)
+    assert (Z.T.rows, Z.T.cols) == (3, 0)
+    S = ExactMatrix([[1, 2, 3]]).submatrix([], [1, 2])
+    assert (S.rows, S.cols) == (0, 2)
+    C = Z @ ExactMatrix.zeros(3, 2)
+    assert (C.rows, C.cols) == (0, 2)
+    assert ExactMatrix.zeros(2, 0) @ Z == ExactMatrix.zeros(2, 3)

@@ -309,6 +309,20 @@ def test_bms_duality_small_orders():
         assert all(report.values()), (n, report)
 
 
+def test_bms_duality_fails_for_a_perturbed_operator(monkeypatch):
+    # ell_{3,0} + 1 adds uD^2 a_r + D a_r to the u-side of every t^r with
+    # r >= 2, so every truncation order must fail, not compare empty lists
+    op = vanhove_operator(3)
+    bumped = vanhove.VanhoveOperator(
+        3, (op.coeffs[0] + 1,) + op.coeffs[1:], op.theta)
+    monkeypatch.setattr(vanhove, "vanhove_operator", lambda n: bumped)
+    report = verify_bms_duality(3, 14)
+    orders = [key for key in report if key.startswith("order_")]
+    assert orders == ["order_10", "order_12", "order_14"]
+    assert not any(report[key] for key in orders), report
+    assert report["zero_series"]
+
+
 def test_bms_duality_rejects_tiny_truncation():
     with pytest.raises(ValueError):
         verify_bms_duality(2, 4)
