@@ -64,6 +64,7 @@ import functools
 import json
 import math
 import os
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -740,12 +741,16 @@ class MomentCache:
     per line: {"kind","a","b","n","u","digits","value","kernel"}.  A
     lookup hits when a record with the current kernel tag has at least
     the requested digits.  Torn or malformed lines are skipped and
-    counted, as are stale records from another kernel."""
+    counted, as are stale records from another kernel.  A file that
+    cannot be read is taken as empty, and one that cannot be appended to
+    keeps its values in memory: either warns, and neither stops a run."""
 
     def __init__(self, path: Optional[str] = None):
         self.path = str(_cache_path() if path is None else path)
         self._map: dict = {}
         self._counts = {"records": 0, "skipped": 0, "stale": 0}
+        self._error: Optional[str] = None
+        self._append_failed = False
         self._load()
 
     @staticmethod
@@ -753,24 +758,31 @@ class MomentCache:
         return (key.kind, key.a, key.b, key.n, _u_str(key.u))
 
     def _load(self) -> None:
-        p = Path(self.path)
-        if not p.exists():
+        try:
+            with open(self.path) as fh:
+                lines = fh.readlines()
+        except (FileNotFoundError, NotADirectoryError):
             return
-        with p.open() as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                self._counts["records"] += 1
-                rec = _parse_record(line)
-                if rec is None:
-                    self._counts["skipped"] += 1
-                elif rec.get("kernel") != _KERNEL_TAG:
-                    self._counts["stale"] += 1
-                else:
-                    mk = (rec["kind"], rec["a"], rec["b"], rec["n"], rec["u"])
-                    old = self._map.get(mk)
-                    if old is None or rec["digits"] > old[0]:
-                        self._map[mk] = (rec["digits"], rec["value"])
+        except (OSError, UnicodeDecodeError) as exc:
+            self._error = f"{type(exc).__name__}: {exc}"
+            warnings.warn(f"moment cache {self.path} cannot be read "
+                          f"({self._error}); starting empty", RuntimeWarning,
+                          stacklevel=2)
+            return
+        for line in lines:
+            if not line.strip():
+                continue
+            self._counts["records"] += 1
+            rec = _parse_record(line)
+            if rec is None:
+                self._counts["skipped"] += 1
+            elif rec.get("kernel") != _KERNEL_TAG:
+                self._counts["stale"] += 1
+            else:
+                mk = (rec["kind"], rec["a"], rec["b"], rec["n"], rec["u"])
+                old = self._map.get(mk)
+                if old is None or rec["digits"] > old[0]:
+                    self._map[mk] = (rec["digits"], rec["value"])
 
     def get(self, key: MomentKey) -> Optional[str]:
         hit = self._map.get(self._map_key(key))
@@ -795,14 +807,22 @@ class MomentCache:
         if old is None or key.digits > old[0]:
             self._map[mk] = (key.digits, value)
         p = Path(self.path)
-        p.parent.mkdir(parents=True, exist_ok=True)
-        with p.open("a+b") as fh:
-            # end a torn last line first, so this record stays whole
-            if fh.seek(0, os.SEEK_END):
-                fh.seek(-1, os.SEEK_END)
-                if fh.read(1) != b"\n":
-                    line = b"\n" + line
-            fh.write(line)
+        try:
+            p.parent.mkdir(parents=True, exist_ok=True)
+            with p.open("a+b") as fh:
+                # end a torn last line first, so this record stays whole
+                if fh.seek(0, os.SEEK_END):
+                    fh.seek(-1, os.SEEK_END)
+                    if fh.read(1) != b"\n":
+                        line = b"\n" + line
+                fh.write(line)
+        except OSError as exc:
+            if not self._append_failed:
+                self._append_failed = True
+                warnings.warn(f"moment cache {self.path} cannot be written "
+                              f"({type(exc).__name__}: {exc}); values are "
+                              "kept in memory only", RuntimeWarning,
+                              stacklevel=2)
 
     def stats(self) -> dict:
         entries = len(self._map)
@@ -816,16 +836,19 @@ class MomentCache:
             "by_kind": by_kind,
             "stale": self._counts["stale"],
             "skipped": self._counts["skipped"],
-            "file_exists": p.exists(),
-            "file_bytes": p.stat().st_size if p.exists() else 0,
+            "file_exists": p.is_file(),
+            "file_bytes": p.stat().st_size if p.is_file() else 0,
         }
 
     def verify(self) -> dict:
         """Re-read the backing file: its records, the lines a load skips
-        (torn or malformed) and the stale records.  ``ok`` when no line is
-        skipped."""
-        counts = MomentCache(self.path)._counts
-        return {**counts, "ok": counts["skipped"] == 0}
+        (torn or malformed) and the stale records.  ``ok`` when the file
+        can be read and no line is skipped; otherwise ``error`` names why
+        it cannot be read."""
+        fresh = MomentCache(self.path)
+        if fresh._error is not None:
+            return {**fresh._counts, "ok": False, "error": fresh._error}
+        return {**fresh._counts, "ok": fresh._counts["skipped"] == 0}
 
 
 @functools.lru_cache(maxsize=1)

@@ -522,14 +522,6 @@ class RatFunc:
             raise ZeroDivisionError("division by zero rational function")
         return RatFunc(self.num * o.den, self.den * o.num)
 
-    def __rtruediv__(self, other) -> "RatFunc":
-        return self._coerce(other) / self
-
-    def __pow__(self, n: int) -> "RatFunc":
-        if n < 0:
-            return RatFunc(self.den, self.num) ** (-n)
-        return RatFunc(self.num**n, self.den**n)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, UniPoly)):
             other = self._coerce(other)
@@ -540,17 +532,7 @@ class RatFunc:
     def __hash__(self) -> int:
         return hash((self.num, self.den))
 
-    # -- calculus and evaluation -------------------------------------------
-
-    def deriv(self, order: int = 1) -> "RatFunc":
-        f = self
-        for _ in range(order):
-            n, d = f.num, f.den
-            if f.is_polynomial():
-                f = RatFunc(n.deriv())
-            else:
-                f = RatFunc(n.deriv() * d - n * d.deriv(), d * d)
-        return f
+    # -- evaluation ----------------------------------------------------------
 
     def eval(self, x: ScalarLike) -> Fraction:
         x = _as_fraction(x)

@@ -60,8 +60,6 @@ from .brmatrices import (
     derham_alternatives,
     derham_d,
     derham_dring,
-    frakS,
-    frakSring,
     matSigma,
     matSigmaInvBernoulli,
     matUpsilon,
@@ -369,11 +367,6 @@ def _check_det_corollaries(k: int) -> bool:
         return False
     mins = betti_minors(k)
     if not (mins["det_product_ok"] and mins["det_even_formula_ok"]):
-        return False
-    # S_k B_k = I and ringed-B = B ringed-S B.
-    if frakS(k) @ betti_B(k) != ExactMatrix.identity(k):
-        return False
-    if betti_Bring(k) != betti_B(k) @ frakSring(k) @ betti_B(k):
         return False
     # Anti-diagonal of D_k is ((2k+1)!!/2^{k+1})^2, zero below it.
     D = derham_D(k)

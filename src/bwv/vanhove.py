@@ -109,18 +109,24 @@ def verrill_poly(m: int, k: int) -> UniPoly:
     return _chain_sum(m, k, UniPoly.x("t"), -1)
 
 
-def bessel_power_number(p: int, k: int) -> Fraction:
-    """W_p(2k) = Σ_{a₁+…+a_p = k} (k!/(a₁!…a_p!))², computed by the
-    convolution W_p(2k) = Σ_a C(k,a)² W_{p−1}(2(k−a))."""
-    if p < 1 or k < 0:
-        raise ValueError("bessel_power_number requires p >= 1, k >= 0")
-    row = [1] * (k + 1)  # W_1(2j) = 1
+def _bessel_power_row(p: int, k: int) -> list[int]:
+    """[W_p(0), W_p(2), …, W_p(2k)] by the convolution
+    W_p(2j) = Σ_a C(j,a)² W_{p−1}(2(j−a)) from W_1(2j) = 1."""
+    row = [1] * (k + 1)
     for _ in range(2, p + 1):
         row = [
             sum(comb(j, a) ** 2 * row[j - a] for a in range(j + 1))
             for j in range(k + 1)
         ]
-    return Fraction(row[k])
+    return row
+
+
+def bessel_power_number(p: int, k: int) -> Fraction:
+    """W_p(2k) = Σ_{a₁+…+a_p = k} (k!/(a₁!…a_p!))², the last entry of
+    ``_bessel_power_row(p, k)``."""
+    if p < 1 or k < 0:
+        raise ValueError("bessel_power_number requires p >= 1, k >= 0")
+    return Fraction(_bessel_power_row(p, k)[k])
 
 
 # ---------------------------------------------------------------------------
@@ -304,13 +310,12 @@ def verify_verrill_recursion(m: int, n_max: int) -> dict[int, bool]:
     for n = 1..n_max, with W_{m+1}(negative) := 0."""
     if m < 1 or n_max < 1:
         raise ValueError("verify_verrill_recursion requires m, n_max >= 1")
+    w = _bessel_power_row(m + 1, n_max)
     out: dict[int, bool] = {}
     for n in range(1, n_max + 1):
         acc = Fraction(0)
-        for k in range(m // 2 + 2):
-            if n - k < 0:
-                continue
-            acc += verrill_poly(m, k).eval(n) * bessel_power_number(m + 1, n - k)
+        for k in range(min(m // 2 + 1, n) + 1):
+            acc += verrill_poly(m, k).eval(n) * w[n - k]
         out[n] = acc == 0
     return out
 

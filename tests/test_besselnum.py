@@ -6,6 +6,7 @@ high-precision runs live in the acceptance tests."""
 import importlib
 import inspect
 import json
+import warnings
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from bwv import besselnum, cli, harness
+from bwv import besselnum, brmatrices, cli, exactalg, harness, vanhove
 from bwv.besselnum import (
     GUARD_DIGITS,
     _KERNEL_TAG,
@@ -385,6 +386,53 @@ def test_cache_skips_torn_last_line(tmp_path, monkeypatch, capsys):
     assert c2.get(other) is not None and c2.stats()["skipped"] == 2
 
 
+def test_unwritable_cache_keeps_values_in_memory(tmp_path, monkeypatch,
+                                                 capsys):
+    blocker = tmp_path / "afile"
+    blocker.write_text("")
+    c = MomentCache(str(blocker / "m.jsonl"))
+    keys = [MomentKey("IKM", 1, 2, 1, None, 20),
+            MomentKey("IKM", 1, 3, 1, None, 20)]
+    with pytest.warns(RuntimeWarning, match="cannot be written") as caught:
+        for key in keys:
+            moment(key, cache=c)
+    assert len(caught) == 1  # once per cache, not once per append
+    writable = MomentCache(str(tmp_path / "ok.jsonl"))
+    for key in keys:
+        moment(key, cache=writable)
+        assert c.get(key) is not None and c.get(key) == writable.get(key)
+    # the CLI prints the digits a writable cache gives, and warns only
+    # when it cannot write
+    runs = []
+    for path in (tmp_path / "cold.jsonl", blocker / "m.jsonl"):
+        monkeypatch.setenv("BWV_CACHE", str(path))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["moment", "IKM", "1", "2", "1",
+                             "--digits", "20"]) == 0
+        runs.append((capsys.readouterr().out, len(caught)))
+    assert runs[0][0] == runs[1][0] and runs[0][0].strip()
+    assert [n for _, n in runs] == [0, 1]
+
+
+def test_unreadable_cache_reads_as_empty(tmp_path, monkeypatch, capsys):
+    folder = tmp_path / "adir"
+    folder.mkdir()
+    with pytest.warns(RuntimeWarning, match="cannot be read"):
+        c = MomentCache(str(folder))
+    assert c.stats()["entries"] == 0 and not c.stats()["file_exists"]
+    with pytest.warns(RuntimeWarning, match="cannot be read"):
+        rep = c.verify()
+    assert not rep["ok"] and rep["error"].startswith("IsADirectoryError")
+    monkeypatch.setenv("BWV_CACHE", str(folder))
+    with pytest.warns(RuntimeWarning, match="cannot be read"):
+        assert cli.main(["cache", "stats"]) == 0
+        assert json.loads(capsys.readouterr().out)["entries"] == 0
+        assert cli.main(["cache", "verify"]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert not rep["ok"] and "IsADirectoryError" in rep["error"]
+
+
 def test_quadrature_failure_raises_and_caches_nothing(tmp_path, monkeypatch):
     monkeypatch.setattr("bwv.besselnum.LEVEL_BUDGET", 0)
     path = tmp_path / "m.jsonl"
@@ -548,7 +596,10 @@ def test_benchmark_spans_are_public_functions(monkeypatch):
     """perfbench wraps only the public functions a module defines, and reads
     the spans of the matrix builders, moment, bessel and default_cache by
     name: an alias or a partial under one of those names would leave its
-    span, and the metrics summed from it, at zero."""
+    span, and the metrics summed from it, at zero.  The same holds for the
+    exactalg, vanhove and brmatrices spans it reads, and for the brmatrices
+    functions its child process calls (memoized ones are cache wrappers
+    around a function of the same name)."""
     perfbench = Path(__file__).resolve().parents[1] / "perfbench"
     monkeypatch.syspath_prepend(str(perfbench))
     run = importlib.import_module("run")
@@ -558,3 +609,18 @@ def test_benchmark_spans_are_public_functions(monkeypatch):
         fn = getattr(besselnum, name)
         assert inspect.isfunction(fn) and fn.__name__ == name, name
         assert traced.get(name) is fn, name
+    spans = {
+        exactalg: ("exact_inverse", "exact_det"),
+        vanhove: ("vanhove_operator", "verify_verrill_recursion",
+                  "verify_bms_duality"),
+        brmatrices: ("derham_alternatives", "verify_block_identities",
+                     "derham_D", "derham_d", "betti_B", "betti_b", "matV",
+                     "matSigma", "top_coeff", "named_constant"),
+    }
+    for module, names in spans.items():
+        traced = dict(tracing.public_functions(module))
+        for name in names:
+            fn = getattr(module, name)
+            assert inspect.isfunction(inspect.unwrap(fn)), name
+            assert fn.__name__ == name and fn.__module__ == module.__name__
+            assert traced.get(name) is fn, name

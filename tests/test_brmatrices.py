@@ -412,8 +412,34 @@ def test_derham_alternatives(k):
     res = derham_alternatives(k)
     assert res["ok"], {key: val for key, val in res.items()
                        if isinstance(val, bool) and not val}
-    assert res["Dring"] == derham_Dring(k)
-    assert res["dring"] == derham_dring(k - 1)
+
+
+# (order, row, column) of the u -> 1 pairing limit to bump, and the one flag
+# that must catch it: each parity of the conjugation route reads its own
+# order, and only the even one has a margin row
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("bump, flag", [
+    (lambda k: (2 * k, 1, 1), "d-via-conjugation"),
+    (lambda k: (2 * k - 1, 1, 1), "D-via-conjugation"),
+    (lambda k: (2 * k, 2 * k, 1), "d-limit-margin-zero"),
+], ids=["d-core", "D-core", "d-margin"])
+def test_derham_alternatives_catch_a_bumped_limit(monkeypatch, k, bump, flag):
+    assert derham_alternatives(k)["ok"]
+    order, i, j = bump(k)
+    real = brmatrices._pairing_limit
+
+    def bumped(m, u0):
+        L = real(m, u0)
+        if (m, u0) != (order, 1):
+            return L
+        rows = [list(row) for row in L.entries]
+        rows[i - 1][j - 1] += 1
+        return ExactMatrix(rows)
+
+    monkeypatch.setattr(brmatrices, "_pairing_limit", bumped)
+    res = derham_alternatives.__wrapped__(k)
+    assert {key for key, v in res.items() if key != "k" and not v} == {
+        flag, "ok"}
 
 
 # -- the de Rham pairing limits ---------------------------------------------
