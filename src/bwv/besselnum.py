@@ -38,8 +38,10 @@ the crossover it sums the asymptotic expansions of DLMF 10.40.1 and
 precision alone: it is the least t at which the asymptotic series has a
 term below 2^-prec, so both branches hold every value to a few ulp.
 Moment integrals split at t = 1: tanh-sinh on (0,1) (absorbs the
-log-power singularity at 0) and a double-exponential substitution
-t = 1 + exp((pi/2) sinh w) on (1,oo).  Each interval and working
+log-power singularity at 0) and the exp-exp double-exponential
+substitution t = 1 + exp(w - e^(-w)) on (1,oo), whose nodes grow like
+e^w, so an integrand decaying like e^(-delta t) falls double
+exponentially in w for every delta > 0.  Each interval and working
 precision has one shared grid (``_grid``), whatever a moment's decay
 rate: a node's t and weight, and the (I, K) pairs at t and at sqrt(u) t,
 are computed when a moment first reaches the node and reused by every
@@ -364,37 +366,42 @@ class _Grid:
     precision.  Level 0 holds w = m/4 for every integer m and level L >= 1
     the odd multiples of 2^-(L+2), so each node belongs to one level.  A
     node is placed on first use and then shared by every moment that
-    walks the grid.  ``place(w)`` gives (t, weight), or None where the
-    integrand term vanishes in working precision.  Far in the tails many
-    nodes round to the same t, so their Bessel pairs are kept per t."""
+    walks the grid.  ``place(w)`` gives (t, weight); mpf exponents are
+    unbounded, so no weight underflows to 0 and no t overflows or falls to
+    0, and a walk ends only by the tail cut-off of ``_level``.  Far in the
+    tails many nodes round to the same t, so their Bessel pairs are kept
+    per t."""
 
     def __init__(self, place: Callable):
         self._place = place
         self._nodes: dict = {}
         self._pairs: dict = {}
 
-    def node(self, level: int, m: int) -> Optional[_Node]:
+    def node(self, level: int, m: int) -> _Node:
         key = (level, m)
         try:
             return self._nodes[key]
         except KeyError:
             pass
-        placed = self._place(mp.ldexp(m, -2 - level))
-        if placed is not None:
-            t, weight = placed
-            placed = _Node(t, weight, self._pairs.setdefault(t._mpf_, {}))
-        self._nodes[key] = placed
-        return placed
+        t, weight = self._place(mp.ldexp(m, -2 - level))
+        node = self._nodes[key] = _Node(
+            t, weight, self._pairs.setdefault(t._mpf_, {}))
+        return node
 
 
 @functools.lru_cache(maxsize=16)
 def _grid(interval: str, prec: int) -> _Grid:
     """The shared grid of ``interval``, "(0,1)" or "(1,oo)", at working
-    precision ``prec``, which must be the current one: tanh-sinh on (0,1),
-    t = 1 + exp((pi/2) sinh w) on (1,oo).  The cache bounds the grids, and
-    with them the nodes and Bessel pairs, kept alive at once."""
-    half_pi = mp.pi / 2
+    precision ``prec``, which must be the current one.  On (0,1) it is
+    tanh-sinh, t = 1/(1 + exp(-pi sinh w)), which absorbs the log-power
+    singularity at 0.  On (1,oo) it is the exp-exp map of Takahasi and Mori
+    for integrands that decay like e^(-delta t): t = 1 + exp(w - e^(-w)),
+    weight (1 + e^(-w)) exp(w - e^(-w)).  Its nodes thin out double
+    exponentially towards t = 1 and grow like e^w to the right, where the
+    integrand then falls double exponentially too.  The cache bounds the
+    grids, and with them the nodes and Bessel pairs, kept alive at once."""
     if interval == "(0,1)":
+        half_pi = mp.pi / 2
 
         def place(w):
             x = half_pi * mp.sinh(w)
@@ -405,19 +412,14 @@ def _grid(interval: str, prec: int) -> _Grid:
             else:
                 t = 1 / (1 + mp.exp(-2 * x))
                 omt = 1 - t
-            if t == 0 or omt == 0:
-                return None
             return t, mp.pi * mp.cosh(w) * t * omt
 
     else:
 
         def place(w):
-            g = mp.exp(half_pi * mp.sinh(w))
-            t = 1 + g
-            weight = half_pi * mp.cosh(w) * g
-            if weight == 0 or mp.isinf(t):
-                return None
-            return t, weight
+            e = mp.exp(-w)
+            g = mp.exp(w - e)
+            return 1 + g, (1 + e) * g
 
     return _Grid(place)
 
@@ -607,13 +609,11 @@ def _level(grid: _Grid, sums: list, level: int, bits: int) -> None:
         st.largest = None
         st.limit = (1, 1 - prec, 2 - prec)
     if level == 0:
-        node = grid.node(0, 0)
-        if node is not None:
-            products = _Products(node, bits)
-            for st in sums:
-                m, e = st.term(products)
-                if m:
-                    st.add(m, e, e + m.bit_length())
+        products = _Products(grid.node(0, 0), bits)
+        for st in sums:
+            m, e = st.term(products)
+            if m:
+                st.add(m, e, e + m.bit_length())
     step = 1 if level == 0 else 2
     for direction in (1, -1):
         walking = sums
@@ -621,17 +621,9 @@ def _level(grid: _Grid, sums: list, level: int, bits: int) -> None:
             st.tiny = 0
         j = 1
         while walking:
-            node = grid.node(level, direction * j)
+            products = _Products(grid.node(level, direction * j), bits)
             j += step
             still = []
-            if node is None:
-                for st in walking:
-                    st.tiny += 1
-                    if st.tiny < 3:
-                        still.append(st)
-                walking = still
-                continue
-            products = _Products(node, bits)
             for st in walking:
                 m, e = st.term(products)
                 if m:
@@ -707,7 +699,7 @@ def _u_str(u: Optional[Fraction]) -> Optional[str]:
 #: change to the kernel, the quadrature or the guard digits that alters a
 #: stored value must bump this tag; ``tests/test_golden.py`` pins the
 #: cache a cold build writes under it.
-_KERNEL_TAG = "ik-series-asymptotic/3"
+_KERNEL_TAG = "ik-series-asymptotic/4"
 
 
 def _parse_record(line: str) -> Optional[dict]:

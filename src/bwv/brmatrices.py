@@ -562,6 +562,13 @@ def beta_matrix(m: int, u: Fraction | int | None = None) -> ExactMatrix:
     return ExactMatrix.from_fn(m, m, entry)
 
 
+@cache
+def _beta_inverse_at_1(m: int) -> ExactMatrix:
+    """beta_m(1)^{-1}, inverted once per m for every de Rham limit and
+    block identity that reads it."""
+    return exact_inverse(beta_matrix(m, 1))
+
+
 # ---------------------------------------------------------------------------
 # Auxiliary bookkeeping matrices
 # ---------------------------------------------------------------------------
@@ -692,7 +699,7 @@ def _pairing_limit(m: int, u0: int) -> ExactMatrix:
     s (P_d)_ab, d = r_a + r_b, and every (P_q)_ab with q > d must vanish.
     Each P_q is a product over Q; no rational function of u is formed.
     """
-    B = exact_inverse(beta_matrix(m, 1))
+    B = _beta_inverse_at_1(m)
     s = top_coeff_sign_on_01(m)
     W = _wmat(m)
     if u0 == 1:
@@ -1215,7 +1222,7 @@ def verify_block_identities(k: int) -> dict:
     report["frakSring-margins"] = ok
 
     # last column of beta_{2k}^{-1} is concentrated in its corner
-    binv = exact_inverse(beta_matrix(2 * k, 1))
+    binv = _beta_inverse_at_1(2 * k)
     ok = True
     for a in range(1, 2 * k + 1):
         expect = (

@@ -7,6 +7,7 @@ import importlib
 import inspect
 import json
 import warnings
+from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -307,7 +308,7 @@ def test_every_moment_shares_one_grid_per_interval(tmp_path, monkeypatch):
     ik = besselnum._ik
 
     def counted(order, t):
-        calls.append(t)
+        calls.append((order, t._mpf_))
         return ik(order, t)
 
     monkeypatch.setattr(besselnum, "_ik", counted)
@@ -315,8 +316,47 @@ def test_every_moment_shares_one_grid_per_interval(tmp_path, monkeypatch):
         matM(k, 20)
         matN(k, 20)
     matOmega(2, F(1, 3), 20)
-    assert len(calls) == 2062
+    # no pair is computed twice on one grid; the two grids meet only at
+    # t = 1, where the far tails of both round, so the pairs at 1 and at
+    # sqrt(1/3) are computed once per grid
+    with mp.workdps(20 + GUARD_DIGITS):
+        ends = {(0, mp.mpf(1)._mpf_), (0, mp.sqrt(mp.mpf(1) / 3)._mpf_),
+                (1, mp.sqrt(mp.mpf(1) / 3)._mpf_)}
+    counts = Counter(calls)
+    repeated = {c: n for c, n in counts.items() if n > 1}
+    assert repeated == dict.fromkeys(ends, 2)
+    # every (0,1) sum stops at level 3 and every (1,oo) sum at level 2
+    assert len(counts) == 1234
+    assert len(calls) == 1237
     assert besselnum._grid.cache_info().currsize == 2
+
+
+#: Moments whose integrand decays slowly at the edge of what
+#: ``_check_convergent`` admits, with closed forms that need no quadrature.
+#: IKvM(0,1;n|u) has c = 0, s = +1 and decays like e^(-sqrt(u) t);
+#: IvKM(1,1;n|u) has c = 1, s = -1 and decays like e^(-(1 - sqrt(u)) t).
+_SLOW_DECAY = [
+    ("IKvM", 0, 1, 1, F(1, 10**6), lambda u: 1 / u),
+    ("IKvM", 0, 1, 3, F(1, 10**6), lambda u: 4 / u**2),
+    ("IvKM", 1, 1, 1, F(99, 100), lambda u: 1 / (1 - u)),
+    ("IvKM", 1, 1, 3, F(99, 100), lambda u: 4 * (1 + u) / (1 - u) ** 3),
+]
+
+
+@pytest.mark.parametrize("digits", [20, 50])
+@pytest.mark.parametrize("kind, a, b, n, u, closed", _SLOW_DECAY,
+                         ids=[f"{c[0]}-{c[3]}" for c in _SLOW_DECAY])
+def test_slowly_decaying_moments_match_closed_forms(tmp_path, digits, kind, a,
+                                                   b, n, u, closed):
+    # decay rates 10^-3 and 1 - sqrt(99/100) ~ 0.005: the integrand reaches
+    # far along (1,oo), and the sweep must still converge to the closed form
+    # (a slow integrand may raise QuadratureError, never return a wrong value)
+    cache = MomentCache(str(tmp_path / "m.jsonl"))
+    v = moment(MomentKey(kind, a, b, n, u, digits), cache=cache)
+    with mp.workdps(digits + GUARD_DIGITS):
+        exact = closed(besselnum._to_mpf(u))
+        assert abs(v - exact) <= mpmath.mpf(10) ** -digits * abs(exact), (
+            v, exact)
 
 
 # -- cache ------------------------------------------------------------------

@@ -17,12 +17,17 @@ the SHA-256 of ``repr(x._mpf_)`` of every entry, row by row.  All four
 were taken from the fixed-point sweep, which sums the moments a matrix is
 missing together, one pass per grid, and stores digits + 15 digits.  The
 two entries hashes date from tag "ik-series-asymptotic/2", which gave
-each moment a (1,oo) grid scaled to its decay rate.  The two cache hashes
-are those of tag "ik-series-asymptotic/3", one (1,oo) grid for every
-moment: it stores the same bytes in both builds, so the cache hashes
-moved only through the tag each record carries.  A change to the
-quadrature, the kernel or the guard digits that alters a stored value
-must bump ``besselnum._KERNEL_TAG``, and then these hashes.
+each moment a (1,oo) grid scaled to its decay rate.  Tag
+"ik-series-asymptotic/3", one (1,oo) grid t = 1 + exp((pi/2) sinh w) for
+every moment, stored the same values in both builds.  The two cache hashes
+are those of tag "ik-series-asymptotic/4", the exp-exp (1,oo) map
+t = 1 + exp(w - e^(-w)).  It too stores the same value strings in both
+builds: rewritten to tag /3, its caches hash to ``RETAGGED_SHA256``, so
+the cache hashes moved only through the tag each record carries.  (At
+50 digits and k up to 8 one stored value moved in its last digit, which
+is why the tag moved.)  A change to the quadrature, the kernel or the
+guard digits that alters a stored value must bump
+``besselnum._KERNEL_TAG``, and then these hashes.
 
 ``data/moments_previous.jsonl`` and ``data/families_previous.jsonl`` hold
 the values the quadrature before the sweep (an mpf walk per moment, tag
@@ -105,11 +110,11 @@ GOLDEN_SHA256 = {
     "Bettibring":
         "1372575edafc0b646c06b22c8c57e347e0e82b9100de43162fbbe0858d9fab5a",
     "moments":
-        "ca4f04ca95bd0f3ae1f9fe0f9d38f881ab610284e8ec9b257314bd4baa2c7e12",
+        "79f29f08be5a8e9b349b5c025bc74edb796bd07c7703f4f419f4506d9c900722",
     "moment_entries":
         "ac0677eec2a8786e86f75533f6fdf544f3ba38ee40a76356595fc295f7d21af7",
     "families":
-        "ab7a0e6a6ccea3326da86167efce09bf593d76d3504a61312ec6cf5da316650e",
+        "4dcc40d4a7a37f7a15cc031d14655cd6b7389962e5edee43b2b6e3ca1a7effa5",
     "family_entries":
         "0a5f0e6e2391b67febeab1769b394170ab757048719f2df73f7d58c4c1e23b2a",
     "numeric_report":
@@ -139,9 +144,19 @@ GOLDEN_SHA256 = {
 }
 
 #: The tag the moment hashes were taken under.
-GOLDEN_KERNEL_TAG = "ik-series-asymptotic/3"
+GOLDEN_KERNEL_TAG = "ik-series-asymptotic/4"
 
-#: SHA-256 of the caches the two cold builds wrote under the previous tag,
+#: The tag before it, of the (1,oo) map t = 1 + exp((pi/2) sinh w), and the
+#: SHA-256 of the caches the two cold builds wrote under it.
+RETAGGED_KERNEL_TAG = "ik-series-asymptotic/3"
+RETAGGED_SHA256 = {
+    "moments":
+        "ca4f04ca95bd0f3ae1f9fe0f9d38f881ab610284e8ec9b257314bd4baa2c7e12",
+    "families":
+        "ab7a0e6a6ccea3326da86167efce09bf593d76d3504a61312ec6cf5da316650e",
+}
+
+#: SHA-256 of the caches the two cold builds wrote under tag
 #: "ik-series-asymptotic/1", which stored digits + 5 digits.
 PREVIOUS_SHA256 = {
     "moments":
@@ -260,6 +275,16 @@ def test_moment_cache_golden(cold_builds):
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             GOLDEN_SHA256[name])
         assert _entries_sha256(built) == GOLDEN_SHA256[entries]
+
+
+def test_moment_cache_moved_only_through_the_tag(cold_builds):
+    # the exp-exp (1,oo) map stores every 20-digit value of both builds
+    # byte for byte as the map before it did: only the tag differs
+    for name, expected in RETAGGED_SHA256.items():
+        data = cold_builds[name][0].read_bytes()
+        retagged = data.replace(f'"kernel": "{GOLDEN_KERNEL_TAG}"'.encode(),
+                                f'"kernel": "{RETAGGED_KERNEL_TAG}"'.encode())
+        assert hashlib.sha256(retagged).hexdigest() == expected
 
 
 def _records(path) -> list:
