@@ -45,13 +45,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import factorial
+from math import comb, factorial, lcm
+from operator import mul
 from typing import Callable, Dict, Tuple
 
 from .exactalg import (
     ExactMatrix,
     RatFunc,
     UniPoly,
+    _cleared_int_rows,
     bernoulli,
     binom_ext,
     exact_inverse,
@@ -149,17 +151,19 @@ def _wmat(m: int) -> tuple[tuple[UniPoly, ...], ...]:
     op = vanhove_operator(m)
 
     @cache
-    def dell(n: int, order: int) -> UniPoly:
-        return op.ell(n).deriv(order)
+    def dell(n: int, order: int) -> tuple[int, ...]:
+        # ell_{m,n} has integer coefficients (vanhove_operator asserts it)
+        return op.ell(n).deriv(order).nums
 
     def entry(a: int, b: int) -> UniPoly:
-        num = UniPoly.zero("u")
+        num: list[int] = []
         for n in range(a + b - 1, m + 1):
-            c = binom_ext(n - a, b - 1)
-            if c == 0:
-                continue
-            num = num + dell(n, n - a - b + 1) * (_msign(a + n + m + 1) * c)
-        return num
+            c = _msign(a + n + m + 1) * comb(n - a, b - 1)
+            d = dell(n, n - a - b + 1)
+            num.extend([0] * (len(d) - len(num)))
+            for i, x in enumerate(d):
+                num[i] += c * x
+        return UniPoly._make("u", num)
 
     return tuple(tuple(entry(a, b) for b in range(1, m + 1))
                  for a in range(1, m + 1))
@@ -697,7 +701,14 @@ def _pairing_limit(m: int, u0: int) -> ExactMatrix:
     the u^{i + j - q} coefficient of W_ij and P_q = B^T Z_q B, entry
     (a, b) is sum_q s (P_q)_ab u^{r_a + r_b - q}, q = 2..2m.  Its limit is
     s (P_d)_ab, d = r_a + r_b, and every (P_q)_ab with q > d must vanish.
-    Each P_q is a product over Q; no rational function of u is formed.
+
+    The u = 0 limit runs in integers: each column of B is cleared to
+    integers over its own denominator and W's numerators over one common
+    denominator.  Only the entries (P_q)_ab with q >= r_a + r_b are
+    formed, each an integer dot product of column a of B with column b
+    of Z_q B; Z_q B is formed only for the columns b that such an entry
+    reads, r_b + min r <= q.  No rational function of u is formed, and
+    each limit entry is one ``Fraction``.
     """
     B = _beta_inverse_at_1(m)
     s = top_coeff_sign_on_01(m)
@@ -707,23 +718,32 @@ def _pairing_limit(m: int, u0: int) -> ExactMatrix:
         return (B.T @ W1 @ B).scale(s)
     # r_a = m - (u-power of beta_m's entry (a, m)), so 2 <= d <= 2m
     r = [m - _beta_coeff_power(m, a, m)[1] for a in range(1, m + 1)]
-    Bt = B.T
-
-    def z(q: int) -> ExactMatrix:
-        return ExactMatrix.from_fn(
-            m, m, lambda i, j: W[i - 1][j - 1].coeff(i + j - q))
-
-    P = {q: Bt @ z(q) @ B for q in range(2, 2 * m + 1)}
-
-    def entry(a: int, b: int) -> Fraction:
-        d = r[a - 1] + r[b - 1]
-        if any(P[q].at(a, b) for q in range(d + 1, 2 * m + 1)):
-            raise AssertionError(
-                f"u->0 limit of the order-{m} pairing: entry ({a}, {b}) "
-                "keeps a negative power of u")
-        return s * P[d].at(a, b)
-
-    return ExactMatrix.from_fn(m, m, entry)
+    cols, col_dens = _cleared_int_rows(B.T.entries)
+    den = lcm(*(w.den for row in W for w in row))
+    Wn = [[[c * (den // w.den) for c in w.nums] for w in row] for row in W]
+    rmin = min(r)
+    out = [[None] * m for _ in range(m)]
+    for q in range(2 * rmin, 2 * m + 1):
+        # 0-based i, j: (Z_q)_ij is the u^{i + j + 2 - q} coefficient
+        Z = [[w[i + j + 2 - q] if 0 <= i + j + 2 - q < len(w) else 0
+              for j, w in enumerate(row)] for i, row in enumerate(Wn)]
+        for b in range(m):
+            if r[b] + rmin > q:
+                continue
+            ZB = [sum(map(mul, z, cols[b])) for z in Z]
+            for a in range(m):
+                d = r[a] + r[b]
+                if d > q:
+                    continue
+                v = sum(map(mul, cols[a], ZB))
+                if d == q:
+                    out[a][b] = Fraction(s * v,
+                                         col_dens[a] * col_dens[b] * den)
+                elif v:
+                    raise AssertionError(
+                        f"u->0 limit of the order-{m} pairing: entry "
+                        f"({a + 1}, {b + 1}) keeps a negative power of u")
+    return ExactMatrix(out)
 
 
 def _derham(p: int, k: int) -> ExactMatrix:

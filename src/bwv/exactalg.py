@@ -20,8 +20,9 @@ Conventions
 * ``exact_det`` and ``exact_inverse`` share one Bareiss pass
   (``_bareiss_forward``) in the ring that ``_cleared_rows`` picks: Z for
   a matrix over Q, Q[u] for one over Q(u).  The inverse appends the
-  row-clearing factors to the rows it eliminates, and only its back
-  substitution works in the fraction field.
+  row-clearing factors to the rows it eliminates; over Q its back
+  substitution stays in the integers too (one ``Fraction`` per entry), and
+  only over Q(u) does it work in the fraction field.
 """
 
 from __future__ import annotations
@@ -395,11 +396,24 @@ class UniPoly:
         return Fraction(acc, self.den * q ** max(self.degree, 0))
 
     def compose_poly(self, inner: "UniPoly") -> "UniPoly":
-        """Substitute another polynomial for the variable."""
-        acc = UniPoly.zero(inner.var)
+        """Substitute another polynomial for the variable.
+
+        Homogeneous Horner in integers, as in :meth:`eval`: with inner =
+        J/e, sum_i c_i J^i e^(n-i) over den * e^n, normalized once."""
+        J, e = inner.nums, inner.den
+        acc: list[int] = []
+        epow = 1
         for c in reversed(self.nums):
-            acc = acc * inner + c
-        return acc * Fraction(1, self.den)
+            out = [0] * (len(acc) + len(J) - 1) if acc and J else [0]
+            for i, x in enumerate(acc):
+                if x:
+                    for j, y in enumerate(J, i):
+                        out[j] += x * y
+            out[0] += c * epow
+            acc = out
+            epow *= e
+        return UniPoly._make(inner.var, acc,
+                             self.den * e ** max(self.degree, 0))
 
     def shift_mul(self, k: int) -> "UniPoly":
         """Multiply by var**k."""
@@ -569,34 +583,22 @@ class ExactMatrix:
         rows = len(entries)
         if rows:
             cols = len(entries[0])
+        var = next((e.var for row in entries for e in row
+                    if isinstance(e, RatFunc)), None)
+
+        def to_ratfunc(e) -> RatFunc:
+            if isinstance(e, RatFunc):
+                return e
+            if isinstance(e, UniPoly):
+                return RatFunc(e)
+            return RatFunc.of(var, e)
+
+        lift = _as_fraction if var is None else to_ratfunc
         norm: list[tuple[Entry, ...]] = []
-        has_rat = any(
-            isinstance(e, RatFunc) for row in entries for e in row
-        )
-        var = None
-        if has_rat:
-            for row in entries:
-                for e in row:
-                    if isinstance(e, RatFunc):
-                        var = e.var
-                        break
-                if var:
-                    break
         for row in entries:
             if len(row) != cols:
                 raise ValueError("ragged matrix")
-            out: list[Entry] = []
-            for e in row:
-                if has_rat:
-                    if isinstance(e, RatFunc):
-                        out.append(e)
-                    elif isinstance(e, UniPoly):
-                        out.append(RatFunc(e))
-                    else:
-                        out.append(RatFunc.of(var, e))
-                else:
-                    out.append(_as_fraction(e))
-            norm.append(tuple(out))
+            norm.append(tuple(map(lift, row)))
         self.rows = rows
         self.cols = cols
         self.entries = tuple(norm)
@@ -863,8 +865,13 @@ def exact_det(M: ExactMatrix) -> Entry:
 def exact_inverse(M: ExactMatrix) -> ExactMatrix:
     """Exact inverse: the cleared rows S·M, augmented with S = diag(row
     scales), go through the same Bareiss elimination as the determinant,
-    giving [U | R] with U upper triangular; M^-1 = U^-1 R is then found
-    by back substitution in the fraction field."""
+    giving [U | R] with U upper triangular and M^-1 = U^-1 R.
+
+    Over Q, [U | R] is integral and d = U[n-1][n-1] is ± det(S·M), so
+    d·M^-1 = ± adj(S·M)·S is integral: the back substitution solves
+    U·Y = d·R in integers, every division exact, and each entry is the
+    one ``Fraction(Y_ij, d)``.  Over Q(u) it runs in the fraction field.
+    """
     if not M.is_square:
         raise ValueError("inverse of a non-square matrix")
     n = M.rows
@@ -876,6 +883,18 @@ def exact_inverse(M: ExactMatrix) -> ExactMatrix:
     _, singular = _bareiss_forward(rows, zero, divide)
     if singular or rows[-1][n - 1] == zero:
         raise ZeroDivisionError("matrix is singular (determinant 0)")
+    if lift is Fraction:
+        d = rows[-1][n - 1]
+        tails = [row[i + 1:n] for i, row in enumerate(rows)]
+        cols = []
+        for col in range(n):
+            y = [0] * n
+            for i in range(n - 1, -1, -1):
+                acc = d * rows[i][n + col] - sum(map(mul, tails[i], y[i + 1:]))
+                y[i] = divide(acc, rows[i][i])
+            cols.append(y)
+        return ExactMatrix([[Fraction(y, d) for y in row]
+                            for row in zip(*cols)])
     U = [[lift(x) for x in row] for row in rows]
     inv = [[None] * n for _ in range(n)]
     for col in range(n):

@@ -2,10 +2,11 @@
 machine-readable reports.
 
 The exact suite exercises the operator and matrix layers over Q and
-Q(u): operator structure, the Verrill-polynomial recursion, matrix
-(skew-)symmetries, the Bernoulli-entry inverses, block identities,
-determinant corollaries, the alternative routes to the de Rham
-matrices, the frozen reference tables, and the symmetric-power duality.
+Q[u], and forms no rational function: operator structure, the
+Verrill-polynomial recursion, matrix (skew-)symmetries, the
+Bernoulli-entry inverses, block identities, determinant corollaries, the
+alternative routes to the de Rham matrices, the frozen reference tables,
+and the symmetric-power duality.
 Every check is an exact equality, so a failure is a hard mismatch.
 
 The numeric suite evaluates moment integrals at a requested precision
@@ -31,7 +32,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence
 import mpmath
 from mpmath import mp
 
-from . import __version__
+from . import __version__, brmatrices
 from .besselnum import (
     GUARD_DIGITS,
     _to_mpf,
@@ -62,8 +63,6 @@ from .brmatrices import (
     derham_dring,
     matSigma,
     matSigmaInvBernoulli,
-    matUpsilon,
-    matV,
     matsigma,
     matsigmaInvBernoulli,
     named_constant,
@@ -323,11 +322,14 @@ TABLE_DERHAM_d = {
 
 
 def _check_symmetry(k: int) -> bool:
-    V = matV(k)
-    if V != V.T:
+    # V_{2k-1} = W_{2k-1} / ell and upsilon_{2k} = W_{2k} / ell with
+    # ell = ell_{m,m} != 0, so V is symmetric and upsilon skew exactly when
+    # their polynomial numerators W_m (``brmatrices._wmat``) are.
+    W = brmatrices._wmat(2 * k - 1)
+    if any(W[a][b] != W[b][a] for a in range(len(W)) for b in range(a)):
         return False
-    U = matUpsilon(k)
-    if U != U.map(lambda e: -e).T:
+    W = brmatrices._wmat(2 * k)
+    if any(W[a][b] != -W[b][a] for a in range(len(W)) for b in range(a + 1)):
         return False
     S = matSigma(k)
     if S != S.T:
@@ -493,11 +495,19 @@ def _ringed_quad_check(p: int, k: int, digits: int):
     return _max_abs(R)
 
 
+def _v2_at(u: Fraction) -> ExactMatrix:
+    """V_3(u) (``matV(2)`` at u) over Q: W_3(u) / ell_{3,3}(u), for u in
+    (0, 1), where ell_{3,3} has no root."""
+    lead = top_coeff(3).eval(u)
+    return ExactMatrix([[w.eval(u) / lead for w in row]
+                        for row in brmatrices._wmat(3)])
+
+
 def _offshell_cov_check(u: Fraction, digits: int):
     # Omega Sigma Omega^T = V(u)^{-1} / |m_3(u)| for the k=2 odd family.
     m3 = abs(top_coeff(3).eval(u))
     O = matOmega(2, u, digits)
-    Vinv = _to_mpf_matrix(exact_inverse(matV(2).eval(u)))
+    Vinv = _to_mpf_matrix(exact_inverse(_v2_at(u)))
     R = O * _to_mpf_matrix(matSigma(2)) * O.T - Vinv / _to_mpf(m3)
     return _max_abs(R)
 
@@ -507,7 +517,7 @@ def _offshell_inv_check(u: Fraction, digits: int):
     m3 = abs(top_coeff(3).eval(u))
     O = matOmega(2, u, digits)
     Sinv = _to_mpf_matrix(exact_inverse(matSigma(2)))
-    R = O.T * _to_mpf_matrix(matV(2).eval(u)) * O - Sinv / _to_mpf(m3)
+    R = O.T * _to_mpf_matrix(_v2_at(u)) * O - Sinv / _to_mpf(m3)
     return _max_abs(R)
 
 

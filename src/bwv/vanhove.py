@@ -152,10 +152,10 @@ def theta_to_d(table: dict[int, UniPoly]) -> list[dict[int, Fraction]]:
     for i in range(max((p.degree for p in table.values()), default=-1) + 1):
         coeff = {}
         for s, p in table.items():
-            c = sum(p.coeff(l) * _stirling2(l, i)
+            c = sum(p.nums[l] * _stirling2(l, i)
                     for l in range(i, p.degree + 1))
             if c:
-                coeff[s + i] = c
+                coeff[s + i] = Fraction(c, p.den)
         out.append(coeff)
     while out and not out[-1]:
         out.pop()

@@ -463,6 +463,33 @@ def test_pairing_limits_match_the_rational_function_product(m):
     assert brmatrices._pairing_limit(m, 0) == ref.eval(0)
 
 
+def _u0_limit_by_full_products(m):
+    """The u -> 0 limit of _pairing_limit(m, 0) from every full product
+    P_q = B^T Z_q B over Q, q = 2..2m (entry (a, b) is s (P_d)_ab at
+    d = r_a + r_b, and must read 0 in each P_q with q > d)."""
+    B = brmatrices._beta_inverse_at_1(m)
+    W = brmatrices._wmat(m)
+    r = [m - brmatrices._beta_coeff_power(m, a, m)[1]
+         for a in range(1, m + 1)]
+    P = {q: B.T @ M.from_fn(m, m, lambda i, j: W[i - 1][j - 1].coeff(
+        i + j - q)) @ B for q in range(2, 2 * m + 1)}
+    s = top_coeff_sign_on_01(m)
+
+    def entry(a, b):
+        d = r[a - 1] + r[b - 1]
+        assert all(P[q].at(a, b) == 0 for q in range(d + 1, 2 * m + 1))
+        return s * P[d].at(a, b)
+
+    return M.from_fn(m, m, entry)
+
+
+# the orders that verify exact --max-k 8 reads at u = 0, past the
+# rational-function reference above
+@pytest.mark.parametrize("m", range(12, 17))
+def test_u0_pairing_limit_matches_the_full_products(m):
+    assert brmatrices._pairing_limit(m, 0) == _u0_limit_by_full_products(m)
+
+
 def test_beta_is_a_monomial_conjugate_of_beta_at_one():
     # beta_m(u) = R(u)^{-1} beta_m(1) C(u), R = diag(u^{r_a}), C = diag(u^b),
     # r_a = a for a <= ceil(m/2) and a - ceil(m/2) above

@@ -1,6 +1,7 @@
 """Tests for the exact arithmetic layer: Bernoulli numbers, polynomials,
 rational functions, matrices."""
 
+import random
 from fractions import Fraction as F
 from math import gcd
 
@@ -134,6 +135,15 @@ def test_unipoly_shift_mul_and_compose():
     assert p.shift_mul(2) == UniPoly.of("u", [0, 0, 1, 2])
     inner = UniPoly.of("u", [1, 1])  # u + 1
     assert p.compose_poly(inner) == UniPoly.of("u", [3, 2])
+
+
+@given(polys(4), polys(3))
+@settings(max_examples=60)
+def test_unipoly_compose_is_the_sum_of_powers(p, inner):
+    expect = UniPoly.zero("u")
+    for k, c in enumerate(p.coeffs):
+        expect = expect + inner**k * c
+    assert p.compose_poly(inner) == expect
 
 
 # -- the integer-backed core against a plain-Fraction reference -------------
@@ -350,6 +360,94 @@ def test_inverse_roundtrip(A):
         return
     assert A @ exact_inverse(A) == ExactMatrix.identity(4)
     assert exact_inverse(A) @ A == ExactMatrix.identity(4)
+
+
+def _gauss_jordan_inverse(M):
+    """M^-1 by Gauss-Jordan elimination in Fraction arithmetic, pivoting on
+    the first nonzero entry of each column: the reference for the integer
+    back substitution of exact_inverse over Q.  None if M is singular."""
+    n = M.rows
+    A = [list(row) + [F(int(i == j)) for j in range(n)]
+         for i, row in enumerate(M.entries)]
+    for c in range(n):
+        p = next((r for r in range(c, n) if A[r][c]), None)
+        if p is None:
+            return None
+        A[c], A[p] = A[p], A[c]
+        A[c] = [x / A[c][c] for x in A[c]]
+        for r in range(n):
+            if r != c and A[r][c]:
+                f = A[r][c]
+                A[r] = [x - f * y for x, y in zip(A[r], A[c])]
+    return ExactMatrix([row[n:] for row in A])
+
+
+def _check_q_inverse(M):
+    ref = _gauss_jordan_inverse(M)
+    if ref is None:
+        with pytest.raises(ZeroDivisionError):
+            exact_inverse(M)
+        return
+    inv = exact_inverse(M)
+    assert inv.entries == ref.entries
+    assert all(type(e) is F for row in inv.entries for e in row)
+    assert M @ inv == ExactMatrix.identity(M.rows)
+
+
+def test_q_inverse_on_seeded_random_matrices():
+    rng = random.Random(20261018)
+    for trial in range(120):
+        n = 1 + trial % 7
+        rows = [[F(rng.randint(-30, 30), rng.randint(1, 40))
+                 for _ in range(n)] for _ in range(n)]
+        if n > 1 and trial % 2:
+            rows[0][0] = F(0)  # the first pivot needs a row swap
+        _check_q_inverse(ExactMatrix(rows))
+
+
+def test_q_inverse_with_row_swaps_at_later_pivots():
+    # after the first step the (2, 2) entry vanishes: a swap at pivot 2
+    M = ExactMatrix([[1, 2, 3, F(1, 2)], [2, 4, 1, 0],
+                     [F(1, 3), 1, 0, 5], [7, 0, F(-2, 9), 1]])
+    _check_q_inverse(M)
+    # a permutation matrix swaps at every pivot
+    P = ExactMatrix([[0, 0, 0, 1], [1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0]])
+    assert exact_inverse(P) == P.T
+    _check_q_inverse(P.scale(F(-3, 5)))
+
+
+def test_q_inverse_of_a_1x1_matrix():
+    assert exact_inverse(ExactMatrix([[F(-3, 7)]])) == ExactMatrix(
+        [[F(-7, 3)]])
+    assert exact_inverse(ExactMatrix([[5]])) == ExactMatrix([[F(1, 5)]])
+    with pytest.raises(ZeroDivisionError):
+        exact_inverse(ExactMatrix([[0]]))
+
+
+@given(st.integers(min_value=1, max_value=5).flatmap(
+    lambda n: st.lists(
+        st.lists(st.one_of(fractions, wide_fractions), min_size=n,
+                 max_size=n),
+        min_size=n, max_size=n)))
+@settings(max_examples=60)
+def test_q_inverse_matches_gauss_jordan(rows):
+    _check_q_inverse(ExactMatrix(rows))
+
+
+def test_singular_q_matrices_raise():
+    half = F(1, 2)
+    for rows in (
+        # the last pivot vanishes: row 3 = row 1 + 2 row 2
+        [[1, half, 3], [F(2, 3), 0, -1], [F(7, 3), half, 1]],
+        # a pivot column vanishes
+        [[0, 1, 2], [0, half, 1], [0, 3, F(1, 5)]],
+        # a zero row
+        [[1, 2], [0, 0]],
+    ):
+        M = ExactMatrix(rows)
+        assert exact_det(M) == 0
+        with pytest.raises(ZeroDivisionError):
+            exact_inverse(M)
 
 
 def test_det_over_polynomial_ring():

@@ -8,7 +8,8 @@ import json
 import pytest
 
 import bwv.cli as cli
-from bwv import __version__, besselnum, harness
+from bwv import __version__, besselnum, brmatrices, harness, vanhove
+from bwv.exactalg import RatFunc
 from bwv.harness import (
     CheckResult,
     Report,
@@ -111,6 +112,39 @@ def test_exact_suite_small_all_pass():
     assert _unresolved(r for c in rep.checks for r in c.refs) == []
     # exact checks carry no residual
     assert all(c.residual is None for c in rep.checks)
+
+
+def test_exact_suite_forms_no_rational_function(monkeypatch):
+    # empty the memos first, so a Q(u) matrix built by an earlier test
+    # cannot hide one that the suite would build
+    for mod in (brmatrices, vanhove):
+        for obj in vars(mod).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+
+    def refuse(self, *args):
+        raise AssertionError("a rational function was formed")
+
+    monkeypatch.setattr(RatFunc, "__init__", refuse)
+    rep = run_exact_suite(3)
+    assert rep.ok, [c.to_dict() for c in rep.checks if c.status != "pass"]
+
+
+# W_{2k + shift}[i][j] (0-based, negative from the end) gains 1
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("shift, i, j", [
+    (-1, 0, 1), (-1, -1, 0),  # V_{2k-1}: one off-diagonal entry
+    (0, 0, 0), (0, -1, -1),   # upsilon_{2k}: one nonzero diagonal entry
+], ids=["V-12", "V-last-row", "upsilon-11", "upsilon-last"])
+def test_symmetry_check_catches_a_bumped_numerator(monkeypatch, k, shift,
+                                                   i, j):
+    order = 2 * k + shift
+    real = brmatrices._wmat
+    W = [list(row) for row in real(order)]
+    W[i][j] += 1
+    monkeypatch.setattr(brmatrices, "_wmat",
+                        lambda m: W if m == order else real(m))
+    assert not harness._check_symmetry(k)
 
 
 # -- numeric check runner ---------------------------------------------------
