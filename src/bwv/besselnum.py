@@ -37,19 +37,19 @@ the crossover it sums the asymptotic expansions of DLMF 10.40.1 and
 10.40.2 up to their smallest term.  The crossover depends on the working
 precision alone: it is the least t at which the asymptotic series has a
 term below 2^-prec, so both branches hold every value to a few ulp.
-Moment integrals split at t = 1: tanh-sinh on (0,1) (absorbs the
-log-power singularity at 0) and the exp-exp double-exponential
-substitution t = 1 + exp(w - e^(-w)) on (1,oo), whose nodes grow like
-e^w, so an integrand decaying like e^(-delta t) falls double
-exponentially in w for every delta > 0.  Each interval and working
-precision has one shared grid (``_grid``), whatever a moment's decay
-rate: a node's t and weight, and the (I, K) pairs at t and at sqrt(u) t,
-are computed when a moment first reaches the node and reused by every
-later moment.  The grids are held in a small LRU cache, so their memory
-stays bounded.  The moments one call is missing (a whole matrix, the
-entries of one ``family_moments`` call, or the one key of ``moment``) are
-summed together, one sweep per interval, in Python-integer fixed point:
-at each node the Bessel values, t and the weight become integer
+Every moment integral is one sum over (0,oo) on the exp-exp
+double-exponential substitution t = exp(w - e^(-w)) of Takahasi and Mori.
+Its nodes fall to 0 like exp(-e^(-w)), which absorbs the log-power
+singularity at t = 0, and grow like e^w, so an integrand decaying like
+e^(-delta t) falls double exponentially in w for every delta > 0.  Each
+working precision has one shared grid (``_grid``), whatever a moment's
+decay rate: a node's t and weight, and the (I, K) pairs at t and at
+sqrt(u) t, are computed when a moment first reaches the node and reused by
+every later moment.  The grids are held in a small LRU cache, so their
+memory stays bounded.  The moments one call is missing (a whole matrix,
+the entries of one ``family_moments`` call, or the one key of ``moment``)
+are summed together, in one sweep of the grid, in Python-integer fixed
+point: at each node the Bessel values, t and the weight become integer
 (mantissa, exponent) pairs once, I0^a, K0^b and t^n are running products,
 and each moment adds its term to its own integer accumulator, whose scale
 follows the moment's largest term.  Each moment keeps its own rules, so
@@ -70,7 +70,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import mpmath
 from mpmath import mp
@@ -340,15 +340,14 @@ def _check_convergent(key: MomentKey) -> None:
 
 class _Node:
     """One quadrature node: the abscissa t, the weight, and the (I, K)
-    pairs at t and at scale*t, each computed on first use and shared
-    with every node of the grid at the same t."""
+    pairs at t and at scale*t, each computed on first use."""
 
     __slots__ = ("t", "weight", "_pairs")
 
-    def __init__(self, t, weight, pairs: dict):
+    def __init__(self, t, weight):
         self.t = t
         self.weight = weight
-        self._pairs = pairs
+        self._pairs: dict = {}
 
     def bessel(self, kind: str, scale=None):
         """I0, I1, K0 or K1 at t, or at scale*t (the sqrt(u) t factors)."""
@@ -362,20 +361,16 @@ class _Node:
 
 
 class _Grid:
-    """The nodes of one double-exponential substitution at one working
+    """The nodes of the exp-exp map t = exp(w - e^(-w)) at one working
     precision.  Level 0 holds w = m/4 for every integer m and level L >= 1
     the odd multiples of 2^-(L+2), so each node belongs to one level.  A
     node is placed on first use and then shared by every moment that
-    walks the grid.  ``place(w)`` gives (t, weight); mpf exponents are
-    unbounded, so no weight underflows to 0 and no t overflows or falls to
-    0, and a walk ends only by the tail cut-off of ``_level``.  Far in the
-    tails many nodes round to the same t, so their Bessel pairs are kept
-    per t."""
+    walks the grid.  mpf exponents are unbounded, so no weight underflows
+    to 0 and no t overflows or falls to 0, and a walk ends only by the
+    tail cut-off of ``_level``."""
 
-    def __init__(self, place: Callable):
-        self._place = place
+    def __init__(self):
         self._nodes: dict = {}
-        self._pairs: dict = {}
 
     def node(self, level: int, m: int) -> _Node:
         key = (level, m)
@@ -383,45 +378,24 @@ class _Grid:
             return self._nodes[key]
         except KeyError:
             pass
-        t, weight = self._place(mp.ldexp(m, -2 - level))
-        node = self._nodes[key] = _Node(
-            t, weight, self._pairs.setdefault(t._mpf_, {}))
+        w = mp.ldexp(m, -2 - level)
+        e = mp.exp(-w)
+        t = mp.exp(w - e)
+        node = self._nodes[key] = _Node(t, (1 + e) * t)
         return node
 
 
 @functools.lru_cache(maxsize=16)
-def _grid(interval: str, prec: int) -> _Grid:
-    """The shared grid of ``interval``, "(0,1)" or "(1,oo)", at working
-    precision ``prec``, which must be the current one.  On (0,1) it is
-    tanh-sinh, t = 1/(1 + exp(-pi sinh w)), which absorbs the log-power
-    singularity at 0.  On (1,oo) it is the exp-exp map of Takahasi and Mori
-    for integrands that decay like e^(-delta t): t = 1 + exp(w - e^(-w)),
-    weight (1 + e^(-w)) exp(w - e^(-w)).  Its nodes thin out double
-    exponentially towards t = 1 and grow like e^w to the right, where the
-    integrand then falls double exponentially too.  The cache bounds the
-    grids, and with them the nodes and Bessel pairs, kept alive at once."""
-    if interval == "(0,1)":
-        half_pi = mp.pi / 2
-
-        def place(w):
-            x = half_pi * mp.sinh(w)
-            # t computed so that both t and 1-t stay accurate
-            if x >= 0:
-                omt = 1 / (1 + mp.exp(2 * x))  # 1 - t
-                t = 1 - omt
-            else:
-                t = 1 / (1 + mp.exp(-2 * x))
-                omt = 1 - t
-            return t, mp.pi * mp.cosh(w) * t * omt
-
-    else:
-
-        def place(w):
-            e = mp.exp(-w)
-            g = mp.exp(w - e)
-            return 1 + g, (1 + e) * g
-
-    return _Grid(place)
+def _grid(prec: int) -> _Grid:
+    """The shared grid at working precision ``prec``, which must be the
+    current one: the exp-exp map of Takahasi and Mori over (0,oo),
+    t = exp(w - e^(-w)), weight (1 + e^(-w)) t.  Its nodes fall to 0 like
+    exp(-e^(-w)) as w -> -oo, so the log-power singularity at t = 0 is
+    absorbed, and grow like e^w as w -> +oo, so an integrand decaying like
+    e^(-delta t) falls double exponentially in w for every delta > 0.  The
+    cache bounds the grids, and with them the nodes and Bessel pairs, kept
+    alive at once."""
+    return _Grid()
 
 
 # Fixed-point arithmetic of the sweep: a value is a pair (m, e) of Python
@@ -663,24 +637,14 @@ def _converge(grid: _Grid, sums: list, bits: int) -> list:
 def _integrate(keys: list) -> dict:
     """{key: moment} for ``keys``, which share their digits, at the
     working precision the caller set (dps = digits + GUARD_DIGITS): each
-    is its tanh-sinh sum over (0,1) plus its sum over (1,oo), and each
-    interval's grid is swept once for all the keys.  Raises
-    QuadratureError naming a key that did not converge."""
-    bits = mp.prec + _GUARD_BITS
-    pairs = {key: (_Sum(key), _Sum(key)) for key in keys}
-    for i, interval in enumerate(("(0,1)", "(1,oo)")):
-        left = _converge(_grid(interval, mp.prec),
-                         [p[i] for p in pairs.values()], bits)
-        if left:
-            raise QuadratureError(f"{left[0].key}: interval {interval}: "
-                                  "quadrature did not converge within the "
-                                  "level budget")
-    values = {}
-    for key, (st0, st1) in pairs.items():
-        (m0, e0), (m1, e1) = st0.value, st1.value
-        lo = min(e0, e1)
-        values[key] = mp.mpf(((m0 << (e0 - lo)) + (m1 << (e1 - lo)), lo))
-    return values
+    is its sum over the shared (0,oo) grid, swept once for all the keys.
+    Raises QuadratureError naming a key that did not converge."""
+    sums = [_Sum(key) for key in keys]
+    left = _converge(_grid(mp.prec), sums, mp.prec + _GUARD_BITS)
+    if left:
+        raise QuadratureError(f"{left[0].key}: quadrature did not converge "
+                              "within the level budget")
+    return {st.key: mp.mpf(st.value) for st in sums}
 
 
 # ---------------------------------------------------------------------------
@@ -699,7 +663,7 @@ def _u_str(u: Optional[Fraction]) -> Optional[str]:
 #: change to the kernel, the quadrature or the guard digits that alters a
 #: stored value must bump this tag; ``tests/test_golden.py`` pins the
 #: cache a cold build writes under it.
-_KERNEL_TAG = "ik-series-asymptotic/4"
+_KERNEL_TAG = "ik-series-asymptotic/5"
 
 
 def _parse_record(line: str) -> Optional[dict]:
@@ -782,32 +746,37 @@ class MomentCache:
             return hit[1]
         return None
 
-    def put(self, key: MomentKey, value: str) -> None:
-        rec = {
-            "kind": key.kind,
-            "a": key.a,
-            "b": key.b,
-            "n": key.n,
-            "u": _u_str(key.u),
-            "digits": key.digits,
-            "value": value,
-            "kernel": _KERNEL_TAG,
-        }
-        line = (json.dumps(rec) + "\n").encode()
-        mk = self._map_key(key)
-        old = self._map.get(mk)
-        if old is None or key.digits > old[0]:
-            self._map[mk] = (key.digits, value)
+    def put(self, values: dict) -> None:
+        """Store {key: value string} and append one record per key to the
+        file, the whole batch in one write."""
+        lines = []
+        for key, value in values.items():
+            rec = {
+                "kind": key.kind,
+                "a": key.a,
+                "b": key.b,
+                "n": key.n,
+                "u": _u_str(key.u),
+                "digits": key.digits,
+                "value": value,
+                "kernel": _KERNEL_TAG,
+            }
+            lines.append(json.dumps(rec) + "\n")
+            mk = self._map_key(key)
+            old = self._map.get(mk)
+            if old is None or key.digits > old[0]:
+                self._map[mk] = (key.digits, value)
+        data = "".join(lines).encode()
         p = Path(self.path)
         try:
             p.parent.mkdir(parents=True, exist_ok=True)
             with p.open("a+b") as fh:
-                # end a torn last line first, so this record stays whole
+                # end a torn last line first, so these records stay whole
                 if fh.seek(0, os.SEEK_END):
                     fh.seek(-1, os.SEEK_END)
                     if fh.read(1) != b"\n":
-                        line = b"\n" + line
-                fh.write(line)
+                        data = b"\n" + data
+                fh.write(data)
         except OSError as exc:
             if not self._append_failed:
                 self._append_failed = True
@@ -861,17 +830,17 @@ def default_cache() -> MomentCache:
 
 def _store_missing(keys: list, cache: MomentCache) -> None:
     """Check ``keys``, which share their digits, compute the ones the cache
-    misses together (one sweep per grid) and store each at digits +
-    GUARD_DIGITS digits."""
+    misses together (one sweep of the grid) and store them, each at
+    digits + GUARD_DIGITS digits, in one append."""
     for key in keys:
         _check_convergent(key)
     missing = list(dict.fromkeys(k for k in keys if cache.get(k) is None))
     if missing:
         dps = missing[0].digits + GUARD_DIGITS
         with mp.workdps(dps):
-            for key, value in _integrate(missing).items():
-                cache.put(key, mp.nstr(value, dps, strip_zeros=False,
-                                       min_fixed=1, max_fixed=0))
+            cache.put({key: mp.nstr(value, dps, strip_zeros=False,
+                                    min_fixed=1, max_fixed=0)
+                       for key, value in _integrate(missing).items()})
 
 
 def _moments(keys: list, cache: Optional[MomentCache] = None) -> list:

@@ -272,7 +272,7 @@ def test_borwein_salvy_moment_recurrence(cache, a, b, k):
     # vanish: b > a gives decay at infinity, and t^k K0^b -> 0 at 0 (k >= 1).
     # (2, 5, 1) reaches IKM(2, 5; 5), a moment of the k = 3 M-row.  The
     # cases with b - a >= 5 decay fastest, so they are the moments that the
-    # shared (1,oo) grid, which ignores the decay rate, fits least well.
+    # shared grid, which ignores the decay rate, fits least well.
     assert b > a and k >= 1
     digits = 30
     terms, keys = _recurrence_terms(cache, a, b, k, digits)
@@ -298,10 +298,10 @@ def test_borwein_salvy_moment_recurrence(cache, a, b, k):
         assert _relative_residual(terms) > mpmath.mpf(10) ** -(digits + 2)
 
 
-def test_every_moment_shares_one_grid_per_interval(tmp_path, monkeypatch):
+def test_every_moment_shares_one_grid(tmp_path, monkeypatch):
     # the golden "moments" cold build: its moments decay at rates 1 to 6,
-    # and all of them walk the same two grids, so each node's Bessel pairs
-    # are computed once for all of them
+    # and all of them walk the same grid over (0,oo), so each node's Bessel
+    # pairs are computed once for all of them
     monkeypatch.setenv("BWV_CACHE", str(tmp_path / "moments.jsonl"))
     besselnum._grid.cache_clear()
     calls = []
@@ -316,19 +316,13 @@ def test_every_moment_shares_one_grid_per_interval(tmp_path, monkeypatch):
         matM(k, 20)
         matN(k, 20)
     matOmega(2, F(1, 3), 20)
-    # no pair is computed twice on one grid; the two grids meet only at
-    # t = 1, where the far tails of both round, so the pairs at 1 and at
-    # sqrt(1/3) are computed once per grid
-    with mp.workdps(20 + GUARD_DIGITS):
-        ends = {(0, mp.mpf(1)._mpf_), (0, mp.sqrt(mp.mpf(1) / 3)._mpf_),
-                (1, mp.sqrt(mp.mpf(1) / 3)._mpf_)}
-    counts = Counter(calls)
-    repeated = {c: n for c, n in counts.items() if n > 1}
-    assert repeated == dict.fromkeys(ends, 2)
-    # every (0,1) sum stops at level 3 and every (1,oo) sum at level 2
-    assert len(counts) == 1234
-    assert len(calls) == 1237
-    assert besselnum._grid.cache_info().currsize == 2
+    assert besselnum._grid.cache_info().currsize == 1
+    # no two nodes share a t, so no pair is computed twice: t = 1 and
+    # sqrt(1/3) are no exception
+    repeated = {c: n for c, n in Counter(calls).items() if n > 1}
+    assert repeated == {}
+    # every sum stops at level 2
+    assert len(calls) == 480
 
 
 #: Moments whose integrand decays slowly at the edge of what
@@ -355,6 +349,22 @@ def test_slowly_decaying_moments_match_closed_forms(tmp_path, digits, kind, a,
     v = moment(MomentKey(kind, a, b, n, u, digits), cache=cache)
     with mp.workdps(digits + GUARD_DIGITS):
         exact = closed(besselnum._to_mpf(u))
+        assert abs(v - exact) <= mpmath.mpf(10) ** -digits * abs(exact), (
+            v, exact)
+
+
+@pytest.mark.parametrize("digits", [20, 50])
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_log_moment_matches_the_mellin_transform(tmp_path, digits, n):
+    # int_0^oo K0(t) t^(s-1) dt = 2^(s-2) Gamma(s/2)^2; its s-derivative at
+    # s = n+1 is IKM_LOG(0,1;n) = 2^(n-1) Gamma((n+1)/2)^2
+    # (ln 2 + psi((n+1)/2)), whose integrand carries the log-power
+    # singularity log(t)^2 at t = 0 when n = 0
+    cache = MomentCache(str(tmp_path / "m.jsonl"))
+    v = moment(MomentKey("IKM_LOG", 0, 1, n, None, digits), cache=cache)
+    with mp.workdps(digits + GUARD_DIGITS):
+        h = mp.mpf(n + 1) / 2
+        exact = mp.ldexp(mp.gamma(h) ** 2, n - 1) * (mp.ln2 + mp.digamma(h))
         assert abs(v - exact) <= mpmath.mpf(10) ** -digits * abs(exact), (
             v, exact)
 

@@ -15,18 +15,23 @@ digits, pins the log-weighted and even off-shell families the same way
 from the moments (the pi powers, the signs and the inverse beta product):
 the SHA-256 of ``repr(x._mpf_)`` of every entry, row by row.  All four
 were taken from the fixed-point sweep, which sums the moments a matrix is
-missing together, one pass per grid, and stores digits + 15 digits.  The
-two entries hashes date from tag "ik-series-asymptotic/2", which gave
-each moment a (1,oo) grid scaled to its decay rate.  Tag
+missing together, and stores digits + 15 digits.  The family entries
+hash dates from tag "ik-series-asymptotic/2", which gave each moment a
+(1,oo) grid scaled to its decay rate.  Tag
 "ik-series-asymptotic/3", one (1,oo) grid t = 1 + exp((pi/2) sinh w) for
-every moment, stored the same values in both builds.  The two cache hashes
-are those of tag "ik-series-asymptotic/4", the exp-exp (1,oo) map
-t = 1 + exp(w - e^(-w)).  It too stores the same value strings in both
-builds: rewritten to tag /3, its caches hash to ``RETAGGED_SHA256``, so
-the cache hashes moved only through the tag each record carries.  (At
-50 digits and k up to 8 one stored value moved in its last digit, which
-is why the tag moved.)  A change to the quadrature, the kernel or the
-guard digits that alters a stored value must bump
+every moment, stored the same values in both builds, and so did tag
+"ik-series-asymptotic/4", the exp-exp (1,oo) map t = 1 + exp(w - e^(-w)),
+both beside a tanh-sinh sum over (0,1).  (At 50 digits and k up to 8 one
+stored value moved in its last digit under /4, which is why the tag
+moved.)  The two cache hashes are those of tag "ik-series-asymptotic/5",
+one sum per moment over (0,oo) on the exp-exp map t = exp(w - e^(-w)),
+with no split at t = 1.  ``data/moments_tag4.jsonl`` and
+``data/families_tag4.jsonl`` are the caches the two builds wrote under
+/4 (``RETAGGED_SHA256``): /5 writes the same records in the same order
+with the same value strings, apart from IKM(2,6;1) of the moments build,
+which moved by one unit in its last (35th) digit (``MOVED_FROM_RETAGGED``)
+and with it the moment entries hash.  A change to the quadrature, the
+kernel or the guard digits that alters a stored value must bump
 ``besselnum._KERNEL_TAG``, and then these hashes.
 
 ``data/moments_previous.jsonl`` and ``data/families_previous.jsonl`` hold
@@ -44,7 +49,9 @@ tables.  The numeric-report hash covers one JSON line
 scalar checks moved to one ``family_moments`` batch each, which changed
 only their refs: the residual strings are those of the per-entry fetchers
 before it, and the check ids and verdicts those of the checks before the
-fixed-point sweep.
+fixed-point sweep.  It was retaken under tag "ik-series-asymptotic/5",
+where one residual moved: bm-det-M-k4, 6.0554825e-52 -> 1.5243111e-51,
+against a tolerance of 1e-20.
 
 The k = 6 de Rham hashes (DerhamD, Derhamd, DerhamDring, Derhamdring, one
 ``matrix_to_json`` line each) were taken from the separate inverse and
@@ -66,6 +73,7 @@ the rational-function operator algebra that preceded the θ-tables.
 
 import hashlib
 import json
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -110,15 +118,15 @@ GOLDEN_SHA256 = {
     "Bettibring":
         "1372575edafc0b646c06b22c8c57e347e0e82b9100de43162fbbe0858d9fab5a",
     "moments":
-        "79f29f08be5a8e9b349b5c025bc74edb796bd07c7703f4f419f4506d9c900722",
+        "2756a746ab47c6f5dd53bfe7e1094638b41b16b45037fcdbf28bca1d0e700346",
     "moment_entries":
-        "ac0677eec2a8786e86f75533f6fdf544f3ba38ee40a76356595fc295f7d21af7",
+        "fd077193cdc8658ff88b3ee434772a9edb1e10d2e654350c3178fab75bf6930e",
     "families":
-        "4dcc40d4a7a37f7a15cc031d14655cd6b7389962e5edee43b2b6e3ca1a7effa5",
+        "62455e780959d2814ef11bb9c30a29abfe0ea174e41ccc5ac8b66237ecc7662b",
     "family_entries":
         "0a5f0e6e2391b67febeab1769b394170ab757048719f2df73f7d58c4c1e23b2a",
     "numeric_report":
-        "4ad06364467e2a94b397e24411006566810dde8954b4f8b0d21704a2eb7a39a9",
+        "f6772bddff0602aeaff52d25d53dec936453ec99c1ec1d01431f80fe9a5c1dd4",
     "DerhamD-k6":
         "03ee7b126df48f129aabbc9dc70ccfa93d581efd1177b28e6fec5dc9a50252bf",
     "Derhamd-k6":
@@ -144,16 +152,25 @@ GOLDEN_SHA256 = {
 }
 
 #: The tag the moment hashes were taken under.
-GOLDEN_KERNEL_TAG = "ik-series-asymptotic/4"
+GOLDEN_KERNEL_TAG = "ik-series-asymptotic/5"
 
-#: The tag before it, of the (1,oo) map t = 1 + exp((pi/2) sinh w), and the
-#: SHA-256 of the caches the two cold builds wrote under it.
-RETAGGED_KERNEL_TAG = "ik-series-asymptotic/3"
+#: The tag before it, of the (0,1) tanh-sinh and (1,oo) exp-exp sums, and
+#: the SHA-256 of the caches the two cold builds wrote under it, which
+#: ``data/{moments,families}_tag4.jsonl`` hold.
+RETAGGED_KERNEL_TAG = "ik-series-asymptotic/4"
 RETAGGED_SHA256 = {
     "moments":
-        "ca4f04ca95bd0f3ae1f9fe0f9d38f881ab610284e8ec9b257314bd4baa2c7e12",
+        "79f29f08be5a8e9b349b5c025bc74edb796bd07c7703f4f419f4506d9c900722",
     "families":
-        "ab7a0e6a6ccea3326da86167efce09bf593d76d3504a61312ec6cf5da316650e",
+        "4dcc40d4a7a37f7a15cc031d14655cd6b7389962e5edee43b2b6e3ca1a7effa5",
+}
+
+#: The records whose value string moved from tag "ik-series-asymptotic/4",
+#: as (kind, a, b, n, u), per build; each moved by one unit in its last
+#: stored digit.
+MOVED_FROM_RETAGGED = {
+    "moments": {("IKM", 2, 6, 1, None)},
+    "families": set(),
 }
 
 #: SHA-256 of the caches the two cold builds wrote under tag
@@ -277,14 +294,32 @@ def test_moment_cache_golden(cold_builds):
         assert _entries_sha256(built) == GOLDEN_SHA256[entries]
 
 
-def test_moment_cache_moved_only_through_the_tag(cold_builds):
-    # the exp-exp (1,oo) map stores every 20-digit value of both builds
-    # byte for byte as the map before it did: only the tag differs
-    for name, expected in RETAGGED_SHA256.items():
-        data = cold_builds[name][0].read_bytes()
-        retagged = data.replace(f'"kernel": "{GOLDEN_KERNEL_TAG}"'.encode(),
-                                f'"kernel": "{RETAGGED_KERNEL_TAG}"'.encode())
-        assert hashlib.sha256(retagged).hexdigest() == expected
+def _last_digit_unit(value: str) -> Fraction:
+    """The unit of the last digit of a stored value string."""
+    return Fraction(10) ** Decimal(value).as_tuple().exponent
+
+
+@pytest.mark.parametrize("name", ["moments", "families"])
+def test_moment_cache_moved_at_most_a_last_digit(cold_builds, name):
+    # the previous tag's cache of the same cold build: the same records in
+    # the same order, every value string byte for byte, apart from the
+    # pinned records, each of which moved by at most one unit in its last
+    # stored digit
+    path = DATA / f"{name}_tag4.jsonl"
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        RETAGGED_SHA256[name])
+    old, new = _records(path), _records(cold_builds[name][0])
+    assert {r["kernel"] for r in old} == {RETAGGED_KERNEL_TAG}
+    field = ("kind", "a", "b", "n", "u", "digits")
+    assert [[r[f] for f in field] for r in new] == [
+        [r[f] for f in field] for r in old]
+    moved = set()
+    for was, rec in zip(old, new):
+        if rec["value"] != was["value"]:
+            moved.add(tuple(rec[f] for f in field[:5]))
+            step = abs(Fraction(rec["value"]) - Fraction(was["value"]))
+            assert step <= _last_digit_unit(was["value"]), (rec, was)
+    assert moved == MOVED_FROM_RETAGGED[name]
 
 
 def _records(path) -> list:
