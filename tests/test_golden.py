@@ -43,7 +43,12 @@ value the sweep stores agrees with them to 10^-(digits+5) max(1, |v|).
 
 The Betti hashes (BettiB, Bettib, BettiBring, Bettibring, k <= 5) were
 taken from the separate odd and even builders that preceded the parity
-tables.  The numeric-report hash covers one JSON line
+tables.  So were the Betti-side hashes for k <= 8 (Sigma, sigma, SigmaInvB,
+sigmaInvB, FrakS, FrakSring, one ``matrix_to_json`` line per k) and the
+Wronskian-constant hashes for k <= 15 (the ``named_constant(...).rational``
+strings of LambdaOdd, lambdaEven and detBetti_formula, one line per k):
+they were taken from the separate odd and even bodies of the closed-form
+inverses, of Lambda/lambda and of the alternating binomial sums.  The numeric-report hash covers one JSON line
 ``[check_id, status, residual, refs]`` per check of a cold
 ``run_numeric_suite(3, 30, extended=True)``; it was taken after the
 scalar checks moved to one ``family_moments`` batch each, which changed
@@ -81,7 +86,7 @@ import pytest
 from mpmath import mp
 
 from bwv import besselnum, cli
-from bwv.brmatrices import matrix_family, matrix_to_json
+from bwv.brmatrices import matrix_family, matrix_to_json, named_constant
 from bwv.exactalg import UniPoly
 from bwv.harness import run_numeric_suite
 from bwv.vanhove import (
@@ -143,6 +148,24 @@ GOLDEN_SHA256 = {
         "e7368d3de87f3e5c0d45d0ce9137e7491edbebdb071fdca1c1f7cc246d7cfd3f",
     "Derhamdring-k7":
         "398f06fab0240420137c997081e9c33591c5bbe72b600068ab50999f014f23d7",
+    "Sigma-k8":
+        "d529f8d7636a8d76a95532bac4cf5667b3fc9104d8633f7e55e5fd3daa1b7554",
+    "sigma-k8":
+        "7f1bf2e185a4e401bffcf9d5e03abf7223a579803f0e86d8c7adee2bd86caa1f",
+    "SigmaInvB-k8":
+        "54d95ae67366962c6e896773abfb148a0f99fead3e438773fc3d2aea806b7bfa",
+    "sigmaInvB-k8":
+        "4758ba8dc032c90e6bbf220d76bc55c966fde05cd9df221b190bf37198adc5ff",
+    "FrakS-k8":
+        "73d61aa066542052e81d53c1e23109ecd5aa45f94bbf2a0d08b8d20ad0a8826b",
+    "FrakSring-k8":
+        "c29bbbb777fd09c285017e48d963d190f196c8e2859a5f7dfd81845574302886",
+    "LambdaOdd-k15":
+        "dcc9230e74498f18b8ae522277185930d6ce4a7db470c5d1cdf5196ed72c2d53",
+    "lambdaEven-k15":
+        "5f5a090d8c25ff8f49374b37deb0a0552d4279b456756b4589502237a6838566",
+    "detBetti_formula-k15":
+        "f3827d52803b545e8b64b2567a13e030aed6febccf54057c1f5d3d1a98f2275f",
     "borwein_salvy":
         "959963c40c181c68e793bbde3b76f35f0b755f944cf62079d13636306a03abf8",
     "vanhove_structure":
@@ -239,6 +262,24 @@ def test_matrix_json_golden(family):
         for k in range(1, 6)
     )
     assert _sha256(text) == GOLDEN_SHA256[family]
+
+
+@pytest.mark.parametrize(
+    "family", ["Sigma", "sigma", "SigmaInvB", "sigmaInvB", "FrakS", "FrakSring"])
+def test_betti_side_json_golden_k8(family):
+    text = "".join(
+        json.dumps(matrix_to_json(family, k, matrix_family(family, k)),
+                   sort_keys=True) + "\n"
+        for k in range(1, 9)
+    )
+    assert _sha256(text) == GOLDEN_SHA256[f"{family}-k8"]
+
+
+@pytest.mark.parametrize(
+    "name", ["LambdaOdd", "lambdaEven", "detBetti_formula"])
+def test_named_constant_golden_k15(name):
+    text = "".join(f"{named_constant(name, k).rational}\n" for k in range(1, 16))
+    assert _sha256(text) == GOLDEN_SHA256[f"{name}-k15"]
 
 
 @pytest.mark.parametrize(
