@@ -35,9 +35,12 @@ Naming overview (sizes in parentheses):
 
 Parity convention: the odd family (Sigma, B, D, V_{2k+1}) is p = 0 and
 the even family (sigma, b, d, upsilon_{2k+2}) is p = 1, at weight
-w = 2k + 1 + p.  The Betti builders (``_betti``, ``_betti_ring``) and the
-de Rham routes (``_derham``, ``_derham_ring_blocks``) take p and k; the
-public D/d, B/b names are thin wrappers around them.
+w = 2k + 1 + p.  The Betti builders (``_betti``, ``_betti_ring``), the
+closed-form inverses of Sigma and sigma (``_sigma_inv``), the Wronskian
+constants Lambda and lambda (``_lambda``) and the de Rham routes
+(``_derham``, ``_derham_ring_blocks``) take p and k; the public D/d, B/b and
+``mat*InvBernoulli`` names are thin wrappers around them.  Sigma, sigma, S
+and ringed-S share one alternating binomial sum (``_alt_sum``).
 """
 
 from __future__ import annotations
@@ -196,6 +199,18 @@ def matUpsilon(k: int) -> ExactMatrix:
 # ---------------------------------------------------------------------------
 
 
+def _alt_sum(n: int, k: int, c: int, j: int, sign: int = 0) -> int:
+    """sum_{s=1}^{n-k} (-1)^s C(n, k+s) (C(c-s, j) + sign C(k+s, j)): the
+    alternating binomial sum in the entries of Sigma, sigma, S and
+    ringed-S."""
+    if j < 0:
+        # C(., j) = 0; ringed-S is read at j = -1 (the extended range)
+        return 0
+    return sum(_msign(s) * comb(n, k + s)
+               * (comb(c - s, j) + sign * comb(k + s, j))
+               for s in range(1, n - k + 1))
+
+
 def _sigma_odd_A(k: int, a: int, b: int) -> Fraction:
     # parity gate (1 + (-1)^{a+b})/2
     if (a + b) % 2 == 1:
@@ -203,9 +218,7 @@ def _sigma_odd_A(k: int, a: int, b: int) -> Fraction:
     pref = Fraction(
         (1 + 2 * k * (a == 1)) * (1 + 2 * k * (b == 1)) * 2 ** (2 * k - 1)
     )
-    ssum = Fraction(0)
-    for s in range(1, k + 2 - a):
-        ssum += (-1) ** s * binom_ext(2 * k + 1 - a, k + s) * binom_ext(k - s, b - 1)
+    ssum = _alt_sum(2 * k + 1 - a, k, k, b - 1)
     den = Fraction(
         _msign(a // 2 + b // 2 - k) * factorial(a - 1) * factorial(2 * k + 1 - a)
     )
@@ -218,11 +231,7 @@ def _sigma_odd_B(k: int, a: int, bp: int) -> Fraction:
     if gate == 0:
         return Fraction(0)
     pref = Fraction(gate * (1 + 2 * k * (a == 1)) * 2 ** (2 * k - 1))
-    ssum = Fraction(0)
-    for s in range(1, k + 2 - a):
-        ssum += (-1) ** s * binom_ext(2 * k + 1 - a, k + s) * (
-            binom_ext(k - s, bp + 1) + _msign(bp) * binom_ext(k + s, bp + 1)
-        )
+    ssum = _alt_sum(2 * k + 1 - a, k, k, bp + 1, _msign(bp))
     den = Fraction(
         _msign(a // 2 + bp // 2 - k) * factorial(a - 1) * factorial(2 * k + 1 - a)
     )
@@ -262,9 +271,7 @@ def _sigma_even_A(k: int, a: int, b: int) -> Fraction:
         return Fraction(0)
     pref = Fraction(2 ** (2 * k))
     body = Fraction((1 + (2 * k + 1) * (a == 1)) * (1 + (2 * k + 1) * (b == 1)))
-    ssum = Fraction(0)
-    for s in range(1, k + 3 - a):
-        ssum += (-1) ** s * binom_ext(2 * k + 2 - a, k + s) * binom_ext(k + 1 - s, b - 1)
+    ssum = _alt_sum(2 * k + 2 - a, k, k + 1, b - 1)
     den = Fraction(
         _msign(a // 2 + (b - 1) // 2 + k - 1)
         * factorial(a - 1)
@@ -278,11 +285,7 @@ def _sigma_even_B(k: int, a: int, bp: int) -> Fraction:
     if (a + bp) % 2 == 1:
         return Fraction(0)
     pref = Fraction(2 ** (2 * k))
-    ssum = Fraction(0)
-    for s in range(1, k + 3 - a):
-        ssum += (-1) ** s * binom_ext(2 * k + 2 - a, k + s) * (
-            binom_ext(k + 1 - s, bp + 1) + _msign(bp) * binom_ext(k + s, bp + 1)
-        )
+    ssum = _alt_sum(2 * k + 2 - a, k, k + 1, bp + 1, _msign(bp))
     den = Fraction(
         _msign((a - 1) // 2 + (bp + 1) // 2 + k)
         * factorial(a - 1)
@@ -316,39 +319,44 @@ def matsigma(k: int) -> ExactMatrix:
 
 
 @cache
+def _sigma_inv(p: int, k: int) -> ExactMatrix:
+    """Sigma_{2k-1}^{-1} (p = 0) or sigma_{2k}^{-1} (p = 1) at weight
+    w = 2k + 1 + p: the closed form with Bernoulli-number entries, in
+    blocks split at h = k + p."""
+    w, h = 2 * k + 1 + p, k + p
+    top = Fraction(2 ** (2 - p), 4 ** k)
+
+    def entry(a: int, b: int) -> Fraction:
+        lo, hi = min(a, b), max(a, b)
+        if hi <= h:
+            idx = w + 1 - a - b
+            pref = top * (lo == 1) * Fraction(factorial(w - 1), w)
+            sign = _msign(k + 1 + p * (a - 1) + (w - a - b) // 2)
+            return pref * bernoulli(idx) * sign
+        if lo <= h:
+            idx = 3 * k + 1 + 2 * p - a - b
+            pref = top * (1 + Fraction((lo == 1) * (h - a - b), w))
+            frac = Fraction(
+                factorial(3 * k - 1 + 2 * p - hi) * factorial(w - lo),
+                factorial(idx))
+            sign = _msign(hi + 1 + (idx - 1) // 2 + p * (a > b))
+            return pref * frac * bernoulli(idx) * sign
+        idx = 4 * k + 3 * p - a - b
+        frac = Fraction(
+            factorial(3 * k - 1 + 2 * p - a) * factorial(3 * k - 1 + 2 * p - b),
+            factorial(idx))
+        sign = _msign(a + 1 - p + (idx - 1) // 2)
+        return top * (idx - 1) * frac * bernoulli(idx) * sign
+
+    return ExactMatrix.from_fn(2 * k - 1 + p, 2 * k - 1 + p, entry)
+
+
+@cache
 def matSigmaInvBernoulli(k: int) -> ExactMatrix:
     """Closed form of (Sigma_{2k-1})^{-1} with Bernoulli-number entries."""
     if k < 1:
         raise ValueError("matSigmaInvBernoulli requires k >= 1")
-
-    def entry(a: int, b: int) -> Fraction:
-        lo, hi = min(a, b), max(a, b)
-        if hi <= k:
-            idx = 2 * k + 2 - a - b
-            num = Fraction(4 * (lo == 1) * factorial(2 * k), 2 ** (2 * k)) * bernoulli(idx)
-            den = Fraction((2 * k + 1) * _msign(k + 1 + (2 * k + 1 - a - b) // 2))
-            return num / den
-        if lo <= k < hi:
-            idx = 3 * k + 1 - a - b
-            pref = Fraction(4, 2 ** (2 * k)) * (
-                Fraction(k - a - b, 2 * k + 1) * (lo == 1) + 1
-            )
-            pref /= _msign(hi + 1 + (3 * k - a - b) // 2)
-            frac = Fraction(
-                factorial(3 * k - 1 - hi) * factorial(2 * k + 1 - lo),
-                factorial(3 * k + 1 - a - b),
-            )
-            return pref * frac * bernoulli(idx)
-        idx = 4 * k - a - b
-        pref = Fraction(4 * (4 * k - 1 - a - b), 2 ** (2 * k))
-        pref /= _msign(a + 1 + (4 * k - 1 - a - b) // 2)
-        frac = Fraction(
-            factorial(3 * k - 1 - a) * factorial(3 * k - 1 - b),
-            factorial(4 * k - a - b),
-        )
-        return pref * frac * bernoulli(idx)
-
-    return ExactMatrix.from_fn(2 * k - 1, 2 * k - 1, entry)
+    return _sigma_inv(0, k)
 
 
 @cache
@@ -356,36 +364,7 @@ def matsigmaInvBernoulli(k: int) -> ExactMatrix:
     """Closed form of (sigma_{2k})^{-1} with Bernoulli-number entries."""
     if k < 1:
         raise ValueError("matsigmaInvBernoulli requires k >= 1")
-
-    def entry(a: int, b: int) -> Fraction:
-        lo, hi = min(a, b), max(a, b)
-        if hi <= k + 1:
-            idx = 2 * k + 3 - a - b
-            num = Fraction(2 * (lo == 1) * factorial(2 * k + 1), 2 ** (2 * k)) * bernoulli(idx)
-            den = Fraction((2 * k + 2) * _msign(k + a + (2 * k + 2 - a - b) // 2))
-            return num / den
-        if lo <= k + 1 < hi:
-            idx = 3 * k + 3 - a - b
-            sgn = 1 if b > a else -1
-            pref = Fraction(2, 2 ** (2 * k)) * (
-                Fraction(k + 1 - a - b, 2 * k + 2) * (lo == 1) + 1
-            )
-            pref /= _msign(hi + 1 + (3 * k + 2 - a - b) // 2)
-            frac = Fraction(
-                factorial(3 * k + 1 - hi) * factorial(2 * k + 2 - lo),
-                factorial(3 * k + 3 - a - b) * sgn,
-            )
-            return pref * frac * bernoulli(idx)
-        idx = 4 * k + 3 - a - b
-        pref = Fraction(2 * (4 * k + 2 - a - b), 2 ** (2 * k))
-        pref /= _msign(a + (4 * k + 2 - a - b) // 2)
-        frac = Fraction(
-            factorial(3 * k + 1 - a) * factorial(3 * k + 1 - b),
-            factorial(4 * k + 3 - a - b),
-        )
-        return pref * frac * bernoulli(idx)
-
-    return ExactMatrix.from_fn(2 * k, 2 * k, entry)
+    return _sigma_inv(1, k)
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +372,7 @@ def matsigmaInvBernoulli(k: int) -> ExactMatrix:
 # ---------------------------------------------------------------------------
 
 
+@cache
 def _betti(p: int, k: int) -> ExactMatrix:
     """B_k (p = 0) or b_k (p = 1) at weight w = 2k + 1 + p."""
     w = 2 * k + 1 + p
@@ -468,11 +448,7 @@ def _frakS_entry(k: int, a: int, b: int) -> Fraction:
     if (a + b) % 2 == 1:
         return Fraction(0)
     pref = Fraction(2 * 2 ** (2 * (k + 1)))
-    ssum = Fraction(0)
-    for s in range(1, k + 2 - a):
-        ssum += (-1) ** s * binom_ext(2 * k + 1 - a, k + s) * (
-            binom_ext(k + 1 - s, b) - (-1) ** b * binom_ext(k + s, b)
-        )
+    ssum = _alt_sum(2 * k + 1 - a, k, k + 1, b, -_msign(b))
     den_sign = _msign(a // 2 + b // 2 - 1)
     return pref * ssum * recip_fact_ext(a) * recip_fact_ext(2 * k + 1 - a) / den_sign
 
@@ -487,9 +463,7 @@ def frakSring_entry(k: int, a: int, b: int) -> Fraction:
         # binomials with negative upper index (undefined by convention)
         return Fraction(0)
     pref = Fraction(2 * 2 ** (2 * (k + 1)))
-    ssum = Fraction(0)
-    for s in range(1, k + 2 - a):
-        ssum += (-1) ** s * binom_ext(2 * k + 1 - a, k + s) * binom_ext(k + 1 - s, b)
+    ssum = _alt_sum(2 * k + 1 - a, k, k + 1, b)
     den_sign = _msign((a + 1) // 2 + b // 2 - 1)
     return pref * ssum * recip_fact_ext(a) * recip_fact_ext(2 * k + 1 - a) / den_sign
 
@@ -943,21 +917,16 @@ class NamedConstant:
         return Surd(self.rational, self.radicand, self.pi_power)
 
 
-def _lambda_odd(k: int) -> Fraction:
-    val = Fraction(k, 2 * k + 1) * (-1) ** (((k - 1) * (k - 2) // 2) % 2)
-    val *= Fraction(2) ** (-k * (2 * k - 3))
-    val *= Fraction(factorial(2 * k)) ** (2 * k - 1)
-    for n in range(1, 2 * k + 1):
-        val /= Fraction(n) ** n
-    return val
-
-
-def _lambda_even(k: int) -> Fraction:
-    val = Fraction(2 * k + 1, 2 * (k + 1)) * (-1) ** ((k * (k - 1) // 2) % 2)
-    val *= Fraction(2) ** (-(2 * k - 1) * k)
-    val *= Fraction(factorial(2 * k + 1)) ** (2 * k)
-    for n in range(1, 2 * k + 2):
-        val /= Fraction(n) ** n
+def _lambda(p: int, k: int) -> Fraction:
+    """Lambda_{2k-1} (p = 0) or lambda_{2k} (p = 1), with n = 2k + p:
+    n / (2^{1-p} (n+1)) (-1)^C(k-1+p, 2) 2^{-k(2k-3+2p)} n!^{n-1} /
+    prod_{j<=n} j^j."""
+    n = 2 * k + p
+    val = Fraction(n, 2 ** (1 - p) * (n + 1)) * _msign(comb(k - 1 + p, 2))
+    val *= Fraction(2) ** (-k * (2 * k - 3 + 2 * p))
+    val *= Fraction(factorial(n)) ** (n - 1)
+    for j in range(1, n + 1):
+        val /= Fraction(j) ** j
     return val
 
 
@@ -993,7 +962,7 @@ def _det_N(k: int) -> Surd:
 def _det_betti(k: int) -> Fraction:
     return (
         Fraction((-1) ** (k - 1) * factorial(2 * k - 1))
-        * _lambda_odd(k)
+        * _lambda(0, k)
         / Fraction(2) ** (5 * k - 1)
     )
 
@@ -1020,14 +989,16 @@ def _det_betti_minor_even(k: int) -> Fraction:
     return val
 
 
-NAMED_CONSTANTS = (
-    "LambdaOdd",
-    "lambdaEven",
-    "detM_formula",
-    "detN_formula",
-    "detBetti_formula",
-    "detBettiMinorEven",
-)
+_NAMED: Dict[str, Callable[[int], Surd]] = {
+    "LambdaOdd": lambda k: Surd(_lambda(0, k)),
+    "lambdaEven": lambda k: Surd(_lambda(1, k)),
+    "detM_formula": _det_M,
+    "detN_formula": _det_N,
+    "detBetti_formula": lambda k: Surd(_det_betti(k)),
+    "detBettiMinorEven": lambda k: Surd(_det_betti_minor_even(k)),
+}
+
+NAMED_CONSTANTS = tuple(_NAMED)
 
 
 def named_constant(name: str, k: int) -> NamedConstant:
@@ -1045,22 +1016,11 @@ def named_constant(name: str, k: int) -> NamedConstant:
     """
     if k < 1:
         raise ValueError("named_constant requires k >= 1")
-    if name == "LambdaOdd":
-        return NamedConstant(name, k, _lambda_odd(k), 1, 0)
-    if name == "lambdaEven":
-        return NamedConstant(name, k, _lambda_even(k), 1, 0)
-    if name == "detM_formula":
-        s = _det_M(k)
-        return NamedConstant(name, k, s.rational, s.radicand, s.pi_power)
-    if name == "detN_formula":
-        s = _det_N(k)
-        return NamedConstant(name, k, s.rational, s.radicand, s.pi_power)
-    if name == "detBetti_formula":
-        return NamedConstant(name, k, _det_betti(k), 1, 0)
-    if name == "detBettiMinorEven":
-        return NamedConstant(name, k, _det_betti_minor_even(k), 1, 0)
-    raise ValueError(f"unknown named constant {name!r}; "
-                     f"expected one of {NAMED_CONSTANTS}")
+    if name not in _NAMED:
+        raise ValueError(f"unknown named constant {name!r}; "
+                         f"expected one of {NAMED_CONSTANTS}")
+    s = _NAMED[name](k)
+    return NamedConstant(name, k, s.rational, s.radicand, s.pi_power)
 
 
 # ---------------------------------------------------------------------------
@@ -1114,8 +1074,6 @@ def verify_block_identities(k: int) -> dict:
 
     Sigma = matSigma(k)
     sigma = matsigma(k)
-    Sigma_inv = matSigmaInvBernoulli(k)
-    sigma_inv = matsigmaInvBernoulli(k)
 
     A = aux_matrix("A", k)
     Phi = aux_matrix("Phi", k)
@@ -1154,18 +1112,18 @@ def verify_block_identities(k: int) -> dict:
     # B_{k-1} and b_k, b_{k-1} at weight w = 2k + 1 + p, conjugated by
     # A Phi_w and, for p = 1, psi A Phi_w
     sgn = _msign(k - 1)
-    for p, (key, inv, betti) in enumerate(
-            (("SigmaInv", Sigma_inv, betti_B), ("sigmaInv", sigma_inv, betti_b))):
+    for p, key in enumerate(("SigmaInv", "sigmaInv")):
         w = 2 * k + 1 + p
         C = A @ _aux_Phi(k, w)
         if p:
             C = psi @ C
         report[f"{key}-block-diag"] = _is_block_diag(
-            C.T @ inv @ C, k,
-            betti(k).scale(Fraction(16 * sgn, w)), betti(k - 1).scale(4 * w * sgn))
+            C.T @ _sigma_inv(p, k) @ C, k,
+            _betti(p, k).scale(Fraction(16 * sgn, w)),
+            _betti(p, k - 1).scale(4 * w * sgn))
 
     # R-conjugation of sigma^{-1} exposes B and ringed-B
-    lhs = R @ sigma_inv @ R.T
+    lhs = R @ _sigma_inv(1, k) @ R.T
     tl, tr, bl, br = _split_blocks(lhs, k)
     c = Fraction((-1) ** k * 2 ** 3)
     report["R-BernoulliInv-block"] = (
@@ -1292,17 +1250,24 @@ MATRIX_FAMILIES: Dict[str, Callable[..., ExactMatrix]] = {
 def matrix_family(name: str, k: int, u: Fraction | None = None) -> ExactMatrix:
     """Construct a named matrix family member.
 
-    ``u`` is accepted only by the ``Beta`` family (it selects the
-    evaluation point; ``None`` keeps the symbolic Q(u) matrix).
+    ``u`` evaluates a Q(u) family (``V``, ``Upsilon``, ``Beta``) at a
+    rational point; ``None`` keeps the symbolic matrix.  The Q families
+    reject an evaluation point, and a pole at ``u`` raises ValueError.
     """
     if name not in MATRIX_FAMILIES:
         raise ValueError(f"unknown matrix family {name!r}; "
                          f"expected one of {sorted(MATRIX_FAMILIES)}")
     if name == "Beta":
         return beta_matrix(k, u)
-    if u is not None:
+    M = MATRIX_FAMILIES[name](k)
+    if u is None:
+        return M
+    if M.ring == "Q":
         raise ValueError(f"family {name!r} does not take an evaluation point")
-    return MATRIX_FAMILIES[name](k)
+    try:
+        return M.eval(u)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"family {name!r} at u = {u}: {exc}") from exc
 
 
 def _poly_to_str(p: UniPoly) -> str:

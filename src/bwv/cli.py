@@ -136,16 +136,7 @@ def _cmd_matrix(args) -> int:
               f"{', '.join(known)}", file=sys.stderr)
         return 2
     u = _parse_fraction(args.u) if args.u is not None else None
-    if name == "Beta":
-        M = matrix_family(name, args.k, u)
-    else:
-        M = matrix_family(name, args.k)
-        if u is not None:
-            if M.ring == "Q":
-                print(f"bwv: family {args.name!r} does not take an "
-                      "evaluation point", file=sys.stderr)
-                return 2
-            M = M.eval(u)
+    M = matrix_family(name, args.k, u)
     if args.as_json:
         print(json.dumps(matrix_to_json(name, args.k, M), indent=2))
     else:

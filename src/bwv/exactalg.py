@@ -654,15 +654,10 @@ class ExactMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            return False
-        for r1, r2 in zip(self.entries, other.entries):
-            for a, b in zip(r1, r2):
-                if isinstance(a, RatFunc) != isinstance(b, RatFunc):
-                    a, b = _entry_pair_promote(a, b)
-                if a != b:
-                    return False
-        return True
+        # RatFunc.__eq__ coerces int and Fraction entries, so a Q matrix
+        # compares equal to a Q(u) matrix of the same constants
+        return ((self.rows, self.cols) == (other.rows, other.cols)
+                and self.entries == other.entries)
 
     def __hash__(self) -> int:
         return hash((self.rows, self.cols, self.entries))
@@ -767,14 +762,6 @@ def _cleared_int_rows(entries) -> tuple[list[list[int]], list[int]]:
     rows = [[e.numerator * (d // e.denominator) for e in row]
             for row, d in zip(entries, scales)]
     return rows, scales
-
-
-def _entry_pair_promote(a: Entry, b: Entry) -> tuple[Entry, Entry]:
-    if isinstance(a, RatFunc) and not isinstance(b, RatFunc):
-        return a, RatFunc.of(a.var, b)
-    if isinstance(b, RatFunc) and not isinstance(a, RatFunc):
-        return RatFunc.of(b.var, a), b
-    return a, b
 
 
 # -- fraction-free elimination ----------------------------------------------

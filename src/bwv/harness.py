@@ -15,10 +15,11 @@ Wronskian identities, reflection formulae and sum rules.  A numeric
 check passes when its max-abs residual is below ``tolerance(digits)``.
 
 The quadratic relations come in an odd and an even family, p = 0 and
-p = 1 at weight w = 2k + 1 + p; ``_FAMILIES`` holds one row per parity,
-and the determinant, quadratic and ringed checks each take p.  The
-normalized period determinant carries pi^{-k(k+1+p)/2}, the sum of the
-row weights a - k - 1 - p/2.
+p = 1 at weight w = 2k + 1 + p; ``_FAMILIES`` holds one row per parity.
+The determinant, quadratic and ringed checks each take p, and the exact
+symmetry, Bernoulli-inverse and Lambda/lambda checks loop over the rows.
+The normalized period determinant carries pi^{-k(k+1+p)/2}, the sum of
+the row weights a - k - 1 - p/2.
 """
 
 from __future__ import annotations
@@ -169,11 +170,6 @@ class Report:
             checks=[CheckResult.from_dict(c) for c in d.get("checks", [])],
         )
 
-    def merged_with(self, other: "Report") -> "Report":
-        cfg = dict(self.config)
-        cfg.update(other.config)
-        return Report(self.version, cfg, self.checks + other.checks)
-
 
 def report_to_json(report: Report) -> str:
     return json.dumps(report.to_dict(), indent=2)
@@ -317,6 +313,39 @@ TABLE_DERHAM_d = {
 
 
 # ---------------------------------------------------------------------------
+# parity families
+# ---------------------------------------------------------------------------
+
+
+class _Family(NamedTuple):
+    """One parity of the Betti and de Rham data: p = 0 is the odd family
+    (Sigma_{2k-1}, Lambda_{2k-1}, M_k, D_k, B_k), p = 1 the even family
+    (sigma_{2k}, lambda_{2k}, N_k, d_k, b_k), at weight w = 2k + 1 + p."""
+
+    letter: str
+    sigma: Callable
+    sigma_inv: Callable
+    lambda_name: str
+    mat: Callable
+    mat_ring: Callable
+    derham: Callable
+    derham_ring: Callable
+    betti: Callable
+    betti_ring: Callable
+    det_name: str
+
+
+_FAMILIES = (
+    _Family("M", matSigma, matSigmaInvBernoulli, "LambdaOdd", matM,
+            matMring, derham_D, derham_Dring, betti_B, betti_Bring,
+            "detM_formula"),
+    _Family("N", matsigma, matsigmaInvBernoulli, "lambdaEven", matN,
+            matNring, derham_d, derham_dring, betti_b, betti_bring,
+            "detN_formula"),
+)
+
+
+# ---------------------------------------------------------------------------
 # exact suite
 # ---------------------------------------------------------------------------
 
@@ -324,25 +353,22 @@ TABLE_DERHAM_d = {
 def _check_symmetry(k: int) -> bool:
     # V_{2k-1} = W_{2k-1} / ell and upsilon_{2k} = W_{2k} / ell with
     # ell = ell_{m,m} != 0, so V is symmetric and upsilon skew exactly when
-    # their polynomial numerators W_m (``brmatrices._wmat``) are.
-    W = brmatrices._wmat(2 * k - 1)
-    if any(W[a][b] != W[b][a] for a in range(len(W)) for b in range(a)):
-        return False
-    W = brmatrices._wmat(2 * k)
-    if any(W[a][b] != -W[b][a] for a in range(len(W)) for b in range(a + 1)):
-        return False
-    S = matSigma(k)
-    if S != S.T:
-        return False
-    s = matsigma(k)
-    return s == s.map(lambda e: -e).T
+    # their polynomial numerators W_m (``brmatrices._wmat``) are.  Sigma
+    # is symmetric and sigma skew in the same way.
+    for p, fam in enumerate(_FAMILIES):
+        W = brmatrices._wmat(2 * k - 1 + p)
+        if any(W[a][b] != (-W[b][a] if p else W[b][a])
+               for a in range(len(W)) for b in range(a + 1)):
+            return False
+        S = fam.sigma(k)
+        if S != (-S.T if p else S.T):
+            return False
+    return True
 
 
 def _check_bernoulli_inverse(k: int) -> bool:
-    return (
-        matSigmaInvBernoulli(k) == exact_inverse(matSigma(k))
-        and matsigmaInvBernoulli(k) == exact_inverse(matsigma(k))
-    )
+    return all(fam.sigma_inv(k) == exact_inverse(fam.sigma(k))
+               for fam in _FAMILIES)
 
 
 def _check_table1(k: int) -> bool:
@@ -356,12 +382,10 @@ def _check_table1(k: int) -> bool:
 
 def _check_det_corollaries(k: int) -> bool:
     # Lambda^2 det Sigma = 1 and lambda^2 det sigma = 1.
-    lam = named_constant("LambdaOdd", k).rational
-    if lam * lam * matSigma(k).det() != 1:
-        return False
-    lam = named_constant("lambdaEven", k).rational
-    if lam * lam * matsigma(k).det() != 1:
-        return False
+    for fam in _FAMILIES:
+        lam = named_constant(fam.lambda_name, k).rational
+        if lam * lam * fam.sigma(k).det() != 1:
+            return False
     # det B_k closed form; det b_k = 0 for odd k.
     if betti_B(k).det() != named_constant("detBetti_formula", k).rational:
         return False
@@ -441,29 +465,6 @@ def run_exact_suite(max_k: int = 5) -> Report:
 
 def _max_abs(M: mpmath.matrix) -> mpmath.mpf:
     return max(abs(x) for x in M)
-
-
-class _Family(NamedTuple):
-    """One parity of the quadratic relations P D P^T = B and their ringed
-    form: p = 0 is the odd family (M_k, D_k, B_k), p = 1 the even family
-    (N_k, d_k, b_k), at weight w = 2k + 1 + p."""
-
-    letter: str
-    mat: Callable
-    mat_ring: Callable
-    derham: Callable
-    derham_ring: Callable
-    betti: Callable
-    betti_ring: Callable
-    det_name: str
-
-
-_FAMILIES = (
-    _Family("M", matM, matMring, derham_D, derham_Dring, betti_B,
-            betti_Bring, "detM_formula"),
-    _Family("N", matN, matNring, derham_d, derham_dring, betti_b,
-            betti_bring, "detN_formula"),
-)
 
 
 def _det_check(p: int, k: int, digits: int):
@@ -755,15 +756,14 @@ def run_numeric_suite(max_k: int = 3, digits: int = 50,
 
 def run_all(exact_max_k: int = 5, numeric_max_k: int = 3, digits: int = 50,
             extended: bool = False) -> Report:
-    """Run both suites and merge the reports."""
-    rep = run_exact_suite(exact_max_k)
-    num = run_numeric_suite(numeric_max_k, digits=digits, extended=extended)
-    merged = rep.merged_with(num)
-    merged.config = {
+    """Run both suites and report their checks together."""
+    exact = run_exact_suite(exact_max_k)
+    numeric = run_numeric_suite(numeric_max_k, digits=digits, extended=extended)
+    config = {
         "suite": "all",
         "exact_max_k": exact_max_k,
         "numeric_max_k": numeric_max_k,
         "digits": digits,
         "extended": extended,
     }
-    return merged
+    return Report(__version__, config, exact.checks + numeric.checks)

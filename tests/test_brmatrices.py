@@ -595,12 +595,18 @@ def test_family_catalogue_complete():
 
 
 def test_family_dispatch_and_errors():
+    """matrix_family builds every family by name and evaluates each Q(u)
+    family (V, Upsilon, Beta) at a rational point; an unknown name, an
+    evaluation point for a Q family and a pole raise ValueError."""
     assert matrix_family("BettiB", 2) == betti_B(2)
     assert matrix_family("Beta", 2, F(1, 3)) == beta_matrix(2, F(1, 3))
+    assert matrix_family("V", 2, F(1, 3)) == matV(2).eval(F(1, 3))
     with pytest.raises(ValueError):
         matrix_family("nonsense", 2)
     with pytest.raises(ValueError):
         matrix_family("BettiB", 2, F(1, 2))
+    with pytest.raises(ValueError, match="pole"):
+        matrix_family("V", 2, 0)
 
 
 def test_aux_matrix_shapes():

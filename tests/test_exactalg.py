@@ -587,3 +587,17 @@ def test_a_matrix_with_no_rows_keeps_its_columns():
     C = Z @ ExactMatrix.zeros(3, 2)
     assert (C.rows, C.cols) == (0, 2)
     assert ExactMatrix.zeros(2, 0) @ Z == ExactMatrix.zeros(2, 3)
+
+
+def test_q_and_q_of_u_matrices_compare_by_value():
+    # a Q(u) matrix of constants equals the Q matrix of the same values,
+    # from either side; one differing entry makes them unequal both ways
+    Q = ExactMatrix([[F(1, 2), 3], [0, F(-5, 7)]])
+    same = ExactMatrix([[RatFunc.of("u", e) for e in row] for row in Q.entries])
+    other = ExactMatrix([[RatFunc.of("u", F(1, 2)), RatFunc.x("u")],
+                         [RatFunc.of("u", 0), RatFunc.of("u", F(-5, 7))]])
+    assert same.ring == "Q(u)" and Q.ring == "Q"
+    assert Q == same and same == Q
+    assert not (Q != same) and not (same != Q)
+    assert Q != other and other != Q
+    assert not (Q == other) and not (other == Q)

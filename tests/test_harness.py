@@ -270,6 +270,10 @@ def test_cli_matrix_usage_errors(capsys):
     assert cli.main(["matrix", "betti_B", "--k", "2", "--u", "1/2"]) == 2
     # bad k is a domain error
     assert cli.main(["matrix", "betti_B", "--k", "0"]) == 2
+    # a pole of a Q(u) family at the evaluation point is a usage error
+    capsys.readouterr()
+    assert cli.main(["matrix", "V", "--k", "2", "--u", "0"]) == 2
+    assert capsys.readouterr().err.startswith("bwv: ")
 
 
 def test_cli_vanhove(capsys):
