@@ -3,6 +3,7 @@ Sigma/sigma intersection matrices and their Bernoulli-entry inverses, the
 Betti and de Rham matrices with their frozen reference values, beta
 matrices, block identities, named constants, and JSON serialization."""
 
+import inspect
 from fractions import Fraction as F
 
 import mpmath
@@ -440,6 +441,56 @@ def test_derham_alternatives_catch_a_bumped_limit(monkeypatch, k, bump, flag):
     res = derham_alternatives.__wrapped__(k)
     assert {key for key, v in res.items() if key != "k" and not v} == {
         flag, "ok"}
+
+
+BLOCK_IDENTITY_FLAGS = (
+    "Sigma-block-diag", "R-sigma-block", "SigmaInv-block-diag",
+    "sigmaInv-block-diag", "R-BernoulliInv-block", "Betti-inverse-of-frakS",
+    "Bring-from-Sring", "frakS-recursion", "frakS-first-row",
+    "frakSring-recursion", "frakSring-margins", "beta-inverse-margin")
+DERHAM_ALTERNATIVE_FLAGS = (
+    "D-via-conjugation", "D-via-u0-limit", "d-limit-margin-zero",
+    "d-via-conjugation", "d-via-u0-limit")
+
+
+def _flags(res):
+    return {key: v for key, v in res.items() if key not in ("k", "ok")}
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_verifier_flag_names(k):
+    assert _flags(verify_block_identities(k)) == dict.fromkeys(
+        BLOCK_IDENTITY_FLAGS, True)
+    assert _flags(derham_alternatives(k)) == dict.fromkeys(
+        DERHAM_ALTERNATIVE_FLAGS, True)
+
+
+# (input, 1-based entry to bump by 1) at k = 3, and the exact set of block
+# identity flags that must then fail: each input is read by its own flags
+@pytest.mark.parametrize("name, entry, failing", [
+    ("matSigma", (1, 1), {"Sigma-block-diag"}),
+    ("matsigma", (1, 1), {"R-sigma-block"}),
+    ("frakS", (1, 1), {"Betti-inverse-of-frakS", "R-sigma-block",
+                       "Sigma-block-diag", "frakS-first-row",
+                       "frakS-recursion"}),
+    ("frakSring", (1, 1), {"Bring-from-Sring", "R-sigma-block"}),
+    ("_sigma_inv", (1, 1), {"R-BernoulliInv-block", "SigmaInv-block-diag",
+                            "sigmaInv-block-diag"}),
+    ("_beta_inverse_at_1", (6, 6), {"beta-inverse-margin"}),
+], ids=lambda v: v if isinstance(v, str) else "")
+def test_block_identities_catch_a_bumped_input(monkeypatch, name, entry,
+                                               failing):
+    real = getattr(brmatrices, name)
+    i, j = entry
+
+    def bumped(*args):
+        rows = [list(row) for row in real(*args).entries]
+        rows[i - 1][j - 1] += 1
+        return ExactMatrix(rows)
+
+    monkeypatch.setattr(brmatrices, name, bumped)
+    res = inspect.unwrap(verify_block_identities)(3)
+    assert {key for key, v in _flags(res).items() if not v} == failing
 
 
 # -- the de Rham pairing limits ---------------------------------------------

@@ -4,6 +4,7 @@ replaces, the θ-table to D-form conversion, the dual-route operator
 construction, structural checks, the recursion for power numbers, and the
 symmetric-power duality."""
 
+import dataclasses
 import inspect
 from fractions import Fraction as F
 from math import comb, perm
@@ -209,6 +210,22 @@ def test_structure_checks_all_pass():
     for m in range(1, 8):
         report = check_vanhove_structure(vanhove_operator(m))
         assert all(report.values()), (m, report)
+
+
+# (j, constant added to ell_{5,j}) and the exact set of structure flags
+# that must then fail: ell_{5,3} must vanish at u = 0, and a half in
+# ell_{5,0} breaks both integrality and the adjoint constraint
+@pytest.mark.parametrize("j, bump, failing", [
+    (3, F(1), {"divisibility"}),
+    (0, F(1, 2), {"constraint", "divisibility"}),
+])
+def test_structure_checks_catch_a_bumped_coefficient(j, bump, failing):
+    op = vanhove_operator(5)
+    coeffs = list(op.coeffs)
+    coeffs[j] = coeffs[j] + UniPoly.const("u", bump)
+    report = check_vanhove_structure(
+        dataclasses.replace(op, coeffs=tuple(coeffs)))
+    assert {key for key, v in report.items() if not v} == failing
 
 
 def test_operator_coefficients_have_integer_entries():
