@@ -241,7 +241,8 @@ def _ik(order: int, t):
 
 
 def bessel(kind: str, t, digits: int):
-    """I0, I1, K0 or K1 at t > 0, with relative error below 10^-digits."""
+    """I0, I1, K0 or K1 at a finite t > 0, with relative error below
+    10^-digits."""
     try:
         order, slot = _KIND_SLOT[kind]
     except KeyError:
@@ -250,8 +251,8 @@ def bessel(kind: str, t, digits: int):
         raise ValueError("digits must be positive")
     with mp.workdps(digits + GUARD_DIGITS):
         tt = _to_mpf(t)
-        if tt <= 0:
-            raise ValueError("bessel requires t > 0")
+        if not 0 < tt < mp.inf:
+            raise ValueError(f"bessel requires a finite t > 0, not {t}")
         return +_ik(order, tt)[slot]
 
 

@@ -722,10 +722,6 @@ class ExactMatrix:
             self.rows,
         )
 
-    def map(self, fn) -> "ExactMatrix":
-        return ExactMatrix([[fn(e) for e in row] for row in self.entries],
-                           self.cols)
-
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "ExactMatrix":
         """Submatrix from 1-based row/column index lists."""
         if not row_idx or not col_idx:

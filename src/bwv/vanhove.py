@@ -277,26 +277,14 @@ def check_vanhove_structure(op: VanhoveOperator) -> dict[str, bool]:
             ok = False
             break
     report["constraint"] = ok
-    ok = True
+    # u^{m−j−⌊(m+1)/2⌋}·ℓ_{m,j} ∈ ℤ[u]: ℓ_{m,j} is integral, and where the
+    # exponent is negative (j > ⌊m/2⌋) its lowest j + ⌊(m+1)/2⌋ − m
+    # coefficients vanish
     half = (m + 1) // 2
-    u = UniPoly.x("u")
-    for j in range(m + 1):
-        power = m - j - half
-        if power > 0:
-            shifted = op.ell(j) * u**power
-        elif power < 0:
-            # negative shift: must still be a polynomial after dividing
-            try:
-                shifted = op.ell(j).exact_div(u ** (-power))
-            except ValueError:
-                ok = False
-                break
-        else:
-            shifted = op.ell(j)
-        if not shifted.is_integral():
-            ok = False
-            break
-    report["divisibility"] = ok
+    report["divisibility"] = all(
+        op.ell(j).is_integral()
+        and not any(op.ell(j).nums[:max(0, j + half - m)])
+        for j in range(m + 1))
     x = UniPoly.x("x")
     sign = -1 if m % 2 else 1
     report["adjoint_parity"] = all(

@@ -137,6 +137,11 @@ def test_bessel_rejects_bad_arguments():
         bessel("I0", -1, 20)
     with pytest.raises(ValueError):
         bessel("J0", 1, 20)
+    # nan and inf once answered nan (I0 at inf) or 0 (K0 at inf)
+    for kind in ("I0", "I1", "K0", "K1"):
+        for t in (mpmath.nan, mpmath.inf, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                bessel(kind, t, 20)
 
 
 # -- moment keys and the convergence guard ----------------------------------
