@@ -70,14 +70,14 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 import mpmath
 from mpmath import mp
 from mpmath.libmp import to_fixed
 
-from .brmatrices import beta_matrix
-from .exactalg import ExactMatrix, exact_inverse
+if TYPE_CHECKING:
+    from .exactalg import ExactMatrix
 
 __all__ = [
     "GUARD_DIGITS",
@@ -975,6 +975,11 @@ def _wronskian(p: int, k: int, u, digits: int):
     u in (0, 1] for the odd family and (0, 1) for the even one.  Column j
     is the inverse beta matrix applied to the signed vector of k plain
     and k-1+p differentiated moments at column j."""
+    # The exact layers load here, for beta^-1 alone, so the kernel,
+    # the moments and the cache start without them.
+    from .brmatrices import beta_matrix
+    from .exactalg import exact_inverse
+
     if k < 1:
         raise ValueError("Wronskian matrices require k >= 1")
     u = Fraction(u)

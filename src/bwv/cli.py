@@ -15,7 +15,8 @@ Subcommands:
 * ``cache {stats,verify,path}`` — inspect the moment cache.
 
 Exit codes: 0 when no check failed, 1 when a verification check failed
-or errored, 2 on usage errors.
+or errored, 2 on usage errors (an unwritable ``--report`` path among
+them).
 """
 
 from __future__ import annotations
@@ -24,21 +25,17 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from mpmath import mp
 
 from . import __version__
 from .besselnum import MOMENT_KINDS, default_cache, moment_value
-from .brmatrices import MATRIX_FAMILIES, matrix_family, matrix_to_json
-from .harness import (
-    Report,
-    report_to_json,
-    run_all,
-    run_exact_suite,
-    run_numeric_suite,
-)
-from .vanhove import vanhove_operator
+
+# The exact layers and the harness are imported by the subcommand that
+# runs them, so ``cache`` and ``moment`` start without them.
+if TYPE_CHECKING:
+    from .harness import Report
 
 # Function-style aliases accepted in addition to the registry names.
 _MATRIX_ALIASES = {
@@ -115,6 +112,8 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_vanhove(args) -> int:
+    from .vanhove import vanhove_operator
+
     op = vanhove_operator(args.m)
     coeffs = [op.ell(j) for j in range(args.m + 1)]
     if args.as_json:
@@ -129,6 +128,8 @@ def _cmd_vanhove(args) -> int:
 
 
 def _cmd_matrix(args) -> int:
+    from .brmatrices import MATRIX_FAMILIES, matrix_family, matrix_to_json
+
     name = _MATRIX_ALIASES.get(args.name, args.name)
     if name not in MATRIX_FAMILIES:
         known = sorted(set(MATRIX_FAMILIES) | set(_MATRIX_ALIASES))
@@ -168,24 +169,32 @@ def _print_report(report: Report) -> None:
 
 
 def _cmd_verify(args) -> int:
+    from . import harness
+
     if args.mode == "exact":
         if args.extended:
             raise ValueError("--extended selects numeric checks; "
                              "'verify exact' does not take it")
-        report = run_exact_suite(args.max_k if args.max_k is not None else 5)
+        report = harness.run_exact_suite(
+            args.max_k if args.max_k is not None else 5)
     elif args.mode == "numeric":
-        report = run_numeric_suite(
+        report = harness.run_numeric_suite(
             args.max_k if args.max_k is not None else 3,
             digits=args.digits, extended=args.extended)
     else:
-        report = run_all(
+        report = harness.run_all(
             exact_max_k=args.max_k if args.max_k is not None else 5,
             numeric_max_k=args.max_k if args.max_k is not None else 3,
             digits=args.digits, extended=args.extended)
     _print_report(report)
     if args.report:
-        with open(args.report, "w") as fh:
-            fh.write(report_to_json(report))
+        try:
+            with open(args.report, "w") as fh:
+                fh.write(harness.report_to_json(report))
+        except OSError as exc:
+            print(f"bwv: cannot write report {args.report}: "
+                  f"{exc.strerror or exc}", file=sys.stderr)
+            return 2
     return 0 if report.ok else 1
 
 

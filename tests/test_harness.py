@@ -234,7 +234,7 @@ def test_error_text_in_report_and_cli(monkeypatch, capsys):
     del d["checks"][1]["error"]
     assert Report.from_dict(d).checks[1].error is None
 
-    monkeypatch.setattr(cli, "run_exact_suite", lambda *a, **kw: rep)
+    monkeypatch.setattr(harness, "run_exact_suite", lambda *a, **kw: rep)
     assert cli.main(["verify", "exact"]) == 1
     out = capsys.readouterr().out.splitlines()
     assert "error=ZeroDivisionError: singular matrix" in out[1]
@@ -305,6 +305,19 @@ def test_cli_usage_errors_exit_2():
     assert cli.main(["verify", "exact", "--extended"]) == 2
 
 
+def test_cli_unwritable_report_is_usage_error(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(harness, "run_exact_suite",
+                        lambda *a, **kw: _sample_report(["pass"]))
+    for target, reason in ((tmp_path / "missing" / "r.json",
+                            "No such file or directory"),
+                           (tmp_path, "Is a directory")):
+        assert cli.main(["verify", "exact", "--report", str(target)]) == 2
+        out, err = capsys.readouterr()
+        assert out.splitlines()[-1].startswith("summary: 1 pass")
+        assert err == f"bwv: cannot write report {target}: {reason}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_verify_exit_codes_with_injected_results(monkeypatch, capsys,
                                                      tmp_path):
     def fake_suite(statuses):
@@ -312,18 +325,20 @@ def test_cli_verify_exit_codes_with_injected_results(monkeypatch, capsys,
             return _sample_report(statuses)
         return runner
 
-    monkeypatch.setattr(cli, "run_exact_suite", fake_suite(["pass", "pass"]))
+    monkeypatch.setattr(harness, "run_exact_suite",
+                        fake_suite(["pass", "pass"]))
     assert cli.main(["verify", "exact"]) == 0
 
-    monkeypatch.setattr(cli, "run_exact_suite", fake_suite(["pass", "fail"]))
+    monkeypatch.setattr(harness, "run_exact_suite",
+                        fake_suite(["pass", "fail"]))
     assert cli.main(["verify", "exact"]) == 1
 
-    monkeypatch.setattr(cli, "run_exact_suite", fake_suite(["error"]))
+    monkeypatch.setattr(harness, "run_exact_suite", fake_suite(["error"]))
     assert cli.main(["verify", "exact"]) == 1
 
     # --report writes a parseable JSON report
     target = tmp_path / "report.json"
-    monkeypatch.setattr(cli, "run_exact_suite", fake_suite(["pass"]))
+    monkeypatch.setattr(harness, "run_exact_suite", fake_suite(["pass"]))
     assert cli.main(["verify", "exact", "--report", str(target)]) == 0
     report = report_from_json(target.read_text())
     assert report.summary["pass"] == 1
