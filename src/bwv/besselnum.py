@@ -67,7 +67,7 @@ import json
 import math
 import os
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple, Optional
@@ -278,36 +278,34 @@ def _to_mpf_matrix(E: ExactMatrix):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MomentKey:
-    """Identifies one Bessel-moment integral at a requested precision."""
+class MomentKey(namedtuple("MomentKey", "kind a b n u digits")):
+    """Identifies one Bessel-moment integral at a requested precision: an
+    immutable (kind, a, b, n, u, digits), checked when built, with an
+    off-shell u stored as a Fraction."""
 
-    kind: str
-    a: int
-    b: int
-    n: int
-    u: Optional[Fraction]
-    digits: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown moment kind {self.kind!r}")
-        if self.a < 0 or self.b < 0 or self.n < 0:
+    def __new__(cls, kind: str, a: int, b: int, n: int,
+                u: Optional[Fraction], digits: int):
+        if kind not in _KINDS:
+            raise ValueError(f"unknown moment kind {kind!r}")
+        if a < 0 or b < 0 or n < 0:
             raise ValueError("moment indices must be non-negative")
-        if self.digits < 1:
+        if digits < 1:
             raise ValueError("digits must be positive")
-        spec = _OFFSHELL.get(self.kind)
+        spec = _OFFSHELL.get(kind)
         if spec is not None:
-            if self.u is None:
-                raise ValueError(f"{self.kind} requires an exact rational u")
-            object.__setattr__(self, "u", Fraction(self.u))
-            if self.u <= 0:
+            if u is None:
+                raise ValueError(f"{kind} requires an exact rational u")
+            u = Fraction(u)
+            if u <= 0:
                 raise ValueError("u must be a positive rational")
-            if (self.a, self.b)[spec.slot] < 1:
+            if (a, b)[spec.slot] < 1:
                 index = "ab"[spec.slot]
-                raise ValueError(f"{self.kind} requires {index} >= 1")
-        elif self.u is not None:
-            raise ValueError(f"{self.kind} does not take u")
+                raise ValueError(f"{kind} requires {index} >= 1")
+        elif u is not None:
+            raise ValueError(f"{kind} does not take u")
+        return super().__new__(cls, kind, a, b, n, u, digits)
 
 
 def _decay(key: MomentKey) -> tuple[int, int]:

@@ -1,12 +1,14 @@
 """Exact matrix families for the Bessel-moment quadratic relations.
 
-All matrices follow 1-based index conventions.  Matrices over Q carry
-Fraction entries; matrices over Q(u) carry RatFunc entries in the
-variable ``u``.  Only the public Q(u) matrices (``matV``, ``matUpsilon``,
-the symbolic ``beta_matrix``) and matrices read back from JSON hold
-RatFunc entries: the de Rham limits and beta_m at a point are formed
-over Q.  Every constructor is pure, and each exact object is cached
-once, by the function that builds it.  ``beta_matrix`` at a point and
+All matrices follow 1-based index conventions.  Every matrix this module
+computes with is over Q, with Fraction entries.  The public Q(u)
+matrices (``matV``, ``matUpsilon``, the symbolic ``beta_matrix``) and
+matrices read back from JSON hold RatFunc entries in the variable ``u``,
+which are only stored, evaluated at a point, compared and printed: the
+de Rham limits are formed over Q and Z from the polynomial numerators
+of V and upsilon (``_wmat``) and from beta_m at a point.  Every
+constructor is pure, and each exact object is cached once, by the
+function that builds it.  ``beta_matrix`` at a point and
 ``matrix_family`` are not memoized, and the two verifiers
 (``verify_block_identities``, ``derham_alternatives``) build a fresh
 dict of named flags on every call.

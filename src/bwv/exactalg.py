@@ -1,8 +1,9 @@
 """Exact arithmetic foundation.
 
-Big rationals, dense univariate polynomials, normalized rational functions,
-exact dense linear algebra with fraction-free (Bareiss) elimination,
-Bernoulli numbers and extended binomial conventions.
+Big rationals, dense univariate polynomials, rational functions stored
+as values, exact dense linear algebra over Q with fraction-free
+(Bareiss) elimination, Bernoulli numbers and extended binomial
+conventions.
 
 Conventions
 -----------
@@ -12,17 +13,21 @@ Conventions
   of Python integers ``nums`` over one positive integer ``den``, with
   gcd(content(nums), den) = 1 and no trailing zeros; the zero polynomial
   is ``nums = ()``, ``den = 1``.  So each polynomial has exactly one
-  representation.  Arithmetic, evaluation, division and the gcd (a
-  primitive pseudo-remainder sequence) run on the integers and normalize
-  once per result; ``coeffs`` and ``coeff(k)`` return ``Fraction``.
-* ``RatFunc`` keeps ``gcd(num, den) = 1`` and ``den`` monic after every
-  operation.
-* ``exact_det`` and ``exact_inverse`` share one Bareiss pass
-  (``_bareiss_forward``) in the ring that ``_cleared_rows`` picks: Z for
-  a matrix over Q, Q[u] for one over Q(u).  The inverse appends the
-  row-clearing factors to the rows it eliminates; over Q its back
-  substitution stays in the integers too (one ``Fraction`` per entry), and
-  only over Q(u) does it work in the fraction field.
+  representation.  Ring arithmetic and evaluation run on the integers and
+  normalize once per result; ``coeffs`` and ``coeff(k)`` return
+  ``Fraction``.
+* ``RatFunc`` is a value of Q(u), not a field element to compute with: it
+  is reduced once, when built (a primitive pseudo-remainder gcd, with a
+  monic denominator), and is then stored, compared, evaluated at a point
+  and printed.  A matrix over Q(u) holds such values and supports the
+  same; the pairings that read V and upsilon are formed over Q from their
+  polynomial numerators.
+* ``@``, ``exact_det`` and ``exact_inverse`` work over Q only and raise
+  TypeError on a matrix over Q(u).  The determinant and the inverse share
+  one Bareiss pass (``_bareiss_forward``) on the rows cleared to integers.
+  The inverse appends the row-clearing factors to the rows it eliminates,
+  and its back substitution stays in the integers too (one ``Fraction``
+  per entry).
 """
 
 from __future__ import annotations
@@ -334,47 +339,6 @@ class UniPoly:
             n >>= 1
         return result
 
-    def divmod(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
-        self._check_var(other)
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        q, r, s = _int_divmod(self.nums, other.nums)
-        den = s * self.den
-        return (
-            UniPoly._make(self.var, [x * other.den for x in q], den),
-            UniPoly._make(self.var, r, den),
-        )
-
-    def exact_div(self, other: "UniPoly") -> "UniPoly":
-        q, r = self.divmod(other)
-        if not r.is_zero:
-            raise ValueError("exact_div: division is not exact")
-        return q
-
-    # -- gcd via primitive pseudo-remainder sequences ----------------------
-
-    def gcd(self, other: "UniPoly") -> "UniPoly":
-        """Monic gcd, computed by a primitive PRS over the integers to keep
-        coefficient growth under control."""
-        self._check_var(other)
-        if self.is_zero:
-            return other.monic()
-        if other.is_zero:
-            return self.monic()
-        g = _int_gcd(self.nums, other.nums)
-        return UniPoly._make(self.var, g, g[-1])
-
-    def lcm(self, other: "UniPoly") -> "UniPoly":
-        if self.is_zero or other.is_zero:
-            return UniPoly.zero(self.var)
-        return self.exact_div(self.gcd(other)) * other
-
-    def monic(self) -> "UniPoly":
-        if self.is_zero:
-            return self
-        p = _int_primitive(self.nums)
-        return UniPoly._make(self.var, p, p[-1])
-
     # -- calculus and evaluation -------------------------------------------
 
     def deriv(self, order: int = 1) -> "UniPoly":
@@ -443,8 +407,10 @@ class UniPoly:
 
 
 class RatFunc:
-    """Quotient of univariate polynomials, kept reduced with monic
-    denominator."""
+    """Quotient of univariate polynomials, reduced when built, with a
+    monic denominator.  A stored value: it compares equal to an int or
+    Fraction of the same value, evaluates at a point and prints, but does
+    no arithmetic."""
 
     __slots__ = ("num", "den")
 
@@ -474,71 +440,20 @@ class RatFunc:
         self.num = UniPoly._make(var, [x * den.den for x in N], num.den * lead)
         self.den = UniPoly._make(var, list(D), lead)
 
-    # -- constructors -------------------------------------------------------
-
     @staticmethod
     def of(var: str, value: ScalarLike) -> "RatFunc":
         return RatFunc(UniPoly.const(var, value))
-
-    @staticmethod
-    def x(var: str) -> "RatFunc":
-        return RatFunc(UniPoly.x(var))
 
     @property
     def var(self) -> str:
         return self.num.var
 
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
     def is_polynomial(self) -> bool:
         return self.den.degree == 0
 
-    def _coerce(self, other: "RatFunc | UniPoly | ScalarLike") -> "RatFunc":
-        if isinstance(other, RatFunc):
-            return other
-        if isinstance(other, UniPoly):
-            return RatFunc(other)
-        return RatFunc.of(self.var, other)
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other) -> "RatFunc":
-        o = self._coerce(other)
-        if self.den == o.den:
-            return RatFunc(self.num + o.num, self.den)
-        return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "RatFunc":
-        r = RatFunc.__new__(RatFunc)
-        r.num = -self.num
-        r.den = self.den
-        return r
-
-    def __sub__(self, other) -> "RatFunc":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> "RatFunc":
-        return (-self) + other
-
-    def __mul__(self, other) -> "RatFunc":
-        o = self._coerce(other)
-        return RatFunc(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "RatFunc":
-        o = self._coerce(other)
-        if o.is_zero:
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(self.num * o.den, self.den * o.num)
-
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, UniPoly)):
-            other = self._coerce(other)
+        if isinstance(other, (int, Fraction)):
+            other = RatFunc.of(self.var, other)
         if not isinstance(other, RatFunc):
             return NotImplemented
         return self.num == other.num and self.den == other.den
@@ -574,7 +489,8 @@ Entry = Union[Fraction, RatFunc]
 class ExactMatrix:
     """Dense rectangular matrix with uniform entry ring: all entries are
     either ExactScalar (ring tag "Q") or RatFunc ("Q(<var>)").  ``cols``
-    is read off the rows; a matrix with no rows takes it as given."""
+    is read off the rows; a matrix with no rows takes it as given.  Only
+    a matrix over Q takes part in arithmetic (see the module docstring)."""
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -606,15 +522,9 @@ class ExactMatrix:
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def identity(n: int, var: str | None = None) -> "ExactMatrix":
-        if var is None:
-            return ExactMatrix(
-                [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-            )
-        one = RatFunc.of(var, 1)
-        zero = RatFunc.of(var, 0)
+    def identity(n: int) -> "ExactMatrix":
         return ExactMatrix(
-            [[one if i == j else zero for j in range(n)] for i in range(n)]
+            [[1 if i == j else 0 for j in range(n)] for i in range(n)]
         )
 
     @staticmethod
@@ -664,51 +574,27 @@ class ExactMatrix:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return ExactMatrix(
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)
-            ],
-            self.cols,
-        )
-
-    def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        return self + (-other)
-
     def __neg__(self) -> "ExactMatrix":
         return ExactMatrix([[-e for e in row] for row in self.entries],
                            self.cols)
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
+        _require_q(self, other)
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
         if self.cols == 0:
             return ExactMatrix.zeros(self.rows, other.cols)
-        if self.ring == other.ring == "Q":
-            # Over Q: each row of self and each column of other cleared to
-            # integers over its lcm denominator, one Fraction per entry.
-            left, dl = _cleared_int_rows(self.entries)
-            right, dr = _cleared_int_rows(list(zip(*other.entries)))
-            return ExactMatrix([
-                [Fraction(sum(map(mul, a, b)), da * db)
-                 for b, db in zip(right, dr)]
-                for a, da in zip(left, dl)
-            ], other.cols)
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = self.entries[i][0] * other.entries[0][j]
-                for k in range(1, self.cols):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            out.append(row)
-        return ExactMatrix(out, other.cols)
+        # each row of self and each column of other cleared to integers
+        # over its lcm denominator, one Fraction per entry
+        left, dl = _cleared_int_rows(self.entries)
+        right, dr = _cleared_int_rows(list(zip(*other.entries)))
+        return ExactMatrix([
+            [Fraction(sum(map(mul, a, b)), da * db)
+             for b, db in zip(right, dr)]
+            for a, da in zip(left, dl)
+        ], other.cols)
 
-    def scale(self, c: Entry | int) -> "ExactMatrix":
+    def scale(self, c: ScalarLike) -> "ExactMatrix":
         return ExactMatrix([[e * c for e in row] for row in self.entries],
                            self.cols)
 
@@ -740,7 +626,7 @@ class ExactMatrix:
             self.cols,
         )
 
-    def det(self) -> Entry:
+    def det(self) -> Fraction:
         return exact_det(self)
 
     def __str__(self) -> str:
@@ -749,6 +635,11 @@ class ExactMatrix:
         ) + "]"
 
     __repr__ = __str__
+
+
+def _require_q(*matrices: ExactMatrix) -> None:
+    if any(M.ring != "Q" for M in matrices):
+        raise TypeError("exact arithmetic is over Q only")
 
 
 def _cleared_int_rows(entries) -> tuple[list[list[int]], list[int]]:
@@ -770,35 +661,12 @@ def _int_divide(a: int, b: int) -> int:
     return q
 
 
-def _cleared_rows(M: ExactMatrix):
-    """Clear each row of a nonempty matrix to the ring Bareiss works in:
-    Z for a matrix over Q, Q[u] for one over Q(u).
-
-    Returns (rows, scales, zero, divide, lift): M[i][j] = rows[i][j] /
-    scales[i]; ``zero`` and ``divide`` (exact division) belong to the
-    ring, and ``lift(a)`` or ``lift(a, b)`` forms a or a/b in the fraction
-    field (``Fraction`` or ``RatFunc``).
-    """
-    first = M.entries[0][0]
-    if isinstance(first, RatFunc):
-        rows, scales = [], []
-        for row in M.entries:
-            d = UniPoly.const(first.var, 1)
-            for e in row:
-                d = d.lcm(e.den)
-            rows.append([e.num * d.exact_div(e.den) for e in row])
-            scales.append(d)
-        return rows, scales, UniPoly.zero(first.var), UniPoly.exact_div, RatFunc
-    rows, scales = _cleared_int_rows(M.entries)
-    return rows, scales, 0, _int_divide, Fraction
-
-
-def _bareiss_forward(rows, zero, divide) -> tuple[int, bool]:
+def _bareiss_forward(rows: list[list[int]]) -> tuple[int, bool]:
     """In-place Bareiss forward elimination with row pivoting on the
-    first len(rows) columns; every column of a row takes part, so columns
-    appended to the square block ride along.
+    first len(rows) columns of integer rows; every column of a row takes
+    part, so columns appended to the square block ride along.
 
-    Each entry stays a minor of the input, so ``divide`` is always exact.
+    Each entry stays a minor of the input, so every division is exact.
     Returns (sign, singular): the square block becomes upper triangular
     with rows[-1][n-1] = sign * its determinant, unless singular is True
     (a pivot column was zero, so the determinant is 0).
@@ -806,9 +674,9 @@ def _bareiss_forward(rows, zero, divide) -> tuple[int, bool]:
     n = len(rows)
     sign, prev = 1, None
     for k in range(n - 1):
-        if rows[k][k] == zero:
+        if not rows[k][k]:
             for r in range(k + 1, n):
-                if rows[r][k] != zero:
+                if rows[r][k]:
                     rows[k], rows[r] = rows[r], rows[k]
                     sign = -sign
                     break
@@ -820,70 +688,62 @@ def _bareiss_forward(rows, zero, divide) -> tuple[int, bool]:
             f = row[k]
             for j in range(k + 1, len(row)):
                 num = row[j] * piv - f * top[j]
-                row[j] = num if prev is None else divide(num, prev)
-            row[k] = zero
+                row[j] = num if prev is None else _int_divide(num, prev)
+            row[k] = 0
         prev = piv
     return sign, False
 
 
-def exact_det(M: ExactMatrix) -> Entry:
-    """Exact determinant by fraction-free (Bareiss) elimination.
+def exact_det(M: ExactMatrix) -> Fraction:
+    """Exact determinant of a matrix over Q by fraction-free (Bareiss)
+    elimination.
 
-    Rows are first cleared to integers (over Q) or to polynomials (over
-    Q(u)); the Bareiss recurrence then keeps every intermediate value in
-    the cleared ring, and the row-clearing factors are divided back at the
-    end.
+    Rows are first cleared to integers; the Bareiss recurrence then keeps
+    every intermediate value an integer, and the row-clearing factors are
+    divided back at the end.
     """
+    _require_q(M)
     if not M.is_square:
         raise ValueError("determinant of a non-square matrix")
     if M.rows == 0:
         return Fraction(1)
-    rows, scales, zero, divide, lift = _cleared_rows(M)
-    sign, singular = _bareiss_forward(rows, zero, divide)
+    rows, scales = _cleared_int_rows(M.entries)
+    sign, singular = _bareiss_forward(rows)
     if singular:
-        return lift(zero)
-    return lift(rows[-1][-1] * sign, prod(scales))
+        return Fraction(0)
+    return Fraction(rows[-1][-1] * sign, prod(scales))
 
 
 def exact_inverse(M: ExactMatrix) -> ExactMatrix:
-    """Exact inverse: the cleared rows S·M, augmented with S = diag(row
-    scales), go through the same Bareiss elimination as the determinant,
-    giving [U | R] with U upper triangular and M^-1 = U^-1 R.
+    """Exact inverse of a matrix over Q: the cleared rows S·M, augmented
+    with S = diag(row scales), go through the same Bareiss elimination as
+    the determinant, giving [U | R] with U upper triangular and M^-1 =
+    U^-1 R.
 
-    Over Q, [U | R] is integral and d = U[n-1][n-1] is ± det(S·M), so
-    d·M^-1 = ± adj(S·M)·S is integral: the back substitution solves
-    U·Y = d·R in integers, every division exact, and each entry is the
-    one ``Fraction(Y_ij, d)``.  Over Q(u) it runs in the fraction field.
+    [U | R] is integral and d = U[n-1][n-1] is ± det(S·M), so d·M^-1 =
+    ± adj(S·M)·S is integral: the back substitution solves U·Y = d·R in
+    integers, every division exact, and each entry is the one
+    ``Fraction(Y_ij, d)``.
     """
+    _require_q(M)
     if not M.is_square:
         raise ValueError("inverse of a non-square matrix")
     n = M.rows
     if n == 0:
         return M
-    rows, scales, zero, divide, lift = _cleared_rows(M)
+    rows, scales = _cleared_int_rows(M.entries)
     for i, row in enumerate(rows):
-        row.extend(scales[i] if j == i else zero for j in range(n))
-    _, singular = _bareiss_forward(rows, zero, divide)
-    if singular or rows[-1][n - 1] == zero:
+        row.extend(scales[i] if j == i else 0 for j in range(n))
+    _, singular = _bareiss_forward(rows)
+    d = rows[-1][n - 1]
+    if singular or not d:
         raise ZeroDivisionError("matrix is singular (determinant 0)")
-    if lift is Fraction:
-        d = rows[-1][n - 1]
-        tails = [row[i + 1:n] for i, row in enumerate(rows)]
-        cols = []
-        for col in range(n):
-            y = [0] * n
-            for i in range(n - 1, -1, -1):
-                acc = d * rows[i][n + col] - sum(map(mul, tails[i], y[i + 1:]))
-                y[i] = divide(acc, rows[i][i])
-            cols.append(y)
-        return ExactMatrix([[Fraction(y, d) for y in row]
-                            for row in zip(*cols)])
-    U = [[lift(x) for x in row] for row in rows]
-    inv = [[None] * n for _ in range(n)]
+    tails = [row[i + 1:n] for i, row in enumerate(rows)]
+    cols = []
     for col in range(n):
+        y = [0] * n
         for i in range(n - 1, -1, -1):
-            acc = U[i][n + col]
-            for j in range(i + 1, n):
-                acc = acc - U[i][j] * inv[j][col]
-            inv[i][col] = acc / U[i][i]
-    return ExactMatrix(inv)
+            acc = d * rows[i][n + col] - sum(map(mul, tails[i], y[i + 1:]))
+            y[i] = _int_divide(acc, rows[i][i])
+        cols.append(y)
+    return ExactMatrix([[Fraction(y, d) for y in row] for row in zip(*cols)])

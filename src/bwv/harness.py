@@ -64,6 +64,7 @@ from .brmatrices import (
     derham_dring,
     matSigma,
     matSigmaInvBernoulli,
+    matV,
     matsigma,
     matsigmaInvBernoulli,
     named_constant,
@@ -494,19 +495,11 @@ def _ringed_quad_check(p: int, k: int, digits: int):
     return _max_abs(R)
 
 
-def _v2_at(u: Fraction) -> ExactMatrix:
-    """V_3(u) (``matV(2)`` at u) over Q: W_3(u) / ell_{3,3}(u), for u in
-    (0, 1), where ell_{3,3} has no root."""
-    lead = top_coeff(3).eval(u)
-    return ExactMatrix([[w.eval(u) / lead for w in row]
-                        for row in brmatrices._wmat(3)])
-
-
 def _offshell_cov_check(u: Fraction, digits: int):
     # Omega Sigma Omega^T = V(u)^{-1} / |m_3(u)| for the k=2 odd family.
     m3 = abs(top_coeff(3).eval(u))
     O = matOmega(2, u, digits)
-    Vinv = _to_mpf_matrix(exact_inverse(_v2_at(u)))
+    Vinv = _to_mpf_matrix(exact_inverse(matV(2).eval(u)))
     R = O * _to_mpf_matrix(matSigma(2)) * O.T - Vinv / _to_mpf(m3)
     return _max_abs(R)
 
@@ -516,7 +509,7 @@ def _offshell_inv_check(u: Fraction, digits: int):
     m3 = abs(top_coeff(3).eval(u))
     O = matOmega(2, u, digits)
     Sinv = _to_mpf_matrix(exact_inverse(matSigma(2)))
-    R = O.T * _to_mpf_matrix(_v2_at(u)) * O - Sinv / _to_mpf(m3)
+    R = O.T * _to_mpf_matrix(matV(2).eval(u)) * O - Sinv / _to_mpf(m3)
     return _max_abs(R)
 
 

@@ -46,7 +46,6 @@ from bwv.brmatrices import (
 from bwv.exactalg import (
     ExactMatrix,
     RatFunc,
-    UniPoly,
     exact_det,
     exact_inverse,
 )
@@ -168,27 +167,36 @@ def test_V_symmetric_and_upsilon_skew():
         assert V == V.T
         ups = matUpsilon(k)
         assert ups.rows == ups.cols == 2 * k
-        assert ups == -ups.T
+        # -upsilon^T, each stored value negated through its numerator
+        neg_T = M([[RatFunc(-e.num, e.den) for e in row]
+                   for row in ups.T.entries])
+        assert ups == neg_T
 
 
 def test_V_antidiagonal_and_triangularity():
     for k in range(1, 4):
         V = matV(k)
         m = 2 * k - 1
-        one = V.at(1, 1) / V.at(1, 1)  # multiplicative identity of the ring
         for a in range(1, m + 1):
             for b in range(1, m + 1):
                 if a + b == m + 1:
-                    assert V.at(a, b) == one * ((-1) ** (a - 1))
+                    assert V.at(a, b) == (-1) ** (a - 1)
                 elif a + b > m + 1:
-                    assert V.at(a, b) == one * 0
+                    assert V.at(a, b) == 0
 
 
 def test_upsilon_corner_vanishes():
     for k in range(1, 4):
-        ups = matUpsilon(k)
-        zero = ups.at(1, 2) * 0
-        assert ups.at(1, 1) == zero
+        assert matUpsilon(k).at(1, 1) == 0
+
+
+def test_q_of_u_matrix_takes_no_arithmetic():
+    V = matV(2)
+    Q = M([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    for op in (lambda: V @ V, lambda: V @ Q, lambda: Q @ V,
+               lambda: exact_det(V), lambda: exact_inverse(V)):
+        with pytest.raises(TypeError, match="exact arithmetic is over Q only"):
+            op()
 
 
 # -- Sigma and sigma --------------------------------------------------------
@@ -524,22 +532,49 @@ def test_block_identities_catch_a_bumped_input(monkeypatch, name, entry,
 # -- the de Rham pairing limits ---------------------------------------------
 
 
-def _abs_lead_times_pairing(m):
-    """|ell_{m,m}(u)| beta_m^{-T} X_m beta_m^{-1} as a Q(u) matrix, formed
-    by rational-function arithmetic: the reference for _pairing_limit."""
-    binv = exact_inverse(beta_matrix(m))
+def _abs_lead_times_pairing_at(m, u):
+    """|ell_{m,m}(u)| beta_m(u)^{-T} X_m(u) beta_m(u)^{-1} over Q at a
+    point u of (0, 1), from the public matrices."""
+    binv = exact_inverse(beta_matrix(m, u))
     X = matV((m + 1) // 2) if m % 2 else matUpsilon(m // 2)
-    lead = RatFunc(top_coeff(m)) * top_coeff_sign_on_01(m)
-    return (binv.T @ X @ binv).scale(lead)
+    return (binv.T @ X.eval(u) @ binv).scale(abs(top_coeff(m).eval(u)))
+
+
+def _lagrange_weights(nodes, t):
+    """w_i with p(t) = sum_i w_i p(nodes[i]) for every polynomial p of
+    degree < len(nodes)."""
+    out = []
+    for i, xi in enumerate(nodes):
+        w = F(1)
+        for j, xj in enumerate(nodes):
+            if j != i:
+                w *= F(t - xj) / (xi - xj)
+        out.append(w)
+    return out
+
+
+def _combine(weights, mats):
+    n = mats[0].rows
+    return M([[sum(w * P[a, b] for w, P in zip(weights, mats))
+               for b in range(n)] for a in range(n)])
 
 
 # m <= 11 covers every order the default exact suite builds
 @pytest.mark.parametrize("m", range(1, 12))
 def test_pairing_limits_match_the_rational_function_product(m):
-    ref = _abs_lead_times_pairing(m)
-    # odd m: ell(1) != 0, so the u = 1 value is defined there too
-    assert brmatrices._pairing_limit(m, 1) == ref.eval(1)
-    assert brmatrices._pairing_limit(m, 0) == ref.eval(0)
+    # Each entry of the product is a polynomial in u of degree at most
+    # D = 2m - 2 + max deg W_m: interpolate it over Q on D + 1 points of
+    # (0, 1), check the interpolant at one more point, and read off its
+    # values at u = 1 and u = 0.
+    D = 2 * m - 2 + max(w.degree for row in brmatrices._wmat(m)
+                        for w in row)
+    nodes = [F(1, i) for i in range(2, D + 4)]
+    mats = [_abs_lead_times_pairing_at(m, u) for u in nodes]
+    fit, check = nodes[:-1], nodes[-1]
+    assert _combine(_lagrange_weights(fit, check), mats[:-1]) == mats[-1]
+    for u0 in (1, 0):
+        assert brmatrices._pairing_limit(m, u0) == _combine(
+            _lagrange_weights(fit, u0), mats[:-1])
 
 
 def _u0_limit_by_full_products(m):
@@ -571,21 +606,19 @@ def test_u0_pairing_limit_matches_the_full_products(m):
 
 def test_beta_is_a_monomial_conjugate_of_beta_at_one():
     # beta_m(u) = R(u)^{-1} beta_m(1) C(u), R = diag(u^{r_a}), C = diag(u^b),
-    # r_a = a for a <= ceil(m/2) and a - ceil(m/2) above
-    def u_power(e):
-        one = UniPoly.const("u", 1)
-        return RatFunc(one.shift_mul(e)) if e >= 0 else RatFunc(
-            one, one.shift_mul(-e))
-
-    def diag(m, power):
-        return M.from_fn(m, m, lambda a, b: u_power(power(a)) if a == b
-                         else RatFunc.of("u", 0))
+    # r_a = a for a <= ceil(m/2) and a - ceil(m/2) above.  Each entry of
+    # beta_m(u) is a monomial c u^p, which its values at two points fix.
+    def diag(m, u, power):
+        return M.from_fn(m, m, lambda a, b: u ** power(a) if a == b else 0)
 
     for m in range(1, 17):
         h = (m + 1) // 2
-        R_inv = diag(m, lambda a: -(a if a <= h else a - h))
-        C = diag(m, lambda b: b)
-        assert beta_matrix(m) == R_inv @ beta_matrix(m, 1) @ C, m
+        for u in (F(1, 2), F(3)):
+            R_inv = diag(m, u, lambda a: -(a if a <= h else a - h))
+            C = diag(m, u, lambda b: b)
+            B = beta_matrix(m, u)
+            assert B == R_inv @ beta_matrix(m, 1) @ C, (m, u)
+            assert beta_matrix(m).eval(u) == B, (m, u)
 
 
 @pytest.mark.parametrize("m", [4, 5])

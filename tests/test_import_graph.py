@@ -1,7 +1,8 @@
 """Each entry point loads only the layers it runs: the Bessel kernel, the
 moments and the moment cache start without the exact algebra and the
-harness.  Every case runs in a fresh interpreter, since an import made by
-any earlier test would hide a stray one."""
+harness, and without ``dataclasses`` (which pulls in ``inspect``).  Every
+case runs in a fresh interpreter, since an import made by any earlier test
+would hide a stray one."""
 
 import json
 import os
@@ -19,12 +20,13 @@ EXACT_LAYERS = {"bwv.brmatrices", "bwv.exactalg", "bwv.vanhove",
 
 
 def _loaded_after(code, tmp_path):
-    """The bwv modules loaded once ``code`` has run in a new process."""
+    """The bwv modules, and ``dataclasses`` if it is, loaded once ``code``
+    has run in a new process."""
     env = dict(os.environ, BWV_CACHE=str(tmp_path / "m.jsonl"),
                PYTHONPATH=SRC)
     script = (code + "\nimport json, sys\n"
               "print(json.dumps(sorted(m for m in sys.modules"
-              " if m.startswith('bwv'))))")
+              " if m.startswith('bwv') or m == 'dataclasses')))")
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, check=True)
     return set(json.loads(proc.stdout.splitlines()[-1]))
@@ -41,4 +43,5 @@ def test_entry_point_loads_no_exact_layer(code, tmp_path):
     loaded = _loaded_after(code, tmp_path)
     assert "bwv.besselnum" in loaded
     assert not loaded & EXACT_LAYERS, sorted(loaded & EXACT_LAYERS)
+    assert "dataclasses" not in loaded
 
