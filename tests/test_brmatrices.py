@@ -192,7 +192,7 @@ def test_upsilon_corner_vanishes():
 
 def test_q_of_u_matrix_takes_no_arithmetic():
     V = matV(2)
-    Q = M([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    Q = M.identity(3)
     for op in (lambda: V @ V, lambda: V @ Q, lambda: Q @ V,
                lambda: exact_det(V), lambda: exact_inverse(V)):
         with pytest.raises(TypeError, match="exact arithmetic is over Q only"):
