@@ -48,7 +48,11 @@ sigmaInvB, FrakS, FrakSring, one ``matrix_to_json`` line per k) and the
 Wronskian-constant hashes for k <= 15 (the ``named_constant(...).rational``
 strings of LambdaOdd, lambdaEven and detBetti_formula, one line per k):
 they were taken from the separate odd and even bodies of the closed-form
-inverses, of Lambda/lambda and of the alternating binomial sums.  The numeric-report hash covers one JSON line
+inverses, of Lambda/lambda and of the alternating binomial sums.  The
+Betti-side hashes for k = 9..12 (Sigma, sigma, FrakS, FrakSring) and the
+``frakSring_entry(k, a, b)`` hash over the extended range k <= 9,
+a, b in [-1, k + 1] were taken from the separate Sigma and sigma bodies
+and the separate S and ringed-S entry bodies.  The numeric-report hash covers one JSON line
 ``[check_id, status, residual, refs]`` per check of a cold
 ``run_numeric_suite(3, 30, extended=True)``; it was taken after the
 scalar checks moved to one ``family_moments`` batch each, which changed
@@ -86,7 +90,12 @@ import pytest
 from mpmath import mp
 
 from bwv import besselnum, cli
-from bwv.brmatrices import matrix_family, matrix_to_json, named_constant
+from bwv.brmatrices import (
+    frakSring_entry,
+    matrix_family,
+    matrix_to_json,
+    named_constant,
+)
 from bwv.exactalg import UniPoly
 from bwv.harness import run_numeric_suite
 from bwv.vanhove import (
@@ -160,6 +169,16 @@ GOLDEN_SHA256 = {
         "73d61aa066542052e81d53c1e23109ecd5aa45f94bbf2a0d08b8d20ad0a8826b",
     "FrakSring-k8":
         "c29bbbb777fd09c285017e48d963d190f196c8e2859a5f7dfd81845574302886",
+    "Sigma-k9-12":
+        "020290a02b523a8053401e066daa3564e9a58c302288656e85469ff346435230",
+    "sigma-k9-12":
+        "fe68333969e0c38944df258c30b8e16800800bf369976b8fa318e77a7086b0e6",
+    "FrakS-k9-12":
+        "96a391b5c10fb978d41609fd34d272c7e6632835d1fe10f7b317e70a7407bde4",
+    "FrakSring-k9-12":
+        "d05e8e15588c7e6e205541d22a999d5560739fc83c7d1968ecf0c67c067fedbc",
+    "frakSring_entry-k9":
+        "34dd7c2441e72d4db5d8656b3b37980c755849da35e930e07d27f45b9b04e6a9",
     "LambdaOdd-k15":
         "dcc9230e74498f18b8ae522277185930d6ce4a7db470c5d1cdf5196ed72c2d53",
     "lambdaEven-k15":
@@ -273,6 +292,23 @@ def test_betti_side_json_golden_k8(family):
         for k in range(1, 9)
     )
     assert _sha256(text) == GOLDEN_SHA256[f"{family}-k8"]
+
+
+@pytest.mark.parametrize("family", ["Sigma", "sigma", "FrakS", "FrakSring"])
+def test_betti_side_json_golden_k9_to_k12(family):
+    text = "".join(
+        json.dumps(matrix_to_json(family, k, matrix_family(family, k)),
+                   sort_keys=True) + "\n"
+        for k in range(9, 13)
+    )
+    assert _sha256(text) == GOLDEN_SHA256[f"{family}-k9-12"]
+
+
+def test_frakSring_entry_golden_k9():
+    # the extended index range a, b in [-1, k + 1], beyond the matrix
+    text = "".join(f"{frakSring_entry(k, a, b)}\n" for k in range(1, 10)
+                   for a in range(-1, k + 2) for b in range(-1, k + 2))
+    assert _sha256(text) == GOLDEN_SHA256["frakSring_entry-k9"]
 
 
 @pytest.mark.parametrize(

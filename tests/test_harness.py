@@ -9,7 +9,7 @@ import pytest
 
 import bwv.cli as cli
 from bwv import __version__, besselnum, brmatrices, harness, vanhove
-from bwv.exactalg import RatFunc
+from bwv.exactalg import ExactMatrix, RatFunc
 from bwv.harness import (
     CheckResult,
     Report,
@@ -144,6 +144,24 @@ def test_symmetry_check_catches_a_bumped_numerator(monkeypatch, k, shift,
     W[i][j] += 1
     monkeypatch.setattr(brmatrices, "_wmat",
                         lambda m: W if m == order else real(m))
+    assert not harness._check_symmetry(k)
+
+
+# the sigma of _FAMILIES row p has its entry (i, j) (0-based) bumped by 1
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("p, i, j", [
+    (0, 0, 1),  # Sigma_{2k-1}: one off-diagonal entry of the top-left block
+    (1, 1, 1),  # sigma_{2k}: one diagonal entry
+], ids=["Sigma-12", "sigma-22"])
+def test_symmetry_check_reads_sigma(monkeypatch, k, p, i, j):
+    fam = harness._FAMILIES[p]
+    rows = [list(row) for row in fam.sigma(k).entries]
+    rows[i][j] += 1
+    bumped = fam._replace(sigma=lambda n: ExactMatrix(rows) if n == k
+                          else fam.sigma(n))
+    families = list(harness._FAMILIES)
+    families[p] = bumped
+    monkeypatch.setattr(harness, "_FAMILIES", tuple(families))
     assert not harness._check_symmetry(k)
 
 
