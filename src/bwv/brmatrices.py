@@ -41,14 +41,16 @@ Naming overview (sizes in parentheses):
 
 Parity convention: the odd family (Sigma, B, D, V_{2k+1}) is p = 0 and
 the even family (sigma, b, d, upsilon_{2k+2}) is p = 1, at weight
-w = 2k + 1 + p.  The Betti builders (``_betti``, ``_betti_ring``), the
-closed-form inverses of Sigma and sigma (``_sigma_inv``), the Wronskian
-constants Lambda and lambda (``_lambda``) and the de Rham routes
-(``_derham``, ``_derham_ring_blocks``) take p and k.  The public D/d,
+w = 2k + 1 + p.  Sigma and sigma (``_sigma``), their closed-form
+inverses (``_sigma_inv``), the Betti builders (``_betti``,
+``_betti_ring``), the Wronskian constants Lambda and lambda
+(``_lambda``) and the de Rham routes (``_derham``,
+``_derham_ring_blocks``) take p and k.  The public Sigma/sigma, D/d,
 B/b and ``mat*InvBernoulli`` names, like ``matV`` and ``matUpsilon``
 around ``_vmat``, only check k and delegate: the cache is the parity
-body's, not theirs.  Sigma, sigma, S and ringed-S share one alternating
-binomial sum (``_alt_sum``).
+body's, not theirs.  S and ringed-S share one entry body
+(``_frak_entry``, keyed by ring = 0 or 1), and Sigma, sigma, S and
+ringed-S one alternating binomial sum (``_alt_sum``).
 """
 
 from __future__ import annotations
@@ -218,106 +220,61 @@ def _alt_sum(n: int, k: int, c: int, j: int, sign: int = 0) -> int:
                for s in range(1, n - k + 1))
 
 
-def _sigma_odd_A(k: int, a: int, b: int) -> Fraction:
-    # parity gate (1 + (-1)^{a+b})/2
-    if (a + b) % 2 == 1:
-        return Fraction(0)
-    pref = Fraction(
-        (1 + 2 * k * (a == 1)) * (1 + 2 * k * (b == 1)) * 2 ** (2 * k - 1)
-    )
-    ssum = _alt_sum(2 * k + 1 - a, k, k, b - 1)
-    den = Fraction(
-        _msign(a // 2 + b // 2 - k) * factorial(a - 1) * factorial(2 * k + 1 - a)
-    )
-    return pref * ssum / den
-
-
-def _sigma_odd_B(k: int, a: int, bp: int) -> Fraction:
-    # parity gate ((-1)^{a-1} + (-1)^{b'})/2 is 0, +1 or -1
-    gate = (_msign(a - 1) + _msign(bp)) // 2
-    if gate == 0:
-        return Fraction(0)
-    pref = Fraction(gate * (1 + 2 * k * (a == 1)) * 2 ** (2 * k - 1))
-    ssum = _alt_sum(2 * k + 1 - a, k, k, bp + 1, _msign(bp))
-    den = Fraction(
-        _msign(a // 2 + bp // 2 - k) * factorial(a - 1) * factorial(2 * k + 1 - a)
-    )
-    return pref * ssum / den
-
-
-def _sigma_odd_D(k: int, ap: int, bp: int) -> Fraction:
-    if ap % 2 == 1 or bp % 2 == 1:
-        return Fraction(0)
-    pref = Fraction((-4) ** (k - 1), factorial(k) ** 2)
-    par = Fraction(4, _msign(ap // 2 + bp // 2))
-    return pref * par * binom_ext(k, ap + 1) * binom_ext(k, bp + 1)
-
-
 @cache
+def _sigma(p: int, k: int) -> ExactMatrix:
+    """Sigma_{2k-1} (p = 0, symmetric) or sigma_{2k} (p = 1, skew) at
+    weight w = 2k + 1 + p: the closed form in blocks split at h = k + p.
+    The lower-left block is (-1)^p times the upper-right one reflected;
+    the lower-right block is zero for p = 1."""
+    w, h = 2 * k + 1 + p, k + p
+    top = 2 ** (2 * k - 1 + p)
+
+    def upper(a: int, b: int) -> Fraction:
+        # row a <= h: the top-left block, or the top-right one at b' = b - h
+        if b <= h:
+            if (a + b + p) % 2:
+                return Fraction(0)
+            pref = (1 + (w - 1) * (a == 1)) * (1 + (w - 1) * (b == 1))
+            ssum = _alt_sum(w - a, k, k + p, b - 1)
+            sign = _msign(a // 2 + (b - p) // 2 + k + p)
+        else:
+            b -= h
+            if (a + b + p) % 2 == 0:
+                return Fraction(0)
+            pref = 1 + 2 * k * (a == 1) * (1 - p)
+            ssum = _alt_sum(w - a, k, k + p, b + 1, _msign(b))
+            sign = _msign((a - 1) // 2 + (b + 1) // 2 + k + (1 - p) * (a - 1))
+        return Fraction(sign * pref * top * ssum,
+                        factorial(a - 1) * factorial(w - a))
+
+    def entry(a: int, b: int) -> Fraction:
+        if a <= h:
+            return upper(a, b)
+        if b <= h:
+            return _msign(p) * upper(b, a)
+        a, b = a - h, b - h
+        if p or a % 2 or b % 2:
+            return Fraction(0)
+        return Fraction(-(-4) ** k * _msign(a // 2 + b // 2)
+                        * comb(k, a + 1) * comb(k, b + 1), factorial(k) ** 2)
+
+    return ExactMatrix.from_fn(2 * k - 1 + p, 2 * k - 1 + p, entry)
+
+
 def matSigma(k: int) -> ExactMatrix:
     """Sigma_{2k-1}: symmetric (2k-1) x (2k-1) matrix over Q assembled
     from its four closed-form blocks (sizes k and k-1)."""
     if k < 1:
         raise ValueError("matSigma requires k >= 1")
-
-    def entry(a: int, b: int) -> Fraction:
-        if a <= k and b <= k:
-            return _sigma_odd_A(k, a, b)
-        if a <= k < b:
-            return _sigma_odd_B(k, a, b - k)
-        if b <= k < a:
-            return _sigma_odd_B(k, b, a - k)
-        return _sigma_odd_D(k, a - k, b - k)
-
-    return ExactMatrix.from_fn(2 * k - 1, 2 * k - 1, entry)
+    return _sigma(0, k)
 
 
-def _sigma_even_A(k: int, a: int, b: int) -> Fraction:
-    # parity gate (1 + (-1)^{a+b+1}) is 2 when a+b is odd, else 0
-    if (a + b) % 2 == 0:
-        return Fraction(0)
-    pref = Fraction(2 ** (2 * k))
-    body = Fraction((1 + (2 * k + 1) * (a == 1)) * (1 + (2 * k + 1) * (b == 1)))
-    ssum = _alt_sum(2 * k + 2 - a, k, k + 1, b - 1)
-    den = Fraction(
-        _msign(a // 2 + (b - 1) // 2 + k - 1)
-        * factorial(a - 1)
-        * factorial(2 * k + 2 - a)
-    )
-    return pref * body * ssum / den
-
-
-def _sigma_even_B(k: int, a: int, bp: int) -> Fraction:
-    # parity gate (1 + (-1)^{a+b'}) is 2 when a+b' is even, else 0
-    if (a + bp) % 2 == 1:
-        return Fraction(0)
-    pref = Fraction(2 ** (2 * k))
-    ssum = _alt_sum(2 * k + 2 - a, k, k + 1, bp + 1, _msign(bp))
-    den = Fraction(
-        _msign((a - 1) // 2 + (bp + 1) // 2 + k)
-        * factorial(a - 1)
-        * factorial(2 * k + 2 - a)
-    )
-    return pref * ssum / den
-
-
-@cache
 def matsigma(k: int) -> ExactMatrix:
     """sigma_{2k}: skew-symmetric 2k x 2k matrix over Q assembled from
     its closed-form blocks (sizes k+1 and k-1; lower-right block is 0)."""
     if k < 1:
         raise ValueError("matsigma requires k >= 1")
-
-    def entry(a: int, b: int) -> Fraction:
-        if a <= k + 1 and b <= k + 1:
-            return _sigma_even_A(k, a, b)
-        if a <= k + 1 < b:
-            return _sigma_even_B(k, a, b - k - 1)
-        if b <= k + 1 < a:
-            return -_sigma_even_B(k, b, a - k - 1)
-        return Fraction(0)
-
-    return ExactMatrix.from_fn(2 * k, 2 * k, entry)
+    return _sigma(1, k)
 
 
 # ---------------------------------------------------------------------------
@@ -446,28 +403,23 @@ def betti_bring(k: int) -> ExactMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _frakS_entry(k: int, a: int, b: int) -> Fraction:
-    if (a + b) % 2 == 1:
+def _frak_entry(ring: int, k: int, a: int, b: int) -> Fraction:
+    """Entry (a, b) of S_k (ring = 0) or ringed-S_k (ring = 1), for
+    a, b >= -1; the 1/a! factor makes row a = -1 vanish."""
+    if (a + b + ring) % 2 or a < 0:
+        # return before the sum can reach binomials with negative upper
+        # index (undefined by convention)
         return Fraction(0)
-    pref = Fraction(2 * 2 ** (2 * (k + 1)))
-    ssum = _alt_sum(2 * k + 1 - a, k, k + 1, b, -_msign(b))
-    den_sign = _msign(a // 2 + b // 2 - 1)
-    return pref * ssum * recip_fact_ext(a) * recip_fact_ext(2 * k + 1 - a) / den_sign
+    ssum = _alt_sum(2 * k + 1 - a, k, k + 1, b, (ring - 1) * _msign(b))
+    sign = _msign((a + ring) // 2 + b // 2 - 1)
+    return (Fraction(sign * 2 ** (2 * k + 3) * ssum)
+            * recip_fact_ext(a) * recip_fact_ext(2 * k + 1 - a))
 
 
 def frakSring_entry(k: int, a: int, b: int) -> Fraction:
     """Entry (a, b) of ringed-S_k extended to a, b >= -1 (the recursion
     and margin identities quantify over this extended range)."""
-    if (a + b) % 2 == 0:
-        return Fraction(0)
-    if a < 0:
-        # the 1/a! factor vanishes; return before the sum can reach
-        # binomials with negative upper index (undefined by convention)
-        return Fraction(0)
-    pref = Fraction(2 * 2 ** (2 * (k + 1)))
-    ssum = _alt_sum(2 * k + 1 - a, k, k + 1, b)
-    den_sign = _msign((a + 1) // 2 + b // 2 - 1)
-    return pref * ssum * recip_fact_ext(a) * recip_fact_ext(2 * k + 1 - a) / den_sign
+    return _frak_entry(1, k, a, b)
 
 
 @cache
@@ -476,7 +428,7 @@ def frakS(k: int) -> ExactMatrix:
     matrix; satisfies S_k = (B_k)^{-1} up to the stated normalization."""
     if k < 1:
         raise ValueError("frakS requires k >= 1")
-    return ExactMatrix.from_fn(k, k, lambda a, b: _frakS_entry(k, a, b))
+    return ExactMatrix.from_fn(k, k, lambda a, b: _frak_entry(0, k, a, b))
 
 
 @cache
@@ -484,7 +436,7 @@ def frakSring(k: int) -> ExactMatrix:
     """Ringed-S_k (k x k)."""
     if k < 1:
         raise ValueError("frakSring requires k >= 1")
-    return ExactMatrix.from_fn(k, k, lambda a, b: frakSring_entry(k, a, b))
+    return ExactMatrix.from_fn(k, k, lambda a, b: _frak_entry(1, k, a, b))
 
 
 # ---------------------------------------------------------------------------

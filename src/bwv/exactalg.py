@@ -22,8 +22,8 @@ Conventions
   and printed.  A matrix over Q(u) holds such values and supports the
   same; the pairings that read V and upsilon are formed over Q from their
   polynomial numerators.
-* ``@``, ``exact_det`` and ``exact_inverse`` work over Q only and raise
-  TypeError on a matrix over Q(u).  The determinant and the inverse share
+* ``@``, ``scale``, negation, ``exact_det`` and ``exact_inverse`` work
+  over Q only and raise TypeError on a matrix over Q(u).  The determinant and the inverse share
   one Bareiss pass (``_bareiss_forward``) on the rows cleared to integers.
   The inverse appends the row-clearing factors to the rows it eliminates,
   and its back substitution stays in the integers too (one ``Fraction``
@@ -503,11 +503,7 @@ class ExactMatrix:
                     if isinstance(e, RatFunc)), None)
 
         def to_ratfunc(e) -> RatFunc:
-            if isinstance(e, RatFunc):
-                return e
-            if isinstance(e, UniPoly):
-                return RatFunc(e)
-            return RatFunc.of(var, e)
+            return e if isinstance(e, RatFunc) else RatFunc.of(var, e)
 
         lift = _as_fraction if var is None else to_ratfunc
         norm: list[tuple[Entry, ...]] = []
@@ -575,8 +571,7 @@ class ExactMatrix:
     # -- arithmetic ---------------------------------------------------------
 
     def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix([[-e for e in row] for row in self.entries],
-                           self.cols)
+        return self.scale(-1)
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         _require_q(self, other)
@@ -595,6 +590,7 @@ class ExactMatrix:
         ], other.cols)
 
     def scale(self, c: ScalarLike) -> "ExactMatrix":
+        _require_q(self)
         return ExactMatrix([[e * c for e in row] for row in self.entries],
                            self.cols)
 

@@ -194,7 +194,8 @@ def test_q_of_u_matrix_takes_no_arithmetic():
     V = matV(2)
     Q = M.identity(3)
     for op in (lambda: V @ V, lambda: V @ Q, lambda: Q @ V,
-               lambda: exact_det(V), lambda: exact_inverse(V)):
+               lambda: exact_det(V), lambda: exact_inverse(V),
+               lambda: -V, lambda: V.scale(2)):
         with pytest.raises(TypeError, match="exact arithmetic is over Q only"):
             op()
 
@@ -484,6 +485,7 @@ def test_verifiers_return_fresh_flag_dicts():
 # that holds the one cache of what it returns
 DELEGATES = {
     matV: brmatrices._vmat, matUpsilon: brmatrices._vmat,
+    matSigma: brmatrices._sigma, matsigma: brmatrices._sigma,
     matSigmaInvBernoulli: brmatrices._sigma_inv,
     matsigmaInvBernoulli: brmatrices._sigma_inv,
     betti_B: brmatrices._betti, betti_b: brmatrices._betti,

@@ -506,6 +506,14 @@ def test_a_matrix_with_no_rows_keeps_its_columns():
     assert ExactMatrix.zeros(2, 0) @ Z == ExactMatrix.zeros(2, 3)
 
 
+def test_a_polynomial_entry_is_not_lifted_beside_a_rational_function():
+    # a UniPoly is not an entry: it is refused alone and next to a RatFunc
+    x = UniPoly.x("u")
+    for rows in ([[x]], [[RatFunc(x), x]]):
+        with pytest.raises(TypeError, match="cannot coerce UniPoly"):
+            ExactMatrix(rows)
+
+
 def test_q_and_q_of_u_matrices_compare_by_value():
     # a Q(u) matrix of constants equals the Q matrix of the same values,
     # from either side; one differing entry makes them unequal both ways
