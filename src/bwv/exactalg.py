@@ -23,11 +23,11 @@ Conventions
   same; the pairings that read V and upsilon are formed over Q from their
   polynomial numerators.
 * ``@``, ``scale``, negation, ``exact_det`` and ``exact_inverse`` work
-  over Q only and raise TypeError on a matrix over Q(u).  The determinant and the inverse share
-  one Bareiss pass (``_bareiss_forward``) on the rows cleared to integers.
-  The inverse appends the row-clearing factors to the rows it eliminates,
-  and its back substitution stays in the integers too (one ``Fraction``
-  per entry).
+  over Q only and raise TypeError on a matrix over Q(u).  The determinant
+  and the inverse share one Bareiss pass (``_bareiss_forward``) on the
+  rows cleared to integers.  The inverse appends the row-clearing factors
+  to the rows it eliminates, and its back substitution stays in the
+  integers too (one ``Fraction`` per entry).
 """
 
 from __future__ import annotations
