@@ -78,6 +78,13 @@ converted here from its θ-table), the ``check_vanhove_structure`` dicts
 of the Vanhove operators for m <= 11 and the ``verify_bms_duality(n, 14)``
 dicts for n <= 4 (one sorted JSON object per line).  They were taken from
 the rational-function operator algebra that preceded the θ-tables.
+
+Three more pin the operator layer beyond m = 12: ``bwv vanhove --m M
+--json`` for m = 13..20, ``str()`` of every θ-table entry of
+``vanhove_operator(m)`` for m <= 20, and ``str(verrill_poly(m, k))`` for
+m <= 20 and k <= floor(m/2) + 2.  They were taken from the operator
+algebra that did its arithmetic in ``UniPoly`` ring operations, before it
+moved to coefficient lists.
 """
 
 import hashlib
@@ -104,11 +111,18 @@ from bwv.vanhove import (
     theta_to_d,
     vanhove_operator,
     verify_bms_duality,
+    verrill_poly,
 )
 
 GOLDEN_SHA256 = {
     "vanhove":
         "ff2c3e6ef589f7a971f91f3c88f29fbba196878e5fbb35159d8e5a0269b1d370",
+    "vanhove-m13-20":
+        "129a1b3a6f92140659b7550dd62dbc30f223371c05d004e0034d8c5e3f94cc1b",
+    "vanhove_theta-m20":
+        "c69e522fc05c41e2f42f725ee68ab7b7faa75dac84f1dc0567289728f2eccd9a",
+    "verrill_poly-m20":
+        "b2d1aa21526d20710b2d8088db1e3f126bfb4f81c0718450b2e16ee2c6899bd6",
     "DerhamD":
         "307fc684ceff62166346b243b65ad75a3d6489465617565ca55a5228248c38b1",
     "Derhamd":
@@ -237,12 +251,34 @@ def _entries_sha256(matrices) -> str:
         for m in matrices for i in range(m.rows) for j in range(m.cols)))
 
 
-def test_vanhove_cli_json_golden(capsys):
+def _vanhove_cli_json(ms, capsys) -> str:
     out = []
-    for m in range(1, 13):
+    for m in ms:
         assert cli.main(["vanhove", "--m", str(m), "--json"]) == 0
         out.append(capsys.readouterr().out)
-    assert _sha256("".join(out)) == GOLDEN_SHA256["vanhove"]
+    return "".join(out)
+
+
+def test_vanhove_cli_json_golden(capsys):
+    assert _sha256(_vanhove_cli_json(range(1, 13), capsys)) == (
+        GOLDEN_SHA256["vanhove"])
+
+
+def test_vanhove_cli_json_golden_m13_to_m20(capsys):
+    assert _sha256(_vanhove_cli_json(range(13, 21), capsys)) == (
+        GOLDEN_SHA256["vanhove-m13-20"])
+
+
+def test_vanhove_theta_golden_m20():
+    text = "".join(f"{p}\n" for m in range(1, 21)
+                   for p in vanhove_operator(m).theta)
+    assert _sha256(text) == GOLDEN_SHA256["vanhove_theta-m20"]
+
+
+def test_verrill_poly_golden_m20():
+    text = "".join(f"{verrill_poly(m, k)}\n" for m in range(1, 21)
+                   for k in range(m // 2 + 3))
+    assert _sha256(text) == GOLDEN_SHA256["verrill_poly-m20"]
 
 
 def _bs_d_form_strings(n: int) -> list[str]:
