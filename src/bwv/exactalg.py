@@ -1,7 +1,7 @@
 """Exact arithmetic foundation.
 
-Big rationals, dense univariate polynomials, rational functions stored
-as values, exact dense linear algebra over Q with fraction-free
+Big rationals, dense univariate polynomials and rational functions
+stored as values, exact dense linear algebra over Q with fraction-free
 (Bareiss) elimination, Bernoulli numbers and extended binomial
 conventions.
 
@@ -13,8 +13,11 @@ Conventions
   of Python integers ``nums`` over one positive integer ``den``, with
   gcd(content(nums), den) = 1 and no trailing zeros; the zero polynomial
   is ``nums = ()``, ``den = 1``.  So each polynomial has exactly one
-  representation.  Ring arithmetic and evaluation run on the integers and
-  normalize once per result; ``coeffs`` and ``coeff(k)`` return
+  representation.  It is a stored value with no ring arithmetic: it is
+  built, compared, evaluated, differentiated and printed, and the layers
+  that compute with polynomials do so on integer coefficient lists (the
+  ``_int_*`` kernels here, the operator algebra in ``vanhove``, the
+  pairings in ``brmatrices``).  ``coeffs`` and ``coeff(k)`` return
   ``Fraction``.
 * ``RatFunc`` is a value of Q(u), not a field element to compute with: it
   is reduced once, when built (a primitive pseudo-remainder gcd, with a
@@ -266,79 +269,6 @@ class UniPoly:
     def __repr__(self) -> str:
         return f"UniPoly.of({self.var!r}, {list(self.coeffs)!r})"
 
-    # -- arithmetic ---------------------------------------------------------
-
-    def _check_var(self, other: "UniPoly") -> None:
-        if self.var != other.var:
-            raise ValueError(f"variable mismatch: {self.var} vs {other.var}")
-
-    def __add__(self, other: "UniPoly | ScalarLike") -> "UniPoly":
-        if not isinstance(other, UniPoly):
-            other = UniPoly.const(self.var, other)
-        self._check_var(other)
-        a, b, den = self.nums, other.nums, self.den
-        if den != other.den:
-            g = gcd(den, other.den)
-            fa, fb = other.den // g, den // g
-            a = [x * fa for x in a]
-            b = [x * fb for x in b]
-            den *= fa
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, x in enumerate(b):
-            out[i] += x
-        return UniPoly._make(self.var, out, den)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "UniPoly":
-        p = object.__new__(UniPoly)
-        p.var = self.var
-        p.nums = tuple(-x for x in self.nums)
-        p.den = self.den
-        return p
-
-    def __sub__(self, other: "UniPoly | ScalarLike") -> "UniPoly":
-        if not isinstance(other, UniPoly):
-            other = UniPoly.const(self.var, other)
-        return self + (-other)
-
-    def __rsub__(self, other: ScalarLike) -> "UniPoly":
-        return (-self) + other
-
-    def __mul__(self, other: "UniPoly | ScalarLike") -> "UniPoly":
-        if not isinstance(other, UniPoly):
-            c = _as_fraction(other)
-            return UniPoly._make(
-                self.var, [x * c.numerator for x in self.nums],
-                self.den * c.denominator,
-            )
-        self._check_var(other)
-        if self.is_zero or other.is_zero:
-            return UniPoly.zero(self.var)
-        b = other.nums
-        out = [0] * (len(self.nums) + len(b) - 1)
-        for i, x in enumerate(self.nums):
-            if x:
-                for j, y in enumerate(b, i):
-                    out[j] += x * y
-        return UniPoly._make(self.var, out, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "UniPoly":
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        result = UniPoly.const(self.var, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     # -- calculus and evaluation -------------------------------------------
 
     def deriv(self, order: int = 1) -> "UniPoly":
@@ -358,32 +288,6 @@ class UniPoly:
             acc = acc * p + c * qpow
             qpow *= q
         return Fraction(acc, self.den * q ** max(self.degree, 0))
-
-    def compose_poly(self, inner: "UniPoly") -> "UniPoly":
-        """Substitute another polynomial for the variable.
-
-        Homogeneous Horner in integers, as in :meth:`eval`: with inner =
-        J/e, sum_i c_i J^i e^(n-i) over den * e^n, normalized once."""
-        J, e = inner.nums, inner.den
-        acc: list[int] = []
-        epow = 1
-        for c in reversed(self.nums):
-            out = [0] * (len(acc) + len(J) - 1) if acc and J else [0]
-            for i, x in enumerate(acc):
-                if x:
-                    for j, y in enumerate(J, i):
-                        out[j] += x * y
-            out[0] += c * epow
-            acc = out
-            epow *= e
-        return UniPoly._make(inner.var, acc,
-                             self.den * e ** max(self.degree, 0))
-
-    def shift_mul(self, k: int) -> "UniPoly":
-        """Multiply by var**k."""
-        if self.is_zero:
-            return self
-        return UniPoly._make(self.var, [0] * k + list(self.nums), self.den)
 
     def __str__(self) -> str:
         if self.is_zero:

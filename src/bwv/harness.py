@@ -354,11 +354,12 @@ _FAMILIES = (
 def _check_symmetry(k: int) -> bool:
     # V_{2k-1} = W_{2k-1} / ell and upsilon_{2k} = W_{2k} / ell with
     # ell = ell_{m,m} != 0, so V is symmetric and upsilon skew exactly when
-    # their polynomial numerators W_m (``brmatrices._wmat``) are.  Sigma
-    # is symmetric and sigma skew in the same way.
+    # their polynomial numerators W_m (``brmatrices._wmat``) are; W_m is
+    # integral, so its entries compare by their numerators.  Sigma is
+    # symmetric and sigma skew in the same way.
     for p, fam in enumerate(_FAMILIES):
         W = brmatrices._wmat(2 * k - 1 + p)
-        if any(W[a][b] != (-W[b][a] if p else W[b][a])
+        if any(W[a][b].nums != tuple(-x if p else x for x in W[b][a].nums)
                for a in range(len(W)) for b in range(a + 1)):
             return False
         S = fam.sigma(k)

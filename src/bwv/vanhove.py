@@ -18,7 +18,8 @@ substitution, not the recursion.  The checks independent of the
 recursion are the Verrill recursion against the Bessel power numbers
 (``verify_verrill_recursion``), ``check_vanhove_structure``, the series
 duality with the Borwein–Salvy operator (``verify_bms_duality``), and
-the golden hashes of ``bwv vanhove --json`` for m ≤ 12.
+the golden hashes of ``bwv vanhove --json``, of the θ-tables and of the
+Verrill polynomials for m ≤ 20.
 
 The routes are compared as θ-tables.  That is as strong as comparing the
 operators: θ̂u^e = (e+1)·u^e keeps each u^{1−k}P_k(θ̂) on its own shift
@@ -30,6 +31,11 @@ second kind.
 The Borwein–Salvy operator L_{n+2} = Σ_i t^{2i}·P_i(θ), θ = tD, is kept
 as its θ-table i ↦ P_i(x) too.
 
+All of this is computed on coefficient lists, lowest degree first, by a
+few private helpers (sum, scalar multiple, product, derivative, Horner
+composition); each public result is one ``UniPoly``, which is a stored
+value with no ring arithmetic.
+
 Tuple convention: α_n ∈ [1, m+1] with the chain α_{n+1} ≤ α_n − 2 enforced
 for n ∈ [1, k−1] only; the terminator α_{k+1} := 1 enters exponents but is
 not itself constrained.  (With the constrained-terminator reading, the
@@ -39,10 +45,10 @@ at m = 2, n = 1; the recursion test below guards this choice permanently.)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial
+from math import comb, factorial, lcm
+from typing import NamedTuple
 
 from .exactalg import UniPoly
 
@@ -61,10 +67,60 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
+# Coefficient lists
+# ---------------------------------------------------------------------------
+#
+# A polynomial is the list of its coefficients, lowest degree first, with
+# no trailing zeros; the coefficients are ints, or Fractions where a series
+# needs them.  Each public result is one UniPoly.
+
+
+def _add(a: list, b: list) -> list:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, y in enumerate(b):
+        out[i] += y
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _scale(a: list, c) -> list:
+    return [x * c for x in a] if c else []
+
+
+def _mul(a: list, b: list) -> list:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
+def _deriv(a: list, order: int = 1) -> list:
+    out = list(a)
+    for _ in range(order):
+        out = [i * c for i, c in enumerate(out)][1:]
+    return out
+
+
+def _compose(a: list, inner: list) -> list:
+    """a(inner), by Horner's rule."""
+    acc: list = []
+    for c in reversed(a):
+        acc = _add(_mul(acc, inner), [c])
+    return acc
+
+
+# ---------------------------------------------------------------------------
 # Verrill polynomials and Bessel power numbers
 # ---------------------------------------------------------------------------
 
-def _chain_sum(m: int, k: int, head: UniPoly, step: int) -> UniPoly:
+def _chain_sum(m: int, k: int, head: list, step: int) -> list:
     """Σ_α head^{m+1−α₁}·∏_{n=1}^{k} c(α_n)·L_n^{α_n−α_{n+1}} over the
     admissible tuples, with L_n = head + n·step, c(a) = a(a−m−2) and the
     terminator α_{k+1} = 1; for k = 0 the sum is head^m.
@@ -77,24 +133,23 @@ def _chain_sum(m: int, k: int, head: UniPoly, step: int) -> UniPoly:
     the result is Σ_a head^{m+1−a}·G_1(a)."""
     top = m + 1
     if k == 0:
-        return head**m
-    lk = head + k * step
-    g, power = [None], UniPoly.const(head.var, 1)  # g[a] = G_n(a), a ≥ 1
+        return _compose([0] * m + [1], head)  # head^m
+    lk = _add(head, [k * step])
+    g, power = [None], [1]  # g[a] = G_n(a), a ≥ 1
     for a in range(1, top + 1):
-        g.append(power * (a * (a - m - 2)))
-        power = power * lk
-    zero = UniPoly.zero(head.var)
+        g.append(_scale(power, a * (a - m - 2)))
+        power = _mul(power, lk)
     for n in range(k - 1, 0, -1):
-        ln = head + n * step
-        ln2, s = ln * ln, zero
-        nxt = [None, zero, zero]
+        ln = _add(head, [n * step])
+        ln2, s = _mul(ln, ln), []
+        nxt = [None, [], []]
         for a in range(3, top + 1):
-            s = s * ln + ln2 * g[a - 2]
-            nxt.append(s * (a * (a - m - 2)))
+            s = _add(_mul(s, ln), _mul(ln2, g[a - 2]))
+            nxt.append(_scale(s, a * (a - m - 2)))
         g = nxt
-    acc = zero
+    acc: list = []
     for a in range(1, top + 1):
-        acc = acc * head + g[a]
+        acc = _add(_mul(acc, head), g[a])
     return acc
 
 
@@ -106,7 +161,7 @@ def verrill_poly(m: int, k: int) -> UniPoly:
     empty sum is the zero polynomial."""
     if m < 1 or k < 0:
         raise ValueError("verrill_poly requires m >= 1, k >= 0")
-    return _chain_sum(m, k, UniPoly.x("t"), -1)
+    return UniPoly.of("t", _chain_sum(m, k, [0, 1], -1))
 
 
 def _bessel_power_row(p: int, k: int) -> list[int]:
@@ -167,8 +222,7 @@ def theta_to_d(table: dict[int, UniPoly]) -> list[dict[int, Fraction]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VanhoveOperator:
+class VanhoveOperator(NamedTuple):
     """L̃_m = Σ_{j=0}^{m} ℓ_{m,j}(u)·D^j with integer coefficients, and its
     θ-table: L̃_m = Σ_k u^{1−k}·theta[k](θ̂)."""
 
@@ -187,11 +241,13 @@ class VanhoveOperator:
 
 
 def _route_a(m: int) -> tuple[UniPoly, ...]:
-    """P_k(x) = (−1)^m 𝒱_{m,k}(k − x) for k = 0..⌊m/2⌋+1."""
-    x = UniPoly.x("x")
+    """P_k(x) = (−1)^m 𝒱_{m,k}(k − x) for k = 0..⌊m/2⌋+1 (𝒱_{m,k} is
+    integral, so its ``nums`` are its coefficients)."""
     sign = -1 if m % 2 else 1
     return tuple(
-        verrill_poly(m, k).compose_poly(k - x) * sign for k in range(m // 2 + 2)
+        UniPoly.of("x", _scale(_compose(verrill_poly(m, k).nums, [k, -1]),
+                               sign))
+        for k in range(m // 2 + 2)
     )
 
 
@@ -199,8 +255,8 @@ def _route_b(m: int) -> tuple[UniPoly, ...]:
     """P_k(x) = Σ_α (x−k)^{m+1−α₁} ∏_n α_n(α_n−m−2)(x−k+n)^{α_n−α_{n+1}}
     for k = 0..⌊m/2⌋+1 (``_chain_sum`` with head x − k and L_n = x − k + n),
     so P_0(x) = x^m."""
-    x = UniPoly.x("x")
-    return tuple(_chain_sum(m, k, x - k, 1) for k in range(m // 2 + 2))
+    return tuple(UniPoly.of("x", _chain_sum(m, k, [-k, 1], 1))
+                 for k in range(m // 2 + 2))
 
 
 @cache
@@ -215,10 +271,11 @@ def vanhove_operator(m: int) -> VanhoveOperator:
             f"Vanhove operator routes disagree at m={m}: "
             "construction bug or mis-resolved tuple convention"
         )
-    x = UniPoly.x("x")
-    d_form = theta_to_d(
-        {1 - k: p.compose_poly(x + 1) for k, p in enumerate(table)}
-    )
+    # the agreed table is integral, as both routes are
+    d_form = theta_to_d({
+        1 - k: UniPoly.of("x", _compose(p.nums, [1, 1]))
+        for k, p in enumerate(table)
+    })
     if len(d_form) - 1 != m:
         raise ArithmeticError(
             f"unexpected operator order {len(d_form) - 1} != {m}"
@@ -242,12 +299,10 @@ def leading_coeff_product(m: int) -> UniPoly:
     """The closed-form leading coefficient
     u^{⌊(m+1)/2⌋}·∏_{n ∈ [1,m+1], n ≡ m+1 (mod 2)} (u − n²),
     built independently of the operator expansion."""
-    u = UniPoly.x("u")
-    poly = UniPoly.const("u", 1)
-    for n in range(1, m + 2):
-        if (n - (m + 1)) % 2 == 0:
-            poly = poly * (u - n * n)
-    return poly.shift_mul((m + 1) // 2)
+    poly = [1]
+    for n in range(m + 1, 0, -2):
+        poly = _mul(poly, [-n * n, 1])
+    return UniPoly.of("u", [0] * ((m + 1) // 2) + poly)
 
 
 def check_vanhove_structure(op: VanhoveOperator) -> dict[str, bool]:
@@ -259,24 +314,28 @@ def check_vanhove_structure(op: VanhoveOperator) -> dict[str, bool]:
     * ``divisibility``: u^{m−j−⌊(m+1)/2⌋}·ℓ_{m,j} ∈ ℤ[u];
     * ``adjoint_parity``: L̃_m* = (−1)^m L̃_m, read on the θ-table as
       P_k(k − x) = (−1)^m P_k(x), since θ̂* = 1 − θ̂ and θ̂u^s = u^s(θ̂ + s).
+
+    Each identity is homogeneous, so the first three are checked on
+    d·ℓ_{m,j} in ℤ[u], d the coefficients' common denominator, and the
+    last on each P_k's numerators.
     """
     m = op.m
+    sign = -1 if m % 2 else 1
+    d = lcm(*(p.den for p in op.coeffs))
+    ell = [_scale(p.nums, d // p.den) for p in op.coeffs]
     report: dict[str, bool] = {}
     report["leading"] = op.leading == leading_coeff_product(m)
-    report["subleading"] = (
-        op.ell(m - 1) == op.leading.deriv() * Fraction(m, 2)
-    )
-    ok = True
-    for j in range(m + 1):
-        rhs = UniPoly.zero("u")
+    report["subleading"] = _scale(ell[m - 1], 2) == _scale(_deriv(ell[m]), m)
+
+    def rhs(j: int) -> list:
+        acc: list = []
         for n in range(j, m + 1):
-            sign = -1 if n % 2 else 1
-            rhs = rhs + op.ell(n).deriv(n - j) * (sign * comb(n, j))
-        lhs = op.ell(j) * (-1 if m % 2 else 1)
-        if lhs != rhs:
-            ok = False
-            break
-    report["constraint"] = ok
+            c = (-1 if n % 2 else 1) * comb(n, j)
+            acc = _add(acc, _scale(_deriv(ell[n], n - j), c))
+        return acc
+
+    report["constraint"] = all(
+        _scale(ell[j], sign) == rhs(j) for j in range(m + 1))
     # u^{m−j−⌊(m+1)/2⌋}·ℓ_{m,j} ∈ ℤ[u]: ℓ_{m,j} is integral, and where the
     # exponent is negative (j > ⌊m/2⌋) its lowest j + ⌊(m+1)/2⌋ − m
     # coefficients vanish
@@ -285,10 +344,9 @@ def check_vanhove_structure(op: VanhoveOperator) -> dict[str, bool]:
         op.ell(j).is_integral()
         and not any(op.ell(j).nums[:max(0, j + half - m)])
         for j in range(m + 1))
-    x = UniPoly.x("x")
-    sign = -1 if m % 2 else 1
     report["adjoint_parity"] = all(
-        p.compose_poly(k - x) == p * sign for k, p in enumerate(op.theta)
+        _compose(p.nums, [k, -1]) == _scale(p.nums, sign)
+        for k, p in enumerate(op.theta)
     )
     return report
 
@@ -320,30 +378,24 @@ def borwein_salvy_operator(n: int) -> tuple[UniPoly, ...]:
     𝓛_{n+2,1} = θ; θ∘t^{2i} = t^{2i}(θ + 2i) keeps it in θ-form."""
     if n < 0:
         raise ValueError("borwein_salvy_operator requires n >= 0")
-    x = UniPoly.x("x")
-    prev, cur = [UniPoly.const("x", 1)], [x]
+    prev, cur = [[1]], [[0, 1]]
     for k in range(1, n + 2):
-        nxt = [(x + 2 * i) * p for i, p in enumerate(cur)]
-        nxt += [UniPoly.zero("x")] * (len(prev) + 1 - len(nxt))
+        nxt = [_mul([2 * i, 1], p) for i, p in enumerate(cur)]
+        nxt += [[]] * (len(prev) + 1 - len(nxt))
         for i, p in enumerate(prev):
-            nxt[i + 1] = nxt[i + 1] - p * (k * (n + 2 - k))
+            nxt[i + 1] = _add(nxt[i + 1], _scale(p, -k * (n + 2 - k)))
         prev, cur = cur, nxt
-    return tuple(cur)
+    return tuple(UniPoly.of("x", p) for p in cur)
 
 
-def _i0_sqrtu_t_times_t(order: int) -> list[UniPoly]:
-    """The t-coefficients a_0..a_order (polynomials in u) of
+def _i0_sqrtu_t_times_t(order: int) -> list[list]:
+    """The t-coefficients a_0..a_order (coefficient lists in u) of
     t·I₀(√u t)/t = I₀(√u t) = Σ_m (u/4)^m t^{2m}/(m!)²."""
-    u = UniPoly.x("u")
-    coeffs = []
-    for j in range(order + 1):
-        if j % 2 == 0:
-            m = j // 2
-            c = Fraction(1, 4**m) / Fraction(factorial(m)) ** 2
-            coeffs.append((u**m) * c)
-        else:
-            coeffs.append(UniPoly.zero("u"))
-    return coeffs
+    return [
+        [0] * (j // 2) + [Fraction(1, 4 ** (j // 2) * factorial(j // 2) ** 2)]
+        if j % 2 == 0 else []
+        for j in range(order + 1)
+    ]
 
 
 def verify_bms_duality(n: int, N: int) -> dict[str, bool]:
@@ -360,25 +412,27 @@ def verify_bms_duality(n: int, N: int) -> dict[str, bool]:
         raise ValueError("verify_bms_duality requires n >= 1")
     if N < n + 6:
         raise ValueError("truncation order too small")
-    u = UniPoly.x("u")
-    zero = UniPoly.zero("u")
-    ell = vanhove_operator(n).coeffs
+    ell = [list(c.coeffs) for c in vanhove_operator(n).coeffs]
     table = borwein_salvy_operator(n)
     sign = Fraction(-1 if n % 2 else 1, 2 ** (n + 2))
 
-    def lhs(g: list[UniPoly]) -> list[UniPoly]:
+    def lhs(g: list[list]) -> list[list]:
         out = []
         for a in g:
-            b = u * a.deriv(2) + a.deriv()
-            out.append(sum((c * b.deriv(j) for j, c in enumerate(ell)), zero))
+            b = _add(_mul([0, 1], _deriv(a, 2)), _deriv(a))
+            acc: list = []
+            for j, c in enumerate(ell):
+                acc = _add(acc, _mul(c, _deriv(b, j)))
+            out.append(acc)
         return out
 
-    def rhs(g: list[UniPoly]) -> list[UniPoly]:
+    def rhs(g: list[list]) -> list[list]:
         # t^r -> P_i(-r-2i) t^{r+2i}, dropping what lands above the order
-        total = [zero] * len(g)
+        total: list[list] = [[] for _ in g]
         for i, p in enumerate(table):
             for r in range(len(g) - 2 * i):
-                total[r + 2 * i] += g[r] * (p.eval(-r - 2 * i) * sign)
+                total[r + 2 * i] = _add(
+                    total[r + 2 * i], _scale(g[r], p.eval(-r - 2 * i) * sign))
         return total
 
     out: dict[str, bool] = {}
@@ -386,6 +440,6 @@ def verify_bms_duality(n: int, N: int) -> dict[str, bool]:
         g = _i0_sqrtu_t_times_t(order)
         out[f"order_{order}"] = lhs(g) == rhs(g)
     # zero-series sanity: both sides annihilate the zero series
-    z = [zero] * (N + 1)
-    out["zero_series"] = all(a.is_zero for a in lhs(z) + rhs(z))
+    z: list[list] = [[] for _ in range(N + 1)]
+    out["zero_series"] = not any(lhs(z) + rhs(z))
     return out

@@ -46,6 +46,7 @@ from bwv.brmatrices import (
 from bwv.exactalg import (
     ExactMatrix,
     RatFunc,
+    UniPoly,
     exact_det,
     exact_inverse,
 )
@@ -168,7 +169,8 @@ def test_V_symmetric_and_upsilon_skew():
         ups = matUpsilon(k)
         assert ups.rows == ups.cols == 2 * k
         # -upsilon^T, each stored value negated through its numerator
-        neg_T = M([[RatFunc(-e.num, e.den) for e in row]
+        neg_T = M([[RatFunc(UniPoly.of("u", [-c for c in e.num.coeffs]),
+                            e.den) for e in row]
                    for row in ups.T.entries])
         assert ups == neg_T
 
@@ -631,7 +633,8 @@ def test_pairing_limit_rejects_a_surviving_negative_power(monkeypatch, m):
     # a constant c in W_{m,m} adds c B_mi B_mj u^{r_i + r_j - 2m} to entry
     # (i, j), B = beta_m(1)^{-1}: a negative power wherever B_mi B_mj != 0
     bumped = [list(row) for row in W]
-    bumped[m - 1][m - 1] += 1
+    w = W[m - 1][m - 1]
+    bumped[m - 1][m - 1] = UniPoly.of("u", [w.coeff(0) + 1, *w.coeffs[1:]])
     monkeypatch.setattr(brmatrices, "_wmat", lambda n: bumped)
     with pytest.raises(AssertionError, match="negative power"):
         brmatrices._pairing_limit.__wrapped__(m, 0)

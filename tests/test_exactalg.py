@@ -1,5 +1,7 @@
 """Tests for the exact arithmetic layer: Bernoulli numbers, polynomials,
-rational functions, matrices."""
+rational functions, matrices; and the coefficient-list arithmetic the
+operator layer (``bwv.vanhove``) does in place of polynomial ring
+operations."""
 
 import random
 from fractions import Fraction as F
@@ -20,6 +22,7 @@ from bwv.exactalg import (
     exact_inverse,
     recip_fact_ext,
 )
+from bwv.vanhove import _add, _compose, _deriv, _mul, _scale
 
 # -- strategies -------------------------------------------------------------
 
@@ -105,8 +108,7 @@ def test_recip_fact_ext_conventions():
 def test_unipoly_divmod_is_division_with_remainder(a, b):
     # the integer kernel on the numerators: s·A = q·B + r in Z[u]
     q, r, s = _int_divmod(a.nums, b.nums)
-    A, B = UniPoly.of("u", a.nums), UniPoly.of("u", b.nums)
-    assert UniPoly.of("u", q) * B + UniPoly.of("u", r) == A * s
+    assert _add(_mul(q, b.nums), r) == _scale(a.nums, s)
     assert len(r) < len(b.nums)
 
 
@@ -121,37 +123,8 @@ def test_unipoly_gcd_divides_and_detects_common_factor(a, b, c):
     assert _divides(g, a.nums)
     assert _divides(g, b.nums)
     # a common factor c must divide gcd(ac, bc)
-    g2 = _int_gcd((a * c).nums, (b * c).nums)
+    g2 = _int_gcd(_mul(a.nums, c.nums), _mul(b.nums, c.nums))
     assert _divides(c.nums, g2)
-
-
-@given(polys(3), polys(3))
-@settings(max_examples=60)
-def test_unipoly_deriv_product_rule(a, b):
-    assert (a * b).deriv() == a.deriv() * b + a * b.deriv()
-
-
-@given(polys(3), polys(3), fractions)
-@settings(max_examples=60)
-def test_unipoly_eval_is_ring_homomorphism(a, b, x):
-    assert (a + b).eval(x) == a.eval(x) + b.eval(x)
-    assert (a * b).eval(x) == a.eval(x) * b.eval(x)
-
-
-def test_unipoly_shift_mul_and_compose():
-    p = UniPoly.of("u", [1, 2])  # 1 + 2u
-    assert p.shift_mul(2) == UniPoly.of("u", [0, 0, 1, 2])
-    inner = UniPoly.of("u", [1, 1])  # u + 1
-    assert p.compose_poly(inner) == UniPoly.of("u", [3, 2])
-
-
-@given(polys(4), polys(3))
-@settings(max_examples=60)
-def test_unipoly_compose_is_the_sum_of_powers(p, inner):
-    expect = UniPoly.zero("u")
-    for k, c in enumerate(p.coeffs):
-        expect = expect + inner**k * c
-    assert p.compose_poly(inner) == expect
 
 
 # -- the integer-backed core against a plain-Fraction reference -------------
@@ -234,17 +207,51 @@ def nonzero_coeff_lists(max_deg=4):
 @given(coeff_lists(), coeff_lists())
 @settings(max_examples=80)
 def test_unipoly_ring_ops_match_reference(a, b):
-    p, q = UniPoly.of("u", a), UniPoly.of("u", b)
-    neg_b = [-c for c in b]
-    for got, want in (
-        (p, a),
-        (p + q, _ref_add(a, b)),
-        (p - q, _ref_add(a, neg_b)),
-        (p * q, _ref_mul(a, b)),
-        (p.deriv(), _ref_deriv(a)),
-    ):
+    # a UniPoly is built and differentiated; sums, differences and
+    # products are formed on coefficient lists
+    p = UniPoly.of("u", a)
+    for got, want in ((p, a), (p.deriv(), _ref_deriv(a))):
         assert _is_canonical(got)
         assert list(got.coeffs) == want
+    neg_b = [-c for c in b]
+    assert _add(a, b) == _ref_add(a, b)
+    assert _add(a, _scale(b, -1)) == _ref_add(a, neg_b)
+    assert _mul(a, b) == _ref_mul(a, b)
+    assert _deriv(a) == _ref_deriv(a)
+
+
+@given(coeff_lists(3), coeff_lists(3))
+@settings(max_examples=60)
+def test_unipoly_deriv_product_rule(a, b):
+    ab = _mul(a, b)
+    assert _deriv(ab) == _add(_mul(_deriv(a), b), _mul(a, _deriv(b)))
+    assert UniPoly.of("u", ab).deriv() == UniPoly.of("u", _deriv(ab))
+
+
+@given(coeff_lists(3), coeff_lists(3), fractions)
+@settings(max_examples=60)
+def test_unipoly_eval_is_ring_homomorphism(a, b, x):
+    def at(c):
+        return UniPoly.of("u", c).eval(x)
+
+    assert at(_add(a, b)) == at(a) + at(b)
+    assert at(_mul(a, b)) == at(a) * at(b)
+
+
+def test_unipoly_shift_mul_and_compose():
+    p = [1, 2]  # 1 + 2u
+    assert _mul([0, 0, 1], p) == [0, 0, 1, 2]
+    assert _compose(p, [1, 1]) == [3, 2]  # p(u + 1)
+
+
+@given(coeff_lists(4), coeff_lists(3))
+@settings(max_examples=60)
+def test_unipoly_compose_is_the_sum_of_powers(a, inner):
+    expect, power = [], [F(1)]
+    for c in a:
+        expect = _ref_add(expect, _ref_mul(power, [c]))
+        power = _ref_mul(power, inner)
+    assert _compose(a, inner) == expect
 
 
 @given(coeff_lists(), nonzero_coeff_lists(3))
@@ -310,15 +317,13 @@ def test_ratfunc_normal_form(f):
 
 
 def test_ratfunc_eval_removable_singularity():
-    u = UniPoly.x("u")
-    one = UniPoly.const("u", 1)
-    f = RatFunc(u * u - one, u - one)  # (u^2-1)/(u-1)
+    f = RatFunc(UniPoly.of("u", [-1, 0, 1]),
+                UniPoly.of("u", [-1, 1]))  # (u^2-1)/(u-1)
     assert f.eval(1) == 2
 
 
 def test_ratfunc_eval_genuine_pole_raises():
-    u = UniPoly.x("u")
-    f = RatFunc(UniPoly.const("u", 1), u - UniPoly.const("u", 1))
+    f = RatFunc(UniPoly.const("u", 1), UniPoly.of("u", [-1, 1]))
     with pytest.raises(ZeroDivisionError):
         f.eval(1)
 

@@ -9,7 +9,7 @@ import pytest
 
 import bwv.cli as cli
 from bwv import __version__, besselnum, brmatrices, harness, vanhove
-from bwv.exactalg import ExactMatrix, RatFunc
+from bwv.exactalg import ExactMatrix, RatFunc, UniPoly
 from bwv.harness import (
     CheckResult,
     Report,
@@ -141,7 +141,8 @@ def test_symmetry_check_catches_a_bumped_numerator(monkeypatch, k, shift,
     order = 2 * k + shift
     real = brmatrices._wmat
     W = [list(row) for row in real(order)]
-    W[i][j] += 1
+    w = W[i][j]
+    W[i][j] = UniPoly.of("u", [w.coeff(0) + 1, *w.coeffs[1:]])
     monkeypatch.setattr(brmatrices, "_wmat",
                         lambda m: W if m == order else real(m))
     assert not harness._check_symmetry(k)

@@ -1,8 +1,10 @@
 """Each entry point loads only the layers it runs: the Bessel kernel, the
 moments and the moment cache start without the exact algebra and the
-harness, and without ``dataclasses`` (which pulls in ``inspect``).  Every
-case runs in a fresh interpreter, since an import made by any earlier test
-would hide a stray one."""
+harness, and without ``dataclasses`` (which pulls in ``inspect``); ``bwv
+vanhove`` loads the operator layer and the exact algebra under it, but
+not the matrices, the harness or ``dataclasses``.  Every case runs in a
+fresh interpreter, since an import made by any earlier test would hide a
+stray one."""
 
 import json
 import os
@@ -45,3 +47,12 @@ def test_entry_point_loads_no_exact_layer(code, tmp_path):
     assert not loaded & EXACT_LAYERS, sorted(loaded & EXACT_LAYERS)
     assert "dataclasses" not in loaded
 
+
+
+def test_vanhove_loads_only_the_operator_layer(tmp_path):
+    loaded = _loaded_after(
+        "import bwv.cli; assert bwv.cli.main(['vanhove', '--m', '3']) == 0",
+        tmp_path)
+    assert {"bwv.vanhove", "bwv.exactalg"} <= loaded
+    assert not loaded & {"bwv.brmatrices", "bwv.harness", "dataclasses"}, (
+        sorted(loaded))
