@@ -31,10 +31,11 @@ second kind.
 The Borwein–Salvy operator L_{n+2} = Σ_i t^{2i}·P_i(θ), θ = tD, is kept
 as its θ-table i ↦ P_i(x) too.
 
-All of this is computed on coefficient lists, lowest degree first, by a
-few private helpers (sum, scalar multiple, product, derivative, Horner
-composition); each public result is one ``UniPoly``, which is a stored
-value with no ring arithmetic.
+All of this is computed on coefficient lists, lowest degree first, of
+ints (of Fractions for the series of ``verify_bms_duality``), by a few
+private helpers: sum, scalar multiple, product, derivative and Horner
+composition.  Each public result is one ``UniPoly``, a stored value with
+no ring arithmetic.
 
 Tuple convention: α_n ∈ [1, m+1] with the chain α_{n+1} ≤ α_n − 2 enforced
 for n ∈ [1, k−1] only; the terminator α_{k+1} := 1 enters exponents but is
@@ -67,12 +68,8 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Coefficient lists
+# Coefficient lists: lowest degree first, no trailing zeros
 # ---------------------------------------------------------------------------
-#
-# A polynomial is the list of its coefficients, lowest degree first, with
-# no trailing zeros; the coefficients are ints, or Fractions where a series
-# needs them.  Each public result is one UniPoly.
 
 
 def _add(a: list, b: list) -> list:
@@ -315,9 +312,9 @@ def check_vanhove_structure(op: VanhoveOperator) -> dict[str, bool]:
     * ``adjoint_parity``: L̃_m* = (−1)^m L̃_m, read on the θ-table as
       P_k(k − x) = (−1)^m P_k(x), since θ̂* = 1 − θ̂ and θ̂u^s = u^s(θ̂ + s).
 
-    Each identity is homogeneous, so the first three are checked on
-    d·ℓ_{m,j} in ℤ[u], d the coefficients' common denominator, and the
-    last on each P_k's numerators.
+    The identities are homogeneous, so ``subleading`` and ``constraint``
+    are checked on d·ℓ_{m,j} ∈ ℤ[u], d the common denominator of the
+    ℓ_{m,j}, and ``adjoint_parity`` on the numerators of each P_k.
     """
     m = op.m
     sign = -1 if m % 2 else 1
