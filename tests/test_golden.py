@@ -70,7 +70,12 @@ the route that followed it and preceded ``brmatrices._pairing_limit``:
 beta_m^{-T} X_m beta_m^{-1} formed once per order as a Q(u) matrix of
 rational functions, whose limits at u = 1 and u = 0 were then evaluated
 entrywise.  The k = 6 and k = 7 hashes take about 1.7 s together, 1.1 s
-of it for k = 7.
+of it for k = 7.  The de Rham hashes for k = 8..12 (one ``matrix_to_json``
+line per k and family) and the hash of ``matrix_to_json`` of
+beta_m(1)^{-1} for m <= 26 (``exact_inverse`` of ``beta_matrix(m, 1)``,
+one line per m) were taken from ``ExactMatrix`` entries stored as one
+``Fraction`` each, before a matrix over Q became one integer matrix over
+a common denominator.
 
 Three hashes pin the operator layer: the D-form coefficients of the
 Borwein–Salvy operator for n <= 8 (one JSON list of ``str()`` per n,
@@ -103,7 +108,7 @@ from bwv.brmatrices import (
     matrix_to_json,
     named_constant,
 )
-from bwv.exactalg import UniPoly
+from bwv.exactalg import UniPoly, exact_inverse
 from bwv.harness import run_numeric_suite
 from bwv.vanhove import (
     borwein_salvy_operator,
@@ -205,6 +210,16 @@ GOLDEN_SHA256 = {
         "1befcf7df2bcddb565f0a659e3f80bbed2559620e6ac2410e6f694542391c4a0",
     "bms_duality":
         "3819eaf079f10360c539aef7b3b6e4a43de91aa52c22ac969d3bb96579974a08",
+    "DerhamD-k8-12":
+        "7c110c8c5c2da9cb55de4ef22414cc7dc53ae8db7f64a7b7648d7a4d047ec714",
+    "Derhamd-k8-12":
+        "9f7615d0244d30c2de1ef24abe7d31eef6c29cfebe193672b19de8eddeec2e31",
+    "DerhamDring-k8-12":
+        "ee2e3225f53ff7c980e6e9124916603bc697ffd5166bcc44f51edd9e3d652539",
+    "Derhamdring-k8-12":
+        "69db3c3209795436a913880af7e0ee152ad7f44099dffc74c003428ac66fa96e",
+    "beta_inverse_at_1-m26":
+        "82c99a21625a17534cd9391703f18c7eb2dadc82dff88913d0561c32af24df71",
 }
 
 #: The tag the moment hashes were taken under.
@@ -364,6 +379,26 @@ def test_derham_json_golden_k6(family):
     "family", ["DerhamD", "Derhamd", "DerhamDring", "Derhamdring"])
 def test_derham_json_golden_k7(family):
     _check_derham_json(family, 7)
+
+
+@pytest.mark.parametrize(
+    "family", ["DerhamD", "Derhamd", "DerhamDring", "Derhamdring"])
+def test_derham_json_golden_k8_to_k12(family):
+    text = "".join(
+        json.dumps(matrix_to_json(family, k, matrix_family(family, k)),
+                   sort_keys=True) + "\n"
+        for k in range(8, 13)
+    )
+    assert _sha256(text) == GOLDEN_SHA256[f"{family}-k8-12"]
+
+
+def test_beta_inverse_at_1_golden_m26():
+    text = "".join(
+        json.dumps(matrix_to_json("BetaInverseAt1", m, exact_inverse(
+            matrix_family("Beta", m, Fraction(1)))), sort_keys=True) + "\n"
+        for m in range(1, 27)
+    )
+    assert _sha256(text) == GOLDEN_SHA256["beta_inverse_at_1-m26"]
 
 
 def _check_derham_json(family, k):
