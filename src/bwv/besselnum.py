@@ -76,6 +76,8 @@ import mpmath
 from mpmath import mp
 from mpmath.libmp import to_fixed
 
+from . import MOMENT_KINDS
+
 if TYPE_CHECKING:
     from .exactalg import ExactMatrix
 
@@ -123,11 +125,8 @@ _OFFSHELL = {
     "IpKM": _OffShell("I1", 1, 0, 1),
     "IKpM": _OffShell("K1", -1, 1, 1),
 }
-_ONSHELL_KINDS = frozenset({"IKM", "IKM_LOG"})
-_KINDS = _ONSHELL_KINDS | frozenset(_OFFSHELL)
-
-#: Public tuple of the recognized moment kinds.
-MOMENT_KINDS = tuple(sorted(_KINDS))
+_KINDS = frozenset(MOMENT_KINDS)
+_ONSHELL_KINDS = _KINDS - frozenset(_OFFSHELL)  # IKM and IKM_LOG
 
 
 class QuadratureError(ArithmeticError):

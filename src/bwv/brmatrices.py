@@ -1,7 +1,8 @@
 """Exact matrix families for the Bessel-moment quadratic relations.
 
 All matrices follow 1-based index conventions.  Every matrix this module
-computes with is over Q, with Fraction entries.  The public Q(u)
+computes with is over Q: integer rows over one common denominator
+(``ExactMatrix``), read as Fraction entries.  The public Q(u)
 matrices (``matV``, ``matUpsilon``, the symbolic ``beta_matrix``) and
 matrices read back from JSON hold RatFunc entries in the variable ``u``,
 which are only stored, evaluated at a point, compared and printed: the
@@ -55,18 +56,16 @@ ringed-S one alternating binomial sum (``_alt_sum``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial, lcm
 from operator import mul
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, NamedTuple, Tuple
 
 from .exactalg import (
     ExactMatrix,
     RatFunc,
     UniPoly,
-    _cleared_int_rows,
     bernoulli,
     binom_ext,
     exact_inverse,
@@ -445,22 +444,20 @@ def frakSring(k: int) -> ExactMatrix:
 
 
 def _beta_coeff_power(m: int, a: int, b: int) -> tuple[Fraction, int]:
-    """(coefficient, u-power) of entry (a, b) of beta_m(u)."""
+    """(coefficient, u-power) of entry (a, b) of beta_m(u): with
+    h = ceil(m/2) and j the u-power, (-4)^(a-1) (a-1)! C(a-1, j) / j! for
+    a <= h and, with l = a - h, (-4)^(l-1) 2 (l-1)! C(l, j) / (j-1)!
+    otherwise; 0 where the binomial or the reciprocal factorial is."""
     h = (m + 1) // 2
     if a <= h:
-        coef = (
-            Fraction((-4) ** (a - 1) * factorial(a - 1))
-            * recip_fact_ext(b - a)
-            * binom_ext(a - 1, b - a)
-        )
-        return coef, b - a
-    ln = a - h
-    coef = (
-        Fraction((-4) ** (ln - 1) * 2 * factorial(ln - 1))
-        * recip_fact_ext(b - a + h - 1)
-        * binom_ext(ln, b - a + h)
-    )
-    return coef, b - a + h
+        n, j = a - 1, b - a
+        top, low = (-4) ** n * factorial(n), j
+    else:
+        n, j = a - h, b - a + h
+        top, low = (-4) ** (n - 1) * 2 * factorial(n - 1), j - 1
+    if low < 0 or j > n:
+        return Fraction(0), j
+    return Fraction(top * comb(n, j), factorial(low)), j
 
 
 @cache
@@ -535,8 +532,8 @@ def _aux_rho(k: int) -> ExactMatrix:
 def _aux_Theta(k: int, denom: int) -> ExactMatrix:
     n = 2 * k - 1
 
-    def entry(a: int, b: int) -> Fraction:
-        v = Fraction(1 if a == b else 0)
+    def entry(a: int, b: int) -> Fraction | int:
+        v = int(a == b)
         if a > k and a - k == b:
             v += Fraction(2 * (a - k), denom)
         return v
@@ -547,8 +544,8 @@ def _aux_Theta(k: int, denom: int) -> ExactMatrix:
 def _aux_Phi(k: int, denom: int) -> ExactMatrix:
     n = 2 * k - 1
 
-    def entry(a: int, b: int) -> Fraction:
-        v = Fraction(1 if a == b else 0)
+    def entry(a: int, b: int) -> Fraction | int:
+        v = int(a == b)
         if a > k and a - k + 1 == b:
             v += 1 - Fraction(b, denom)
         return v
@@ -559,12 +556,12 @@ def _aux_Phi(k: int, denom: int) -> ExactMatrix:
 def _aux_R(k: int) -> ExactMatrix:
     n = 2 * k
 
-    def entry(a: int, b: int) -> Fraction:
+    def entry(a: int, b: int) -> Fraction | int:
         if a <= k:
-            return Fraction(1 if a == b - 1 else 0)
+            return int(a == b - 1)
         if a == k + 1:
-            return Fraction(2 * k + 2, 2 * k + 1) if b == 1 else Fraction(0)
-        return Fraction(1 if a == b else 0)
+            return Fraction(2 * k + 2, 2 * k + 1) if b == 1 else 0
+        return int(a == b)
 
     return ExactMatrix.from_fn(n, n, entry)
 
@@ -630,25 +627,26 @@ def _pairing_limit(m: int, u0: int) -> ExactMatrix:
     (a, b) is sum_q s (P_q)_ab u^{r_a + r_b - q}, q = 2..2m.  Its limit is
     s (P_d)_ab, d = r_a + r_b, and every (P_q)_ab with q > d must vanish.
 
-    The u = 0 limit runs in integers: each column of B is cleared to
-    integers over its own denominator and W's numerators over one common
+    The u = 0 limit runs in integers: B is its integer matrix over its
+    common denominator, and W's numerators are taken over one common
     denominator.  Only the entries (P_q)_ab with q >= r_a + r_b are
     formed, each an integer dot product of column a of B with column b
     of Z_q B; Z_q B is formed only for the columns b that such an entry
     reads, r_b + min r <= q.  No rational function of u is formed, and
-    each limit entry is one ``Fraction``.
+    the limit is made canonical once, over the product of the two
+    denominators.
     """
     B = _beta_inverse_at_1(m)
     s = top_coeff_sign_on_01(m)
     W = _wmat(m)
+    den = lcm(*(w.den for row in W for w in row))
+    Wn = [[[c * (den // w.den) for c in w.nums] for w in row] for row in W]
     if u0 == 1:
-        W1 = ExactMatrix([[w.eval(1) for w in row] for row in W])
+        W1 = ExactMatrix._make([[sum(w) for w in row] for row in Wn], den, m)
         return (B.T @ W1 @ B).scale(s)
     # r_a = m - (u-power of beta_m's entry (a, m)), so 2 <= d <= 2m
     r = [m - _beta_coeff_power(m, a, m)[1] for a in range(1, m + 1)]
-    cols, col_dens = _cleared_int_rows(B.T.entries)
-    den = lcm(*(w.den for row in W for w in row))
-    Wn = [[[c * (den // w.den) for c in w.nums] for w in row] for row in W]
+    cols = list(zip(*B.nums))
     rmin = min(r)
     out = [[None] * m for _ in range(m)]
     for q in range(2 * rmin, 2 * m + 1):
@@ -665,13 +663,12 @@ def _pairing_limit(m: int, u0: int) -> ExactMatrix:
                     continue
                 v = sum(map(mul, cols[a], ZB))
                 if d == q:
-                    out[a][b] = Fraction(s * v,
-                                         col_dens[a] * col_dens[b] * den)
+                    out[a][b] = s * v
                 elif v:
                     raise AssertionError(
                         f"u->0 limit of the order-{m} pairing: entry "
                         f"({a + 1}, {b + 1}) keeps a negative power of u")
-    return ExactMatrix(out)
+    return ExactMatrix._make(out, B.den ** 2 * den, m)
 
 
 @cache
@@ -681,10 +678,9 @@ def _derham(p: int, k: int) -> ExactMatrix:
     by 4 (w + 2) (-1)^k.  For p = 1 it skips the last row and column, which
     vanish in the limit (``d-limit-margin-zero``)."""
     w = 2 * k + 1 + p
-    full = _pairing_limit(w, 1)
-    pref = Fraction(1, 4 * (w + 2) * _msign(k))
-    return ExactMatrix.from_fn(
-        k, k, lambda a, b: pref * full.at(a + k + 1, b + k + 1))
+    block = list(range(k + 2, 2 * k + 2))
+    return _pairing_limit(w, 1).submatrix(block, block).scale(
+        Fraction(1, 4 * (w + 2) * _msign(k)))
 
 
 def derham_D(k: int) -> ExactMatrix:
@@ -810,8 +806,7 @@ def _squarefree_split(n: int) -> tuple[int, int]:
     return s, r
 
 
-@dataclass(frozen=True)
-class Surd:
+class Surd(NamedTuple):
     """Exact value rational * sqrt(radicand) * pi^pi_power with the
     radicand a positive squarefree integer."""
 
@@ -843,8 +838,7 @@ class Surd:
         )
 
 
-@dataclass(frozen=True)
-class NamedConstant:
+class NamedConstant(NamedTuple):
     """A named closed-form constant: rational * sqrt(radicand) * pi^pi_power."""
 
     name: str

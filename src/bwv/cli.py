@@ -27,13 +27,11 @@ import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from mpmath import mp
+from . import MOMENT_KINDS, __version__
 
-from . import __version__
-from .besselnum import MOMENT_KINDS, default_cache, moment_value
-
-# The exact layers and the harness are imported by the subcommand that
-# runs them, so ``cache`` and ``moment`` start without them.
+# Each layer is imported by the subcommand that runs it: ``cache`` and
+# ``moment`` start without the exact layers and the harness, and
+# ``vanhove``, ``matrix`` and ``verify exact`` without the numeric layer.
 if TYPE_CHECKING:
     from .harness import Report
 
@@ -146,6 +144,10 @@ def _cmd_matrix(args) -> int:
 
 
 def _cmd_moment(args) -> int:
+    from mpmath import mp
+
+    from .besselnum import moment_value
+
     u = _parse_fraction(args.u) if args.u is not None else None
     v = moment_value(args.kind, args.a, args.b, args.n, u, args.digits)
     with mp.workdps(args.digits + 5):
@@ -199,6 +201,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_cache(args) -> int:
+    from .besselnum import default_cache
+
     cache = default_cache()
     if args.action == "path":
         print(cache.path)

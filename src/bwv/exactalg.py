@@ -25,19 +25,27 @@ Conventions
   and printed.  A matrix over Q(u) holds such values and supports the
   same; the pairings that read V and upsilon are formed over Q from their
   polynomial numerators.
+* ``ExactMatrix`` over Q stores, like ``UniPoly``, integer rows ``nums``
+  over one positive common denominator ``den``, with gcd(den, every
+  entry) = 1; the zero matrix has ``den = 1``.  Each result is made
+  canonical once, so equal matrices have equal fields.  ``@``, ``scale``,
+  negation, transposition, submatrices, equality, hashing, ``exact_det``
+  and ``exact_inverse`` work on ``nums``, and an entry becomes a
+  ``Fraction`` only when it is read (``at``, ``[i, j]``, ``entries``,
+  printing and JSON).  A matrix over Q(u) is a stored grid of RatFunc
+  values.
 * ``@``, ``scale``, negation, ``exact_det`` and ``exact_inverse`` work
   over Q only and raise TypeError on a matrix over Q(u).  The determinant
-  and the inverse share one Bareiss pass (``_bareiss_forward``) on the
-  rows cleared to integers.  The inverse appends the row-clearing factors
-  to the rows it eliminates, and its back substitution stays in the
-  integers too (one ``Fraction`` per entry).
+  and the inverse share one Bareiss pass (``_bareiss_forward``) on
+  ``nums``.  The inverse appends the identity to the rows it eliminates,
+  and its back substitution stays in the integers too.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial, gcd, lcm, prod
+from math import comb, factorial, gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence, Union
 
@@ -108,11 +116,11 @@ def recip_fact_ext(n: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _as_fraction(x: ScalarLike) -> Fraction:
-    if isinstance(x, Fraction):
+def _rational(x: ScalarLike) -> ScalarLike:
+    """x itself, an int or a Fraction: both have ``numerator`` and
+    ``denominator``, so neither is converted."""
+    if isinstance(x, (int, Fraction)):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
     raise TypeError(f"cannot coerce {type(x).__name__} to an exact scalar")
 
 
@@ -208,7 +216,7 @@ class UniPoly:
 
     @staticmethod
     def of(var: str, coeffs: Iterable[ScalarLike]) -> "UniPoly":
-        cs = [_as_fraction(c) for c in coeffs]
+        cs = [_rational(c) for c in coeffs]
         den = lcm(*(c.denominator for c in cs))
         return UniPoly._make(
             var, [c.numerator * (den // c.denominator) for c in cs], den
@@ -220,7 +228,7 @@ class UniPoly:
 
     @staticmethod
     def const(var: str, c: ScalarLike) -> "UniPoly":
-        c = _as_fraction(c)
+        c = _rational(c)
         return UniPoly._make(var, [c.numerator], c.denominator)
 
     @staticmethod
@@ -280,7 +288,7 @@ class UniPoly:
         return UniPoly._make(self.var, nums, self.den)
 
     def eval(self, x: ScalarLike) -> Fraction:
-        x = _as_fraction(x)
+        x = _rational(x)
         p, q = x.numerator, x.denominator
         # Homogeneous Horner: sum_i c_i p^i q^(n-i), over den * q^n.
         acc, qpow = 0, 1
@@ -368,7 +376,7 @@ class RatFunc:
     # -- evaluation ----------------------------------------------------------
 
     def eval(self, x: ScalarLike) -> Fraction:
-        x = _as_fraction(x)
+        x = _rational(x)
         d = self.den.eval(x)
         if d == 0:
             raise ZeroDivisionError(f"pole at {x}")
@@ -391,45 +399,73 @@ Entry = Union[Fraction, RatFunc]
 
 
 class ExactMatrix:
-    """Dense rectangular matrix with uniform entry ring: all entries are
-    either ExactScalar (ring tag "Q") or RatFunc ("Q(<var>)").  ``cols``
-    is read off the rows; a matrix with no rows takes it as given.  Only
-    a matrix over Q takes part in arithmetic (see the module docstring)."""
+    """Dense rectangular matrix over Q (ring tag "Q") or Q(<var>).
 
-    __slots__ = ("rows", "cols", "entries")
+    Over Q it is the integer rows ``nums`` over one positive common
+    denominator ``den``, in canonical form (see the module docstring), so
+    equal matrices have equal fields; an entry becomes a ``Fraction`` only
+    when it is read.  Over Q(u) it is a stored grid of RatFunc values,
+    ``nums`` and ``den`` are None, and it takes no part in arithmetic.
+    ``cols`` is read off the rows; a matrix with no rows takes it as
+    given."""
+
+    __slots__ = ("rows", "cols", "nums", "den", "_grid")
 
     def __init__(self, entries: Sequence[Sequence[Entry | int]],
                  cols: int = 0):
         rows = len(entries)
         if rows:
             cols = len(entries[0])
-        var = next((e.var for row in entries for e in row
-                    if isinstance(e, RatFunc)), None)
+        if any(len(row) != cols for row in entries):
+            raise ValueError("ragged matrix")
+        try:
+            den = lcm(*(e.denominator for row in entries for e in row))
+        except AttributeError:
+            var = next((e.var for row in entries for e in row
+                        if isinstance(e, RatFunc)), None)
+            if var is None:
+                bad = next(e for row in entries for e in row
+                           if not isinstance(e, (int, Fraction)))
+                raise TypeError(f"cannot coerce {type(bad).__name__} "
+                                "to an exact scalar") from None
+            self.rows, self.cols = rows, cols
+            self.nums = self.den = None
+            self._grid = tuple(
+                tuple(e if isinstance(e, RatFunc) else RatFunc.of(var, e)
+                      for e in row)
+                for row in entries)
+            return
+        # the denominators are reduced, so over their lcm the numerators
+        # and den have no common factor
+        self.rows, self.cols, self.den, self._grid = rows, cols, den, None
+        self.nums = tuple(tuple(e.numerator * (den // e.denominator)
+                                for e in row) for row in entries)
 
-        def to_ratfunc(e) -> RatFunc:
-            return e if isinstance(e, RatFunc) else RatFunc.of(var, e)
-
-        lift = _as_fraction if var is None else to_ratfunc
-        norm: list[tuple[Entry, ...]] = []
-        for row in entries:
-            if len(row) != cols:
-                raise ValueError("ragged matrix")
-            norm.append(tuple(map(lift, row)))
-        self.rows = rows
-        self.cols = cols
-        self.entries = tuple(norm)
+    @staticmethod
+    def _make(nums: Sequence[Sequence[int]], den: int,
+              cols: int) -> "ExactMatrix":
+        """The matrix nums/den over Q (den nonzero), made canonical."""
+        g = gcd(den, *(x for row in nums for x in row))
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums = [[x // g for x in row] for row in nums]
+            den //= g
+        M = object.__new__(ExactMatrix)
+        M.rows, M.cols, M.den, M._grid = len(nums), cols, den, None
+        M.nums = tuple(map(tuple, nums))
+        return M
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def identity(n: int) -> "ExactMatrix":
-        return ExactMatrix(
-            [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        )
+        return ExactMatrix._make(
+            [[int(i == j) for j in range(n)] for i in range(n)], 1, n)
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "ExactMatrix":
-        return ExactMatrix([[0] * cols for _ in range(rows)], cols)
+        return ExactMatrix._make([[0] * cols for _ in range(rows)], 1, cols)
 
     @staticmethod
     def from_fn(rows: int, cols: int, fn) -> "ExactMatrix":
@@ -444,18 +480,26 @@ class ExactMatrix:
 
     @property
     def ring(self) -> str:
-        if self.rows == 0 or self.cols == 0:
+        if self.nums is not None:
             return "Q"
-        e = self.entries[0][0]
-        return f"Q({e.var})" if isinstance(e, RatFunc) else "Q"
+        return f"Q({self._grid[0][0].var})"
+
+    @property
+    def entries(self) -> tuple[tuple[Entry, ...], ...]:
+        if self.nums is None:
+            return self._grid
+        d = self.den
+        return tuple(tuple(Fraction(x, d) for x in row) for row in self.nums)
 
     def __getitem__(self, idx: tuple[int, int]) -> Entry:
         i, j = idx
-        return self.entries[i][j]
+        if self.nums is None:
+            return self._grid[i][j]
+        return Fraction(self.nums[i][j], self.den)
 
     def at(self, a: int, b: int) -> Entry:
         """1-based entry access."""
-        return self.entries[a - 1][b - 1]
+        return self[a - 1, b - 1]
 
     @property
     def is_square(self) -> bool:
@@ -464,13 +508,16 @@ class ExactMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            return False
+        if self.nums is not None and other.nums is not None:
+            return self.den == other.den and self.nums == other.nums
         # RatFunc.__eq__ coerces int and Fraction entries, so a Q matrix
         # compares equal to a Q(u) matrix of the same constants
-        return ((self.rows, self.cols) == (other.rows, other.cols)
-                and self.entries == other.entries)
+        return self.entries == other.entries
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.entries))
+        return hash((self.rows, self.cols, self.nums, self.den, self._grid))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -483,48 +530,43 @@ class ExactMatrix:
             raise ValueError("shape mismatch in matrix product")
         if self.cols == 0:
             return ExactMatrix.zeros(self.rows, other.cols)
-        # each row of self and each column of other cleared to integers
-        # over its lcm denominator, one Fraction per entry
-        left, dl = _cleared_int_rows(self.entries)
-        right, dr = _cleared_int_rows(list(zip(*other.entries)))
-        return ExactMatrix([
-            [Fraction(sum(map(mul, a, b)), da * db)
-             for b, db in zip(right, dr)]
-            for a, da in zip(left, dl)
-        ], other.cols)
+        right = list(zip(*other.nums))
+        return ExactMatrix._make(
+            [[sum(map(mul, a, b)) for b in right] for a in self.nums],
+            self.den * other.den, other.cols)
 
     def scale(self, c: ScalarLike) -> "ExactMatrix":
         _require_q(self)
-        return ExactMatrix([[e * c for e in row] for row in self.entries],
-                           self.cols)
+        c = _rational(c)
+        p = c.numerator
+        return ExactMatrix._make([[x * p for x in row] for row in self.nums],
+                                 self.den * c.denominator, self.cols)
 
     @property
     def T(self) -> "ExactMatrix":
-        return ExactMatrix(
-            [
-                [self.entries[i][j] for i in range(self.rows)]
-                for j in range(self.cols)
-            ],
-            self.rows,
-        )
+        grid = self._grid if self.nums is None else self.nums
+        t = [[row[j] for row in grid] for j in range(self.cols)]
+        if self.nums is None:
+            return ExactMatrix(t, self.rows)
+        return ExactMatrix._make(t, self.den, self.rows)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "ExactMatrix":
         """Submatrix from 1-based row/column index lists."""
         if not row_idx or not col_idx:
             return ExactMatrix.zeros(len(row_idx), len(col_idx))
-        return ExactMatrix(
-            [[self.at(a, b) for b in col_idx] for a in row_idx]
-        )
+        grid = self._grid if self.nums is None else self.nums
+        sub = [[grid[a - 1][b - 1] for b in col_idx] for a in row_idx]
+        if self.nums is None:
+            return ExactMatrix(sub)
+        return ExactMatrix._make(sub, self.den, len(col_idx))
 
     def eval(self, x: ScalarLike) -> "ExactMatrix":
-        """Evaluate a Q(u) matrix entrywise (value-or-limit semantics)."""
-        return ExactMatrix(
-            [
-                [e.eval(x) if isinstance(e, RatFunc) else e for e in row]
-                for row in self.entries
-            ],
-            self.cols,
-        )
+        """Evaluate a Q(u) matrix entrywise (value-or-limit semantics); a
+        matrix over Q is its own value."""
+        if self.nums is not None:
+            return self
+        return ExactMatrix([[e.eval(x) for e in row] for row in self._grid],
+                           self.cols)
 
     def det(self) -> Fraction:
         return exact_det(self)
@@ -538,17 +580,8 @@ class ExactMatrix:
 
 
 def _require_q(*matrices: ExactMatrix) -> None:
-    if any(M.ring != "Q" for M in matrices):
+    if any(M.nums is None for M in matrices):
         raise TypeError("exact arithmetic is over Q only")
-
-
-def _cleared_int_rows(entries) -> tuple[list[list[int]], list[int]]:
-    """(rows, scales) with entries[i][j] = rows[i][j] / scales[i]: each row
-    of Fractions cleared to integers over its lcm denominator."""
-    scales = [lcm(*(e.denominator for e in row)) for row in entries]
-    rows = [[e.numerator * (d // e.denominator) for e in row]
-            for row, d in zip(entries, scales)]
-    return rows, scales
 
 
 # -- fraction-free elimination ----------------------------------------------
@@ -595,35 +628,31 @@ def _bareiss_forward(rows: list[list[int]]) -> tuple[int, bool]:
 
 
 def exact_det(M: ExactMatrix) -> Fraction:
-    """Exact determinant of a matrix over Q by fraction-free (Bareiss)
-    elimination.
-
-    Rows are first cleared to integers; the Bareiss recurrence then keeps
-    every intermediate value an integer, and the row-clearing factors are
-    divided back at the end.
+    """Exact determinant of a matrix M = N/den over Q by fraction-free
+    (Bareiss) elimination of the integer matrix N: every intermediate
+    value stays an integer, and det M = det N / den^n.
     """
     _require_q(M)
     if not M.is_square:
         raise ValueError("determinant of a non-square matrix")
     if M.rows == 0:
         return Fraction(1)
-    rows, scales = _cleared_int_rows(M.entries)
+    rows = [list(row) for row in M.nums]
     sign, singular = _bareiss_forward(rows)
     if singular:
         return Fraction(0)
-    return Fraction(rows[-1][-1] * sign, prod(scales))
+    return Fraction(rows[-1][-1] * sign, M.den ** M.rows)
 
 
 def exact_inverse(M: ExactMatrix) -> ExactMatrix:
-    """Exact inverse of a matrix over Q: the cleared rows S·M, augmented
-    with S = diag(row scales), go through the same Bareiss elimination as
-    the determinant, giving [U | R] with U upper triangular and M^-1 =
+    """Exact inverse of a matrix M = N/den over Q: the integer rows of N,
+    augmented with the identity, go through the same Bareiss elimination
+    as the determinant, giving [U | R] with U upper triangular and N^-1 =
     U^-1 R.
 
-    [U | R] is integral and d = U[n-1][n-1] is ± det(S·M), so d·M^-1 =
-    ± adj(S·M)·S is integral: the back substitution solves U·Y = d·R in
-    integers, every division exact, and each entry is the one
-    ``Fraction(Y_ij, d)``.
+    [U | R] is integral and d = U[n-1][n-1] is ± det N, so d·N^-1 = ±adj N
+    is integral: the back substitution solves U·Y = d·R in integers,
+    every division exact, and M^-1 = den·Y/d is made canonical once.
     """
     _require_q(M)
     if not M.is_square:
@@ -631,9 +660,8 @@ def exact_inverse(M: ExactMatrix) -> ExactMatrix:
     n = M.rows
     if n == 0:
         return M
-    rows, scales = _cleared_int_rows(M.entries)
-    for i, row in enumerate(rows):
-        row.extend(scales[i] if j == i else 0 for j in range(n))
+    rows = [list(row) + [int(i == j) for j in range(n)]
+            for i, row in enumerate(M.nums)]
     _, singular = _bareiss_forward(rows)
     d = rows[-1][n - 1]
     if singular or not d:
@@ -646,4 +674,6 @@ def exact_inverse(M: ExactMatrix) -> ExactMatrix:
             acc = d * rows[i][n + col] - sum(map(mul, tails[i], y[i + 1:]))
             y[i] = _int_divide(acc, rows[i][i])
         cols.append(y)
-    return ExactMatrix([[Fraction(y, d) for y in row] for row in zip(*cols)])
+    den = M.den
+    return ExactMatrix._make([[y * den for y in row] for row in zip(*cols)],
+                             d, n)

@@ -20,34 +20,20 @@ The determinant, quadratic and ringed checks each take p, and the exact
 symmetry, Bernoulli-inverse and Lambda/lambda checks loop over the rows.
 The normalized period determinant carries pi^{-k(k+1+p)/2}, the sum of
 the row weights a - k - 1 - p/2.
+
+The numeric layer (``besselnum`` and mpmath) is imported inside the
+functions that run numeric checks, so the exact suite and the report
+types load only the exact layers.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, List, NamedTuple, Optional, Sequence
 
-import mpmath
-from mpmath import mp
-
 from . import __version__, brmatrices
-from .besselnum import (
-    GUARD_DIGITS,
-    _to_mpf,
-    _to_mpf_matrix,
-    bologna,
-    family_moments,
-    matM,
-    matMring,
-    matN,
-    matNring,
-    matOmega,
-    moment_value,
-    tolerance,
-)
 from .brmatrices import (
     _double_factorial,
     aux_matrix,
@@ -95,17 +81,38 @@ REPORT_SCHEMA_VERSION = 1
 STATUSES = ("pass", "fail", "skipped", "error")
 
 
-@dataclass
 class CheckResult:
-    """Outcome of a single verification check."""
+    """Outcome of a single verification check; its fields can be set, and
+    two results are equal when all their fields are."""
 
-    check_id: str
-    status: str
-    residual: Optional[str] = None  # decimal string, numeric checks only
-    digits: Optional[int] = None
-    runtime_ms: int = 0
-    refs: List[str] = field(default_factory=list)
-    error: Optional[str] = None  # "ExcType: message" when status is error
+    __slots__ = ("check_id", "status", "residual", "digits", "runtime_ms",
+                 "refs", "error")
+
+    def __init__(self, check_id: str, status: str,
+                 residual: Optional[str] = None, digits: Optional[int] = None,
+                 runtime_ms: int = 0, refs: Optional[List[str]] = None,
+                 error: Optional[str] = None):
+        self.check_id = check_id
+        self.status = status
+        self.residual = residual  # decimal string, numeric checks only
+        self.digits = digits
+        self.runtime_ms = runtime_ms
+        self.refs = [] if refs is None else refs
+        self.error = error  # "ExcType: message" when status is error
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not CheckResult:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None  # mutable
+
+    def __repr__(self) -> str:
+        return "CheckResult(" + ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__) + ")"
 
     def to_dict(self) -> dict:
         out = {
@@ -133,8 +140,7 @@ class CheckResult:
         )
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     """A suite run: tool version, configuration echo, check results."""
 
     version: str
@@ -205,6 +211,10 @@ def _run_exact(check_id: str, refs: Sequence[str],
 def _run_numeric(check_id: str, refs: Sequence[str], digits: int,
                  fn: Callable[[], object]) -> CheckResult:
     """Run fn at guarded precision; fn returns the max-abs residual."""
+    from mpmath import mp
+
+    from .besselnum import GUARD_DIGITS, tolerance
+
     t0 = time.perf_counter()
     residual = error = None
     try:
@@ -321,14 +331,16 @@ TABLE_DERHAM_d = {
 class _Family(NamedTuple):
     """One parity of the Betti and de Rham data: p = 0 is the odd family
     (Sigma_{2k-1}, Lambda_{2k-1}, M_k, D_k, B_k), p = 1 the even family
-    (sigma_{2k}, lambda_{2k}, N_k, d_k, b_k), at weight w = 2k + 1 + p."""
+    (sigma_{2k}, lambda_{2k}, N_k, d_k, b_k), at weight w = 2k + 1 + p.
+    The moment matrices are named by their ``besselnum`` builders, which
+    load with the numeric layer."""
 
     letter: str
     sigma: Callable
     sigma_inv: Callable
     lambda_name: str
-    mat: Callable
-    mat_ring: Callable
+    mat: str
+    mat_ring: str
     derham: Callable
     derham_ring: Callable
     betti: Callable
@@ -337,11 +349,11 @@ class _Family(NamedTuple):
 
 
 _FAMILIES = (
-    _Family("M", matSigma, matSigmaInvBernoulli, "LambdaOdd", matM,
-            matMring, derham_D, derham_Dring, betti_B, betti_Bring,
+    _Family("M", matSigma, matSigmaInvBernoulli, "LambdaOdd", "matM",
+            "matMring", derham_D, derham_Dring, betti_B, betti_Bring,
             "detM_formula"),
-    _Family("N", matsigma, matsigmaInvBernoulli, "lambdaEven", matN,
-            matNring, derham_d, derham_dring, betti_b, betti_bring,
+    _Family("N", matsigma, matsigmaInvBernoulli, "lambdaEven", "matN",
+            "matNring", derham_d, derham_dring, betti_b, betti_bring,
             "detN_formula"),
 )
 
@@ -463,32 +475,52 @@ def run_exact_suite(max_k: int = 5) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def _max_abs(M: mpmath.matrix) -> mpmath.mpf:
+def _max_abs(M):
+    """The largest |entry| of an mpmath matrix."""
     return max(abs(x) for x in M)
+
+
+def _moment_matrix(name: str, k: int, digits: int):
+    """The ``besselnum`` moment matrix builder ``name`` at k."""
+    from . import besselnum
+
+    return getattr(besselnum, name)(k, digits)
 
 
 def _det_check(p: int, k: int, digits: int):
     # det of the normalized matrix: the closed form times
     # pi^{-k(k+1+p)/2} (normalization: the sum of the row weights
     # a - k - 1 - p/2) times (-1)^{k(k-1)/2} (column signs).
+    import mpmath
+    from mpmath import mp
+
+    from .besselnum import _to_mpf
+
     fam = _FAMILIES[p]
     c = named_constant(fam.det_name, k).value.to_mpf(mp)
     expect = c * mp.pi ** _to_mpf(F(-k * (k + 1 + p), 2))
     expect *= (-1) ** ((k * (k - 1) // 2) % 2)
-    return abs(mpmath.det(fam.mat(k, digits)) - expect)
+    return abs(mpmath.det(_moment_matrix(fam.mat, k, digits)) - expect)
 
 
 def _quad_check(p: int, k: int, digits: int):
+    from .besselnum import _to_mpf_matrix
+
     fam = _FAMILIES[p]
-    P = fam.mat(k, digits)
+    P = _moment_matrix(fam.mat, k, digits)
     R = (P * _to_mpf_matrix(fam.derham(k)) * P.T
          - _to_mpf_matrix(fam.betti(k)))
     return _max_abs(R)
 
 
 def _ringed_quad_check(p: int, k: int, digits: int):
+    from mpmath import mp
+
+    from .besselnum import _to_mpf_matrix
+
     fam = _FAMILIES[p]
-    P, Pr = fam.mat(k, digits), fam.mat_ring(k, digits)
+    P = _moment_matrix(fam.mat, k, digits)
+    Pr = _moment_matrix(fam.mat_ring, k, digits)
     D = _to_mpf_matrix(fam.derham(k))
     R = (P * _to_mpf_matrix(fam.derham_ring(k)) * P.T
          - mp.pi * _to_mpf_matrix(fam.betti_ring(k))
@@ -498,6 +530,8 @@ def _ringed_quad_check(p: int, k: int, digits: int):
 
 def _offshell_cov_check(u: Fraction, digits: int):
     # Omega Sigma Omega^T = V(u)^{-1} / |m_3(u)| for the k=2 odd family.
+    from .besselnum import _to_mpf, _to_mpf_matrix, matOmega
+
     m3 = abs(top_coeff(3).eval(u))
     O = matOmega(2, u, digits)
     Vinv = _to_mpf_matrix(exact_inverse(matV(2).eval(u)))
@@ -507,6 +541,8 @@ def _offshell_cov_check(u: Fraction, digits: int):
 
 def _offshell_inv_check(u: Fraction, digits: int):
     # Transposed form: Omega^T V(u) Omega = Sigma^{-1} / |m_3(u)|.
+    from .besselnum import _to_mpf, _to_mpf_matrix, matOmega
+
     m3 = abs(top_coeff(3).eval(u))
     O = matOmega(2, u, digits)
     Sinv = _to_mpf_matrix(exact_inverse(matSigma(2)))
@@ -516,6 +552,11 @@ def _offshell_inv_check(u: Fraction, digits: int):
 
 def _offshell_det_check(u: Fraction, digits: int):
     # det Omega_3(u) * |m_3(u)|^{3/2} = Lambda_3 = 1/20.
+    import mpmath
+    from mpmath import mp
+
+    from .besselnum import _to_mpf, matOmega
+
     m3 = abs(top_coeff(3).eval(u))
     O = matOmega(2, u, digits)
     lam = _to_mpf(named_constant("LambdaOdd", 2).rational)
@@ -526,6 +567,11 @@ def _reflection_check(k: int, digits: int):
     """Reflection formula between the even- and odd-index minor
     determinants of the threshold matrix, including the surd prefactor
     and its sign."""
+    import mpmath
+    from mpmath import mp
+
+    from .besselnum import family_moments
+
     # (first column, size): the even minor takes the columns j = 2, 4, ...,
     # the odd one j = 1, 3, ..., each the rows ell = 1..size, signed
     # (-1)^(ell-1)
@@ -553,6 +599,8 @@ def _reflection_check(k: int, digits: int):
 def _signed_nu(k: int, lj, digits: int) -> dict:
     """{(ell, j): (-1)^(ell-1) nu^ell_{k,j}(1)} for the (ell, j) in lj, one
     batch."""
+    from .besselnum import family_moments
+
     vals = family_moments([(1, False, k, j, ell) for ell, j in lj], 1, digits)
     return {(ell, j): (-1) ** (ell - 1) * v for (ell, j), v in zip(lj, vals)}
 
@@ -565,6 +613,8 @@ def _sumrule_N3_linear_check(digits: int):
 
 
 def _sumrule_N3_det_check(digits: int):
+    from .besselnum import _to_mpf
+
     s = _signed_nu(3, [(l, j) for l in (1, 2, 3) for j in (2, 3)], digits)
     det = (s[(1, 2)] * (s[(2, 3)] + 2 * s[(3, 3)])
            - (s[(2, 2)] + 2 * s[(3, 2)]) * s[(1, 3)])
@@ -575,6 +625,8 @@ def _sumrule_N5_check(digits: int):
     # Linear sum rules for the k=5 threshold matrix, in signed-entry
     # convention: c_l := 3 s_{1,l} - 10 s_{3,l} + 3 s_{5,l} with
     # s_{j,l} = (-1)^{l-1} nu^l_{5,j}(1).
+    from mpmath import mp
+
     ells = range(1, 6)
     s = _signed_nu(5, [(l, j) for l in ells for j in (1, 3, 5)], digits)
     c = {l: 3 * s[(l, 1)] - 10 * s[(l, 3)] + 3 * s[(l, 5)] for l in ells}
@@ -592,6 +644,10 @@ def _bessel7_check(digits: int):
     # The 7-Bessel minor-determinant relation with its exact surd
     # prefactor -(1/4) sqrt(5^3 7^3 / 3): mu^1_{3,2} against the minor on
     # the columns j = 1, 3 and the rows ell = 1, 2.
+    from mpmath import mp
+
+    from .besselnum import family_moments
+
     lhs, m11, m32, m12, m31 = family_moments(
         [(0, False, 3, j, l) for j, l in ((2, 1), (1, 1), (3, 2), (1, 2),
                                          (3, 1))], 1, digits)
@@ -603,6 +659,10 @@ def _bessel7_check(digits: int):
 
 
 def _bologna_check(digits: int):
+    from mpmath import mp
+
+    from .besselnum import _to_mpf, bologna, matM
+
     Mk = matM(2, digits)
     C = bologna(digits)
     vals = (
@@ -616,6 +676,10 @@ def _bologna_check(digits: int):
 
 
 def _classical_check(digits: int):
+    from mpmath import mp
+
+    from .besselnum import moment_value
+
     v = moment_value("IKM", 1, 2, 1, None, digits)
     return abs(v - mp.pi / (3 * mp.sqrt(3)))
 
@@ -625,6 +689,8 @@ def _blocktridiag_check(digits: int):
     # block is the transposed threshold matrix, the top-right block
     # vanishes, the bottom-right block is minus the k=1 matrix, and the
     # bottom-left row matches the differentiated-moment closed form.
+    from .besselnum import _to_mpf, _to_mpf_matrix, family_moments, matM, matOmega
+
     one = Fraction(1)
     B = _to_mpf_matrix(beta_matrix(3, 1))
     A = _to_mpf_matrix(aux_matrix("A", 2))
@@ -652,6 +718,10 @@ def _ibp_check(k: int, digits: int):
     * mu'_{k,j} = (1 - j/m) mu_{k-1,j-1} - (2 ell / m) mu_{k,j}
       for j in [2,k], ell in [1,k-1].
     """
+    from mpmath import mp
+
+    from .besselnum import family_moments
+
     if k < 2:
         raise ValueError("the integration-by-parts check requires k >= 2")
     m = 2 * k + 1
@@ -694,13 +764,13 @@ def run_numeric_suite(max_k: int = 3, digits: int = 50,
     for k in det_ks:
         for p, fam in enumerate(_FAMILIES):
             run(f"bm-det-{fam.letter}-k{k}",
-                [f"besselnum.{fam.mat.__name__}", "brmatrices.named_constant"],
+                [f"besselnum.{fam.mat}", "brmatrices.named_constant"],
                 lambda p=p, k=k: _det_check(p, k, digits))
 
     for k in range(2, max_k + 1):
         for p, fam in enumerate(_FAMILIES):
             run(f"quad-{fam.letter}-k{k}",
-                [f"besselnum.{fam.mat.__name__}",
+                [f"besselnum.{fam.mat}",
                  f"brmatrices.{fam.derham.__name__}"],
                 lambda p=p, k=k: _quad_check(p, k, digits))
 
@@ -734,7 +804,7 @@ def run_numeric_suite(max_k: int = 3, digits: int = 50,
     if extended:
         for p, fam in enumerate(_FAMILIES):
             run(f"ringed-quad-{fam.letter}-k2",
-                [f"besselnum.{fam.mat_ring.__name__}"],
+                [f"besselnum.{fam.mat_ring}"],
                 lambda p=p: _ringed_quad_check(p, 2, digits))
         run("sumrule-N5-linear", ["besselnum.family_moments"],
             lambda: _sumrule_N5_check(digits))

@@ -8,18 +8,23 @@ L̃_m = Σ_{k=0}^{⌊m/2⌋+1} u^{1−k}·P_k(θ̂), where θ̂ = θ + 1, i.e.
 (θ̂f)(u) = D[u·f(u)].  It is assembled along two routes that must agree:
 
 * route A: P_k(x) = (−1)^m 𝒱_{m,k}(k − x), where 𝒱_{m,k} is the Verrill
-  polynomial;
-* route B: P_0(x) = x^m and, for k ≥ 1, the tuple sum
-  P_k(x) = Σ_α (x−k)^{m+1−α₁} ∏_n α_n(α_n−m−2)(x−k+n)^{α_n−α_{n+1}}.
+  polynomial, a sum over tuples α by one chain recursion (``_chain_sum``);
+* route B: P_0(x) = x^m and, for k ≥ 1,
+  P_k(x) = (−1)^m 4^k/2^{m+2}·∏_{r=1}^{k−1}(x − r)²·P^BS_k(−2x), with
+  P^BS_k entry k of the θ-table of the Borwein–Salvy operator L_{m+2}
+  (below), which has its own recursion.
 
-Both sum over the tuples α by one chain recursion (``_chain_sum``) and
-differ only by the substitution t = k − x, so their agreement checks the
-substitution, not the recursion.  The checks independent of the
-recursion are the Verrill recursion against the Bessel power numbers
-(``verify_verrill_recursion``), ``check_vanhove_structure``, the series
-duality with the Borwein–Salvy operator (``verify_bms_duality``), and
-the golden hashes of ``bwv vanhove --json``, of the θ-tables and of the
-Verrill polynomials for m ≤ 20.
+Route B is the Borwein–Salvy duality read as an identity of operators.
+With g = I₀(√u t), θ_t g = 2θ_u g and t²g = 4u⁻¹θ_u²g, so every
+t-operator applied to g is a u-operator applied to g, with the factors in
+reverse order, and no nonzero u-operator kills g for every t; then
+(u⁻¹θ²)ⁱ = u⁻ⁱ∏_{r<i}(θ − r)² and θ̂u⁻¹ = u⁻¹θ give the formula.  The
+routes share no recursion, so their agreement checks both, at every order
+built: it is the duality at operator level, which ``verify_bms_duality``
+checks on truncated series.  Route A's recursion is also checked against
+the Bessel power numbers (``verify_verrill_recursion``), and the result by
+``check_vanhove_structure`` and by the golden hashes of ``bwv vanhove
+--json``, of the θ-tables and of the Verrill polynomials for m ≤ 20.
 
 The routes are compared as θ-tables.  That is as strong as comparing the
 operators: θ̂u^e = (e+1)·u^e keeps each u^{1−k}P_k(θ̂) on its own shift
@@ -31,11 +36,10 @@ second kind.
 The Borwein–Salvy operator L_{n+2} = Σ_i t^{2i}·P_i(θ), θ = tD, is kept
 as its θ-table i ↦ P_i(x) too.
 
-All of this is computed on coefficient lists, lowest degree first, of
-ints (of Fractions for the series of ``verify_bms_duality``), by a few
-private helpers: sum, scalar multiple, product, derivative and Horner
-composition.  Each public result is one ``UniPoly``, a stored value with
-no ring arithmetic.
+All of this is computed on coefficient lists of ints, lowest degree
+first, by a few private helpers: sum, scalar multiple, product,
+derivative, and composition and evaluation by Horner's rule.  Each public
+result is one ``UniPoly``, a stored value with no ring arithmetic.
 
 Tuple convention: α_n ∈ [1, m+1] with the chain α_{n+1} ≤ α_n − 2 enforced
 for n ∈ [1, k−1] only; the terminator α_{k+1} := 1 enters exponents but is
@@ -90,6 +94,8 @@ def _scale(a: list, c) -> list:
 def _mul(a: list, b: list) -> list:
     if not a or not b:
         return []
+    if len(a) > len(b):  # the short factor, often linear, outside
+        a, b = b, a
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -113,31 +119,39 @@ def _compose(a: list, inner: list) -> list:
     return acc
 
 
+def _eval(a: list, x):
+    """a(x), by Horner's rule."""
+    acc = 0
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
 # ---------------------------------------------------------------------------
 # Verrill polynomials and Bessel power numbers
 # ---------------------------------------------------------------------------
 
-def _chain_sum(m: int, k: int, head: list, step: int) -> list:
-    """Σ_α head^{m+1−α₁}·∏_{n=1}^{k} c(α_n)·L_n^{α_n−α_{n+1}} over the
-    admissible tuples, with L_n = head + n·step, c(a) = a(a−m−2) and the
-    terminator α_{k+1} = 1; for k = 0 the sum is head^m.
+def _chain_sum(m: int, k: int) -> list:
+    """Σ_α t^{m+1−α₁}·∏_{n=1}^{k} c(α_n)·L_n^{α_n−α_{n+1}} over the
+    admissible tuples, with L_n = t − n, c(a) = a(a−m−2) and the
+    terminator α_{k+1} = 1; for k = 0 the sum is t^m.
 
     Summed level by level in O(k·m) polynomial products, not one product
     per tuple: G_n(a) sums the chain tails from α_n = a, so
     G_k(a) = c(a)·L_k^{a−1} and G_n(a) = c(a)·S_n(a), with the running sum
     S_n(a) = Σ_{b ≤ a−2} L_n^{a−b}·G_{n+1}(b)
            = L_n·S_n(a−1) + L_n²·G_{n+1}(a−2);
-    the result is Σ_a head^{m+1−a}·G_1(a)."""
+    the result is Σ_a t^{m+1−a}·G_1(a)."""
     top = m + 1
     if k == 0:
-        return _compose([0] * m + [1], head)  # head^m
-    lk = _add(head, [k * step])
+        return [0] * m + [1]
+    lk = [-k, 1]
     g, power = [None], [1]  # g[a] = G_n(a), a ≥ 1
     for a in range(1, top + 1):
         g.append(_scale(power, a * (a - m - 2)))
         power = _mul(power, lk)
     for n in range(k - 1, 0, -1):
-        ln = _add(head, [n * step])
+        ln = [-n, 1]
         ln2, s = _mul(ln, ln), []
         nxt = [None, [], []]
         for a in range(3, top + 1):
@@ -146,7 +160,7 @@ def _chain_sum(m: int, k: int, head: list, step: int) -> list:
         g = nxt
     acc: list = []
     for a in range(1, top + 1):
-        acc = _add(_mul(acc, head), g[a])
+        acc = _add([0] + acc, g[a])  # t·acc + G_1(a)
     return acc
 
 
@@ -154,11 +168,11 @@ def _chain_sum(m: int, k: int, head: list, step: int) -> list:
 def verrill_poly(m: int, k: int) -> UniPoly:
     """Verrill polynomial 𝒱_{m,k}(t); 𝒱_{m,0}(t) = t^m and for k ≥ 1 the
     sum over admissible tuples of t^{m+1−α₁}·∏ α_n(α_n−m−2)(t−n)^{α_n−α_{n+1}}
-    with terminator α_{k+1} = 1 (``_chain_sum`` with L_n = t − n).  The
-    empty sum is the zero polynomial."""
+    with terminator α_{k+1} = 1 (``_chain_sum``).  The empty sum is the
+    zero polynomial."""
     if m < 1 or k < 0:
         raise ValueError("verrill_poly requires m >= 1, k >= 0")
-    return UniPoly.of("t", _chain_sum(m, k, [0, 1], -1))
+    return UniPoly.of("t", _chain_sum(m, k))
 
 
 def _bessel_power_row(p: int, k: int) -> list[int]:
@@ -249,11 +263,17 @@ def _route_a(m: int) -> tuple[UniPoly, ...]:
 
 
 def _route_b(m: int) -> tuple[UniPoly, ...]:
-    """P_k(x) = Σ_α (x−k)^{m+1−α₁} ∏_n α_n(α_n−m−2)(x−k+n)^{α_n−α_{n+1}}
-    for k = 0..⌊m/2⌋+1 (``_chain_sum`` with head x − k and L_n = x − k + n),
-    so P_0(x) = x^m."""
-    return tuple(UniPoly.of("x", _chain_sum(m, k, [-k, 1], 1))
-                 for k in range(m // 2 + 2))
+    """P_0(x) = x^m and, for each further entry P^BS_k of
+    ``borwein_salvy_operator(m)``,
+    P_k(x) = (−1)^m 4^k/2^{m+2}·∏_{r=1}^{k−1}(x − r)²·P^BS_k(−2x)."""
+    sign = -1 if m % 2 else 1
+    table, square = [UniPoly.of("x", [0] * m + [1])], [1]
+    for k, p in enumerate(borwein_salvy_operator(m)[1:], 1):
+        p = _mul(square, [c * (-2) ** j for j, c in enumerate(p.nums)])
+        table.append(UniPoly._make("x", _scale(p, sign * 4 ** k),
+                                   2 ** (m + 2)))
+        square = _mul(square, [k * k, -2 * k, 1])
+    return tuple(table)
 
 
 @cache
@@ -354,13 +374,10 @@ def verify_verrill_recursion(m: int, n_max: int) -> dict[int, bool]:
     if m < 1 or n_max < 1:
         raise ValueError("verify_verrill_recursion requires m, n_max >= 1")
     w = _bessel_power_row(m + 1, n_max)
-    out: dict[int, bool] = {}
-    for n in range(1, n_max + 1):
-        acc = Fraction(0)
-        for k in range(min(m // 2 + 1, n) + 1):
-            acc += verrill_poly(m, k).eval(n) * w[n - k]
-        out[n] = acc == 0
-    return out
+    polys = [verrill_poly(m, k).nums for k in range(m // 2 + 2)]  # integral
+    return {n: not sum(_eval(polys[k], n) * w[n - k]
+                       for k in range(min(m // 2 + 1, n) + 1))
+            for n in range(1, n_max + 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -385,11 +402,14 @@ def borwein_salvy_operator(n: int) -> tuple[UniPoly, ...]:
     return tuple(UniPoly.of("x", p) for p in cur)
 
 
-def _i0_sqrtu_t_times_t(order: int) -> list[list]:
-    """The t-coefficients a_0..a_order (coefficient lists in u) of
-    t·I₀(√u t)/t = I₀(√u t) = Σ_m (u/4)^m t^{2m}/(m!)²."""
+def _i0_series(order: int) -> list[list[int]]:
+    """The t-coefficients a_0..a_order (integer lists in u) of
+    s·I₀(√u t) = s·Σ_j (u/4)^j t^{2j}/(j!)², with s = 4^h (h!)² and
+    h = ⌊order/2⌋, so every coefficient is an integer."""
+    h = order // 2
+    s = 4 ** h * factorial(h) ** 2
     return [
-        [0] * (j // 2) + [Fraction(1, 4 ** (j // 2) * factorial(j // 2) ** 2)]
+        [0] * (j // 2) + [s // (4 ** (j // 2) * factorial(j // 2) ** 2)]
         if j % 2 == 0 else []
         for j in range(order + 1)
     ]
@@ -403,15 +423,25 @@ def verify_bms_duality(n: int, N: int) -> dict[str, bool]:
     g = t·I₀(√u t)/t and conjugating the t-side operator by t: θ* = −θ − 1
     and tθt⁻¹ = θ − 1 give t∘L*_{n+2}∘t⁻¹ = Σ_i P_i(−θ)·t^{2i}, which maps
     t^r to Σ_i P_i(−r−2i)·t^{r+2i}.  The u-side applies uD² + D and then
-    the D-form ℓ_{n,j} to each coefficient a_r(u).  Consistency is asserted
-    at three distinct truncation orders."""
+    the D-form ℓ_{n,j} to each coefficient a_r(u).
+
+    Both sides are linear, so they are compared in integers: the series is
+    scaled to integers (``_i0_series``), the u-side is multiplied by
+    2^{n+2} d and the t-side by (−1)^n d, with d the common denominator of
+    the ℓ_{n,j}.  Consistency is asserted at three truncation orders.  The
+    series is formed once, at order N, and orders N − 4 and N − 2 read
+    prefixes of the two sides: each maps t^r to equal or higher powers of
+    t, so a prefix is what truncating the series there gives."""
     if n < 1:
         raise ValueError("verify_bms_duality requires n >= 1")
     if N < n + 6:
         raise ValueError("truncation order too small")
-    ell = [list(c.coeffs) for c in vanhove_operator(n).coeffs]
-    table = borwein_salvy_operator(n)
-    sign = Fraction(-1 if n % 2 else 1, 2 ** (n + 2))
+    coeffs = vanhove_operator(n).coeffs
+    d = lcm(*(c.den for c in coeffs))
+    ell = [_scale(c.nums, d // c.den) for c in coeffs]
+    table = [p.nums for p in borwein_salvy_operator(n)]
+    scale = 2 ** (n + 2)
+    sign = -d if n % 2 else d
 
     def lhs(g: list[list]) -> list[list]:
         out = []
@@ -420,7 +450,7 @@ def verify_bms_duality(n: int, N: int) -> dict[str, bool]:
             acc: list = []
             for j, c in enumerate(ell):
                 acc = _add(acc, _mul(c, _deriv(b, j)))
-            out.append(acc)
+            out.append(_scale(acc, scale))
         return out
 
     def rhs(g: list[list]) -> list[list]:
@@ -429,13 +459,13 @@ def verify_bms_duality(n: int, N: int) -> dict[str, bool]:
         for i, p in enumerate(table):
             for r in range(len(g) - 2 * i):
                 total[r + 2 * i] = _add(
-                    total[r + 2 * i], _scale(g[r], p.eval(-r - 2 * i) * sign))
+                    total[r + 2 * i], _scale(g[r], _eval(p, -r - 2 * i) * sign))
         return total
 
-    out: dict[str, bool] = {}
-    for order in (N - 4, N - 2, N):
-        g = _i0_sqrtu_t_times_t(order)
-        out[f"order_{order}"] = lhs(g) == rhs(g)
+    g = _i0_series(N)
+    left, right = lhs(g), rhs(g)
+    out = {f"order_{order}": left[:order + 1] == right[:order + 1]
+           for order in (N - 4, N - 2, N)}
     # zero-series sanity: both sides annihilate the zero series
     z: list[list] = [[] for _ in range(N + 1)]
     out["zero_series"] = not any(lhs(z) + rhs(z))

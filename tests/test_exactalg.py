@@ -531,3 +531,105 @@ def test_q_and_q_of_u_matrices_compare_by_value():
     assert not (Q != same) and not (same != Q)
     assert Q != other and other != Q
     assert not (Q == other) and not (other == Q)
+
+
+# -- integer rows over one denominator, against plain Fraction rows ---------
+
+small_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=9)
+
+
+def _grid(draw, rows, cols):
+    return [[draw(small_fractions) for _ in range(cols)] for _ in range(rows)]
+
+
+def _as_entries(rows):
+    return tuple(tuple(F(e) for e in row) for row in rows)
+
+
+def _assert_canonical(M):
+    assert M.ring == "Q" and M.den > 0
+    assert gcd(M.den, *(x for row in M.nums for x in row)) == 1
+
+
+def _ref_det(rows):
+    """det by Gaussian elimination in Fraction arithmetic."""
+    A = [list(row) for row in rows]
+    n, det = len(A), F(1)
+    for c in range(n):
+        p = next((r for r in range(c, n) if A[r][c]), None)
+        if p is None:
+            return F(0)
+        if p != c:
+            A[c], A[p] = A[p], A[c]
+            det = -det
+        det *= A[c][c]
+        for r in range(c + 1, n):
+            f = A[r][c] / A[c][c]
+            A[r] = [x - f * y for x, y in zip(A[r], A[c])]
+    return det
+
+
+@given(st.data())
+@settings(max_examples=80)
+def test_integer_matrix_matches_fraction_reference(data):
+    n, p, q = (data.draw(st.integers(min_value=1, max_value=4))
+               for _ in range(3))
+    A, B = _grid(data.draw, n, p), _grid(data.draw, p, q)
+    c = data.draw(small_fractions)
+    rows = data.draw(st.lists(st.integers(1, n), min_size=1, max_size=n))
+    cols = data.draw(st.lists(st.integers(1, p), min_size=1, max_size=p))
+    MA, MB = ExactMatrix(A), ExactMatrix(B)
+    results = {
+        "@": (MA @ MB, [[sum((A[i][k] * B[k][j] for k in range(p)), F(0))
+                         for j in range(q)] for i in range(n)]),
+        "scale": (MA.scale(c), [[c * e for e in row] for row in A]),
+        "neg": (-MA, [[-e for e in row] for row in A]),
+        "T": (MA.T, [list(col) for col in zip(*A)]),
+        "submatrix": (MA.submatrix(rows, cols),
+                      [[A[a - 1][b - 1] for b in cols] for a in rows]),
+    }
+    for name, (M, expect) in results.items():
+        assert M.entries == _as_entries(expect), name
+        _assert_canonical(M)
+    S = ExactMatrix(_grid(data.draw, n, n))
+    assert exact_det(S) == _ref_det(S.entries)
+    ref = _gauss_jordan_inverse(S)
+    if ref is None:
+        with pytest.raises(ZeroDivisionError):
+            exact_inverse(S)
+    else:
+        inv = exact_inverse(S)
+        assert inv.entries == ref.entries
+        _assert_canonical(inv)
+
+
+def test_equal_matrices_from_different_paths_are_equal_and_hash_equal():
+    half = ExactMatrix.from_fn(2, 2, lambda a, b: F(2, 4) if a == b else 0)
+    big = ExactMatrix([[F(1, 2), 0, F(1, 3)], [0, F(1, 2), F(1, 4)],
+                       [5, 7, F(1, 9)]])
+    same = (
+        big.submatrix([1, 2], [1, 2]),
+        ExactMatrix.identity(2).scale(F(1, 2)),
+        ExactMatrix([[3, 0], [0, 3]]) @ ExactMatrix([[F(1, 6), 0],
+                                                     [0, F(1, 6)]]),
+        exact_inverse(ExactMatrix([[2, 0], [0, 2]])),
+        -ExactMatrix([[F(-4, 8), 0], [0, F(-1, 2)]]),
+        ExactMatrix([[F(1, 2), 0], [0, F(1, 2)]]).T,
+    )
+    for M in same:
+        assert M == half and hash(M) == hash(half)
+        assert (M.nums, M.den) == (((1, 0), (0, 1)), 2)
+    zero = ExactMatrix([[F(0, 5), 0], [0, 0]])
+    assert zero == ExactMatrix.zeros(2, 2) == half.scale(0)
+    assert hash(zero) == hash(half.scale(0)) and zero.den == 1
+
+
+@given(q_matrices(3), st.fractions(min_value=-5, max_value=5,
+                                    max_denominator=7).filter(bool))
+@settings(max_examples=40)
+def test_round_trips_give_the_same_fields(A, c):
+    for M in (A.scale(c).scale(1 / c), A.T.T, -(-A),
+              A.submatrix([1, 2, 3], [1, 2, 3]), A @ ExactMatrix.identity(3),
+              ExactMatrix(A.entries)):
+        assert M == A and hash(M) == hash(A)
+        assert (M.nums, M.den) == (A.nums, A.den)

@@ -2,7 +2,10 @@
 moments and the moment cache start without the exact algebra and the
 harness, and without ``dataclasses`` (which pulls in ``inspect``); ``bwv
 vanhove`` loads the operator layer and the exact algebra under it, but
-not the matrices, the harness or ``dataclasses``.  Every case runs in a
+not the matrices, the harness or ``dataclasses``; ``bwv verify exact``
+and ``bwv matrix`` load the exact layers without the numeric layer
+(``bwv.besselnum`` and mpmath) or ``dataclasses``, and ``bwv verify
+numeric`` loads the numeric layer when it runs.  Every case runs in a
 fresh interpreter, since an import made by any earlier test would hide a
 stray one."""
 
@@ -22,13 +25,13 @@ EXACT_LAYERS = {"bwv.brmatrices", "bwv.exactalg", "bwv.vanhove",
 
 
 def _loaded_after(code, tmp_path):
-    """The bwv modules, and ``dataclasses`` if it is, loaded once ``code``
-    has run in a new process."""
+    """The bwv modules, and ``dataclasses`` and ``mpmath`` if they are,
+    loaded once ``code`` has run in a new process."""
     env = dict(os.environ, BWV_CACHE=str(tmp_path / "m.jsonl"),
                PYTHONPATH=SRC)
     script = (code + "\nimport json, sys\n"
               "print(json.dumps(sorted(m for m in sys.modules"
-              " if m.startswith('bwv') or m == 'dataclasses')))")
+              " if m.startswith('bwv') or m in ('dataclasses', 'mpmath'))))")
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, check=True)
     return set(json.loads(proc.stdout.splitlines()[-1]))
@@ -56,3 +59,24 @@ def test_vanhove_loads_only_the_operator_layer(tmp_path):
     assert {"bwv.vanhove", "bwv.exactalg"} <= loaded
     assert not loaded & {"bwv.brmatrices", "bwv.harness", "dataclasses"}, (
         sorted(loaded))
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "exact", "--max-k", "2"],
+    ["matrix", "BettiB", "--k", "3"],
+], ids=["verify-exact", "matrix-BettiB"])
+def test_exact_commands_load_no_numeric_layer(argv, tmp_path):
+    loaded = _loaded_after(
+        f"import bwv.cli; assert bwv.cli.main({argv!r}) == 0", tmp_path)
+    assert {"bwv.brmatrices", "bwv.exactalg", "bwv.vanhove"} <= loaded
+    assert not loaded & {"bwv.besselnum", "mpmath", "dataclasses"}, (
+        sorted(loaded))
+
+
+def test_verify_numeric_loads_the_numeric_layer(tmp_path):
+    # --digits 30 is the least the numeric suite takes
+    loaded = _loaded_after(
+        "import bwv.cli\n"
+        "assert bwv.cli.main(['verify', 'numeric', '--max-k', '2',"
+        " '--digits', '30']) == 0", tmp_path)
+    assert {"bwv.besselnum", "bwv.harness", "mpmath"} <= loaded

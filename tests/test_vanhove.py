@@ -174,15 +174,17 @@ def _mutant(fn, old: str, new: str):
 
 def test_chain_gap_mutation_fails_the_verrill_recursion(monkeypatch):
     # a gap of 1 instead of 2 between chain levels (S_n(a) summing
-    # L_n^{a−b}·G_{n+1}(b) over b ≤ a − 1) leaves the two operator routes
-    # in agreement, since both call the recursion, but not the Verrill
+    # L_n^{a−b}·G_{n+1}(b) over b ≤ a − 1) breaks route A's recursion but
+    # not route B, which comes from the Borwein–Salvy operator, so the
+    # routes disagree at every order m >= 2; it also breaks the Verrill
     # recursion against the Bessel power numbers
     monkeypatch.setattr(vanhove, "_chain_sum", _mutant(
         vanhove._chain_sum, "_mul(ln2, g[a - 2])", "_mul(ln, g[a - 1])"))
     verrill_poly.cache_clear()
     try:
-        assert all(vanhove._route_a(m) == vanhove._route_b(m)
-                   for m in range(1, 13))
+        for m in range(2, 13):
+            with pytest.raises(ArithmeticError, match="routes disagree"):
+                vanhove_operator.__wrapped__(m)
         assert not all(all(verify_verrill_recursion(m, 12).values())
                        for m in range(1, 13))
     finally:
