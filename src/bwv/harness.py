@@ -100,13 +100,11 @@ class CheckResult:
         self.refs = [] if refs is None else refs
         self.error = error  # "ExcType: message" when status is error
 
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
     def __eq__(self, other) -> bool:
         if type(other) is not CheckResult:
             return NotImplemented
-        return self._fields() == other._fields()
+        return all(getattr(self, name) == getattr(other, name)
+                   for name in self.__slots__)
 
     __hash__ = None  # mutable
 
@@ -439,8 +437,8 @@ def run_exact_suite(max_k: int = 5) -> Report:
             lambda m=m: all(
                 check_vanhove_structure(vanhove_operator(m)).values()))
 
-    # the two operator routes share one chain recursion, so this is the
-    # check on the recursion itself
+    # route A's chain recursion against the Bessel power numbers, at every
+    # order the suite builds
     add("verrill-recursion", ["vanhove.verify_verrill_recursion"],
         lambda: all(
             all(verify_verrill_recursion(m, 12).values())
