@@ -75,7 +75,11 @@ line per k and family) and the hash of ``matrix_to_json`` of
 beta_m(1)^{-1} for m <= 26 (``exact_inverse`` of ``beta_matrix(m, 1)``,
 one line per m) were taken from ``ExactMatrix`` entries stored as one
 ``Fraction`` each, before a matrix over Q became one integer matrix over
-a common denominator.
+a common denominator.  The hash of ``brmatrices._beta_inverse_at_1(m)``
+for m = 27..34 and those of beta_m(u)^{-1} for m <= 12 at u = 1/4, 1/3
+and 5/8 (``exact_inverse`` of ``beta_matrix(m, u)``), one
+``matrix_to_json`` line per m, were taken while beta_m(1)^{-1} was
+inverted by Bareiss elimination.
 
 Three hashes pin the operator layer: the D-form coefficients of the
 Borwein–Salvy operator for n <= 8 (one JSON list of ``str()`` per n,
@@ -101,8 +105,9 @@ from pathlib import Path
 import pytest
 from mpmath import mp
 
-from bwv import besselnum, cli
+from bwv import besselnum, brmatrices, cli
 from bwv.brmatrices import (
+    beta_matrix,
     frakSring_entry,
     matrix_family,
     matrix_to_json,
@@ -220,6 +225,14 @@ GOLDEN_SHA256 = {
         "69db3c3209795436a913880af7e0ee152ad7f44099dffc74c003428ac66fa96e",
     "beta_inverse_at_1-m26":
         "82c99a21625a17534cd9391703f18c7eb2dadc82dff88913d0561c32af24df71",
+    "beta_inverse_at_1-m27-34":
+        "c615b3f237c4f99ecf67fa377fcc607994e4053f741330c419ed78fb9aeec1b7",
+    "beta_inverse-m12-u1/4":
+        "690ce4dcb7409eb6f216bf29387cab4709ce288d558f0f11b4c7c1155e3e2ca8",
+    "beta_inverse-m12-u1/3":
+        "bb94b4e55d8ba2bea22a98c672149e74c05c12eb05497edef148993a3d63f7c9",
+    "beta_inverse-m12-u5/8":
+        "3d3b62751914220ab1c18615dbf42edaad38b80cfacbb89f86921135cfc81c59",
 }
 
 #: The tag the moment hashes were taken under.
@@ -399,6 +412,32 @@ def test_beta_inverse_at_1_golden_m26():
         for m in range(1, 27)
     )
     assert _sha256(text) == GOLDEN_SHA256["beta_inverse_at_1-m26"]
+
+
+def test_beta_inverse_at_1_golden_m27_to_m34():
+    text = "".join(
+        json.dumps(matrix_to_json("BetaInverseAt1", m,
+                                  brmatrices._beta_inverse_at_1(m)),
+                   sort_keys=True) + "\n"
+        for m in range(27, 35)
+    )
+    assert _sha256(text) == GOLDEN_SHA256["beta_inverse_at_1-m27-34"]
+
+
+def _beta_inverse_text(u, inverse):
+    """One ``matrix_to_json`` line of ``inverse(m, u)`` per m <= 12."""
+    return "".join(
+        json.dumps(matrix_to_json("BetaInverse", m, inverse(m, u)),
+                   sort_keys=True) + "\n"
+        for m in range(1, 13)
+    )
+
+
+@pytest.mark.parametrize("u", ["1/4", "1/3", "5/8"])
+def test_beta_inverse_golden_m12(u):
+    text = _beta_inverse_text(
+        Fraction(u), lambda m, u: exact_inverse(beta_matrix(m, u)))
+    assert _sha256(text) == GOLDEN_SHA256[f"beta_inverse-m12-u{u}"]
 
 
 def _check_derham_json(family, k):
