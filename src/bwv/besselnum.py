@@ -43,21 +43,28 @@ Its nodes fall to 0 like exp(-e^(-w)), which absorbs the log-power
 singularity at t = 0, and grow like e^w, so an integrand decaying like
 e^(-delta t) falls double exponentially in w for every delta > 0.  Each
 working precision has one shared grid (``_grid``), whatever a moment's
-decay rate: a node's t and weight, and the (I, K) pairs at t and at
-sqrt(u) t, are computed when a moment first reaches the node and reused by
-every later moment.  The grids are held in a small LRU cache, so their
-memory stays bounded.  The moments one call is missing (a whole matrix,
-the entries of one ``family_moments`` call, or the one key of ``moment``)
-are summed together, in one sweep of the grid, in Python-integer fixed
-point: at each node the Bessel values, t and the weight become integer
-(mantissa, exponent) pairs once, I0^a, K0^b and t^n are running products,
-and each moment adds its term to its own integer accumulator, whose scale
-follows the moment's largest term.  Each moment keeps its own rules, so
-its sum does not depend on the moments it is swept with: its own tail
-cut-off, and level doubling until two successive levels agree to
-10^-(digits+5), within a hard level budget, at a guard precision of
-``digits`` + 15.  A value is stored to ``digits`` + 15 digits, and a
+decay rate: a node's t and weight, the (I, K) pairs at t and at
+sqrt(u) t, and the fixed-point tables below are computed when a moment
+first reaches the node and reused by every later moment, in this sweep or
+a later one.  The grids are held in a small LRU cache, so their memory
+stays bounded.  The moments one call is missing (a whole matrix, the
+entries of one ``family_moments`` call, or the one key of ``moment``) are
+summed together, in one sweep of the grid, in Python-integer fixed point
+at the grid's fixed number of bits: at each node the Bessel values, t and
+the weight become integer (mantissa, exponent) pairs once, the powers of
+t, I0 and K0 are running products and t^n times the weight one product
+more, all kept by the node, and each moment adds its term to its own
+integer accumulator, whose scale follows the moment's largest term.  Each
+moment keeps its own rules, so its sum does not depend on the moments it
+is swept with: its own tail cut-off, and level doubling until two
+successive levels agree to 10^-(digits+5), within a hard level budget,
+at a guard precision of ``digits`` + 15.  A value is stored to ``digits`` + 15 digits, and a
 cold call returns the stored string parsed, as a warm one does.
+
+The Wronskian matrices turn moment vectors into derivatives through
+beta_m(u)^-1, whose exact entries ``bwv.beta`` gives by integer
+substitution on the standard library alone; they become mpf values here,
+so the numeric layer loads none of the exact layers.
 """
 
 from __future__ import annotations
@@ -77,6 +84,7 @@ from mpmath import mp
 from mpmath.libmp import to_fixed
 
 from . import MOMENT_KINDS
+from .beta import inverse as beta_inverse
 
 if TYPE_CHECKING:
     from .exactalg import ExactMatrix
@@ -337,15 +345,20 @@ def _check_convergent(key: MomentKey) -> None:
 
 
 class _Node:
-    """One quadrature node: the abscissa t, the weight, and the (I, K)
-    pairs at t and at scale*t, each computed on first use."""
+    """One quadrature node: the abscissa t, the weight, the (I, K) pairs
+    at t and at scale*t, and in fixed point at the grid's ``bits`` the
+    powers of t, I0(t) and K0(t) and t^n times the weight, each computed
+    on first use and kept for every later sweep over the node."""
 
-    __slots__ = ("t", "weight", "_pairs")
+    __slots__ = ("t", "weight", "bits", "_pairs", "_powers", "_ys")
 
-    def __init__(self, t, weight):
+    def __init__(self, t, weight, bits: int):
         self.t = t
         self.weight = weight
+        self.bits = bits
         self._pairs: dict = {}
+        self._powers: dict = {}
+        self._ys: dict = {}
 
     def bessel(self, kind: str, scale=None):
         """I0, I1, K0 or K1 at t, or at scale*t (the sqrt(u) t factors)."""
@@ -357,17 +370,39 @@ class _Node:
             pair = self._pairs[key] = _ik(order, x)
         return pair[slot]
 
+    def power(self, name: str, j: int):
+        """t, I0(t) or K0(t) to the power j, as a running product."""
+        if not j:
+            return 1, 0
+        table = self._powers.get(name)
+        if table is None:
+            base = self.t if name == "t" else self.bessel(name)
+            table = self._powers[name] = [(1, 0), _fixed(base)]
+        while len(table) <= j:
+            table.append(_mul(table[-1], table[1], self.bits))
+        return table[j]
+
+    def y(self, n: int):
+        """t^n times the weight."""
+        v = self._ys.get(n)
+        if v is None:
+            v = self._ys[n] = _mul(self.power("t", n), _fixed(self.weight),
+                                   self.bits)
+        return v
+
 
 class _Grid:
     """The nodes of the exp-exp map t = exp(w - e^(-w)) at one working
-    precision.  Level 0 holds w = m/4 for every integer m and level L >= 1
-    the odd multiples of 2^-(L+2), so each node belongs to one level.  A
-    node is placed on first use and then shared by every moment that
-    walks the grid.  mpf exponents are unbounded, so no weight underflows
-    to 0 and no t overflows or falls to 0, and a walk ends only by the
-    tail cut-off of ``_level``."""
+    precision, whose fixed-point products keep ``bits`` bits.  Level 0
+    holds w = m/4 for every integer m and level L >= 1 the odd multiples
+    of 2^-(L+2), so each node belongs to one level.  A node is placed on
+    first use and then shared by every moment that walks the grid.  mpf
+    exponents are unbounded, so no weight underflows to 0 and no t
+    overflows or falls to 0, and a walk ends only by the tail cut-off of
+    ``_level``."""
 
-    def __init__(self):
+    def __init__(self, bits: int):
+        self.bits = bits
         self._nodes: dict = {}
 
     def node(self, level: int, m: int) -> _Node:
@@ -379,7 +414,7 @@ class _Grid:
         w = mp.ldexp(m, -2 - level)
         e = mp.exp(-w)
         t = mp.exp(w - e)
-        node = self._nodes[key] = _Node(t, (1 + e) * t)
+        node = self._nodes[key] = _Node(t, (1 + e) * t, self.bits)
         return node
 
 
@@ -391,9 +426,9 @@ def _grid(prec: int) -> _Grid:
     exp(-e^(-w)) as w -> -oo, so the log-power singularity at t = 0 is
     absorbed, and grow like e^w as w -> +oo, so an integrand decaying like
     e^(-delta t) falls double exponentially in w for every delta > 0.  The
-    cache bounds the grids, and with them the nodes and Bessel pairs, kept
-    alive at once."""
-    return _Grid()
+    cache bounds the grids, and with them the nodes, Bessel pairs and
+    power tables, kept alive at once."""
+    return _Grid(prec + _GUARD_BITS)
 
 
 # Fixed-point arithmetic of the sweep: a value is a pair (m, e) of Python
@@ -451,53 +486,32 @@ def _recipe(key: MomentKey) -> tuple[tuple, int]:
 
 
 class _Products:
-    """The integrand factors at one node in fixed point, each formed on
-    first use, so a Bessel pair is computed only for a moment that needs
-    it: ``x(recipe)`` the product of Bessel factors, ``y(n)`` t^n times
-    the weight.  Powers are running products."""
+    """The integrand factors at one node for one sweep: ``x(recipe)``, the
+    product of Bessel factors, formed on first use, so a Bessel pair is
+    computed only for a moment that needs it.  The powers and t^n times
+    the weight are the node's."""
 
-    __slots__ = ("node", "bits", "powers", "xs", "ys")
+    __slots__ = ("node", "xs")
 
-    def __init__(self, node: _Node, bits: int):
+    def __init__(self, node: _Node):
         self.node = node
-        self.bits = bits
-        self.powers: dict = {}
         self.xs: dict = {}
-        self.ys: dict = {}
-
-    def power(self, name: str, j: int):
-        """t, I0(t) or K0(t) to the power j."""
-        if not j:
-            return 1, 0
-        table = self.powers.get(name)
-        if table is None:
-            base = self.node.t if name == "t" else self.node.bessel(name)
-            table = self.powers[name] = [(1, 0), _fixed(base)]
-        while len(table) <= j:
-            table.append(_mul(table[-1], table[1], self.bits))
-        return table[j]
-
-    def y(self, n: int):
-        v = self.ys.get(n)
-        if v is None:
-            v = self.ys[n] = _mul(self.power("t", n),
-                                  _fixed(self.node.weight), self.bits)
-        return v
 
     def x(self, recipe: tuple):
         v = self.xs.get(recipe)
         if v is None:
             factor, sign, i0, k0, log = recipe
-            bits = self.bits
-            v = _mul(self.power("I0", i0), self.power("K0", k0), bits)
+            node = self.node
+            bits = node.bits
+            v = _mul(node.power("I0", i0), node.power("K0", k0), bits)
             if factor is not None:
-                v = _mul(v, _fixed(self.node.bessel(*factor)), bits)
+                v = _mul(v, _fixed(node.bessel(*factor)), bits)
                 if sign < 0:
                     v = -v[0], v[1]
             if log:
-                v = _mul(v, _fixed(mp.log(self.node.t)), bits)
+                v = _mul(v, _fixed(mp.log(node.t)), bits)
                 if log == 2:
-                    m, e = self.power("K0", i0 + k0)
+                    m, e = node.power("K0", i0 + k0)
                     v = _sub(v, ((m << bits) // (i0 + k0), e - bits), bits)
             self.xs[recipe] = v
         return v
@@ -522,7 +536,7 @@ class _Sum:
         self.value = None
 
     def term(self, products: _Products) -> tuple[int, int]:
-        x, y = products.x(self.x), products.y(self.n)
+        x, y = products.x(self.x), products.node.y(self.n)
         return x[0] * y[0], x[1] + y[1]
 
     def add(self, m: int, e: int, lead: int) -> None:
@@ -570,7 +584,7 @@ class _Sum:
         return ok
 
 
-def _level(grid: _Grid, sums: list, level: int, bits: int) -> None:
+def _level(grid: _Grid, sums: list, level: int) -> None:
     """Add every sum's terms of one level: level 0 holds m = 0, whose
     term counts toward no tail, and every m; level L >= 1 the odd m.  Each
     direction is walked outward until a sum has seen three successive
@@ -581,7 +595,7 @@ def _level(grid: _Grid, sums: list, level: int, bits: int) -> None:
         st.largest = None
         st.limit = (1, 1 - prec, 2 - prec)
     if level == 0:
-        products = _Products(grid.node(0, 0), bits)
+        products = _Products(grid.node(0, 0))
         for st in sums:
             m, e = st.term(products)
             if m:
@@ -593,7 +607,7 @@ def _level(grid: _Grid, sums: list, level: int, bits: int) -> None:
             st.tiny = 0
         j = 1
         while walking:
-            products = _Products(grid.node(level, direction * j), bits)
+            products = _Products(grid.node(level, direction * j))
             j += step
             still = []
             for st in walking:
@@ -618,14 +632,14 @@ def _level(grid: _Grid, sums: list, level: int, bits: int) -> None:
             walking = still
 
 
-def _converge(grid: _Grid, sums: list, bits: int) -> list:
+def _converge(grid: _Grid, sums: list) -> list:
     """Refine the sums on one grid by level doubling until each has
     converged; the sums left unconverged after LEVEL_BUDGET levels."""
-    _level(grid, sums, 0, bits)
+    _level(grid, sums, 0)
     for st in sums:
         st.prev = st.acc
     for level in range(1, LEVEL_BUDGET + 1):
-        _level(grid, sums, level, bits)
+        _level(grid, sums, level)
         sums = [st for st in sums if not st.converged(level)]
         if not sums:
             break
@@ -638,7 +652,7 @@ def _integrate(keys: list) -> dict:
     is its sum over the shared (0,oo) grid, swept once for all the keys.
     Raises QuadratureError naming a key that did not converge."""
     sums = [_Sum(key) for key in keys]
-    left = _converge(_grid(mp.prec), sums, mp.prec + _GUARD_BITS)
+    left = _converge(_grid(mp.prec), sums)
     if left:
         raise QuadratureError(f"{left[0].key}: quadrature did not converge "
                               "within the level budget")
@@ -972,11 +986,6 @@ def _wronskian(p: int, k: int, u, digits: int):
     u in (0, 1] for the odd family and (0, 1) for the even one.  Column j
     is the inverse beta matrix applied to the signed vector of k plain
     and k-1+p differentiated moments at column j."""
-    # The exact layers load here, for beta^-1 alone, so the kernel,
-    # the moments and the cache start without them.
-    from .brmatrices import beta_matrix
-    from .exactalg import exact_inverse
-
     if k < 1:
         raise ValueError("Wronskian matrices require k >= 1")
     u = Fraction(u)
@@ -988,7 +997,10 @@ def _wronskian(p: int, k: int, u, digits: int):
              for ell in range(1, ells + 1)]
     vals = iter(family_moments(cells, u, digits))
     with mp.workdps(digits + GUARD_DIGITS):
-        binv = _to_mpf_matrix(exact_inverse(beta_matrix(m, u)))
+        # the exact entries of beta^-1 from bwv.beta, which loads no exact
+        # layer, each made an mpf the way _to_mpf_matrix makes one
+        binv = mp.matrix([[_to_mpf(x) for x in row]
+                          for row in beta_inverse(m, u)])
         su = mp.sqrt(_to_mpf(u))
         out = mp.matrix(m, m)
         for j in range(1, m + 1):

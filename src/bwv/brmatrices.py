@@ -28,7 +28,10 @@ Naming overview (sizes in parentheses):
 * ``frakS(k)`` / ``frakSring(k)``: the S_k and ringed-S_k matrices that
   appear in the block diagonalization of Sigma and sigma.
 * ``beta_matrix(m, u)``: the Wronskian change-of-basis matrix
-  beta_m(u) (m x m); ``u=None`` gives the symbolic Q(u) matrix.
+  beta_m(u) (m x m); ``u=None`` gives the symbolic Q(u) matrix.  Its
+  closed form, and beta_m(1)^{-1} by forward substitution in integers
+  over a power of two, are ``bwv.beta``'s, which the numeric layer reads
+  too; ``_beta_inverse_at_1`` caches the inverse as an ``ExactMatrix``.
 * ``aux_matrix(name, k)``: bookkeeping matrices A, psi, rho, Theta,
   Phi, theta, phi, R, Psi.
 * ``derham_D(k)`` / ``derham_d(k)``: the de Rham matrices D_k and d_k
@@ -62,6 +65,8 @@ from math import comb, factorial, lcm
 from operator import mul
 from typing import Callable, Dict, NamedTuple, Tuple
 
+from .beta import coeff_power as _beta_coeff_power
+from .beta import inverse_at_1, row_powers
 from .exactalg import (
     ExactMatrix,
     RatFunc,
@@ -443,23 +448,6 @@ def frakSring(k: int) -> ExactMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _beta_coeff_power(m: int, a: int, b: int) -> tuple[Fraction, int]:
-    """(coefficient, u-power) of entry (a, b) of beta_m(u): with
-    h = ceil(m/2) and j the u-power, (-4)^(a-1) (a-1)! C(a-1, j) / j! for
-    a <= h and, with l = a - h, (-4)^(l-1) 2 (l-1)! C(l, j) / (j-1)!
-    otherwise; 0 where the binomial or the reciprocal factorial is."""
-    h = (m + 1) // 2
-    if a <= h:
-        n, j = a - 1, b - a
-        top, low = (-4) ** n * factorial(n), j
-    else:
-        n, j = a - h, b - a + h
-        top, low = (-4) ** (n - 1) * 2 * factorial(n - 1), j - 1
-    if low < 0 or j > n:
-        return Fraction(0), j
-    return Fraction(top * comb(n, j), factorial(low)), j
-
-
 @cache
 def _beta_symbolic(m: int) -> ExactMatrix:
     def entry(a: int, b: int) -> RatFunc:
@@ -476,15 +464,15 @@ def beta_matrix(m: int, u: Fraction | int | None = None) -> ExactMatrix:
     and the Bessel-moment basis of the solution space.
 
     With ``u=None`` the symbolic Q(u) matrix is returned; otherwise the
-    entries c_ab u^p_ab (``_beta_coeff_power``) are evaluated over Q at
-    the given rational point.
+    integer entries c_ab u^p_ab (``bwv.beta.coeff_power``) are evaluated
+    over Q at the given rational point.
     """
     if m < 1:
         raise ValueError("beta_matrix requires m >= 1")
     if u is None:
         return _beta_symbolic(m)
 
-    def entry(a: int, b: int) -> Fraction:
+    def entry(a: int, b: int) -> Fraction | int:
         coef, power = _beta_coeff_power(m, a, b)
         return coef * u**power if coef else coef
 
@@ -493,9 +481,10 @@ def beta_matrix(m: int, u: Fraction | int | None = None) -> ExactMatrix:
 
 @cache
 def _beta_inverse_at_1(m: int) -> ExactMatrix:
-    """beta_m(1)^{-1}, inverted once per m for every de Rham limit and
-    block identity that reads it."""
-    return exact_inverse(beta_matrix(m, 1))
+    """beta_m(1)^{-1}, by the integer substitution of ``bwv.beta``, once
+    per m for every de Rham limit and block identity that reads it."""
+    nums, den = inverse_at_1(m)
+    return ExactMatrix._make(nums, den, m)
 
 
 # ---------------------------------------------------------------------------
@@ -617,11 +606,12 @@ def _pairing_limit(m: int, u0: int) -> ExactMatrix:
     pairing in the Wronskian basis, whose limits give D_k, d_k and their
     ringed forms.
 
-    Entry (a, b) of beta_m(u) is c_ab u^{b - r_a} (``_beta_coeff_power``),
-    so beta_m(u) = R^{-1} beta_m(1) C with R = diag(u^{r_a}), C =
-    diag(u^b); and |ell| X = s W with s the sign of ell on (0, 1).  The
-    product is the Laurent polynomial s R B^T C^{-1} W C^{-1} B R, B =
-    beta_m(1)^{-1}.  At u = 1 it is s B^T W(1) B (for odd m, ell has no
+    Entry (a, b) of beta_m(u) is c_ab u^{b - r_a} (``bwv.beta``), so
+    beta_m(u) = R^{-1} beta_m(1) C with R = diag(u^{r_a}), C = diag(u^b);
+    and |ell| X = s W with s the sign of ell on (0, 1).  The product is
+    the Laurent polynomial s R B^T C^{-1} W C^{-1} B R, B =
+    beta_m(1)^{-1}, which ``bwv.beta`` forms by integer substitution, with
+    no elimination.  At u = 1 it is s B^T W(1) B (for odd m, ell has no
     root in (0, 1]).  At u = 0, split W by shifted degree: with (Z_q)_ij
     the u^{i + j - q} coefficient of W_ij and P_q = B^T Z_q B, entry
     (a, b) is sum_q s (P_q)_ab u^{r_a + r_b - q}, q = 2..2m.  Its limit is
@@ -644,8 +634,8 @@ def _pairing_limit(m: int, u0: int) -> ExactMatrix:
     if u0 == 1:
         W1 = ExactMatrix._make([[sum(w) for w in row] for row in Wn], den, m)
         return (B.T @ W1 @ B).scale(s)
-    # r_a = m - (u-power of beta_m's entry (a, m)), so 2 <= d <= 2m
-    r = [m - _beta_coeff_power(m, a, m)[1] for a in range(1, m + 1)]
+    # 1 <= r_a, so 2 <= d <= 2m
+    r = row_powers(m)
     cols = list(zip(*B.nums))
     rmin = min(r)
     out = [[None] * m for _ in range(m)]

@@ -371,6 +371,9 @@ class RatFunc:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
+        # a constant hashes like the int or Fraction it equals
+        if self.num.degree <= 0 and self.den.degree == 0:
+            return hash(self.num.coeff(0))
         return hash((self.num, self.den))
 
     # -- evaluation ----------------------------------------------------------
@@ -517,7 +520,17 @@ class ExactMatrix:
         return self.entries == other.entries
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.nums, self.den, self._grid))
+        nums, den = self.nums, self.den
+        if nums is None:
+            grid = self._grid
+            if any(e.num.degree > 0 or e.den.degree for row in grid
+                   for e in row):
+                return hash((self.rows, self.cols, grid))
+            # a Q(u) matrix of constants hashes like the equal Q matrix
+            Q = ExactMatrix([[e.num.coeff(0) for e in row] for row in grid],
+                            self.cols)
+            nums, den = Q.nums, Q.den
+        return hash((self.rows, self.cols, nums, den))
 
     # -- arithmetic ---------------------------------------------------------
 

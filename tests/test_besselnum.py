@@ -330,6 +330,29 @@ def test_every_moment_shares_one_grid(tmp_path, monkeypatch):
     assert len(calls) == 480
 
 
+def test_sweep_order_changes_no_stored_value(tmp_path, monkeypatch):
+    # Each node keeps its fixed-point power tables for every later sweep,
+    # so a table is made by whichever matrix first reaches the node.  Two
+    # build orders must store the same string for every key; the second
+    # runs beside a grid of another precision, whose tables must not reach
+    # the 20-digit sums.
+    builds = {"M": lambda: matM(3, 20), "N": lambda: matN(3, 20),
+              "Omega": lambda: matOmega(2, F(1, 3), 20)}
+    stored = []
+    for order in (("M", "N", "Omega"), ("Omega", "N", "M")):
+        besselnum._grid.cache_clear()
+        if order[0] == "Omega":
+            monkeypatch.setenv("BWV_CACHE", str(tmp_path / "other.jsonl"))
+            matM(2, 30)
+        path = tmp_path / f"{order[0]}.jsonl"
+        monkeypatch.setenv("BWV_CACHE", str(path))
+        for name in order:
+            builds[name]()
+        stored.append(sorted(path.read_text().splitlines()))
+    assert besselnum._grid.cache_info().currsize == 2
+    assert stored[0] == stored[1]
+
+
 #: Moments whose integrand decays slowly at the edge of what
 #: ``_check_convergent`` admits, with closed forms that need no quadrature.
 #: IKvM(0,1;n|u) has c = 0, s = +1 and decays like e^(-sqrt(u) t);

@@ -9,7 +9,7 @@ from fractions import Fraction as F
 import mpmath
 import pytest
 
-from bwv import brmatrices
+from bwv import beta, brmatrices
 from bwv.brmatrices import (
     MATRIX_FAMILIES,
     NAMED_CONSTANTS,
@@ -606,6 +606,25 @@ def _u0_limit_by_full_products(m):
 @pytest.mark.parametrize("m", range(12, 17))
 def test_u0_pairing_limit_matches_the_full_products(m):
     assert brmatrices._pairing_limit(m, 0) == _u0_limit_by_full_products(m)
+
+
+# m <= 42 covers every order verify exact --max-k 20 reads
+@pytest.mark.parametrize("m", [1, 2, 7, 12, 27, 41, 42])
+def test_beta_at_one_is_a_row_permutation_of_a_triangle(m):
+    # row a <= ceil(m/2) of beta_m(1) ends at column 2a - 1 and row
+    # ceil(m/2) + l at column 2l, on +-2^j, so bwv.beta inverts it by
+    # forward substitution over a power of two
+    B = beta_matrix(m, 1)
+    h = (m + 1) // 2
+    for a in range(1, m + 1):
+        c = 2 * a - 1 if a <= h else 2 * (a - h)
+        assert all(B.at(a, b) == 0 for b in range(c + 1, m + 1))
+        d = abs(B.at(a, c))
+        assert d.denominator == 1 and d.numerator & (d.numerator - 1) == 0
+    den = beta.inverse_at_1(m)[1]
+    assert den > 0 and den & (den - 1) == 0
+    assert brmatrices._beta_inverse_at_1(m) @ B == M.identity(m)
+    assert B @ brmatrices._beta_inverse_at_1(m) == M.identity(m)
 
 
 def test_beta_is_a_monomial_conjugate_of_beta_at_one():

@@ -328,6 +328,20 @@ def test_ratfunc_eval_genuine_pole_raises():
         f.eval(1)
 
 
+@pytest.mark.parametrize("value", [0, 3, -7, F(1, 2), F(-5, 3)])
+def test_constant_ratfunc_hashes_like_its_value(value):
+    # equal values must hash equal, so that sets and dicts see one key
+    reduced = RatFunc(UniPoly.of("u", [value, value]), UniPoly.of("u", [1, 1]))
+    for f in (RatFunc.of("u", value), reduced):
+        assert f == value and hash(f) == hash(value)
+        assert len({f, value}) == 1 and {value: 1}[f] == 1
+
+
+def test_nonconstant_ratfunc_is_not_its_constant_term():
+    f = RatFunc(UniPoly.of("u", [3, 1]))
+    assert f != 3 and len({f, 3, RatFunc.of("u", 3)}) == 2
+
+
 # -- exact matrices ---------------------------------------------------------
 
 
@@ -622,6 +636,18 @@ def test_equal_matrices_from_different_paths_are_equal_and_hash_equal():
     zero = ExactMatrix([[F(0, 5), 0], [0, 0]])
     assert zero == ExactMatrix.zeros(2, 2) == half.scale(0)
     assert hash(zero) == hash(half.scale(0)) and zero.den == 1
+
+
+@given(q_matrices(3))
+@settings(max_examples=40)
+def test_q_u_matrix_of_constants_hashes_like_the_equal_q_matrix(A):
+    R = ExactMatrix([[RatFunc.of("u", e) for e in row] for row in A.entries])
+    assert R.ring == "Q(u)" and A.ring == "Q"
+    assert R == A and hash(R) == hash(A) and len({A, R}) == 1
+    # one entry that is not constant makes a different, unequal matrix
+    rows = [list(row) for row in R.entries]
+    rows[0][0] = RatFunc(UniPoly.of("u", [rows[0][0].num.coeff(0), 1]))
+    assert ExactMatrix(rows) != A and len({A, ExactMatrix(rows)}) == 2
 
 
 @given(q_matrices(3), st.fractions(min_value=-5, max_value=5,

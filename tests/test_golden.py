@@ -79,7 +79,8 @@ a common denominator.  The hash of ``brmatrices._beta_inverse_at_1(m)``
 for m = 27..34 and those of beta_m(u)^{-1} for m <= 12 at u = 1/4, 1/3
 and 5/8 (``exact_inverse`` of ``beta_matrix(m, u)``), one
 ``matrix_to_json`` line per m, were taken while beta_m(1)^{-1} was
-inverted by Bareiss elimination.
+inverted by Bareiss elimination; ``bwv.beta``'s substitution, which
+followed it, must reproduce them and the m <= 26 hash.
 
 Three hashes pin the operator layer: the D-form coefficients of the
 Borwein–Salvy operator for n <= 8 (one JSON list of ``str()`` per n,
@@ -105,7 +106,7 @@ from pathlib import Path
 import pytest
 from mpmath import mp
 
-from bwv import besselnum, brmatrices, cli
+from bwv import besselnum, beta, brmatrices, cli
 from bwv.brmatrices import (
     beta_matrix,
     frakSring_entry,
@@ -113,7 +114,7 @@ from bwv.brmatrices import (
     matrix_to_json,
     named_constant,
 )
-from bwv.exactalg import UniPoly, exact_inverse
+from bwv.exactalg import ExactMatrix, UniPoly, exact_inverse
 from bwv.harness import run_numeric_suite
 from bwv.vanhove import (
     borwein_salvy_operator,
@@ -438,6 +439,22 @@ def test_beta_inverse_golden_m12(u):
     text = _beta_inverse_text(
         Fraction(u), lambda m, u: exact_inverse(beta_matrix(m, u)))
     assert _sha256(text) == GOLDEN_SHA256[f"beta_inverse-m12-u{u}"]
+
+
+def test_beta_substitution_matches_the_bareiss_pins():
+    # the one inverse body of bwv.beta, as the exact layer reads it at
+    # u = 1 and the numeric layer at the other points
+    text = "".join(
+        json.dumps(matrix_to_json("BetaInverseAt1", m,
+                                  brmatrices._beta_inverse_at_1(m)),
+                   sort_keys=True) + "\n"
+        for m in range(1, 27)
+    )
+    assert _sha256(text) == GOLDEN_SHA256["beta_inverse_at_1-m26"]
+    for u in ("1/4", "1/3", "5/8"):
+        text = _beta_inverse_text(
+            Fraction(u), lambda m, u: ExactMatrix(beta.inverse(m, u)))
+        assert _sha256(text) == GOLDEN_SHA256[f"beta_inverse-m12-u{u}"]
 
 
 def _check_derham_json(family, k):

@@ -1,6 +1,7 @@
 """Each entry point loads only the layers it runs: the Bessel kernel, the
-moments and the moment cache start without the exact algebra and the
-harness, and without ``dataclasses`` (which pulls in ``inspect``); ``bwv
+moments, the moment cache and the Wrońskian matrices (whose beta^-1 comes
+from ``bwv.beta``) start without the exact algebra and the harness, and
+without ``dataclasses`` (which pulls in ``inspect``); ``bwv
 vanhove`` loads the operator layer and the exact algebra under it, but
 not the matrices, the harness or ``dataclasses``; ``bwv verify exact``
 and ``bwv matrix`` load the exact layers without the numeric layer
@@ -43,7 +44,11 @@ def _loaded_after(code, tmp_path):
     "import bwv.cli\n"
     "assert bwv.cli.main(['moment', 'IKM', '1', '2', '1',"
     " '--digits', '20']) == 0",
-], ids=["import-besselnum", "cache-stats", "moment"])
+    "from fractions import Fraction\n"
+    "from bwv import besselnum\n"
+    "besselnum.matOmega(2, Fraction(1, 3), 20)\n"
+    "besselnum.matomega(2, Fraction(1, 3), 20)",
+], ids=["import-besselnum", "cache-stats", "moment", "wronskians"])
 def test_entry_point_loads_no_exact_layer(code, tmp_path):
     loaded = _loaded_after(code, tmp_path)
     assert "bwv.besselnum" in loaded
