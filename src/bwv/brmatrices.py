@@ -65,8 +65,7 @@ from math import comb, factorial, lcm
 from operator import mul
 from typing import Callable, Dict, NamedTuple, Tuple
 
-from .beta import coeff_power as _beta_coeff_power
-from .beta import inverse_at_1, row_powers
+from .beta import coeff_power, inverse_at_1, row_powers
 from .exactalg import (
     ExactMatrix,
     RatFunc,
@@ -451,7 +450,7 @@ def frakSring(k: int) -> ExactMatrix:
 @cache
 def _beta_symbolic(m: int) -> ExactMatrix:
     def entry(a: int, b: int) -> RatFunc:
-        coef, power = _beta_coeff_power(m, a, b)
+        coef, power = coeff_power(m, a, b)
         if coef == 0:
             return RatFunc.of("u", 0)
         return RatFunc(UniPoly.of("u", [0] * power + [coef]))
@@ -473,7 +472,7 @@ def beta_matrix(m: int, u: Fraction | int | None = None) -> ExactMatrix:
         return _beta_symbolic(m)
 
     def entry(a: int, b: int) -> Fraction | int:
-        coef, power = _beta_coeff_power(m, a, b)
+        coef, power = coeff_power(m, a, b)
         return coef * u**power if coef else coef
 
     return ExactMatrix.from_fn(m, m, entry)

@@ -22,8 +22,10 @@ Conventions
 * ``RatFunc`` is a value of Q(u), not a field element to compute with: it
   is reduced once, when built (a primitive pseudo-remainder gcd, with a
   monic denominator), and is then stored, compared, evaluated at a point
-  and printed.  A matrix over Q(u) holds such values and supports the
-  same; the pairings that read V and upsilon are formed over Q from their
+  and printed.  A constant equals and hashes like its int or Fraction
+  value.  A matrix over Q(u) holds such values and supports the same, and
+  one of constants equals and hashes like the Q matrix of its values; the
+  pairings that read V and upsilon are formed over Q from their
   polynomial numerators.
 * ``ExactMatrix`` over Q stores, like ``UniPoly``, integer rows ``nums``
   over one positive common denominator ``den``, with gcd(den, every
@@ -320,9 +322,9 @@ class UniPoly:
 
 class RatFunc:
     """Quotient of univariate polynomials, reduced when built, with a
-    monic denominator.  A stored value: it compares equal to an int or
-    Fraction of the same value, evaluates at a point and prints, but does
-    no arithmetic."""
+    monic denominator.  A stored value: it compares equal to, and hashes
+    like, an int or Fraction of the same value, evaluates at a point and
+    prints, but does no arithmetic."""
 
     __slots__ = ("num", "den")
 
@@ -363,6 +365,9 @@ class RatFunc:
     def is_polynomial(self) -> bool:
         return self.den.degree == 0
 
+    def is_constant(self) -> bool:
+        return self.den.degree == 0 and self.num.degree <= 0
+
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = RatFunc.of(self.var, other)
@@ -372,7 +377,7 @@ class RatFunc:
 
     def __hash__(self) -> int:
         # a constant hashes like the int or Fraction it equals
-        if self.num.degree <= 0 and self.den.degree == 0:
+        if self.is_constant():
             return hash(self.num.coeff(0))
         return hash((self.num, self.den))
 
@@ -523,8 +528,7 @@ class ExactMatrix:
         nums, den = self.nums, self.den
         if nums is None:
             grid = self._grid
-            if any(e.num.degree > 0 or e.den.degree for row in grid
-                   for e in row):
+            if not all(e.is_constant() for row in grid for e in row):
                 return hash((self.rows, self.cols, grid))
             # a Q(u) matrix of constants hashes like the equal Q matrix
             Q = ExactMatrix([[e.num.coeff(0) for e in row] for row in grid],

@@ -587,8 +587,7 @@ def _u0_limit_by_full_products(m):
     d = r_a + r_b, and must read 0 in each P_q with q > d)."""
     B = brmatrices._beta_inverse_at_1(m)
     W = brmatrices._wmat(m)
-    r = [m - brmatrices._beta_coeff_power(m, a, m)[1]
-         for a in range(1, m + 1)]
+    r = [m - beta.coeff_power(m, a, m)[1] for a in range(1, m + 1)]
     P = {q: B.T @ M.from_fn(m, m, lambda i, j: W[i - 1][j - 1].coeff(
         i + j - q)) @ B for q in range(2, 2 * m + 1)}
     s = top_coeff_sign_on_01(m)
