@@ -423,33 +423,46 @@ def test_derham_alternatives(k):
     assert all(res.values()), {key for key, val in res.items() if not val}
 
 
-# (order, row, column) of the u -> 1 pairing limit to bump, and the one flag
-# that must catch it: each parity of the conjugation route reads its own
-# order, and only the even one has a margin row
-@pytest.mark.parametrize("k", [2, 3])
-@pytest.mark.parametrize("bump, flag", [
-    (lambda k: (2 * k, 1, 1), "d-via-conjugation"),
-    (lambda k: (2 * k - 1, 1, 1), "D-via-conjugation"),
-    (lambda k: (2 * k, 2 * k, 1), "d-limit-margin-zero"),
-], ids=["d-core", "D-core", "d-margin"])
-def test_derham_alternatives_catch_a_bumped_limit(monkeypatch, k, bump, flag):
-    # the de Rham routes are cached: build them from the real limits
-    # before the bump, so only the conjugation route reads it
-    assert all(derham_alternatives(k).values())
-    order, i, j = bump(k)
-    real = brmatrices._pairing_limit
+def _bump(monkeypatch, name, entry, only=()):
+    """Patch ``brmatrices.<name>`` so that, on arguments that start with
+    ``only``, it returns its matrix with the 1-based ``entry`` raised by 1."""
+    real = getattr(brmatrices, name)
+    i, j = entry
 
-    def bumped(m, u0):
-        L = real(m, u0)
-        if (m, u0) != (order, 1):
-            return L
-        rows = [list(row) for row in L.entries]
+    def bumped(*args):
+        M = real(*args)
+        if args[:len(only)] != only:
+            return M
+        rows = [list(row) for row in M.entries]
         rows[i - 1][j - 1] += 1
         return ExactMatrix(rows)
 
-    monkeypatch.setattr(brmatrices, "_pairing_limit", bumped)
+    monkeypatch.setattr(brmatrices, name, bumped)
+
+
+# (input, arguments it is bumped on, 1-based entry) and the flags that must
+# catch it: each parity of the conjugation route reads its own order of
+# the u -> 1 pairing limit, only the even one has a margin row, and both
+# conjugate by Theta_w
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("bump, failing", [
+    (lambda k: ("_pairing_limit", (2 * k, 1), (1, 1)), {"d-via-conjugation"}),
+    (lambda k: ("_pairing_limit", (2 * k - 1, 1), (1, 1)),
+     {"D-via-conjugation"}),
+    (lambda k: ("_pairing_limit", (2 * k, 1), (2 * k, 1)),
+     {"d-limit-margin-zero"}),
+    (lambda k: ("_aux_Theta", (), (1, 1)),
+     {"D-via-conjugation", "d-via-conjugation"}),
+], ids=["d-core", "D-core", "d-margin", "Theta"])
+def test_derham_alternatives_catch_a_bumped_limit(monkeypatch, k, bump,
+                                                  failing):
+    # the de Rham routes are cached: build them from the real limits
+    # before the bump, so only the conjugation route reads it
+    assert all(derham_alternatives(k).values())
+    name, only, entry = bump(k)
+    _bump(monkeypatch, name, entry, only)
     res = derham_alternatives(k)
-    assert {key for key, v in res.items() if not v} == {flag}
+    assert {key for key, v in res.items() if not v} == failing
 
 
 BLOCK_IDENTITY_FLAGS = (
@@ -506,7 +519,9 @@ def test_delegating_names_share_their_parity_body_cache(fn):
 
 
 # (input, 1-based entry to bump by 1) at k = 3, and the exact set of block
-# identity flags that must then fail: each input is read by its own flags
+# identity flags that must then fail: each input is read by its own flags.
+# A, Phi, R and psi are aux_matrix's names; _aux_Phi is Phi_w at the
+# weights the Sigma^-1 and sigma^-1 conjugations read
 @pytest.mark.parametrize("name, entry, failing", [
     ("matSigma", (1, 1), {"Sigma-block-diag"}),
     ("matsigma", (1, 1), {"R-sigma-block"}),
@@ -517,20 +532,47 @@ def test_delegating_names_share_their_parity_body_cache(fn):
     ("_sigma_inv", (1, 1), {"R-BernoulliInv-block", "SigmaInv-block-diag",
                             "sigmaInv-block-diag"}),
     ("_beta_inverse_at_1", (6, 6), {"beta-inverse-margin"}),
+    ("A", (2, 2), {"Sigma-block-diag", "SigmaInv-block-diag",
+                   "sigmaInv-block-diag"}),
+    ("Phi", (1, 1), {"Sigma-block-diag"}),
+    ("R", (1, 2), {"R-sigma-block", "R-BernoulliInv-block"}),
+    ("psi", (1, 1), {"sigmaInv-block-diag"}),
+    ("_aux_Phi", (1, 1), {"SigmaInv-block-diag", "sigmaInv-block-diag"}),
+    ("_betti", (1, 1), {"Betti-inverse-of-frakS", "Bring-from-Sring",
+                        "R-BernoulliInv-block", "SigmaInv-block-diag",
+                        "sigmaInv-block-diag"}),
+    ("_betti_ring", (1, 1), {"Bring-from-Sring", "R-BernoulliInv-block"}),
 ], ids=lambda v: v if isinstance(v, str) else "")
 def test_block_identities_catch_a_bumped_input(monkeypatch, name, entry,
                                                failing):
-    real = getattr(brmatrices, name)
-    i, j = entry
-
-    def bumped(*args):
-        rows = [list(row) for row in real(*args).entries]
-        rows[i - 1][j - 1] += 1
-        return ExactMatrix(rows)
-
-    monkeypatch.setattr(brmatrices, name, bumped)
+    # fill aux_matrix's cache first: its Phi reads _aux_Phi at call time
+    assert all(verify_block_identities(3).values())
+    if name in brmatrices._AUX:
+        _bump(monkeypatch, "aux_matrix", entry, (name,))
+    else:
+        _bump(monkeypatch, name, entry)
     res = inspect.unwrap(verify_block_identities)(3)
     assert {key for key, v in _flags(res).items() if not v} == failing
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_block_conjugators_are_invertible(k):
+    """A conjugation X^-1 Y X^-T = Z holds exactly when Y = X Z X^T, and
+    sigma's R^-T sigma R^-1 = Z exactly when sigma = R^T Z R, provided the
+    conjugator is invertible.  The block identities rely on this: A, Phi_w
+    and Theta_w (w = 2k + 1, 2k + 2) are unit triangular and R, a scaled
+    permutation, has det R = (-1)^k (2k + 2)/(2k + 1)."""
+    def unit_triangular(X):
+        n = range(1, X.rows + 1)
+        return all(X.at(a, a) == 1 for a in n) and (
+            all(X.at(a, b) == 0 for a in n for b in n if b > a)
+            or all(X.at(a, b) == 0 for a in n for b in n if b < a))
+
+    ws = (2 * k + 1, 2 * k + 2)
+    assert unit_triangular(aux_matrix("A", k))
+    assert all(unit_triangular(brmatrices._aux_Phi(k, w)) for w in ws)
+    assert all(unit_triangular(brmatrices._aux_Theta(k, w)) for w in ws)
+    assert aux_matrix("R", k).det() == F((-1) ** k * (2 * k + 2), 2 * k + 1)
 
 
 # -- the de Rham pairing limits ---------------------------------------------
