@@ -361,13 +361,12 @@ class _Node:
         self._ys: dict = {}
 
     def bessel(self, kind: str, scale=None):
-        """I0, I1, K0 or K1 at t, or at scale*t (the sqrt(u) t factors)."""
+        """I0, I1, K0 or K1 at t, or at scale*t, scale an ``_mpf_`` tuple."""
         order, slot = _KIND_SLOT[kind]
-        key = (order, None if scale is None else scale._mpf_)
-        pair = self._pairs.get(key)
+        pair = self._pairs.get((order, scale))
         if pair is None:
-            x = self.t if scale is None else scale * self.t
-            pair = self._pairs[key] = _ik(order, x)
+            x = self.t if scale is None else mp.make_mpf(scale) * self.t
+            pair = self._pairs[order, scale] = _ik(order, x)
         return pair[slot]
 
     def power(self, name: str, j: int):
@@ -473,14 +472,15 @@ def _recipe(key: MomentKey) -> tuple[tuple, int]:
     """(x, n): the integrand of ``key`` is X(x) t^n, with x naming the
     product of Bessel factors X: (the sqrt(u) t factor as (kind, sqrt(u)),
     or None; its sign; the powers of I0(t) and K0(t); 0 for no log t,
-    1 for a factor log t, 2 for log t and the a = 1 correction)."""
+    1 for a factor log t, 2 for log t and the a = 1 correction).  x keys
+    the node's products, so sqrt(u) is its mpf's ``_mpf_`` tuple."""
     a, b, n = key.a, key.b, key.n
     if key.kind in _ONSHELL_KINDS:
         log = 0 if key.kind == "IKM" else 1 + (a == 1)
         return (None, 1, a, b, log), n
     factor, sign, slot, extra = _OFFSHELL[key.kind]
     # at u = 1 the sqrt(u) t factors share the pairs at t
-    scale = None if key.u == 1 else mp.sqrt(_to_mpf(key.u))
+    scale = None if key.u == 1 else mp.sqrt(_to_mpf(key.u))._mpf_
     powers = a - (slot == 0), b - (slot == 1)
     return ((factor, scale), sign, *powers, 0), n + extra
 

@@ -40,8 +40,12 @@ Naming overview (sizes in parentheses):
   ell_{m,m} upsilon through beta_m(1) by products over Q: of W(1) at
   u = 1, and of the coefficient matrices of W grouped by shifted degree
   at u = 0.
-* ``derham_alternatives(k)``: recomputes D and d along the independent
-  block-diagonal and u -> 0 routes and cross-checks them.
+* ``derham_alternatives(k)``, ``verify_block_identities(k)``: D and d
+  along independent routes, and the block diagonalizations of Sigma,
+  sigma and their inverses.  Each conjugation X^{-1} Y X^{-T} = Z is
+  checked as Y = X Z X^T, the same statement because every conjugator is
+  invertible (A, Phi_w and Theta_w are unit triangular and R is a scaled
+  permutation), so this module inverts no matrix.
 
 Parity convention: the odd family (Sigma, B, D, V_{2k+1}) is p = 0 and
 the even family (sigma, b, d, upsilon_{2k+2}) is p = 1, at weight
@@ -72,7 +76,6 @@ from .exactalg import (
     UniPoly,
     bernoulli,
     binom_ext,
-    exact_inverse,
     recip_fact_ext,
 )
 from .vanhove import leading_coeff_product, vanhove_operator
@@ -695,14 +698,14 @@ def _derham_ring_blocks(p: int, k: int) -> tuple[ExactMatrix, ExactMatrix]:
     V_{2k+1}.  For p = 1 row and column k + 1 are dropped (Psi^T L Psi).
     L / (8 (-1)^{k+p}) must have the 2k x 2k block form [[0, -X],
     [X, ringed-X]]."""
-    keep = [i for i in range(1, 2 * k + 1 + p) if not (p and i == k + 1)]
-    full = _pairing_limit(2 * k + p, 0).submatrix(keep, keep)
-    lo, tr, X, ring = _split_blocks(full.scale(Fraction(1, 8 * _msign(k + p))), k)
-    if lo != ExactMatrix.zeros(k, k):
+    lo, hi = range(1, k + 1), range(k + 1 + p, 2 * k + 1 + p)
+    L = _pairing_limit(2 * k + p, 0).scale(Fraction(1, 8 * _msign(k + p)))
+    X = L.submatrix(hi, lo)
+    if L.submatrix(lo, lo) != ExactMatrix.zeros(k, k):
         raise AssertionError("u->0 block limit: upper-left block not zero")
-    if tr.scale(-1) != X:
+    if L.submatrix(lo, hi).scale(-1) != X:
         raise AssertionError("u->0 block limit: off-diagonal blocks disagree")
-    return X, ring
+    return X, L.submatrix(hi, hi)
 
 
 def derham_Dring(k: int) -> ExactMatrix:
@@ -719,15 +722,13 @@ def derham_dring(k: int) -> ExactMatrix:
     return _derham_ring_blocks(1, k)[1]
 
 
-def _split_blocks(M: ExactMatrix, top: int) -> tuple[ExactMatrix, ...]:
-    lo = list(range(1, top + 1))
-    hi = list(range(top + 1, M.rows + 1))
-    return (
-        M.submatrix(lo, lo),
-        M.submatrix(lo, hi),
-        M.submatrix(hi, lo),
-        M.submatrix(hi, hi),
-    )
+def _join_blocks(tl: ExactMatrix, tr: ExactMatrix, bl: ExactMatrix,
+                 br: ExactMatrix) -> ExactMatrix:
+    """The block matrix [[tl, tr], [bl, br]]."""
+    den = lcm(tl.den, tr.den, bl.den, br.den)
+    rows = [[x * den // M.den for M in pair for x in M.nums[i]]
+            for pair in ((tl, tr), (bl, br)) for i in range(pair[0].rows)]
+    return ExactMatrix._make(rows, den, tl.cols + tr.cols)
 
 
 def derham_alternatives(k: int) -> dict:
@@ -737,12 +738,13 @@ def derham_alternatives(k: int) -> dict:
     (X = D, from V_{2k+1}), p = 1 the even family (X = d, from
     upsilon_{2k+2}), at weight w = 2k + 1 + p.  For each p:
 
-    * ``X-via-conjugation``: the core (2k-1) x (2k-1) block L of the u -> 1
-      limit of the order-(2k - 1 + p) pairing, conjugated by Theta_w^{-1}
-      (``_aux_Theta(k, w)``) and divided by 4 w (-1)^{k-1}, is
-      block-diagonal with blocks (2/w)^2 X_k and X_{k-1}.  For p = 1 the
-      margin row and column 2k of the limit are dropped (rho L rho^T) and
-      must be zero (``d-limit-margin-zero``).
+    * ``X-via-conjugation``: Theta_w^{-T} L Theta_w^{-1} = Z for the core
+      (2k-1) x (2k-1) block L of the u -> 1 limit of the order-(2k - 1 + p)
+      pairing, Z block-diagonal with blocks 16 (-1)^{k-1} X_k / w and
+      4 w (-1)^{k-1} X_{k-1}, checked as L = Theta_w^T Z Theta_w
+      (``_aux_Theta(k, w)``, unit triangular).  For p = 1 the margin row
+      and column 2k of the limit are dropped (rho L rho^T) and must be
+      zero (``d-limit-margin-zero``).
     * ``X-via-u0-limit``: the u -> 0 block limit of the order-(2k - p)
       pairing yields X_{k-p} (``_derham_ring_blocks``).
 
@@ -752,7 +754,7 @@ def derham_alternatives(k: int) -> dict:
     if k < 2:
         raise ValueError("derham_alternatives requires k >= 2")
     report: dict[str, bool] = {}
-    n = 2 * k - 1
+    n, sgn = 2 * k - 1, _msign(k - 1)
     zeros = ExactMatrix.zeros
     for p, X in enumerate("Dd"):
         w = 2 * k + 1 + p
@@ -762,11 +764,11 @@ def derham_alternatives(k: int) -> dict:
                 full.at(2 * k, i) == 0 == full.at(i, 2 * k)
                 for i in range(1, 2 * k + 1))
         core = full.submatrix(list(range(1, n + 1)), list(range(1, n + 1)))
-        T_inv = exact_inverse(_aux_Theta(k, w))
-        conj = (T_inv.T @ core @ T_inv).scale(Fraction(1, 4 * w * _msign(k - 1)))
-        report[f"{X}-via-conjugation"] = _split_blocks(conj, k) == (
-            _derham(p, k).scale(Fraction(2, w) ** 2), zeros(k, k - 1),
-            zeros(k - 1, k), _derham(p, k - 1))
+        T = _aux_Theta(k, w)
+        Z = _join_blocks(_derham(p, k).scale(Fraction(16 * sgn, w)),
+                         zeros(k, k - 1), zeros(k - 1, k),
+                         _derham(p, k - 1).scale(4 * w * sgn))
+        report[f"{X}-via-conjugation"] = core == T.T @ Z @ T
         report[f"{X}-via-u0-limit"] = (
             _derham_ring_blocks(p, k - p)[0] == _derham(p, k - p))
     return report
@@ -988,6 +990,15 @@ def verify_block_identities(k: int) -> dict:
     """Exact verification of the block identities tying Sigma/sigma, the
     S matrices, the Bernoulli matrices and their ringed companions.
 
+    Each conjugation is checked as an equality of products, Z a block
+    matrix split at k (``_join_blocks``): ``Sigma-block-diag`` as Sigma =
+    C Z C^T, C = A Phi, and ``R-sigma-block`` as sigma = R^T Z R, which
+    say C^{-1} Sigma C^{-T} = Z and R^{-T} sigma R^{-1} = Z because A and
+    Phi are unit triangular and det R = (-1)^k (2k+2)/(2k+1);
+    ``SigmaInv-block-diag`` and ``sigmaInv-block-diag`` as C^T Sigma^{-1}
+    C = Z, C = A Phi_w (psi A Phi_w for sigma^{-1}); the others as
+    R sigma^{-1} R^T = Z and B_k S_k = I (``Betti-inverse-of-frakS``).
+
     Requires k >= 2 (several identities involve the (k-1)-indexed
     matrices).  Returns a fresh dict of the named flags only.
     """
@@ -996,56 +1007,39 @@ def verify_block_identities(k: int) -> dict:
     report: dict[str, bool] = {}
     zeros = ExactMatrix.zeros
 
-    Sigma = matSigma(k)
-    sigma = matsigma(k)
-
     A = aux_matrix("A", k)
-    Phi = aux_matrix("Phi", k)
-    psi = aux_matrix("psi", k)
     R = aux_matrix("R", k)
-    A_inv = exact_inverse(A)
-    Phi_inv = exact_inverse(Phi)
-    R_inv = exact_inverse(R)
-
-    S_k, S_km1 = frakS(k), frakS(k - 1)
-    Sring_k = frakSring(k)
-    B_k = betti_B(k)
-    Bring_k = betti_Bring(k)
-
-    # Sigma block-diagonalizes to S_k and S_{k-1}
-    lhs = Phi_inv @ A_inv @ Sigma @ A_inv.T @ Phi_inv.T
-    report["Sigma-block-diag"] = _split_blocks(lhs, k) == (
-        S_k.scale(Fraction((2 * k + 1) * (-1) ** (k - 1), 2 ** 4)),
-        zeros(k, k - 1), zeros(k - 1, k),
-        S_km1.scale(Fraction((-1) ** (k - 1), 2 ** 2 * (2 * k + 1))))
-
-    # R-conjugation of sigma exposes ringed-S and S
-    c = Fraction((-1) ** k, 2 ** 3)
-    report["R-sigma-block"] = _split_blocks(R_inv.T @ sigma @ R_inv, k) == (
-        Sring_k.scale(c), S_k.scale(-c), S_k.scale(c), zeros(k, k))
-
-    # Sigma^{-1} (p = 0) and sigma^{-1} (p = 1) block-diagonalize to B_k,
-    # B_{k-1} and b_k, b_{k-1} at weight w = 2k + 1 + p, conjugated by
-    # A Phi_w and, for p = 1, psi A Phi_w
     sgn = _msign(k - 1)
+
+    S_k, Sring_k = frakS(k), frakSring(k)
+    B_k, Bring_k = betti_B(k), betti_Bring(k)
+
+    C = A @ aux_matrix("Phi", k)
+    Z = _join_blocks(S_k.scale(Fraction((2 * k + 1) * sgn, 16)),
+                     zeros(k, k - 1), zeros(k - 1, k),
+                     frakS(k - 1).scale(Fraction(sgn, 4 * (2 * k + 1))))
+    report["Sigma-block-diag"] = matSigma(k) == C @ Z @ C.T
+
+    c = Fraction((-1) ** k, 2 ** 3)
+    report["R-sigma-block"] = matsigma(k) == R.T @ _join_blocks(
+        Sring_k.scale(c), S_k.scale(-c), S_k.scale(c), zeros(k, k)) @ R
+
     for p, key in enumerate(("SigmaInv", "sigmaInv")):
         w = 2 * k + 1 + p
         C = A @ _aux_Phi(k, w)
         if p:
-            C = psi @ C
-        report[f"{key}-block-diag"] = _split_blocks(
-            C.T @ _sigma_inv(p, k) @ C, k) == (
-            _betti(p, k).scale(Fraction(16 * sgn, w)), zeros(k, k - 1),
-            zeros(k - 1, k), _betti(p, k - 1).scale(4 * w * sgn))
+            C = aux_matrix("psi", k) @ C
+        report[f"{key}-block-diag"] = C.T @ _sigma_inv(p, k) @ C == (
+            _join_blocks(_betti(p, k).scale(Fraction(16 * sgn, w)),
+                         zeros(k, k - 1), zeros(k - 1, k),
+                         _betti(p, k - 1).scale(4 * w * sgn)))
 
-    # R-conjugation of sigma^{-1} exposes B and ringed-B
     c = Fraction((-1) ** k * 2 ** 3)
-    report["R-BernoulliInv-block"] = _split_blocks(
-        R @ _sigma_inv(1, k) @ R.T, k) == (
-        zeros(k, k), B_k.scale(c), B_k.scale(-c), Bring_k.scale(c))
+    report["R-BernoulliInv-block"] = R @ _sigma_inv(1, k) @ R.T == (
+        _join_blocks(zeros(k, k), B_k.scale(c), B_k.scale(-c),
+                     Bring_k.scale(c)))
 
-    # B = S^{-1} and ringed-B = B ringed-S B
-    report["Betti-inverse-of-frakS"] = B_k == exact_inverse(S_k)
+    report["Betti-inverse-of-frakS"] = B_k @ S_k == ExactMatrix.identity(k)
     report["Bring-from-Sring"] = Bring_k == B_k @ Sring_k @ B_k
 
     # S recursion in k

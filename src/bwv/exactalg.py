@@ -506,7 +506,9 @@ class ExactMatrix:
         return Fraction(self.nums[i][j], self.den)
 
     def at(self, a: int, b: int) -> Entry:
-        """1-based entry access."""
+        """1-based entry access; an index below 1 raises IndexError."""
+        if a < 1 or b < 1:
+            raise IndexError(f"1-based index ({a}, {b}) below 1")
         return self[a - 1, b - 1]
 
     @property
@@ -568,7 +570,9 @@ class ExactMatrix:
         return ExactMatrix._make(t, self.den, self.rows)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "ExactMatrix":
-        """Submatrix from 1-based row/column index lists."""
+        """Submatrix from 1-based row/column index lists, each >= 1."""
+        if min(row_idx, default=1) < 1 or min(col_idx, default=1) < 1:
+            raise IndexError("1-based index below 1")
         if not row_idx or not col_idx:
             return ExactMatrix.zeros(len(row_idx), len(col_idx))
         grid = self._grid if self.nums is None else self.nums

@@ -510,6 +510,22 @@ def test_matrix_indexing_conventions():
     assert M.ring == "Q"
 
 
+@pytest.mark.parametrize("read", [
+    lambda M: M.at(0, 0), lambda M: M.at(1, 0), lambda M: M.at(-1, 1),
+    lambda M: M.submatrix([0], [1, 2]), lambda M: M.submatrix([1], [2, 0]),
+    lambda M: M.submatrix([0], []),
+], ids=["at-00", "at-10", "at-neg", "sub-row0", "sub-col0", "sub-empty"])
+@pytest.mark.parametrize("M", [
+    ExactMatrix([[1, 2], [3, 4]]),
+    ExactMatrix([[RatFunc.of("u", 1), RatFunc(UniPoly.x("u"))],
+                 [RatFunc.of("u", 3), RatFunc.of("u", 4)]]),
+], ids=["Q", "Q(u)"])
+def test_a_1_based_index_below_1_raises(M, read):
+    # Python's negative indexing would wrap 0 to the last row or column
+    with pytest.raises(IndexError):
+        read(M)
+
+
 def test_empty_matrix_det_is_one():
     assert exact_det(ExactMatrix.zeros(0, 0)) == 1
 

@@ -8,7 +8,7 @@ import json
 import pytest
 
 import bwv.cli as cli
-from bwv import __version__, besselnum, brmatrices, harness, vanhove
+from bwv import __version__, besselnum, brmatrices, exactalg, harness, vanhove
 from bwv.exactalg import ExactMatrix, RatFunc, UniPoly
 from bwv.harness import (
     CheckResult,
@@ -127,6 +127,25 @@ def test_exact_suite_forms_no_rational_function(monkeypatch):
 
     monkeypatch.setattr(RatFunc, "__init__", refuse)
     rep = run_exact_suite(3)
+    assert rep.ok, [c.to_dict() for c in rep.checks if c.status != "pass"]
+
+
+def test_exact_suite_inverts_no_matrix(monkeypatch):
+    # every conjugator is invertible, so each identity is checked as an
+    # equality of products; only the determinant checks eliminate
+    assert not hasattr(brmatrices, "exact_inverse")
+    for mod in (brmatrices, vanhove):
+        for obj in vars(mod).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+
+    def refuse(M):
+        raise AssertionError("a matrix was inverted")
+
+    monkeypatch.setattr(exactalg, "exact_inverse", refuse)
+    monkeypatch.setattr(harness, "exact_inverse", refuse)
+    rep = run_exact_suite(5)
+    assert len(rep.checks) == 38
     assert rep.ok, [c.to_dict() for c in rep.checks if c.status != "pass"]
 
 
