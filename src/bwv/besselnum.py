@@ -473,7 +473,7 @@ def _recipe(key: MomentKey) -> tuple[tuple, int]:
     product of Bessel factors X: (the sqrt(u) t factor as (kind, sqrt(u)),
     or None; its sign; the powers of I0(t) and K0(t); 0 for no log t,
     1 for a factor log t, 2 for log t and the a = 1 correction).  x keys
-    the node's products, so sqrt(u) is its mpf's ``_mpf_`` tuple."""
+    the node's products: sqrt(u) is its ``_mpf_`` tuple, which hashes fast."""
     a, b, n = key.a, key.b, key.n
     if key.kind in _ONSHELL_KINDS:
         log = 0 if key.kind == "IKM" else 1 + (a == 1)
