@@ -114,13 +114,17 @@ def test_exact_suite_small_all_pass():
     assert all(c.residual is None for c in rep.checks)
 
 
-def test_exact_suite_forms_no_rational_function(monkeypatch):
-    # empty the memos first, so a Q(u) matrix built by an earlier test
-    # cannot hide one that the suite would build
+def _clear_memos():
     for mod in (brmatrices, vanhove):
         for obj in vars(mod).values():
             if hasattr(obj, "cache_clear"):
                 obj.cache_clear()
+
+
+def test_exact_suite_forms_no_rational_function(monkeypatch):
+    # empty the memos first, so a Q(u) matrix built by an earlier test
+    # cannot hide one that the suite would build
+    _clear_memos()
 
     def refuse(self, *args):
         raise AssertionError("a rational function was formed")
@@ -132,12 +136,10 @@ def test_exact_suite_forms_no_rational_function(monkeypatch):
 
 def test_exact_suite_inverts_no_matrix(monkeypatch):
     # every conjugator is invertible, so each identity is checked as an
-    # equality of products; only the determinant checks eliminate
+    # equality of products; only the determinant checks eliminate.  The
+    # memos are emptied, so nothing an earlier test inverted is reused
     assert not hasattr(brmatrices, "exact_inverse")
-    for mod in (brmatrices, vanhove):
-        for obj in vars(mod).values():
-            if hasattr(obj, "cache_clear"):
-                obj.cache_clear()
+    _clear_memos()
 
     def refuse(M):
         raise AssertionError("a matrix was inverted")
