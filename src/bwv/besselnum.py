@@ -77,7 +77,7 @@ import warnings
 from collections import namedtuple
 from fractions import Fraction
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import mpmath
 from mpmath import mp
@@ -85,9 +85,6 @@ from mpmath.libmp import to_fixed
 
 from . import MOMENT_KINDS
 from .beta import inverse as beta_inverse
-
-if TYPE_CHECKING:
-    from .exactalg import ExactMatrix
 
 __all__ = [
     "GUARD_DIGITS",
@@ -269,15 +266,6 @@ def _to_mpf(x):
     if isinstance(x, Fraction):
         return mp.mpf(x.numerator) / x.denominator
     return mp.mpf(x)
-
-
-def _to_mpf_matrix(E: ExactMatrix):
-    """The exact matrix E as an mpf matrix, entry by entry."""
-    out = mp.matrix(E.rows, E.cols)
-    for i in range(E.rows):
-        for j in range(E.cols):
-            out[i, j] = _to_mpf(Fraction(E[i, j]))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -998,7 +986,7 @@ def _wronskian(p: int, k: int, u, digits: int):
     vals = iter(family_moments(cells, u, digits))
     with mp.workdps(digits + GUARD_DIGITS):
         # the exact entries of beta^-1 from bwv.beta, which loads no exact
-        # layer, each made an mpf the way _to_mpf_matrix makes one
+        # layer, each made an mpf by _to_mpf
         binv = mp.matrix([[_to_mpf(x) for x in row]
                           for row in beta_inverse(m, u)])
         su = mp.sqrt(_to_mpf(u))

@@ -620,21 +620,19 @@ def _pairing_limit(m: int, u0: int) -> ExactMatrix:
     s (P_d)_ab, d = r_a + r_b, and every (P_q)_ab with q > d must vanish.
 
     The u = 0 limit runs in integers: B is its integer matrix over its
-    common denominator, and W's numerators are taken over one common
-    denominator.  Only the entries (P_q)_ab with q >= r_a + r_b are
+    common denominator, and W's entries have integer coefficients
+    (``_wmat``).  Only the entries (P_q)_ab with q >= r_a + r_b are
     formed, each an integer dot product of column a of B with column b
     of Z_q B; Z_q B is formed only for the columns b that such an entry
     reads, r_b + min r <= q.  No rational function of u is formed, and
-    the limit is made canonical once, over the product of the two
-    denominators.
+    the limit is made canonical once, over the square of B's
+    denominator.
     """
     B = _beta_inverse_at_1(m)
     s = top_coeff_sign_on_01(m)
-    W = _wmat(m)
-    den = lcm(*(w.den for row in W for w in row))
-    Wn = [[[c * (den // w.den) for c in w.nums] for w in row] for row in W]
+    W = [[w.nums for w in row] for row in _wmat(m)]
     if u0 == 1:
-        W1 = ExactMatrix._make([[sum(w) for w in row] for row in Wn], den, m)
+        W1 = ExactMatrix._make([[sum(w) for w in row] for row in W], 1, m)
         return (B.T @ W1 @ B).scale(s)
     # 1 <= r_a, so 2 <= d <= 2m
     r = row_powers(m)
@@ -644,7 +642,7 @@ def _pairing_limit(m: int, u0: int) -> ExactMatrix:
     for q in range(2 * rmin, 2 * m + 1):
         # 0-based i, j: (Z_q)_ij is the u^{i + j + 2 - q} coefficient
         Z = [[w[i + j + 2 - q] if 0 <= i + j + 2 - q < len(w) else 0
-              for j, w in enumerate(row)] for i, row in enumerate(Wn)]
+              for j, w in enumerate(row)] for i, row in enumerate(W)]
         for b in range(m):
             if r[b] + rmin > q:
                 continue
@@ -660,7 +658,7 @@ def _pairing_limit(m: int, u0: int) -> ExactMatrix:
                     raise AssertionError(
                         f"u->0 limit of the order-{m} pairing: entry "
                         f"({a + 1}, {b + 1}) keeps a negative power of u")
-    return ExactMatrix._make(out, B.den ** 2 * den, m)
+    return ExactMatrix._make(out, B.den ** 2, m)
 
 
 @cache

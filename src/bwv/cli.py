@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence
@@ -63,6 +64,19 @@ def _parse_fraction(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"invalid rational number {text!r}") from exc
+
+
+def _out(text: str) -> None:
+    """Print text to stdout, flushed.  A reader that closes the pipe early
+    ends the output, not the command: stdout then points at os.devnull, so
+    the command runs on (``verify`` still writes ``--report`` and returns
+    its verdict) and the flush at exit stays quiet."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -115,13 +129,13 @@ def _cmd_vanhove(args) -> int:
     op = vanhove_operator(args.m)
     coeffs = [op.ell(j) for j in range(args.m + 1)]
     if args.as_json:
-        print(json.dumps({
+        _out(json.dumps({
             "m": args.m,
             "coefficients": [str(c) for c in coeffs],
         }, indent=2))
     else:
         for j, c in enumerate(coeffs):
-            print(f"l[{args.m},{j}](u) = {c}")
+            _out(f"l[{args.m},{j}](u) = {c}")
     return 0
 
 
@@ -137,9 +151,9 @@ def _cmd_matrix(args) -> int:
     u = _parse_fraction(args.u) if args.u is not None else None
     M = matrix_family(name, args.k, u)
     if args.as_json:
-        print(json.dumps(matrix_to_json(name, args.k, M), indent=2))
+        _out(json.dumps(matrix_to_json(name, args.k, M), indent=2))
     else:
-        print(M)
+        _out(str(M))
     return 0
 
 
@@ -151,7 +165,7 @@ def _cmd_moment(args) -> int:
     u = _parse_fraction(args.u) if args.u is not None else None
     v = moment_value(args.kind, args.a, args.b, args.n, u, args.digits)
     with mp.workdps(args.digits + 5):
-        print(mp.nstr(v, args.digits, strip_zeros=False))
+        _out(mp.nstr(v, args.digits, strip_zeros=False))
     return 0
 
 
@@ -164,10 +178,10 @@ def _print_report(report: Report) -> None:
         if c.error is not None:
             line += f"  error={c.error}"
         line += f"  ({c.runtime_ms} ms)"
-        print(line)
+        _out(line)
     s = report.summary
-    print(f"summary: {s['pass']} pass, {s['fail']} fail, "
-          f"{s['skipped']} skipped, {s['error']} error")
+    _out(f"summary: {s['pass']} pass, {s['fail']} fail, "
+         f"{s['skipped']} skipped, {s['error']} error")
 
 
 def _cmd_verify(args) -> int:
@@ -205,13 +219,13 @@ def _cmd_cache(args) -> int:
 
     cache = default_cache()
     if args.action == "path":
-        print(cache.path)
+        _out(str(cache.path))
         return 0
     if args.action == "stats":
-        print(json.dumps(cache.stats(), indent=2))
+        _out(json.dumps(cache.stats(), indent=2))
         return 0
     result = cache.verify()
-    print(json.dumps(result, indent=2))
+    _out(json.dumps(result, indent=2))
     return 0 if result["ok"] else 1
 
 

@@ -15,7 +15,8 @@ import pytest
 from mpmath import mp
 
 from bwv.besselnum import GUARD_DIGITS
-from bwv.harness import (
+from bwv.harness import run_exact_suite
+from bwv.numchecks import (
     _bessel7_check,
     _blocktridiag_check,
     _bologna_check,
@@ -27,7 +28,6 @@ from bwv.harness import (
     _reflection_check,
     _sumrule_N3_det_check,
     _sumrule_N3_linear_check,
-    run_exact_suite,
 )
 from bwv.vanhove import (
     check_vanhove_structure,

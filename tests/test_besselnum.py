@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from bwv import besselnum, brmatrices, cli, exactalg, harness, vanhove
+from bwv import besselnum, brmatrices, cli, exactalg, numchecks, vanhove
 from bwv.besselnum import (
     GUARD_DIGITS,
     _KERNEL_TAG,
@@ -660,7 +660,7 @@ def test_omega_determinant_scaling(cache, monkeypatch):
 def test_ibp_sanity_k2(cache, monkeypatch):
     monkeypatch.setattr("bwv.besselnum.default_cache", lambda: cache)
     with mp.workdps(20 + GUARD_DIGITS):
-        assert harness._ibp_check(2, 20) < tolerance(20)
+        assert numchecks._ibp_check(2, 20) < tolerance(20)
 
 
 def test_tolerance_policy():

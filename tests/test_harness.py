@@ -4,11 +4,23 @@ subcommands.  The heavy 50-digit runs live in the acceptance tests."""
 
 import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import bwv.cli as cli
-from bwv import __version__, besselnum, brmatrices, exactalg, harness, vanhove
+from bwv import (
+    __version__,
+    besselnum,
+    brmatrices,
+    exactalg,
+    harness,
+    numchecks,
+    vanhove,
+)
 from bwv.exactalg import ExactMatrix, RatFunc, UniPoly
 from bwv.harness import (
     CheckResult,
@@ -139,13 +151,13 @@ def test_exact_suite_inverts_no_matrix(monkeypatch):
     # equality of products; only the determinant checks eliminate.  The
     # memos are emptied, so nothing an earlier test inverted is reused
     assert not hasattr(brmatrices, "exact_inverse")
+    assert not hasattr(harness, "exact_inverse")
     _clear_memos()
 
     def refuse(M):
         raise AssertionError("a matrix was inverted")
 
     monkeypatch.setattr(exactalg, "exact_inverse", refuse)
-    monkeypatch.setattr(harness, "exact_inverse", refuse)
     rep = run_exact_suite(5)
     assert len(rep.checks) == 38
     assert rep.ok, [c.to_dict() for c in rep.checks if c.status != "pass"]
@@ -235,10 +247,10 @@ def test_one_sweep_per_cold_check(tmp_path, monkeypatch):
 
     monkeypatch.setattr(besselnum, "_integrate", counting)
     for name, check in (
-            ("reflection-k3", lambda: harness._reflection_check(3, 20)),
+            ("reflection-k3", lambda: numchecks._reflection_check(3, 20)),
             ("sumrule-N3-linear",
-             lambda: harness._sumrule_N3_linear_check(20)),
-            ("ibp-sanity-k2", lambda: harness._ibp_check(2, 20))):
+             lambda: numchecks._sumrule_N3_linear_check(20)),
+            ("ibp-sanity-k2", lambda: numchecks._ibp_check(2, 20))):
         monkeypatch.setenv("BWV_CACHE", str(tmp_path / f"{name}.jsonl"))
         calls.clear()
         result = _run_numeric(name, [], 20, check)
@@ -383,6 +395,67 @@ def test_cli_verify_exit_codes_with_injected_results(monkeypatch, capsys,
     report = report_from_json(target.read_text())
     assert report.summary["pass"] == 1
     capsys.readouterr()
+
+
+def _bwv(argv, tmp_path, stdout):
+    """Start ``python -m bwv.cli argv`` in a new process writing to stdout."""
+    env = dict(os.environ, BWV_CACHE=str(tmp_path / "m.jsonl"),
+               PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    return subprocess.Popen([sys.executable, "-m", "bwv.cli", *argv],
+                            stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+
+def test_cli_reader_closing_the_pipe_ends_only_the_output(tmp_path):
+    # about 200 kB of JSON, more than a pipe holds: the command is still
+    # writing when the reader closes after one byte
+    proc = _bwv(["matrix", "V", "--k", "12", "--json"], tmp_path,
+                subprocess.PIPE)
+    assert proc.stdout.read(1) == b"{"
+    proc.stdout.close()
+    assert proc.stderr.read() == b""
+    assert proc.wait() == 0
+
+
+def test_cli_verify_on_a_closed_pipe_writes_its_report(tmp_path):
+    # the reader is gone before the command starts, so its first write
+    # breaks the pipe; the report and the verdict stand
+    target = tmp_path / "rep.json"
+    r, w = os.pipe()
+    os.close(r)
+    proc = _bwv(["verify", "exact", "--max-k", "2", "--report", str(target)],
+                tmp_path, w)
+    os.close(w)
+    assert proc.stderr.read() == b""
+    assert proc.wait() == 0
+    report = report_from_json(target.read_text())
+    assert report.ok and len(report.checks) == 14
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone: every write breaks the pipe."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+def test_cli_verify_on_a_closed_pipe_keeps_a_failing_verdict(monkeypatch,
+                                                             tmp_path):
+    target = tmp_path / "rep.json"
+    monkeypatch.setattr(harness, "run_exact_suite",
+                        lambda *a, **kw: _sample_report(["pass", "fail"]))
+    with open(tmp_path / "stdout", "w") as fh:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fh.fileno()))
+        assert cli.main(["verify", "exact", "--report", str(target)]) == 1
+    assert report_from_json(target.read_text()).summary["fail"] == 1
 
 
 def test_cli_cache_subcommands(tmp_path, monkeypatch, capsys):

@@ -1,12 +1,13 @@
 """Each entry point loads only the layers it runs: the Bessel kernel, the
 moments, the moment cache and the Wrońskian matrices (whose beta^-1 comes
-from ``bwv.beta``) start without the exact algebra and the harness, and
-without ``dataclasses`` (which pulls in ``inspect``); ``bwv
-vanhove`` loads the operator layer and the exact algebra under it, but
-not the matrices, the harness or ``dataclasses``; ``bwv verify exact``
-and ``bwv matrix`` load the exact layers without the numeric layer
-(``bwv.besselnum`` and mpmath) or ``dataclasses``, and ``bwv verify
-numeric`` loads the numeric layer when it runs.  Every case runs in a
+from ``bwv.beta``) start without the exact algebra, the harness and the
+numeric checks, and without ``dataclasses`` (which pulls in ``inspect``);
+``bwv vanhove`` loads the operator layer and the exact algebra under it,
+but not the matrices, the harness, the numeric layer or ``dataclasses``;
+``bwv verify exact`` and ``bwv matrix`` load the exact layers without the
+numeric layer (``bwv.besselnum``, ``bwv.numchecks`` and mpmath) or
+``dataclasses``, and ``bwv verify numeric`` loads the numeric layer and
+its checks when it runs.  Every case runs in a
 fresh interpreter, since an import made by any earlier test would hide a
 stray one."""
 
@@ -22,7 +23,8 @@ import bwv
 
 SRC = str(Path(bwv.__file__).resolve().parents[1])
 EXACT_LAYERS = {"bwv.brmatrices", "bwv.exactalg", "bwv.vanhove",
-                "bwv.harness"}
+                "bwv.harness", "bwv.numchecks"}
+NUMERIC_LAYER = {"bwv.besselnum", "bwv.numchecks", "mpmath"}
 
 
 def _loaded_after(code, tmp_path):
@@ -56,14 +58,13 @@ def test_entry_point_loads_no_exact_layer(code, tmp_path):
     assert "dataclasses" not in loaded
 
 
-
 def test_vanhove_loads_only_the_operator_layer(tmp_path):
     loaded = _loaded_after(
         "import bwv.cli; assert bwv.cli.main(['vanhove', '--m', '3']) == 0",
         tmp_path)
     assert {"bwv.vanhove", "bwv.exactalg"} <= loaded
-    assert not loaded & {"bwv.brmatrices", "bwv.harness", "dataclasses"}, (
-        sorted(loaded))
+    assert not loaded & {"bwv.brmatrices", "bwv.harness", "dataclasses",
+                         *NUMERIC_LAYER}, sorted(loaded)
 
 
 @pytest.mark.parametrize("argv", [
@@ -74,8 +75,7 @@ def test_exact_commands_load_no_numeric_layer(argv, tmp_path):
     loaded = _loaded_after(
         f"import bwv.cli; assert bwv.cli.main({argv!r}) == 0", tmp_path)
     assert {"bwv.brmatrices", "bwv.exactalg", "bwv.vanhove"} <= loaded
-    assert not loaded & {"bwv.besselnum", "mpmath", "dataclasses"}, (
-        sorted(loaded))
+    assert not loaded & {"dataclasses", *NUMERIC_LAYER}, sorted(loaded)
 
 
 def test_verify_numeric_loads_the_numeric_layer(tmp_path):
@@ -84,4 +84,4 @@ def test_verify_numeric_loads_the_numeric_layer(tmp_path):
         "import bwv.cli\n"
         "assert bwv.cli.main(['verify', 'numeric', '--max-k', '2',"
         " '--digits', '30']) == 0", tmp_path)
-    assert {"bwv.besselnum", "bwv.harness", "mpmath"} <= loaded
+    assert {"bwv.harness", *NUMERIC_LAYER} <= loaded
