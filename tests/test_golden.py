@@ -80,7 +80,11 @@ for m = 27..34 and those of beta_m(u)^{-1} for m <= 12 at u = 1/4, 1/3
 and 5/8 (``exact_inverse`` of ``beta_matrix(m, u)``), one
 ``matrix_to_json`` line per m, were taken while beta_m(1)^{-1} was
 inverted by Bareiss elimination; ``bwv.beta``'s substitution, which
-followed it, must reproduce them and the m <= 26 hash.
+followed it, must reproduce them and the m <= 26 hash.  The de Rham
+hashes for k = 13..16 (one ``matrix_to_json`` line per k and family,
+about 2 s together) were taken from the integer u -> 0 and u -> 1 limits
+of ``_pairing_limit`` and the coefficient-list operators of ``vanhove``,
+before any packing of polynomials into integers.
 
 Three hashes pin the operator layer: the D-form coefficients of the
 Borwein–Salvy operator for n <= 8 (one JSON list of ``str()`` per n,
@@ -224,6 +228,14 @@ GOLDEN_SHA256 = {
         "ee2e3225f53ff7c980e6e9124916603bc697ffd5166bcc44f51edd9e3d652539",
     "Derhamdring-k8-12":
         "69db3c3209795436a913880af7e0ee152ad7f44099dffc74c003428ac66fa96e",
+    "DerhamD-k13-16":
+        "48e1b4695d27085bab6041d315f7ce28af7dc94c12db5bca243cbb145cbfb1e3",
+    "Derhamd-k13-16":
+        "53ea77574a9448c32106b1b7fafea41f701af5837c8b33df3b86432f9e94a2f9",
+    "DerhamDring-k13-16":
+        "81c29ed58048bd3c153dcce6cba64ab40af4e35a19d0138dbace7c1309251613",
+    "Derhamdring-k13-16":
+        "9ad5085682e120dd07d50c1e7325720bb709f45e483516c3d3ee92349840c85c",
     "beta_inverse_at_1-m26":
         "82c99a21625a17534cd9391703f18c7eb2dadc82dff88913d0561c32af24df71",
     "beta_inverse_at_1-m27-34":
@@ -404,6 +416,17 @@ def test_derham_json_golden_k8_to_k12(family):
         for k in range(8, 13)
     )
     assert _sha256(text) == GOLDEN_SHA256[f"{family}-k8-12"]
+
+
+@pytest.mark.parametrize(
+    "family", ["DerhamD", "Derhamd", "DerhamDring", "Derhamdring"])
+def test_derham_json_golden_k13_to_k16(family):
+    text = "".join(
+        json.dumps(matrix_to_json(family, k, matrix_family(family, k)),
+                   sort_keys=True) + "\n"
+        for k in range(13, 17)
+    )
+    assert _sha256(text) == GOLDEN_SHA256[f"{family}-k13-16"]
 
 
 def test_beta_inverse_at_1_golden_m26():
