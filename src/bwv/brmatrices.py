@@ -7,10 +7,10 @@ matrices (``matV``, ``matUpsilon``, the symbolic ``beta_matrix``) and
 matrices read back from JSON hold RatFunc entries in the variable ``u``,
 which are only stored, evaluated at a point, compared and printed: the
 de Rham limits are formed over Q and Z from the polynomial numerators
-of V and upsilon (``_wmat``) and from beta_m at a point.  Every
+of V and upsilon (``_wmat``) and from beta_m(1)^{-1}.  Every
 constructor is pure, and each exact object is cached once, by the
-function that builds it.  ``beta_matrix`` at a point and
-``matrix_family`` are not memoized, and the two verifiers
+function that builds it; ``beta_matrix`` at a point evaluates the cached
+symbolic one.  ``matrix_family`` is not memoized, and the two verifiers
 (``verify_block_identities``, ``derham_alternatives``) build a fresh
 dict of named flags on every call.
 
@@ -28,10 +28,12 @@ Naming overview (sizes in parentheses):
 * ``frakS(k)`` / ``frakSring(k)``: the S_k and ringed-S_k matrices that
   appear in the block diagonalization of Sigma and sigma.
 * ``beta_matrix(m, u)``: the Wronskian change-of-basis matrix
-  beta_m(u) (m x m); ``u=None`` gives the symbolic Q(u) matrix.  Its
-  closed form, and beta_m(1)^{-1} by forward substitution in integers
-  over a power of two, are ``bwv.beta``'s, which the numeric layer reads
-  too; ``_beta_inverse_at_1`` caches the inverse as an ``ExactMatrix``.
+  beta_m(u) (m x m); ``u=None`` gives the symbolic Q(u) matrix
+  (``_beta_symbolic``), a rational u its value there.  Its closed form,
+  and beta_m(1)^{-1} by forward substitution in integers over a power
+  of two, are ``bwv.beta``'s, which the exact suite and the numeric layer
+  read, so the exact suite forms no rational function;
+  ``_beta_inverse_at_1`` caches the inverse as an ``ExactMatrix``.
 * ``aux_matrix(name, k)``: bookkeeping matrices A, psi, rho, Theta,
   Phi, theta, phi, R, Psi.
 * ``derham_D(k)`` / ``derham_d(k)``: the de Rham matrices D_k and d_k
@@ -65,7 +67,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial, lcm
+from math import comb, factorial, lcm, prod
 from operator import mul
 from typing import Callable, Dict, NamedTuple, Tuple
 
@@ -465,20 +467,14 @@ def beta_matrix(m: int, u: Fraction | int | None = None) -> ExactMatrix:
     """beta_m(u): the m x m change of basis between the derivative basis
     and the Bessel-moment basis of the solution space.
 
-    With ``u=None`` the symbolic Q(u) matrix is returned; otherwise the
-    integer entries c_ab u^p_ab (``bwv.beta.coeff_power``) are evaluated
-    over Q at the given rational point.
+    With ``u=None`` the symbolic Q(u) matrix is returned; otherwise its
+    entries c_ab u^p_ab (``bwv.beta.coeff_power``) are evaluated over Q
+    at the given rational point.
     """
     if m < 1:
         raise ValueError("beta_matrix requires m >= 1")
-    if u is None:
-        return _beta_symbolic(m)
-
-    def entry(a: int, b: int) -> Fraction | int:
-        coef, power = coeff_power(m, a, b)
-        return coef * u**power if coef else coef
-
-    return ExactMatrix.from_fn(m, m, entry)
+    B = _beta_symbolic(m)
+    return B if u is None else B.eval(u)
 
 
 @cache
@@ -494,54 +490,41 @@ def _beta_inverse_at_1(m: int) -> ExactMatrix:
 # ---------------------------------------------------------------------------
 
 
+def _aux_band(k: int, shift: int,
+              value: Callable[[int], Fraction | int]) -> ExactMatrix:
+    """The (2k-1) x (2k-1) identity plus value(b) at (a, b = a - shift)
+    for every row a > k: one band below the diagonal."""
+    def entry(a: int, b: int) -> Fraction | int:
+        return int(a == b) + (value(b) if a > k and a - shift == b else 0)
+
+    return ExactMatrix.from_fn(2 * k - 1, 2 * k - 1, entry)
+
+
 def _aux_A(k: int) -> ExactMatrix:
-    n = 2 * k - 1
-
-    def entry(a: int, b: int) -> int:
-        if 2 <= a <= k:
-            return (a == b) - (a + k - 1 == b)
-        return 1 if a == b else 0
-
-    return ExactMatrix.from_fn(n, n, entry)
+    # the identity with -1 at (a, a + k - 1) for 2 <= a <= k: the
+    # transpose of a band at Phi's place
+    return _aux_band(k, k - 1, lambda b: -1).T
 
 
 def _aux_psi(k: int) -> ExactMatrix:
     # 2k x (2k-1): columns e_1..e_k, e_{k+2}..e_{2k}; right-multiplying by
     # psi drops the (k+1)-st column of a 2k-column matrix.
-    def entry(a: int, b: int) -> int:
-        if b <= k:
-            return 1 if a == b else 0
-        return 1 if a == b + 1 else 0
-
-    return ExactMatrix.from_fn(2 * k, 2 * k - 1, entry)
+    return ExactMatrix.identity(2 * k).submatrix(
+        range(1, 2 * k + 1), [*range(1, k + 1), *range(k + 2, 2 * k + 1)])
 
 
 def _aux_rho(k: int) -> ExactMatrix:
-    return ExactMatrix.from_fn(2 * k - 1, 2 * k, lambda a, b: 1 if a == b else 0)
+    # (2k-1) x 2k: the first 2k - 1 rows of the identity
+    return ExactMatrix.identity(2 * k).submatrix(
+        range(1, 2 * k), range(1, 2 * k + 1))
 
 
 def _aux_Theta(k: int, denom: int) -> ExactMatrix:
-    n = 2 * k - 1
-
-    def entry(a: int, b: int) -> Fraction | int:
-        v = int(a == b)
-        if a > k and a - k == b:
-            v += Fraction(2 * (a - k), denom)
-        return v
-
-    return ExactMatrix.from_fn(n, n, entry)
+    return _aux_band(k, k, lambda b: Fraction(2 * b, denom))
 
 
 def _aux_Phi(k: int, denom: int) -> ExactMatrix:
-    n = 2 * k - 1
-
-    def entry(a: int, b: int) -> Fraction | int:
-        v = int(a == b)
-        if a > k and a - k + 1 == b:
-            v += 1 - Fraction(b, denom)
-        return v
-
-    return ExactMatrix.from_fn(n, n, entry)
+    return _aux_band(k, k - 1, lambda b: 1 - Fraction(b, denom))
 
 
 def _aux_R(k: int) -> ExactMatrix:
@@ -560,12 +543,8 @@ def _aux_R(k: int) -> ExactMatrix:
 def _aux_Psi(k: int) -> ExactMatrix:
     # (2k-1) x (2k-2): columns e_1..e_{k-1}, e_{k+1}..e_{2k-1}; right-
     # multiplying by Psi drops the k-th column.
-    def entry(a: int, b: int) -> int:
-        if a <= k:
-            return 1 if (a == b and a != k) else 0
-        return 1 if a == b + 1 else 0
-
-    return ExactMatrix.from_fn(2 * k - 1, 2 * k - 2, entry)
+    return ExactMatrix.identity(2 * k - 1).submatrix(
+        range(1, 2 * k), [*range(1, k), *range(k + 1, 2 * k)])
 
 
 _AUX: Dict[str, Callable[[int], ExactMatrix]] = {
@@ -810,13 +789,6 @@ class Surd(NamedTuple):
         s, r = _squarefree_split(radicand)
         return Surd(Fraction(rational) * s, r, pi_power)
 
-    def __mul__(self, other: "Surd") -> "Surd":
-        rad = self.radicand * other.radicand
-        s, r = _squarefree_split(rad)
-        return Surd(
-            self.rational * other.rational * s, r, self.pi_power + other.pi_power
-        )
-
     def to_mpf(self, mp):
         """Numeric value using an mpmath context."""
         return (
@@ -855,31 +827,28 @@ def _lambda(p: int, k: int) -> Fraction:
 
 
 def _det_M(k: int) -> Surd:
-    # sqrt((2j+1)^{2j+1}) = (2j+1)^j sqrt(2j+1), so each factor is
+    # sqrt((2j+1)^{2j+1}) = (2j+1)^j sqrt(2j+1), so each factor j <= k is
     # (2j)^{k-j} / (2j+1)^{j+1} * sqrt(2j+1) * pi^j.
-    out = Surd(Fraction(1))
-    for j in range(1, k + 1):
-        out = out * Surd.of(
-            Fraction((2 * j) ** (k - j), (2 * j + 1) ** (j + 1)),
-            2 * j + 1,
-            j,
-        )
-    return out
+    js = range(1, k + 1)
+    return Surd.of(
+        prod(Fraction((2 * j) ** (k - j), (2 * j + 1) ** (j + 1)) for j in js),
+        prod(2 * j + 1 for j in js),
+        k * (k + 1) // 2,
+    )
 
 
 def _det_N(k: int) -> Surd:
-    prod = Fraction(1)
-    for j in range(1, k + 2):
-        prod *= Fraction((2 * j - 1) ** (k + 1 - j), (2 * j) ** j)
+    rat = prod(Fraction((2 * j - 1) ** (k + 1 - j), (2 * j) ** j)
+               for j in range(1, k + 2))
     if k % 2 == 1:
         # Gamma((k+1)/2) = ((k-1)/2)! and the pi exponent is an integer.
         gamma = Fraction(factorial((k - 1) // 2))
-        return Surd.of(2 * prod / gamma, 1, (k + 1) ** 2 // 2)
+        return Surd.of(2 * rat / gamma, 1, (k + 1) ** 2 // 2)
     # Gamma(j0 + 1/2) = (2 j0)! sqrt(pi) / (4^j0 j0!) with j0 = k/2.
     j0 = k // 2
     gamma_rat = Fraction(factorial(2 * j0), 4 ** j0 * factorial(j0))
     return Surd.of(
-        2 * prod / gamma_rat, 1, ((k + 1) ** 2 - 1) // 2
+        2 * rat / gamma_rat, 1, ((k + 1) ** 2 - 1) // 2
     )
 
 
@@ -892,11 +861,7 @@ def _det_betti(k: int) -> Fraction:
 
 
 def _double_factorial(n: int) -> int:
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
+    return prod(range(n, 0, -2))
 
 
 def _det_betti_minor_even(k: int) -> Fraction:
@@ -1131,8 +1096,6 @@ def matrix_family(name: str, k: int, u: Fraction | None = None) -> ExactMatrix:
     if name not in MATRIX_FAMILIES:
         raise ValueError(f"unknown matrix family {name!r}; "
                          f"expected one of {sorted(MATRIX_FAMILIES)}")
-    if name == "Beta":
-        return beta_matrix(k, u)
     M = MATRIX_FAMILIES[name](k)
     if u is None:
         return M

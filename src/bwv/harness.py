@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 import time
 from fractions import Fraction
-from typing import Callable, List, NamedTuple, Optional, Sequence
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import __version__, brmatrices
 from .brmatrices import (
@@ -78,48 +78,23 @@ REPORT_SCHEMA_VERSION = 1
 STATUSES = ("pass", "fail", "skipped", "error")
 
 
-class CheckResult:
-    """Outcome of a single verification check; its fields can be set, and
-    two results are equal when all their fields are."""
+class CheckResult(NamedTuple):
+    """Outcome of a single verification check, read-only: a changed copy
+    comes from ``_replace``."""
 
-    __slots__ = ("check_id", "status", "residual", "digits", "runtime_ms",
-                 "refs", "error")
-
-    def __init__(self, check_id: str, status: str,
-                 residual: Optional[str] = None, digits: Optional[int] = None,
-                 runtime_ms: int = 0, refs: Optional[List[str]] = None,
-                 error: Optional[str] = None):
-        self.check_id = check_id
-        self.status = status
-        self.residual = residual  # decimal string, numeric checks only
-        self.digits = digits
-        self.runtime_ms = runtime_ms
-        self.refs = [] if refs is None else refs
-        self.error = error  # "ExcType: message" when status is error
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not CheckResult:
-            return NotImplemented
-        return all(getattr(self, name) == getattr(other, name)
-                   for name in self.__slots__)
-
-    __hash__ = None  # mutable
-
-    def __repr__(self) -> str:
-        return "CheckResult(" + ", ".join(
-            f"{name}={getattr(self, name)!r}" for name in self.__slots__) + ")"
+    check_id: str
+    status: str
+    residual: Optional[str] = None  # decimal string, numeric checks only
+    digits: Optional[int] = None
+    runtime_ms: int = 0
+    refs: Tuple[str, ...] = ()
+    error: Optional[str] = None  # "ExcType: message" when status is error
 
     def to_dict(self) -> dict:
-        out = {
-            "check_id": self.check_id,
-            "status": self.status,
-            "residual": self.residual,
-            "digits": self.digits,
-            "runtime_ms": self.runtime_ms,
-            "refs": list(self.refs),
-        }
-        if self.status == "error":
-            out["error"] = self.error
+        out = self._asdict()
+        out["refs"] = list(self.refs)
+        if self.status != "error":
+            del out["error"]
         return out
 
     @classmethod
@@ -130,7 +105,7 @@ class CheckResult:
             residual=d.get("residual"),
             digits=d.get("digits"),
             runtime_ms=d.get("runtime_ms", 0),
-            refs=list(d.get("refs", [])),
+            refs=tuple(d.get("refs", ())),
             error=d.get("error"),
         )
 
@@ -200,7 +175,7 @@ def _run_exact(check_id: str, refs: Sequence[str],
     except Exception as exc:
         status, error = "error", _describe(exc)
     ms = int(round(1000 * (time.perf_counter() - t0)))
-    return CheckResult(check_id, status, None, None, ms, list(refs), error)
+    return CheckResult(check_id, status, None, None, ms, tuple(refs), error)
 
 
 def _run_numeric(check_id: str, refs: Sequence[str], digits: int,
@@ -220,7 +195,7 @@ def _run_numeric(check_id: str, refs: Sequence[str], digits: int,
     except Exception as exc:
         status, error = "error", _describe(exc)
     ms = int(round(1000 * (time.perf_counter() - t0)))
-    return CheckResult(check_id, status, residual, digits, ms, list(refs),
+    return CheckResult(check_id, status, residual, digits, ms, tuple(refs),
                        error)
 
 

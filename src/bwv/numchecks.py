@@ -90,30 +90,34 @@ def _ringed_quad_check(p: int, k: int, digits: int):
     return _max_abs(R)
 
 
-def _offshell_cov_check(u: Fraction, digits: int):
-    # Omega Sigma Omega^T = V(u)^{-1} / |m_3(u)| for the k=2 odd family.
+def _offshell(u: Fraction, digits: int):
+    """|m_3(u)| = |ell_3(u)| as an mpf, and Omega_3(u) for the k=2 odd
+    family: what the three off-shell checks read."""
     m3 = abs(top_coeff(3).eval(u))
-    O = matOmega(2, u, digits)
+    return _to_mpf(m3), matOmega(2, u, digits)
+
+
+def _offshell_cov_check(u: Fraction, digits: int):
+    # Omega Sigma Omega^T = V(u)^{-1} / |m_3(u)|.
+    m3, O = _offshell(u, digits)
     Vinv = _to_mpf_matrix(exact_inverse(matV(2).eval(u)))
-    R = O * _to_mpf_matrix(matSigma(2)) * O.T - Vinv / _to_mpf(m3)
+    R = O * _to_mpf_matrix(matSigma(2)) * O.T - Vinv / m3
     return _max_abs(R)
 
 
 def _offshell_inv_check(u: Fraction, digits: int):
     # Transposed form: Omega^T V(u) Omega = Sigma^{-1} / |m_3(u)|.
-    m3 = abs(top_coeff(3).eval(u))
-    O = matOmega(2, u, digits)
+    m3, O = _offshell(u, digits)
     Sinv = _to_mpf_matrix(matSigmaInvBernoulli(2))
-    R = O.T * _to_mpf_matrix(matV(2).eval(u)) * O - Sinv / _to_mpf(m3)
+    R = O.T * _to_mpf_matrix(matV(2).eval(u)) * O - Sinv / m3
     return _max_abs(R)
 
 
 def _offshell_det_check(u: Fraction, digits: int):
     # det Omega_3(u) * |m_3(u)|^{3/2} = Lambda_3 = 1/20.
-    m3 = abs(top_coeff(3).eval(u))
-    O = matOmega(2, u, digits)
+    m3, O = _offshell(u, digits)
     lam = _to_mpf(named_constant("LambdaOdd", 2).rational)
-    return abs(mpmath.det(O) * _to_mpf(m3) ** mp.mpf("1.5") - lam)
+    return abs(mpmath.det(O) * m3 ** mp.mpf("1.5") - lam)
 
 
 def _reflection_check(k: int, digits: int):

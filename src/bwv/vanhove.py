@@ -175,16 +175,22 @@ def verrill_poly(m: int, k: int) -> UniPoly:
     return UniPoly.of("t", _chain_sum(m, k))
 
 
-def _bessel_power_row(p: int, k: int) -> list[int]:
-    """[W_p(0), W_p(2), …, W_p(2k)] by the convolution
-    W_p(2j) = Σ_a C(j,a)² W_{p−1}(2(j−a)) from W_1(2j) = 1."""
-    row = [1] * (k + 1)
-    for _ in range(2, p + 1):
-        row = [
-            sum(comb(j, a) ** 2 * row[j - a] for a in range(j + 1))
-            for j in range(k + 1)
-        ]
-    return row
+@cache
+def _bessel_power_rows(k: int) -> list[tuple[int, ...]]:
+    """The rows p = 1, 2, … of ``_bessel_power_row`` built so far for k."""
+    return [(1,) * (k + 1)]
+
+
+def _bessel_power_row(p: int, k: int) -> tuple[int, ...]:
+    """(W_p(0), W_p(2), …, W_p(2k)) by the convolution
+    W_p(2j) = Σ_a C(j,a)² W_{p−1}(2(j−a)) from W_1(2j) = 1: each row is
+    built once per k, from the row of p − 1, in a loop."""
+    rows = _bessel_power_rows(k)
+    while len(rows) < p:
+        row = rows[-1]
+        rows.append(tuple(sum(comb(j, a) ** 2 * row[j - a]
+                              for a in range(j + 1)) for j in range(k + 1)))
+    return rows[max(p, 1) - 1]
 
 
 def bessel_power_number(p: int, k: int) -> Fraction:

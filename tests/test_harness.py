@@ -54,8 +54,7 @@ def test_summary_counts_match_tallies():
 
 def test_report_json_roundtrip():
     rep = _sample_report(["pass", "fail"])
-    rep.checks[0].residual = "1.5e-42"
-    rep.checks[0].digits = 50
+    rep.checks[0] = rep.checks[0]._replace(residual="1.5e-42", digits=50)
     text = report_to_json(rep)
     back = report_from_json(text)
     assert back.to_dict() == rep.to_dict()
@@ -161,6 +160,77 @@ def test_exact_suite_inverts_no_matrix(monkeypatch):
     rep = run_exact_suite(5)
     assert len(rep.checks) == 38
     assert rep.ok, [c.to_dict() for c in rep.checks if c.status != "pass"]
+
+
+# Every cached matrix builder of brmatrices, at one argument the default
+# exact suite builds, and the reason a bump there may pass every check;
+# None means entry (1, 1) raised by 1 must fail some check.  A builder
+# that returns a pair is bumped in its last matrix.
+_NOT_READ_RINGED_EVEN = "no default check reads the ringed even Betti b_k"
+_NOT_READ_RINGED_DERHAM = ("no default check reads the ringed de Rham "
+                           "matrices; the u -> 0 route reads only the first")
+BUILDER_BUMPS = [
+    ("_sigma", (0, 3), None),
+    ("_sigma", (1, 3), None),
+    ("_sigma_inv", (0, 3), None),
+    ("_sigma_inv", (1, 3), None),
+    ("_betti", (0, 3), None),
+    ("_betti", (1, 3), None),
+    ("_betti_ring", (0, 3), None),
+    *(("_betti_ring", (1, k), _NOT_READ_RINGED_EVEN) for k in (2, 3, 5)),
+    ("frakS", (3,), None),
+    ("frakSring", (3,), None),
+    ("aux_matrix", ("A", 3), None),
+    ("_beta_inverse_at_1", (5,), None),
+    ("_pairing_limit", (5, 0), None),
+    ("_pairing_limit", (6, 1), None),
+    ("_derham", (0, 3), None),
+    ("_derham", (1, 3), None),
+    ("_derham_ring_blocks", (0, 3), _NOT_READ_RINGED_DERHAM),
+    ("_derham_ring_blocks", (1, 3), _NOT_READ_RINGED_DERHAM),
+    ("_vmat", (5,), "V and upsilon are for display; the checks read _wmat"),
+    ("_vmat", (6,), "V and upsilon are for display; the checks read _wmat"),
+    ("_beta_symbolic", (5,), "the exact suite reads beta through bwv.beta"),
+]
+
+
+def test_builder_bump_table_covers_every_cached_matrix_builder():
+    # top_coeff and _wmat build polynomials; the symmetry tests below bump
+    # _wmat
+    cached = {name for name, obj in vars(brmatrices).items()
+              if hasattr(obj, "cache_info")
+              and obj.__module__ == brmatrices.__name__}
+    assert cached - {"top_coeff", "_wmat"} == {
+        name for name, _, _ in BUILDER_BUMPS}
+
+
+@pytest.mark.parametrize("name, args, exempt", BUILDER_BUMPS, ids=[
+    "-".join(map(str, (name, *args))) for name, args, _ in BUILDER_BUMPS])
+def test_a_bumped_builder_fails_a_default_check(monkeypatch, name, args,
+                                                exempt):
+    """A pass means the identity holds only if each closed form the suite
+    builds is read by some check: a bump must fail one, and an exempt
+    bump fails none, so reading that builder must change this table."""
+    real = getattr(brmatrices, name)
+
+    def bumped(*a):
+        M = real(*a)
+        if a != args:
+            return M
+        pair = isinstance(M, tuple)
+        rows = [list(row) for row in (M[-1] if pair else M).entries]
+        rows[0][0] += 1
+        return (*M[:-1], ExactMatrix(rows)) if pair else ExactMatrix(rows)
+
+    _clear_memos()
+    monkeypatch.setattr(brmatrices, name, bumped)
+    try:
+        rep = run_exact_suite(5)
+    finally:
+        monkeypatch.undo()
+        _clear_memos()
+    failed = [c.check_id for c in rep.checks if c.status != "pass"]
+    assert bool(failed) != bool(exempt), failed
 
 
 # W_{2k + shift}[i][j] (0-based, negative from the end) gains 1
