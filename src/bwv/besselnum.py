@@ -668,13 +668,16 @@ _KERNEL_TAG = "ik-series-asymptotic/5"
 
 def _parse_record(line: str) -> Optional[dict]:
     """The cache record on one line, or None when the line is torn or a
-    field is missing or malformed."""
+    field is missing or malformed.  A value is a string that parses to a
+    finite number within double range, as every moment the kernel writes
+    does: nan, inf, 1e999999999999 and JSON numbers are malformed."""
     try:
         rec = json.loads(line)
-        if rec["kind"] in _KINDS and all(
+        value = rec["value"]
+        if rec["kind"] in _KINDS and type(value) is str and all(
             type(rec[f]) is int for f in ("a", "b", "n", "digits")
-        ):
-            mpmath.mpf(rec["value"])
+        ) and math.isfinite(float(value)):
+            mpmath.mpf(value)
             if rec["u"] is not None:
                 Fraction(rec["u"])
             return rec

@@ -4,10 +4,11 @@ All matrices follow 1-based index conventions.  Every matrix this module
 computes with is over Q: integer rows over one common denominator
 (``ExactMatrix``), read as Fraction entries.  The public Q(u)
 matrices (``matV``, ``matUpsilon``, the symbolic ``beta_matrix``) and
-matrices read back from JSON hold RatFunc entries in the variable ``u``,
-which are only stored, evaluated at a point, compared and printed: the
-de Rham limits are formed over Q and Z from the polynomial numerators
-of V and upsilon (``_wmat``) and from beta_m(1)^{-1}.  Every
+Q(u) matrices read back from JSON are ``RatFuncGrid`` values, grids of
+RatFunc entries in the variable ``u`` that are only stored, evaluated
+at a point, compared and printed: the de Rham limits are formed over Q
+and Z from the polynomial numerators of V and upsilon (``_wmat``) and
+from beta_m(1)^{-1}.  Every
 constructor is pure, and each exact object is cached once, by the
 function that builds it; ``beta_matrix`` at a point evaluates the cached
 symbolic one.  ``matrix_family`` is not memoized, and the two verifiers
@@ -75,6 +76,7 @@ from .beta import coeff_power, inverse_at_1, row_powers
 from .exactalg import (
     ExactMatrix,
     RatFunc,
+    RatFuncGrid,
     UniPoly,
     bernoulli,
     binom_ext,
@@ -191,20 +193,20 @@ def _wmat(m: int) -> tuple[tuple[UniPoly, ...], ...]:
 
 
 @cache
-def _vmat(m: int) -> ExactMatrix:
+def _vmat(m: int) -> RatFuncGrid:
     """V_m(u) for odd m, upsilon_m(u) for even m: W_m / ell_{m,m}."""
     lead = top_coeff(m)
-    return ExactMatrix([[RatFunc(w, lead) for w in row] for row in _wmat(m)])
+    return RatFuncGrid([[RatFunc(w, lead) for w in row] for row in _wmat(m)])
 
 
-def matV(k: int) -> ExactMatrix:
+def matV(k: int) -> RatFuncGrid:
     """V_{2k-1}(u): symmetric (2k-1) x (2k-1) matrix over Q(u)."""
     if k < 1:
         raise ValueError("matV requires k >= 1")
     return _vmat(2 * k - 1)
 
 
-def matUpsilon(k: int) -> ExactMatrix:
+def matUpsilon(k: int) -> RatFuncGrid:
     """upsilon_{2k}(u): skew-symmetric 2k x 2k matrix over Q(u)."""
     if k < 1:
         raise ValueError("matUpsilon requires k >= 1")
@@ -453,17 +455,18 @@ def frakSring(k: int) -> ExactMatrix:
 
 
 @cache
-def _beta_symbolic(m: int) -> ExactMatrix:
+def _beta_symbolic(m: int) -> RatFuncGrid:
     def entry(a: int, b: int) -> RatFunc:
+        # a zero coefficient gives the zero polynomial at any power
         coef, power = coeff_power(m, a, b)
-        if coef == 0:
-            return RatFunc.of("u", 0)
         return RatFunc(UniPoly.of("u", [0] * power + [coef]))
 
-    return ExactMatrix.from_fn(m, m, entry)
+    return RatFuncGrid([[entry(a, b) for b in range(1, m + 1)]
+                        for a in range(1, m + 1)])
 
 
-def beta_matrix(m: int, u: Fraction | int | None = None) -> ExactMatrix:
+def beta_matrix(m: int, u: Fraction | int | None = None
+                ) -> ExactMatrix | RatFuncGrid:
     """beta_m(u): the m x m change of basis between the derivative basis
     and the Bessel-moment basis of the solution space.
 
@@ -1056,7 +1059,7 @@ def verify_block_identities(k: int) -> dict:
 # Family dispatch and JSON serialization
 # ---------------------------------------------------------------------------
 
-MATRIX_FAMILIES: Dict[str, Callable[..., ExactMatrix]] = {
+MATRIX_FAMILIES: Dict[str, Callable[..., ExactMatrix | RatFuncGrid]] = {
     "V": matV,
     "Upsilon": matUpsilon,
     "Sigma": matSigma,
@@ -1086,7 +1089,8 @@ MATRIX_FAMILIES: Dict[str, Callable[..., ExactMatrix]] = {
 }
 
 
-def matrix_family(name: str, k: int, u: Fraction | None = None) -> ExactMatrix:
+def matrix_family(name: str, k: int, u: Fraction | None = None
+                  ) -> ExactMatrix | RatFuncGrid:
     """Construct a named matrix family member.
 
     ``u`` evaluates a Q(u) family (``V``, ``Upsilon``, ``Beta``) at a
@@ -1135,7 +1139,7 @@ def _poly_from_str(s: str, var: str = "u") -> UniPoly:
     return UniPoly.of(var, [coeffs.get(i, Fraction(0)) for i in range(top + 1)])
 
 
-def matrix_to_json(name: str, k: int, M: ExactMatrix) -> dict:
+def matrix_to_json(name: str, k: int, M: ExactMatrix | RatFuncGrid) -> dict:
     """JSON-serializable description of a matrix: exact entries as
     "num/den" strings over Q or {"num": ..., "den": ...} polynomial
     strings over Q(u); no floating point anywhere."""
@@ -1153,18 +1157,13 @@ def matrix_to_json(name: str, k: int, M: ExactMatrix) -> dict:
     return {"name": name, "k": k, "ring": M.ring, "entries": entries}
 
 
-def matrix_from_json(d: dict) -> Tuple[str, int, ExactMatrix]:
+def matrix_from_json(d: dict) -> Tuple[str, int, ExactMatrix | RatFuncGrid]:
     """Inverse of matrix_to_json."""
-    ring = d["ring"]
-    rows = []
-    for row in d["entries"]:
-        out_row = []
-        for e in row:
-            if ring == "Q":
-                out_row.append(Fraction(e))
-            else:
-                out_row.append(
-                    RatFunc(_poly_from_str(e["num"]), _poly_from_str(e["den"]))
-                )
-        rows.append(out_row)
-    return d["name"], d["k"], ExactMatrix(rows)
+    rows = d["entries"]
+    if d["ring"] == "Q":
+        M = ExactMatrix([[Fraction(e) for e in row] for row in rows])
+    else:
+        M = RatFuncGrid([[RatFunc(_poly_from_str(e["num"]),
+                                  _poly_from_str(e["den"])) for e in row]
+                         for row in rows])
+    return d["name"], d["k"], M

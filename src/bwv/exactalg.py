@@ -21,26 +21,24 @@ Conventions
   ``Fraction``.
 * ``RatFunc`` is a value of Q(u), not a field element to compute with: it
   is reduced once, when built (a primitive pseudo-remainder gcd, with a
-  monic denominator), and is then stored, compared, evaluated at a point
-  and printed.  A constant equals and hashes like its int or Fraction
-  value.  A matrix over Q(u) holds such values and supports the same, and
-  one of constants equals and hashes like the Q matrix of its values; the
-  pairings that read V and upsilon are formed over Q from their
-  polynomial numerators.
-* ``ExactMatrix`` over Q stores, like ``UniPoly``, integer rows ``nums``
-  over one positive common denominator ``den``, with gcd(den, every
-  entry) = 1; the zero matrix has ``den = 1``.  Each result is made
-  canonical once, so equal matrices have equal fields.  ``@``, ``scale``,
-  negation, transposition, submatrices, equality, hashing, ``exact_det``
-  and ``exact_inverse`` work on ``nums``, and an entry becomes a
-  ``Fraction`` only when it is read (``at``, ``[i, j]``, ``entries``,
-  printing and JSON).  A matrix over Q(u) is a stored grid of RatFunc
-  values.
-* ``@``, ``scale``, negation, ``exact_det`` and ``exact_inverse`` work
-  over Q only and raise TypeError on a matrix over Q(u).  The determinant
-  and the inverse share one Bareiss pass (``_bareiss_forward``) on
-  ``nums``.  The inverse appends the identity to the rows it eliminates,
-  and its back substitution stays in the integers too.
+  monic denominator), and is then stored, compared with other RatFunc
+  values, evaluated at a point and printed.  A ``RatFuncGrid`` is a
+  matrix of such values (V, upsilon, the symbolic beta): it is compared,
+  transposed, printed and evaluated at a point, which gives an
+  ``ExactMatrix``.  The pairings that read V and upsilon are formed over
+  Q from their polynomial numerators.
+* ``ExactMatrix`` is a matrix over Q.  Like ``UniPoly`` it stores integer
+  rows ``nums`` over one positive common denominator ``den``, with
+  gcd(den, every entry) = 1; the zero matrix has ``den = 1``.  Each
+  result is made canonical once, so equal matrices have equal fields.
+  ``@``, ``scale``, negation, transposition, submatrices, equality,
+  hashing, ``exact_det`` and ``exact_inverse`` work on ``nums``, and an
+  entry becomes a ``Fraction`` only when it is read (``at``, ``[i, j]``,
+  ``entries``, printing and JSON).  Arithmetic over Q(u) has no type to
+  run on.  The determinant and the inverse share one Bareiss pass
+  (``_bareiss_forward``) on ``nums``.  The inverse appends the identity
+  to the rows it eliminates, and its back substitution stays in the
+  integers too.
 """
 
 from __future__ import annotations
@@ -56,6 +54,7 @@ __all__ = [
     "UniPoly",
     "RatFunc",
     "ExactMatrix",
+    "RatFuncGrid",
     "bernoulli",
     "binom_ext",
     "recip_fact_ext",
@@ -322,9 +321,9 @@ class UniPoly:
 
 class RatFunc:
     """Quotient of univariate polynomials, reduced when built, with a
-    monic denominator.  A stored value: it compares equal to, and hashes
-    like, an int or Fraction of the same value, evaluates at a point and
-    prints, but does no arithmetic."""
+    monic denominator.  A stored value: it compares and hashes with other
+    RatFunc values only, evaluates at a point and prints, but does no
+    arithmetic."""
 
     __slots__ = ("num", "den")
 
@@ -358,27 +357,15 @@ class RatFunc:
     def of(var: str, value: ScalarLike) -> "RatFunc":
         return RatFunc(UniPoly.const(var, value))
 
-    @property
-    def var(self) -> str:
-        return self.num.var
-
     def is_polynomial(self) -> bool:
         return self.den.degree == 0
 
-    def is_constant(self) -> bool:
-        return self.den.degree == 0 and self.num.degree <= 0
-
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = RatFunc.of(self.var, other)
         if not isinstance(other, RatFunc):
             return NotImplemented
         return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
-        # a constant hashes like the int or Fraction it equals
-        if self.is_constant():
-            return hash(self.num.coeff(0))
         return hash((self.num, self.den))
 
     # -- evaluation ----------------------------------------------------------
@@ -403,23 +390,25 @@ class RatFunc:
 # Exact dense matrices
 # ---------------------------------------------------------------------------
 
-Entry = Union[Fraction, RatFunc]
+
+def _grid_text(entries: Sequence[Sequence[object]]) -> str:
+    return "[" + ",\n ".join(
+        "[" + ", ".join(str(e) for e in row) + "]" for row in entries
+    ) + "]"
 
 
 class ExactMatrix:
-    """Dense rectangular matrix over Q (ring tag "Q") or Q(<var>).
+    """Dense rectangular matrix over Q: the integer rows ``nums`` over one
+    positive common denominator ``den``, in canonical form (see the module
+    docstring), so equal matrices have equal fields; an entry becomes a
+    ``Fraction`` only when it is read.  ``cols`` is read off the rows; a
+    matrix with no rows takes it as given."""
 
-    Over Q it is the integer rows ``nums`` over one positive common
-    denominator ``den``, in canonical form (see the module docstring), so
-    equal matrices have equal fields; an entry becomes a ``Fraction`` only
-    when it is read.  Over Q(u) it is a stored grid of RatFunc values,
-    ``nums`` and ``den`` are None, and it takes no part in arithmetic.
-    ``cols`` is read off the rows; a matrix with no rows takes it as
-    given."""
+    __slots__ = ("rows", "cols", "nums", "den")
 
-    __slots__ = ("rows", "cols", "nums", "den", "_grid")
+    ring = "Q"
 
-    def __init__(self, entries: Sequence[Sequence[Entry | int]],
+    def __init__(self, entries: Sequence[Sequence[ScalarLike]],
                  cols: int = 0):
         rows = len(entries)
         if rows:
@@ -429,23 +418,13 @@ class ExactMatrix:
         try:
             den = lcm(*(e.denominator for row in entries for e in row))
         except AttributeError:
-            var = next((e.var for row in entries for e in row
-                        if isinstance(e, RatFunc)), None)
-            if var is None:
-                bad = next(e for row in entries for e in row
-                           if not isinstance(e, (int, Fraction)))
-                raise TypeError(f"cannot coerce {type(bad).__name__} "
-                                "to an exact scalar") from None
-            self.rows, self.cols = rows, cols
-            self.nums = self.den = None
-            self._grid = tuple(
-                tuple(e if isinstance(e, RatFunc) else RatFunc.of(var, e)
-                      for e in row)
-                for row in entries)
-            return
+            bad = next(e for row in entries for e in row
+                       if not isinstance(e, (int, Fraction)))
+            raise TypeError(f"cannot coerce {type(bad).__name__} "
+                            "to an exact scalar") from None
         # the denominators are reduced, so over their lcm the numerators
         # and den have no common factor
-        self.rows, self.cols, self.den, self._grid = rows, cols, den, None
+        self.rows, self.cols, self.den = rows, cols, den
         self.nums = tuple(tuple(e.numerator * (den // e.denominator)
                                 for e in row) for row in entries)
 
@@ -460,7 +439,7 @@ class ExactMatrix:
             nums = [[x // g for x in row] for row in nums]
             den //= g
         M = object.__new__(ExactMatrix)
-        M.rows, M.cols, M.den, M._grid = len(nums), cols, den, None
+        M.rows, M.cols, M.den = len(nums), cols, den
         M.nums = tuple(map(tuple, nums))
         return M
 
@@ -487,25 +466,15 @@ class ExactMatrix:
     # -- queries ------------------------------------------------------------
 
     @property
-    def ring(self) -> str:
-        if self.nums is not None:
-            return "Q"
-        return f"Q({self._grid[0][0].var})"
-
-    @property
-    def entries(self) -> tuple[tuple[Entry, ...], ...]:
-        if self.nums is None:
-            return self._grid
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
         d = self.den
         return tuple(tuple(Fraction(x, d) for x in row) for row in self.nums)
 
-    def __getitem__(self, idx: tuple[int, int]) -> Entry:
+    def __getitem__(self, idx: tuple[int, int]) -> Fraction:
         i, j = idx
-        if self.nums is None:
-            return self._grid[i][j]
         return Fraction(self.nums[i][j], self.den)
 
-    def at(self, a: int, b: int) -> Entry:
+    def at(self, a: int, b: int) -> Fraction:
         """1-based entry access; an index below 1 raises IndexError."""
         if a < 1 or b < 1:
             raise IndexError(f"1-based index ({a}, {b}) below 1")
@@ -518,25 +487,11 @@ class ExactMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            return False
-        if self.nums is not None and other.nums is not None:
-            return self.den == other.den and self.nums == other.nums
-        # RatFunc.__eq__ coerces int and Fraction entries, so a Q matrix
-        # compares equal to a Q(u) matrix of the same constants
-        return self.entries == other.entries
+        return (self.rows, self.cols, self.den, self.nums) == (
+            other.rows, other.cols, other.den, other.nums)
 
     def __hash__(self) -> int:
-        nums, den = self.nums, self.den
-        if nums is None:
-            grid = self._grid
-            if not all(e.is_constant() for row in grid for e in row):
-                return hash((self.rows, self.cols, grid))
-            # a Q(u) matrix of constants hashes like the equal Q matrix
-            Q = ExactMatrix([[e.num.coeff(0) for e in row] for row in grid],
-                            self.cols)
-            nums, den = Q.nums, Q.den
-        return hash((self.rows, self.cols, nums, den))
+        return hash((self.rows, self.cols, self.nums, self.den))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -544,7 +499,8 @@ class ExactMatrix:
         return self.scale(-1)
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        _require_q(self, other)
+        if not isinstance(other, ExactMatrix):
+            return NotImplemented
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
         if self.cols == 0:
@@ -555,7 +511,6 @@ class ExactMatrix:
             self.den * other.den, other.cols)
 
     def scale(self, c: ScalarLike) -> "ExactMatrix":
-        _require_q(self)
         c = _rational(c)
         p = c.numerator
         return ExactMatrix._make([[x * p for x in row] for row in self.nums],
@@ -563,10 +518,7 @@ class ExactMatrix:
 
     @property
     def T(self) -> "ExactMatrix":
-        grid = self._grid if self.nums is None else self.nums
-        t = [[row[j] for row in grid] for j in range(self.cols)]
-        if self.nums is None:
-            return ExactMatrix(t, self.rows)
+        t = [[row[j] for row in self.nums] for j in range(self.cols)]
         return ExactMatrix._make(t, self.den, self.rows)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "ExactMatrix":
@@ -575,34 +527,63 @@ class ExactMatrix:
             raise IndexError("1-based index below 1")
         if not row_idx or not col_idx:
             return ExactMatrix.zeros(len(row_idx), len(col_idx))
-        grid = self._grid if self.nums is None else self.nums
-        sub = [[grid[a - 1][b - 1] for b in col_idx] for a in row_idx]
-        if self.nums is None:
-            return ExactMatrix(sub)
+        nums = self.nums
+        sub = [[nums[a - 1][b - 1] for b in col_idx] for a in row_idx]
         return ExactMatrix._make(sub, self.den, len(col_idx))
-
-    def eval(self, x: ScalarLike) -> "ExactMatrix":
-        """Evaluate a Q(u) matrix entrywise (value-or-limit semantics); a
-        matrix over Q is its own value."""
-        if self.nums is not None:
-            return self
-        return ExactMatrix([[e.eval(x) for e in row] for row in self._grid],
-                           self.cols)
 
     def det(self) -> Fraction:
         return exact_det(self)
 
     def __str__(self) -> str:
-        return "[" + ",\n ".join(
-            "[" + ", ".join(str(e) for e in row) + "]" for row in self.entries
-        ) + "]"
+        return _grid_text(self.entries)
 
     __repr__ = __str__
 
 
-def _require_q(*matrices: ExactMatrix) -> None:
-    if any(M.nums is None for M in matrices):
-        raise TypeError("exact arithmetic is over Q only")
+class RatFuncGrid:
+    """Matrix over Q(u) as a stored grid of RatFunc values: it is
+    compared, transposed, evaluated at a point to an ``ExactMatrix`` and
+    printed, and takes part in no arithmetic."""
+
+    __slots__ = ("entries",)
+
+    ring = "Q(u)"
+
+    def __init__(self, entries: Iterable[Iterable[RatFunc]]):
+        self.entries = tuple(map(tuple, entries))
+        if any(len(row) != self.cols for row in self.entries):
+            raise ValueError("ragged matrix")
+
+    @property
+    def rows(self) -> int:
+        return len(self.entries)
+
+    @property
+    def cols(self) -> int:
+        return len(self.entries[0]) if self.entries else 0
+
+    @property
+    def T(self) -> "RatFuncGrid":
+        return RatFuncGrid(zip(*self.entries))
+
+    def eval(self, x: ScalarLike) -> ExactMatrix:
+        """The value at x, entry by entry (a removable singularity takes
+        its limit); a pole at x raises ZeroDivisionError."""
+        return ExactMatrix([[e.eval(x) for e in row] for row in self.entries],
+                           self.cols)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RatFuncGrid):
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self) -> int:
+        return hash(self.entries)
+
+    def __str__(self) -> str:
+        return _grid_text(self.entries)
+
+    __repr__ = __str__
 
 
 # -- fraction-free elimination ----------------------------------------------
@@ -653,7 +634,6 @@ def exact_det(M: ExactMatrix) -> Fraction:
     (Bareiss) elimination of the integer matrix N: every intermediate
     value stays an integer, and det M = det N / den^n.
     """
-    _require_q(M)
     if not M.is_square:
         raise ValueError("determinant of a non-square matrix")
     if M.rows == 0:
@@ -675,7 +655,6 @@ def exact_inverse(M: ExactMatrix) -> ExactMatrix:
     is integral: the back substitution solves U·Y = d·R in integers,
     every division exact, and M^-1 = den·Y/d is made canonical once.
     """
-    _require_q(M)
     if not M.is_square:
         raise ValueError("inverse of a non-square matrix")
     n = M.rows

@@ -464,6 +464,31 @@ def test_cache_skips_torn_last_line(tmp_path, monkeypatch, capsys):
     assert c2.get(other) is not None and c2.stats()["skipped"] == 2
 
 
+# a value no kernel writes: not a string, or not a finite number
+@pytest.mark.parametrize("value", [
+    "nan", "inf", "-inf", "1e999999999999", 0.6045997880780726, True,
+], ids=["nan", "inf", "-inf", "huge", "number", "true"])
+def test_cache_skips_a_value_no_kernel_writes(tmp_path, monkeypatch, capsys,
+                                              value):
+    args = ["moment", "IKM", "1", "2", "1", "--digits", "20"]
+    monkeypatch.setenv("BWV_CACHE", str(tmp_path / "fresh.jsonl"))
+    assert cli.main(args) == 0
+    expect = capsys.readouterr().out
+    path = tmp_path / "m.jsonl"
+    path.write_text(json.dumps({
+        "kind": "IKM", "a": 1, "b": 2, "n": 1, "u": None, "digits": 30,
+        "value": value, "kernel": _KERNEL_TAG}) + "\n")
+    c = MomentCache(str(path))
+    assert c.stats()["skipped"] == 1
+    assert c.get(MomentKey("IKM", 1, 2, 1, None, 20)) is None
+    # the CLI reports the line and recomputes the moment it names
+    monkeypatch.setenv("BWV_CACHE", str(path))
+    assert cli.main(["cache", "verify"]) == 1
+    assert json.loads(capsys.readouterr().out)["skipped"] == 1
+    assert cli.main(args) == 0
+    assert capsys.readouterr().out == expect
+
+
 def test_unwritable_cache_keeps_values_in_memory(tmp_path, monkeypatch,
                                                  capsys):
     blocker = tmp_path / "afile"

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from bwv.exactalg import (
     ExactMatrix,
     RatFunc,
+    RatFuncGrid,
     UniPoly,
     _int_divmod,
     _int_gcd,
@@ -330,16 +331,19 @@ def test_ratfunc_eval_genuine_pole_raises():
 
 @pytest.mark.parametrize("value", [0, 3, -7, F(1, 2), F(-5, 3)])
 def test_constant_ratfunc_hashes_like_its_value(value):
-    # equal values must hash equal, so that sets and dicts see one key
+    # equal values must hash equal, so that sets and dicts see one key; a
+    # RatFunc compares with RatFunc values only, never with an int or
+    # Fraction
+    const = RatFunc.of("u", value)
     reduced = RatFunc(UniPoly.of("u", [value, value]), UniPoly.of("u", [1, 1]))
-    for f in (RatFunc.of("u", value), reduced):
-        assert f == value and hash(f) == hash(value)
-        assert len({f, value}) == 1 and {value: 1}[f] == 1
+    assert reduced == const and hash(reduced) == hash(const)
+    assert len({reduced, const}) == 1 and {const: 1}[reduced] == 1
+    assert reduced != value and value != const
 
 
 def test_nonconstant_ratfunc_is_not_its_constant_term():
-    f = RatFunc(UniPoly.of("u", [3, 1]))
-    assert f != 3 and len({f, 3, RatFunc.of("u", 3)}) == 2
+    f, const = RatFunc(UniPoly.of("u", [3, 1])), RatFunc.of("u", 3)
+    assert f != const and len({f, const}) == 2
 
 
 # -- exact matrices ---------------------------------------------------------
@@ -515,11 +519,7 @@ def test_matrix_indexing_conventions():
     lambda M: M.submatrix([0], [1, 2]), lambda M: M.submatrix([1], [2, 0]),
     lambda M: M.submatrix([0], []),
 ], ids=["at-00", "at-10", "at-neg", "sub-row0", "sub-col0", "sub-empty"])
-@pytest.mark.parametrize("M", [
-    ExactMatrix([[1, 2], [3, 4]]),
-    ExactMatrix([[RatFunc.of("u", 1), RatFunc(UniPoly.x("u"))],
-                 [RatFunc.of("u", 3), RatFunc.of("u", 4)]]),
-], ids=["Q", "Q(u)"])
+@pytest.mark.parametrize("M", [ExactMatrix([[1, 2], [3, 4]])], ids=["Q"])
 def test_a_1_based_index_below_1_raises(M, read):
     # Python's negative indexing would wrap 0 to the last row or column
     with pytest.raises(IndexError):
@@ -542,25 +542,31 @@ def test_a_matrix_with_no_rows_keeps_its_columns():
 
 
 def test_a_polynomial_entry_is_not_lifted_beside_a_rational_function():
-    # a UniPoly is not an entry: it is refused alone and next to a RatFunc
+    # an ExactMatrix is over Q: a UniPoly entry is refused, alone or next
+    # to a RatFunc, which is refused too
     x = UniPoly.x("u")
-    for rows in ([[x]], [[RatFunc(x), x]]):
-        with pytest.raises(TypeError, match="cannot coerce UniPoly"):
+    for rows, name in (([[x]], "UniPoly"), ([[1, x]], "UniPoly"),
+                       ([[RatFunc(x), x]], "RatFunc")):
+        with pytest.raises(TypeError, match=f"cannot coerce {name}"):
             ExactMatrix(rows)
 
 
-def test_q_and_q_of_u_matrices_compare_by_value():
-    # a Q(u) matrix of constants equals the Q matrix of the same values,
-    # from either side; one differing entry makes them unequal both ways
-    Q = ExactMatrix([[F(1, 2), 3], [0, F(-5, 7)]])
-    same = ExactMatrix([[RatFunc.of("u", e) for e in row] for row in Q.entries])
-    other = ExactMatrix([[RatFunc.of("u", F(1, 2)), RatFunc(UniPoly.x("u"))],
-                         [RatFunc.of("u", 0), RatFunc.of("u", F(-5, 7))]])
-    assert same.ring == "Q(u)" and Q.ring == "Q"
-    assert Q == same and same == Q
-    assert not (Q != same) and not (same != Q)
-    assert Q != other and other != Q
-    assert not (Q == other) and not (other == Q)
+def test_ratfunc_grid_is_a_stored_value():
+    # a grid over Q(u) is transposed, compared, hashed and evaluated to a
+    # matrix over Q, which it never equals, even when every entry is
+    # constant
+    u = RatFunc(UniPoly.x("u"))
+    R = RatFuncGrid([[RatFunc.of("u", F(1, 2)), u],
+                     [RatFunc.of("u", 0), RatFunc.of("u", -5)]])
+    assert (R.ring, R.rows, R.cols) == ("Q(u)", 2, 2)
+    assert R.T.T == R and hash(R.T.T) == hash(R) and R.T != R
+    assert R.eval(3) == ExactMatrix([[F(1, 2), 3], [0, -5]])
+    C = RatFuncGrid([[RatFunc.of("u", 2)]])
+    assert C != ExactMatrix([[2]]) and ExactMatrix([[2]]) != C
+    assert len({C, ExactMatrix([[2]])}) == 2
+    assert str(C.eval(0)) == str(C) == "[[2]]"
+    with pytest.raises(ValueError, match="ragged"):
+        RatFuncGrid([[u, u], [u]])
 
 
 # -- integer rows over one denominator, against plain Fraction rows ---------
@@ -652,18 +658,6 @@ def test_equal_matrices_from_different_paths_are_equal_and_hash_equal():
     zero = ExactMatrix([[F(0, 5), 0], [0, 0]])
     assert zero == ExactMatrix.zeros(2, 2) == half.scale(0)
     assert hash(zero) == hash(half.scale(0)) and zero.den == 1
-
-
-@given(q_matrices(3))
-@settings(max_examples=40)
-def test_q_u_matrix_of_constants_hashes_like_the_equal_q_matrix(A):
-    R = ExactMatrix([[RatFunc.of("u", e) for e in row] for row in A.entries])
-    assert R.ring == "Q(u)" and A.ring == "Q"
-    assert R == A and hash(R) == hash(A) and len({A, R}) == 1
-    # one entry that is not constant makes a different, unequal matrix
-    rows = [list(row) for row in R.entries]
-    rows[0][0] = RatFunc(UniPoly.of("u", [rows[0][0].num.coeff(0), 1]))
-    assert ExactMatrix(rows) != A and len({A, ExactMatrix(rows)}) == 2
 
 
 @given(q_matrices(3), st.fractions(min_value=-5, max_value=5,

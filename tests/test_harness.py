@@ -158,7 +158,7 @@ def test_exact_suite_inverts_no_matrix(monkeypatch):
 
     monkeypatch.setattr(exactalg, "exact_inverse", refuse)
     rep = run_exact_suite(5)
-    assert len(rep.checks) == 38
+    assert len(rep.checks) == 41
     assert rep.ok, [c.to_dict() for c in rep.checks if c.status != "pass"]
 
 
@@ -224,6 +224,51 @@ def test_a_bumped_builder_fails_a_default_check(monkeypatch, name, args,
 
     _clear_memos()
     monkeypatch.setattr(brmatrices, name, bumped)
+    try:
+        rep = run_exact_suite(5)
+    finally:
+        monkeypatch.undo()
+        _clear_memos()
+    failed = [c.check_id for c in rep.checks if c.status != "pass"]
+    assert bool(failed) != bool(exempt), failed
+
+
+# (m, j): the constant term of ell_{m,j} raised by 1 on the operator that
+# vanhove_operator(m) returns, and the reason that bump may pass every
+# default check; None means it must fail one.  bwv.beta has no cached
+# builder, so with BUILDER_BUMPS this covers the exact layers' caches.
+_EVEN_ELL_0 = ("for even m, ell_{m,0} cancels in the adjoint constraint "
+               "and W_m does not read it")
+_W11_CORNER = ("W_11 and both order-11 de Rham limits change at (1, 1) "
+               "only, an entry no default check reads")
+_ORDER_12 = ("the order-12 u -> 1 limit changes only outside rows and "
+             "columns 7..11, which d_5 reads, and the suite builds no "
+             "order-12 u -> 0 limit")
+OPERATOR_BUMPS = [
+    (11, 0, None), (11, 2, None), (11, 4, None), (12, 1, None),
+    *((m, 0, _EVEN_ELL_0) for m in (6, 8, 10, 12)),
+    (11, 1, _W11_CORNER), (12, 2, _ORDER_12), (12, 4, _ORDER_12),
+]
+
+
+@pytest.mark.parametrize("m, j, exempt", OPERATOR_BUMPS, ids=[
+    f"ell-{m}-{j}" for m, j, _ in OPERATOR_BUMPS])
+def test_a_bumped_operator_coefficient_fails_a_default_check(monkeypatch, m,
+                                                             j, exempt):
+    real = vanhove.vanhove_operator
+
+    def bumped(n):
+        op = real(n)
+        if n != m:
+            return op
+        coeffs = list(op.coeffs)
+        c = coeffs[j]
+        coeffs[j] = UniPoly.of("u", [c.coeff(0) + 1, *c.coeffs[1:]])
+        return op._replace(coeffs=tuple(coeffs))
+
+    _clear_memos()
+    for mod in (vanhove, brmatrices, harness):
+        monkeypatch.setattr(mod, "vanhove_operator", bumped)
     try:
         rep = run_exact_suite(5)
     finally:
@@ -498,7 +543,7 @@ def test_cli_verify_on_a_closed_pipe_writes_its_report(tmp_path):
     assert proc.stderr.read() == b""
     assert proc.wait() == 0
     report = report_from_json(target.read_text())
-    assert report.ok and len(report.checks) == 14
+    assert report.ok and len(report.checks) == 17
 
 
 class _ClosedPipe:
