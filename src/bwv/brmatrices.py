@@ -3,12 +3,12 @@
 All matrices follow 1-based index conventions.  Every matrix this module
 computes with is over Q: integer rows over one common denominator
 (``ExactMatrix``), read as Fraction entries.  The public Q(u)
-matrices (``matV``, ``matUpsilon``, the symbolic ``beta_matrix``) and
-Q(u) matrices read back from JSON are ``RatFuncGrid`` values, grids of
-RatFunc entries in the variable ``u`` that are only stored, evaluated
-at a point, compared and printed: the de Rham limits are formed over Q
-and Z from the polynomial numerators of V and upsilon (``_wmat``) and
-from beta_m(1)^{-1}.  Every
+matrices (``matV``, ``matUpsilon``, the symbolic ``beta_matrix``) are
+``RatFuncGrid`` values, grids of RatFunc entries in the variable ``u``,
+quotients of polynomials over Z, that are only stored, evaluated at a
+point, compared, printed and written as JSON: the de Rham limits are
+formed over Q and Z from the polynomial numerators of V and upsilon
+(``_wmat``) and from beta_m(1)^{-1}.  Every
 constructor is pure, and each exact object is cached once, by the
 function that builds it; ``beta_matrix`` at a point evaluates the cached
 symbolic one.  ``matrix_family`` is not memoized, and the two verifiers
@@ -70,7 +70,7 @@ from fractions import Fraction
 from functools import cache
 from math import comb, factorial, lcm, prod
 from operator import mul
-from typing import Callable, Dict, NamedTuple, Tuple
+from typing import Callable, Dict, NamedTuple
 
 from .beta import coeff_power, inverse_at_1, row_powers
 from .exactalg import (
@@ -109,7 +109,6 @@ __all__ = [
     "matUpsilon",
     "matV",
     "matrix_family",
-    "matrix_from_json",
     "matrix_to_json",
     "matsigma",
     "matsigmaInvBernoulli",
@@ -175,7 +174,6 @@ def _wmat(m: int) -> tuple[tuple[UniPoly, ...], ...]:
 
     @cache
     def dell(n: int, order: int) -> tuple[int, ...]:
-        # ell_{m,n} has integer coefficients (vanhove_operator asserts it)
         return op.ell(n).deriv(order).nums
 
     def entry(a: int, b: int) -> UniPoly:
@@ -1112,31 +1110,10 @@ def matrix_family(name: str, k: int, u: Fraction | None = None
 
 
 def _poly_to_str(p: UniPoly) -> str:
-    if p.is_zero:
-        return "0"
-    terms = []
-    for e, c in enumerate(p.coeffs):
-        if c == 0:
-            continue
-        cs = f"{c.numerator}/{c.denominator}"
-        terms.append(cs if e == 0 else f"{cs}*u^{e}")
-    return " + ".join(terms)
-
-
-def _poly_from_str(s: str, var: str = "u") -> UniPoly:
-    s = s.strip()
-    if s == "0":
-        return UniPoly.zero(var)
-    coeffs: dict[int, Fraction] = {}
-    for term in s.split(" + "):
-        if "*u^" in term:
-            cs, es = term.split("*u^")
-            e = int(es)
-        else:
-            cs, e = term, 0
-        coeffs[e] = Fraction(cs)
-    top = max(coeffs)
-    return UniPoly.of(var, [coeffs.get(i, Fraction(0)) for i in range(top + 1)])
+    """The nonzero terms of p as "c/1" and "c/1*u^e", joined by " + ";
+    "0" for the zero polynomial."""
+    return " + ".join(f"{c}/1" if e == 0 else f"{c}/1*u^{e}"
+                      for e, c in enumerate(p.nums) if c) or "0"
 
 
 def matrix_to_json(name: str, k: int, M: ExactMatrix | RatFuncGrid) -> dict:
@@ -1155,15 +1132,3 @@ def matrix_to_json(name: str, k: int, M: ExactMatrix | RatFuncGrid) -> dict:
                 out_row.append(f"{e.numerator}/{e.denominator}")
         entries.append(out_row)
     return {"name": name, "k": k, "ring": M.ring, "entries": entries}
-
-
-def matrix_from_json(d: dict) -> Tuple[str, int, ExactMatrix | RatFuncGrid]:
-    """Inverse of matrix_to_json."""
-    rows = d["entries"]
-    if d["ring"] == "Q":
-        M = ExactMatrix([[Fraction(e) for e in row] for row in rows])
-    else:
-        M = RatFuncGrid([[RatFunc(_poly_from_str(e["num"]),
-                                  _poly_from_str(e["den"])) for e in row]
-                         for row in rows])
-    return d["name"], d["k"], M

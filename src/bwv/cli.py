@@ -15,8 +15,9 @@ Subcommands:
 * ``cache {stats,verify,path}`` — inspect the moment cache.
 
 Exit codes: 0 when no check failed, 1 when a verification check failed
-or errored, 2 on usage errors (an unwritable ``--report`` path among
-them).
+or errored or when a computation gave up with an ArithmeticError (a
+quadrature that did not converge, for one), 2 on usage errors (an
+unwritable ``--report`` path among them).
 """
 
 from __future__ import annotations
@@ -249,6 +250,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         print(f"bwv: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        # the base of besselnum.QuadratureError, so no layer is imported
+        # to catch it
+        print(f"bwv: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

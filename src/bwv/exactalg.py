@@ -1,6 +1,6 @@
 """Exact arithmetic foundation.
 
-Big rationals, dense univariate polynomials and rational functions
+Big rationals, dense univariate polynomials over Z and rational functions
 stored as values, exact dense linear algebra over Q with fraction-free
 (Bareiss) elimination, Bernoulli numbers and extended binomial
 conventions.
@@ -9,26 +9,27 @@ Conventions
 -----------
 * ``ExactScalar`` is :class:`fractions.Fraction`: arbitrary-size rationals
   with gcd-reduced representation and positive denominator.
-* ``UniPoly`` stores dense coefficients from degree 0 upward as a tuple
-  of Python integers ``nums`` over one positive integer ``den``, with
-  gcd(content(nums), den) = 1 and no trailing zeros; the zero polynomial
-  is ``nums = ()``, ``den = 1``.  So each polynomial has exactly one
-  representation.  It is a stored value with no ring arithmetic: it is
-  built, compared, evaluated, differentiated and printed, and the layers
-  that compute with polynomials do so on integer coefficient lists (the
-  ``_int_*`` kernels here, the operator algebra in ``vanhove``, the
-  pairings in ``brmatrices``).  ``coeffs`` and ``coeff(k)`` return
-  ``Fraction``.
+* ``UniPoly`` is a polynomial over Z: dense coefficients from degree 0
+  upward as a tuple of Python integers ``nums`` with no trailing zeros;
+  the zero polynomial is ``nums = ()``.  So each polynomial has exactly
+  one representation, and a coefficient that is not an integer is
+  refused when the polynomial is built.  It is a stored value with no
+  ring arithmetic: it is built, compared, evaluated, differentiated and
+  printed, and the layers that compute with polynomials do so on integer
+  coefficient lists (the ``_int_*`` kernels here, the operator algebra in
+  ``vanhove``, the pairings in ``brmatrices``).
 * ``RatFunc`` is a value of Q(u), not a field element to compute with: it
-  is reduced once, when built (a primitive pseudo-remainder gcd, with a
-  monic denominator), and is then stored, compared with other RatFunc
-  values, evaluated at a point and printed.  A ``RatFuncGrid`` is a
-  matrix of such values (V, upsilon, the symbolic beta): it is compared,
-  transposed, printed and evaluated at a point, which gives an
-  ``ExactMatrix``.  The pairings that read V and upsilon are formed over
-  Q from their polynomial numerators.
-* ``ExactMatrix`` is a matrix over Q.  Like ``UniPoly`` it stores integer
-  rows ``nums`` over one positive common denominator ``den``, with
+  is reduced once, when built, to a quotient of coprime integer
+  polynomials with no common integer content and a denominator with a
+  positive leading coefficient (a primitive pseudo-remainder gcd), and is
+  then stored, compared with other RatFunc values, evaluated at a point
+  and printed.  A ``RatFuncGrid`` is a matrix of such values (V,
+  upsilon, the symbolic beta): it is compared, transposed, printed and
+  evaluated at a point, which gives an ``ExactMatrix``.  The pairings
+  that read V and upsilon are formed over Q from their polynomial
+  numerators.
+* ``ExactMatrix`` is a matrix over Q.  It stores integer rows ``nums``
+  over one positive common denominator ``den``, with
   gcd(den, every entry) = 1; the zero matrix has ``den = 1``.  Each
   result is made canonical once, so equal matrices have equal fields.
   ``@``, ``scale``, negation, transposition, submatrices, equality,
@@ -113,7 +114,7 @@ def recip_fact_ext(n: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Dense univariate polynomials over Q
+# Dense univariate polynomials over Z
 # ---------------------------------------------------------------------------
 
 
@@ -123,6 +124,15 @@ def _rational(x: ScalarLike) -> ScalarLike:
     if isinstance(x, (int, Fraction)):
         return x
     raise TypeError(f"cannot coerce {type(x).__name__} to an exact scalar")
+
+
+def _integer(x: ScalarLike) -> int:
+    """x as an int: an int, or a Fraction whose denominator is 1."""
+    x = _rational(x)
+    if x.denominator != 1:
+        raise ValueError(f"coefficient {x} is not an integer: "
+                         "polynomials are over Z")
+    return x.numerator
 
 
 def _int_primitive(a: Sequence[int]) -> list[int]:
@@ -180,48 +190,33 @@ def _int_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
 
 
 class UniPoly:
-    """Dense univariate polynomial over Q, coefficients from degree 0 up.
+    """Dense univariate polynomial over Z, coefficients from degree 0 up.
 
-    Stored as integer numerators ``nums`` over one positive common
-    denominator ``den`` in canonical form (see the module docstring), so
-    equal polynomials have equal fields.  Instances are immutable; build
-    them with :meth:`of`, :meth:`const`, :meth:`x` or :meth:`zero`.
+    Stored as the integers ``nums`` with no trailing zeros (see the module
+    docstring), so equal polynomials have equal fields.  Instances are
+    immutable; build them with :meth:`of`, :meth:`const`, :meth:`x` or
+    :meth:`zero`, which refuse a coefficient that is not an integer.
     """
 
-    __slots__ = ("var", "nums", "den")
+    __slots__ = ("var", "nums")
 
     var: str
     nums: tuple[int, ...]
-    den: int
 
     @staticmethod
-    def _make(var: str, nums: list[int], den: int = 1) -> "UniPoly":
-        """Canonical polynomial sum_i nums[i]/den * var^i (den nonzero);
-        trailing zeros are popped from ``nums`` in place."""
+    def _make(var: str, nums: list[int]) -> "UniPoly":
+        """The polynomial sum_i nums[i] * var^i; trailing zeros are popped
+        from ``nums`` in place."""
         while nums and not nums[-1]:
             nums.pop()
-        if not nums:
-            den = 1
-        else:
-            g = gcd(den, *nums)
-            if den < 0:
-                g = -g
-            if g != 1:
-                nums = [x // g for x in nums]
-                den //= g
         p = object.__new__(UniPoly)
         p.var = var
         p.nums = tuple(nums)
-        p.den = den
         return p
 
     @staticmethod
     def of(var: str, coeffs: Iterable[ScalarLike]) -> "UniPoly":
-        cs = [_rational(c) for c in coeffs]
-        den = lcm(*(c.denominator for c in cs))
-        return UniPoly._make(
-            var, [c.numerator * (den // c.denominator) for c in cs], den
-        )
+        return UniPoly._make(var, [_integer(c) for c in coeffs])
 
     @staticmethod
     def zero(var: str) -> "UniPoly":
@@ -229,8 +224,7 @@ class UniPoly:
 
     @staticmethod
     def const(var: str, c: ScalarLike) -> "UniPoly":
-        c = _rational(c)
-        return UniPoly._make(var, [c.numerator], c.denominator)
+        return UniPoly._make(var, [_integer(c)])
 
     @staticmethod
     def x(var: str) -> "UniPoly":
@@ -239,8 +233,8 @@ class UniPoly:
     # -- basic queries ------------------------------------------------------
 
     @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(n, self.den) for n in self.nums)
+    def coeffs(self) -> tuple[int, ...]:
+        return self.nums
 
     @property
     def is_zero(self) -> bool:
@@ -252,31 +246,22 @@ class UniPoly:
         return len(self.nums) - 1
 
     @property
-    def leading(self) -> Fraction:
-        if self.is_zero:
-            return Fraction(0)
-        return Fraction(self.nums[-1], self.den)
+    def leading(self) -> int:
+        return self.nums[-1] if self.nums else 0
 
-    def coeff(self, k: int) -> Fraction:
-        if 0 <= k < len(self.nums):
-            return Fraction(self.nums[k], self.den)
-        return Fraction(0)
-
-    def is_integral(self) -> bool:
-        """True iff every coefficient is an integer."""
-        return self.den == 1
+    def coeff(self, k: int) -> int:
+        return self.nums[k] if 0 <= k < len(self.nums) else 0
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, UniPoly):
             return NotImplemented
-        return (self.var == other.var and self.den == other.den
-                and self.nums == other.nums)
+        return self.var == other.var and self.nums == other.nums
 
     def __hash__(self) -> int:
-        return hash((self.var, self.nums, self.den))
+        return hash((self.var, self.nums))
 
     def __repr__(self) -> str:
-        return f"UniPoly.of({self.var!r}, {list(self.coeffs)!r})"
+        return f"UniPoly.of({self.var!r}, {list(self.nums)!r})"
 
     # -- calculus and evaluation -------------------------------------------
 
@@ -286,23 +271,23 @@ class UniPoly:
         nums = list(self.nums)
         for _ in range(order):
             nums = [i * c for i, c in enumerate(nums)][1:]
-        return UniPoly._make(self.var, nums, self.den)
+        return UniPoly._make(self.var, nums)
 
     def eval(self, x: ScalarLike) -> Fraction:
         x = _rational(x)
         p, q = x.numerator, x.denominator
-        # Homogeneous Horner: sum_i c_i p^i q^(n-i), over den * q^n.
+        # Homogeneous Horner: sum_i c_i p^i q^(n-i), over q^n.
         acc, qpow = 0, 1
         for c in reversed(self.nums):
             acc = acc * p + c * qpow
             qpow *= q
-        return Fraction(acc, self.den * q ** max(self.degree, 0))
+        return Fraction(acc, q ** max(self.degree, 0))
 
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
         parts = []
-        for i, c in enumerate(self.coeffs):
+        for i, c in enumerate(self.nums):
             if c == 0:
                 continue
             if i == 0:
@@ -320,10 +305,10 @@ class UniPoly:
 
 
 class RatFunc:
-    """Quotient of univariate polynomials, reduced when built, with a
-    monic denominator.  A stored value: it compares and hashes with other
-    RatFunc values only, evaluates at a point and prints, but does no
-    arithmetic."""
+    """Quotient of integer polynomials, reduced when built to the canonical
+    form of the module docstring.  A stored value: it compares and hashes
+    with other RatFunc values only, evaluates at a point and prints, but
+    does no arithmetic."""
 
     __slots__ = ("num", "den")
 
@@ -335,30 +320,33 @@ class RatFunc:
             raise ValueError("variable mismatch in RatFunc")
         if den.is_zero:
             raise ZeroDivisionError("zero denominator in RatFunc")
-        if den.den == 1 and den.nums == (1,):
-            self.num, self.den = num, den
-            return
-        N, D = num.nums, den.nums
-        if not N:
-            D = (1,)
-        elif len(D) > 1:  # a constant denominator needs no gcd
-            # g is primitive, so by Gauss's lemma it divides N and D in
-            # Z[x] and both quotients come back unscaled
-            g = _int_gcd(N, D)
-            if len(g) > 1:
-                N, D = _int_divmod(N, g)[0], _int_divmod(D, g)[0]
-        # num/den = N*dd / (D*dn) with dn, dd the common denominators;
-        # dividing both by lc(D) makes the denominator monic.
-        lead = D[-1]
-        self.num = UniPoly._make(var, [x * den.den for x in N], num.den * lead)
-        self.den = UniPoly._make(var, list(D), lead)
+        if den.nums != (1,):
+            N, D = num.nums, den.nums
+            if not N:
+                D = (1,)
+            elif len(D) > 1:  # a constant denominator needs no gcd
+                # g is primitive, so by Gauss's lemma it divides N and D
+                # in Z[x] and both quotients come back unscaled
+                g = _int_gcd(N, D)
+                if len(g) > 1:
+                    N, D = _int_divmod(N, g)[0], _int_divmod(D, g)[0]
+            # the common integer content, signed so that lc(D) > 0
+            c = gcd(*N, *D)
+            if D[-1] < 0:
+                c = -c
+            num = UniPoly._make(var, [x // c for x in N])
+            den = UniPoly._make(var, [x // c for x in D])
+        self.num, self.den = num, den
 
     @staticmethod
     def of(var: str, value: ScalarLike) -> "RatFunc":
-        return RatFunc(UniPoly.const(var, value))
+        """The constant p/q, as the pair of constants p and q."""
+        value = _rational(value)
+        return RatFunc(UniPoly.const(var, value.numerator),
+                       UniPoly.const(var, value.denominator))
 
     def is_polynomial(self) -> bool:
-        return self.den.degree == 0
+        return self.den.nums == (1,)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RatFunc):

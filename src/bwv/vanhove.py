@@ -39,7 +39,8 @@ as its θ-table i ↦ P_i(x) too.
 All of this is computed on coefficient lists of ints, lowest degree
 first, by a few private helpers: sum, scalar multiple, product,
 derivative, and composition and evaluation by Horner's rule.  Each public
-result is one ``UniPoly``, a stored value with no ring arithmetic.
+result is one ``UniPoly``, a polynomial over Z stored as a value with no
+ring arithmetic, so integrality is a property of the type, not a check.
 
 Tuple convention: α_n ∈ [1, m+1] with the chain α_{n+1} ≤ α_n − 2 enforced
 for n ∈ [1, k−1] only; the terminator α_{k+1} := 1 enters exponents but is
@@ -52,7 +53,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial, lcm
+from math import comb, factorial
 from typing import NamedTuple
 
 from .exactalg import UniPoly
@@ -214,7 +215,7 @@ def _stirling2(l: int, i: int) -> int:
     return i * _stirling2(l - 1, i) + _stirling2(l - 1, i - 1)
 
 
-def theta_to_d(table: dict[int, UniPoly]) -> list[dict[int, Fraction]]:
+def theta_to_d(table: dict[int, UniPoly]) -> list[dict[int, int]]:
     """D-form of Σ_s x^s·P_s(θ), θ = x·D, by θ^l = Σ_i S(l, i)·x^i·D^i.
 
     Entry i maps each exponent e to the nonzero coefficient of x^e·D^i;
@@ -227,7 +228,7 @@ def theta_to_d(table: dict[int, UniPoly]) -> list[dict[int, Fraction]]:
             c = sum(p.nums[l] * _stirling2(l, i)
                     for l in range(i, p.degree + 1))
             if c:
-                coeff[s + i] = Fraction(c, p.den)
+                coeff[s + i] = c
         out.append(coeff)
     while out and not out[-1]:
         out.pop()
@@ -258,8 +259,7 @@ class VanhoveOperator(NamedTuple):
 
 
 def _route_a(m: int) -> tuple[UniPoly, ...]:
-    """P_k(x) = (−1)^m 𝒱_{m,k}(k − x) for k = 0..⌊m/2⌋+1 (𝒱_{m,k} is
-    integral, so its ``nums`` are its coefficients)."""
+    """P_k(x) = (−1)^m 𝒱_{m,k}(k − x) for k = 0..⌊m/2⌋+1."""
     sign = -1 if m % 2 else 1
     return tuple(
         UniPoly.of("x", _scale(_compose(verrill_poly(m, k).nums, [k, -1]),
@@ -268,16 +268,28 @@ def _route_a(m: int) -> tuple[UniPoly, ...]:
     )
 
 
+def _routes_disagree(m: int) -> ArithmeticError:
+    return ArithmeticError(
+        f"Vanhove operator routes disagree at m={m}: "
+        "construction bug or mis-resolved tuple convention"
+    )
+
+
 def _route_b(m: int) -> tuple[UniPoly, ...]:
     """P_0(x) = x^m and, for each further entry P^BS_k of
     ``borwein_salvy_operator(m)``,
-    P_k(x) = (−1)^m 4^k/2^{m+2}·∏_{r=1}^{k−1}(x − r)²·P^BS_k(−2x)."""
-    sign = -1 if m % 2 else 1
+    P_k(x) = (−1)^m 4^k/2^{m+2}·∏_{r=1}^{k−1}(x − r)²·P^BS_k(−2x).
+
+    Route A is integral, so the division by 2^{m+2} must be exact: a
+    remainder means the routes disagree."""
+    sign, unit = (-1 if m % 2 else 1), 2 ** (m + 2)
     table, square = [UniPoly.of("x", [0] * m + [1])], [1]
     for k, p in enumerate(borwein_salvy_operator(m)[1:], 1):
         p = _mul(square, [c * (-2) ** j for j, c in enumerate(p.nums)])
-        table.append(UniPoly._make("x", _scale(p, sign * 4 ** k),
-                                   2 ** (m + 2)))
+        p = _scale(p, sign * 4 ** k)
+        if any(x % unit for x in p):
+            raise _routes_disagree(m)
+        table.append(UniPoly.of("x", [x // unit for x in p]))
         square = _mul(square, [k * k, -2 * k, 1])
     return tuple(table)
 
@@ -285,16 +297,13 @@ def _route_b(m: int) -> tuple[UniPoly, ...]:
 @cache
 def vanhove_operator(m: int) -> VanhoveOperator:
     """Construct the θ-table of L̃_m along both routes, assert agreement,
-    convert it to D-form and assert integer polynomial coefficients."""
+    convert it to D-form and assert that each coefficient is a polynomial
+    (no negative power of u is left)."""
     if m < 1:
         raise ValueError("vanhove_operator requires m >= 1")
     table = _route_a(m)
     if table != _route_b(m):
-        raise ArithmeticError(
-            f"Vanhove operator routes disagree at m={m}: "
-            "construction bug or mis-resolved tuple convention"
-        )
-    # the agreed table is integral, as both routes are
+        raise _routes_disagree(m)
     d_form = theta_to_d({
         1 - k: UniPoly.of("x", _compose(p.nums, [1, 1]))
         for k, p in enumerate(table)
@@ -309,12 +318,8 @@ def vanhove_operator(m: int) -> VanhoveOperator:
             raise ArithmeticError(
                 f"coefficient of D^{j} in L~_{m} did not cancel to a polynomial"
             )
-        p = UniPoly.of("u", [c.get(e, 0) for e in range(max(c, default=-1) + 1)])
-        if not p.is_integral():
-            raise ArithmeticError(
-                f"coefficient of D^{j} in L~_{m} is not an integer polynomial"
-            )
-        coeffs.append(p)
+        coeffs.append(UniPoly.of(
+            "u", [c.get(e, 0) for e in range(max(c, default=-1) + 1)]))
     return VanhoveOperator(m, tuple(coeffs), table)
 
 
@@ -338,14 +343,12 @@ def check_vanhove_structure(op: VanhoveOperator) -> dict[str, bool]:
     * ``adjoint_parity``: L̃_m* = (−1)^m L̃_m, read on the θ-table as
       P_k(k − x) = (−1)^m P_k(x), since θ̂* = 1 − θ̂ and θ̂u^s = u^s(θ̂ + s).
 
-    The identities are homogeneous, so ``subleading`` and ``constraint``
-    are checked on d·ℓ_{m,j} ∈ ℤ[u], d the common denominator of the
-    ℓ_{m,j}, and ``adjoint_parity`` on the numerators of each P_k.
+    Every ℓ_{m,j} and P_k is in ℤ[u], so each identity is checked on the
+    coefficient lists ``nums``.
     """
     m = op.m
     sign = -1 if m % 2 else 1
-    d = lcm(*(p.den for p in op.coeffs))
-    ell = [_scale(p.nums, d // p.den) for p in op.coeffs]
+    ell = [p.nums for p in op.coeffs]
     report: dict[str, bool] = {}
     report["leading"] = op.leading == leading_coeff_product(m)
     report["subleading"] = _scale(ell[m - 1], 2) == _scale(_deriv(ell[m]), m)
@@ -359,14 +362,12 @@ def check_vanhove_structure(op: VanhoveOperator) -> dict[str, bool]:
 
     report["constraint"] = all(
         _scale(ell[j], sign) == rhs(j) for j in range(m + 1))
-    # u^{m−j−⌊(m+1)/2⌋}·ℓ_{m,j} ∈ ℤ[u]: ℓ_{m,j} is integral, and where the
+    # u^{m−j−⌊(m+1)/2⌋}·ℓ_{m,j} ∈ ℤ[u]: ℓ_{m,j} ∈ ℤ[u], so where the
     # exponent is negative (j > ⌊m/2⌋) its lowest j + ⌊(m+1)/2⌋ − m
     # coefficients vanish
     half = (m + 1) // 2
     report["divisibility"] = all(
-        op.ell(j).is_integral()
-        and not any(op.ell(j).nums[:max(0, j + half - m)])
-        for j in range(m + 1))
+        not any(ell[j][:max(0, j + half - m)]) for j in range(m + 1))
     report["adjoint_parity"] = all(
         _compose(p.nums, [k, -1]) == _scale(p.nums, sign)
         for k, p in enumerate(op.theta)
@@ -380,7 +381,7 @@ def verify_verrill_recursion(m: int, n_max: int) -> dict[int, bool]:
     if m < 1 or n_max < 1:
         raise ValueError("verify_verrill_recursion requires m, n_max >= 1")
     w = _bessel_power_row(m + 1, n_max)
-    polys = [verrill_poly(m, k).nums for k in range(m // 2 + 2)]  # integral
+    polys = [verrill_poly(m, k).nums for k in range(m // 2 + 2)]
     return {n: not sum(_eval(polys[k], n) * w[n - k]
                        for k in range(min(m // 2 + 1, n) + 1))
             for n in range(1, n_max + 1)}
@@ -433,21 +434,19 @@ def verify_bms_duality(n: int, N: int) -> dict[str, bool]:
 
     Both sides are linear, so they are compared in integers: the series is
     scaled to integers (``_i0_series``), the u-side is multiplied by
-    2^{n+2} d and the t-side by (−1)^n d, with d the common denominator of
-    the ℓ_{n,j}.  Consistency is asserted at three truncation orders.  The
-    series is formed once, at order N, and orders N − 4 and N − 2 read
-    prefixes of the two sides: each maps t^r to equal or higher powers of
-    t, so a prefix is what truncating the series there gives."""
+    2^{n+2} and the t-side by (−1)^n.  Consistency is asserted at three
+    truncation orders.  The series is formed once, at order N, and orders
+    N − 4 and N − 2 read prefixes of the two sides: each maps t^r to equal
+    or higher powers of t, so a prefix is what truncating the series there
+    gives."""
     if n < 1:
         raise ValueError("verify_bms_duality requires n >= 1")
     if N < n + 6:
         raise ValueError("truncation order too small")
-    coeffs = vanhove_operator(n).coeffs
-    d = lcm(*(c.den for c in coeffs))
-    ell = [_scale(c.nums, d // c.den) for c in coeffs]
+    ell = [c.nums for c in vanhove_operator(n).coeffs]
     table = [p.nums for p in borwein_salvy_operator(n)]
     scale = 2 ** (n + 2)
-    sign = -d if n % 2 else d
+    sign = -1 if n % 2 else 1
 
     def lhs(g: list[list]) -> list[list]:
         out = []

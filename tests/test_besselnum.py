@@ -556,6 +556,17 @@ def test_quadrature_failure_names_the_key(tmp_path, monkeypatch):
     assert c.stats()["entries"] == 0
 
 
+def test_cli_moment_reports_a_quadrature_that_gives_up(tmp_path,
+                                                       monkeypatch, capsys):
+    monkeypatch.setattr("bwv.besselnum.LEVEL_BUDGET", 0)
+    monkeypatch.setenv("BWV_CACHE", str(tmp_path / "m.jsonl"))
+    assert cli.main(["moment", "IKM", "1", "2", "1", "--digits", "20"]) == 1
+    out, err = capsys.readouterr()
+    assert not out and "Traceback" not in err
+    assert err.startswith("bwv: ") and err.count("\n") == 1
+    assert "kind='IKM', a=1, b=2, n=1" in err and "did not converge" in err
+
+
 def test_cache_determinism(tmp_path, monkeypatch):
     key = MomentKey("IKM", 2, 5, 3, None, 22)
     c1 = MomentCache(str(tmp_path / "a.jsonl"))

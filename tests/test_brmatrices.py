@@ -34,7 +34,6 @@ from bwv.brmatrices import (
     matUpsilon,
     matV,
     matrix_family,
-    matrix_from_json,
     matrix_to_json,
     matsigma,
     matsigmaInvBernoulli,
@@ -801,22 +800,3 @@ def test_aux_matrix_shapes():
         square = psi @ psi.T
         for a in range(1, 2 * k + 1):
             assert square.at(a, a) == (0 if a == k + 1 else 1)
-
-
-def test_json_roundtrip_rational():
-    name, k = "BettiB", 3
-    d = matrix_to_json(name, k, betti_B(k))
-    assert d["ring"] == "Q"
-    n2, k2, M2 = matrix_from_json(d)
-    assert (n2, k2, M2) == (name, k, betti_B(k))
-
-
-def test_json_roundtrip_function_field():
-    name, k = "Beta", 3
-    B = beta_matrix(k)
-    d = matrix_to_json(name, k, B)
-    n2, k2, M2 = matrix_from_json(d)
-    assert (n2, k2, M2) == (name, k, B)
-    V = matV(2)
-    d = matrix_to_json("V", 2, V)
-    assert matrix_from_json(d)[2] == V

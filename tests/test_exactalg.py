@@ -31,10 +31,11 @@ fractions = st.fractions(
     min_value=-10, max_value=10, max_denominator=12
 )
 small_ints = st.integers(min_value=-9, max_value=9)
+ints = st.integers(min_value=-60, max_value=60)
 
 
-def polys(max_deg=4, coeff=fractions):
-    return st.lists(coeff, min_size=0, max_size=max_deg + 1).map(
+def polys(max_deg=4):
+    return st.lists(ints, min_size=0, max_size=max_deg + 1).map(
         lambda cs: UniPoly.of("u", cs)
     )
 
@@ -128,6 +129,21 @@ def test_unipoly_gcd_divides_and_detects_common_factor(a, b, c):
     assert _divides(c.nums, g2)
 
 
+def test_unipoly_refuses_a_coefficient_that_is_not_an_integer():
+    # polynomials are over Z: a Fraction is taken only when its
+    # denominator is 1, and then stored as an int
+    for build in (lambda c: UniPoly.of("u", [1, c]),
+                  lambda c: UniPoly.const("u", c)):
+        with pytest.raises(ValueError, match="not an integer"):
+            build(F(1, 2))
+        assert build(F(4, 2)).nums[-1] == 2
+        assert type(build(F(4, 2)).nums[-1]) is int
+        with pytest.raises(TypeError, match="cannot coerce float"):
+            build(0.5)
+    with pytest.raises(ValueError, match="not an integer"):
+        UniPoly.of("u", [F(1, 2)])
+
+
 # -- the integer-backed core against a plain-Fraction reference -------------
 
 
@@ -153,7 +169,7 @@ def _ref_mul(a, b):
 
 
 def _ref_divmod(a, b):
-    rem = list(a)
+    rem = [F(x) for x in a]
     quo = [F(0)] * max(len(a) - len(b) + 1, 0)
     for k in range(len(quo) - 1, -1, -1):
         c = rem[k + len(b) - 1] / b[-1]
@@ -167,7 +183,7 @@ def _ref_gcd(a, b):
     """Monic gcd by Euclid's algorithm over Q."""
     while b:
         a, b = b, _ref_divmod(a, b)[1]
-    return [c / a[-1] for c in a]
+    return [F(c) / a[-1] for c in a]
 
 
 def _ref_deriv(a):
@@ -179,25 +195,23 @@ def _ref_eval(a, x):
 
 
 def _is_canonical(p):
-    """Integer numerators over a positive denominator, coprime to their
-    content, with no trailing zeros."""
+    """Integer coefficients with no trailing zeros, and no other field."""
     return (
         all(type(v) is int for v in p.nums)
-        and type(p.den) is int
-        and p.den > 0
         and (not p.nums or p.nums[-1] != 0)
-        and gcd(p.den, *p.nums) == 1
+        and not hasattr(p, "den")
     )
 
 
 wide_fractions = st.fractions(
     min_value=-(10**6), max_value=10**6, max_denominator=10**4
 )
+wide_ints = st.integers(min_value=-(10**10), max_value=10**10)
 
 
 def coeff_lists(max_deg=4):
     return st.lists(
-        st.one_of(fractions, wide_fractions), max_size=max_deg + 1
+        st.one_of(ints, wide_ints), max_size=max_deg + 1
     ).map(_strip)
 
 
@@ -258,15 +272,15 @@ def test_unipoly_compose_is_the_sum_of_powers(a, inner):
 @given(coeff_lists(), nonzero_coeff_lists(3))
 @settings(max_examples=80)
 def test_unipoly_divmod_matches_reference(a, b):
-    # a = A/da and b = B/db with A, B integral, and s·A = q·B + r, so
-    # a/b has quotient q·db/(s·da) and remainder r/(s·da)
+    # s·a = q·b + r in Z[u], so over Q a/b has quotient q/s and
+    # remainder r/s
     pa, pb = UniPoly.of("u", a), UniPoly.of("u", b)
     q, r, s = _int_divmod(pa.nums, pb.nums)
     assert all(type(x) is int for x in q + r + [s])
     assert not r or r[-1]
     want_q, want_r = _ref_divmod(a, b)
-    assert _strip(F(x * pb.den, s * pa.den) for x in q) == want_q
-    assert [F(x, s * pa.den) for x in r] == want_r
+    assert _strip(F(x, s) for x in q) == want_q
+    assert [F(x, s) for x in r] == want_r
 
 
 @given(nonzero_coeff_lists(3), nonzero_coeff_lists(3),
@@ -288,12 +302,17 @@ def test_unipoly_gcd_matches_reference(a, b, c):
 @given(coeff_lists(), st.one_of(fractions, wide_fractions))
 @settings(max_examples=80)
 def test_unipoly_eval_matches_reference(a, x):
+    # a polynomial over Z evaluated at a rational point
     assert UniPoly.of("u", a).eval(x) == _ref_eval(a, x)
 
 
-@given(coeff_lists(3), nonzero_coeff_lists(3), nonzero_coeff_lists(2))
+@given(coeff_lists(3), coeff_lists(2), nonzero_coeff_lists(2))
 @settings(max_examples=80)
 def test_ratfunc_is_reduced_with_monic_denominator(a, b, c):
+    # a monic denominator b over Z keeps a monic denominator when a common
+    # factor c cancels: a primitive factor of b with a positive leading
+    # coefficient is monic
+    b = b + [1]
     num, den = _ref_mul(a, c), _ref_mul(b, c)
     f = RatFunc(UniPoly.of("u", num), UniPoly.of("u", den))
     n, d = list(f.num.coeffs), list(f.den.coeffs)
@@ -309,10 +328,12 @@ def test_ratfunc_is_reduced_with_monic_denominator(a, b, c):
 @given(ratfuncs())
 @settings(max_examples=60)
 def test_ratfunc_normal_form(f):
-    # denominator monic and coprime to the numerator
-    assert f.den.leading == 1
+    # over Z: numerator and denominator coprime, with no common integer
+    # content, and the denominator's leading coefficient positive
+    assert f.den.leading > 0
+    assert gcd(*f.num.nums, *f.den.nums) == 1
     if f.num.is_zero:
-        assert f.den.degree == 0
+        assert f.den.nums == (1,)
     else:
         assert len(_int_gcd(f.num.nums, f.den.nums)) == 1
 
@@ -333,9 +354,10 @@ def test_ratfunc_eval_genuine_pole_raises():
 def test_constant_ratfunc_hashes_like_its_value(value):
     # equal values must hash equal, so that sets and dicts see one key; a
     # RatFunc compares with RatFunc values only, never with an int or
-    # Fraction
+    # Fraction.  p(1 + u)/(q(1 + u)) reduces to the constants p and q.
     const = RatFunc.of("u", value)
-    reduced = RatFunc(UniPoly.of("u", [value, value]), UniPoly.of("u", [1, 1]))
+    p, q = F(value).numerator, F(value).denominator
+    reduced = RatFunc(UniPoly.of("u", [p, p]), UniPoly.of("u", [q, q]))
     assert reduced == const and hash(reduced) == hash(const)
     assert len({reduced, const}) == 1 and {const: 1}[reduced] == 1
     assert reduced != value and value != const

@@ -226,26 +226,38 @@ def test_structure_checks_all_pass():
 
 
 # (j, constant added to ell_{5,j}) and the exact set of structure flags
-# that must then fail: ell_{5,3} must vanish at u = 0, and a half in
-# ell_{5,0} breaks both integrality and the adjoint constraint
+# that must then fail: ell_{5,3} must vanish at u = 0, so a bump there
+# fails the divisibility flag alone; a half in ell_{5,0} is refused
+# with the given error when the polynomial is built, since polynomials
+# are over Z
 @pytest.mark.parametrize("j, bump, failing", [
     (3, F(1), {"divisibility"}),
-    (0, F(1, 2), {"constraint", "divisibility"}),
+    (0, F(1, 2), ValueError("not an integer")),
 ])
 def test_structure_checks_catch_a_bumped_coefficient(j, bump, failing):
     op = vanhove_operator(5)
     coeffs = list(op.coeffs)
     c = coeffs[j]
-    coeffs[j] = UniPoly.of("u", [c.coeff(0) + bump, *c.coeffs[1:]])
+    bumped = [c.coeff(0) + bump, *c.coeffs[1:]]
+    if isinstance(failing, Exception):
+        with pytest.raises(type(failing), match=str(failing)):
+            UniPoly.of("u", bumped)
+        return
+    coeffs[j] = UniPoly.of("u", bumped)
     report = check_vanhove_structure(op._replace(coeffs=tuple(coeffs)))
     assert {key for key, v in report.items() if not v} == failing
 
 
 def test_operator_coefficients_have_integer_entries():
+    # theta_to_d, the coefficients ℓ_{m,j}, the θ-table and their queries
+    # give ints, not integral Fractions
     for m in range(1, 6):
         op = vanhove_operator(m)
-        for j in range(m + 1):
-            assert op.ell(j).is_integral()
+        d_form = theta_to_d({1 - k: p for k, p in enumerate(op.theta)})
+        assert all(type(c) is int for coeff in d_form for c in coeff.values())
+        for p in op.coeffs + op.theta:
+            assert all(type(c) is int for c in p.coeffs)
+            assert type(p.leading) is int and type(p.coeff(0)) is int
 
 
 # -- θ-tables and the D-form ----------------------------------------------
@@ -310,6 +322,19 @@ def test_route_mutation_is_detected(monkeypatch):
             vanhove_operator.__wrapped__(3)
         monkeypatch.setattr(vanhove, route, original)
     assert vanhove_operator.__wrapped__(3) == vanhove_operator(3)
+
+
+def test_route_b_remainder_is_a_disagreement(monkeypatch):
+    # route B divides its scaled table by 2^{m+2}; an odd factor in place
+    # of 4^k leaves a remainder, which route B itself reports as the
+    # routes disagreeing, before any comparison
+    mutant = _mutant(vanhove._route_b, "sign * 4 ** k", "sign * 4 ** k + 1")
+    for m in range(1, 13):
+        with pytest.raises(ArithmeticError, match="routes disagree"):
+            mutant(m)
+    monkeypatch.setattr(vanhove, "_route_b", mutant)
+    with pytest.raises(ArithmeticError, match="routes disagree"):
+        vanhove_operator.__wrapped__(3)
 
 
 # -- symmetric-power operator and duality -----------------------------------
