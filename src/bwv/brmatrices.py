@@ -78,11 +78,17 @@ from .exactalg import (
     RatFunc,
     RatFuncGrid,
     UniPoly,
+    _add,
+    _scale,
     bernoulli,
     binom_ext,
     recip_fact_ext,
 )
-from .vanhove import leading_coeff_product, vanhove_operator
+from .vanhove import (
+    leading_coeff_product,
+    leading_coeff_roots,
+    vanhove_operator,
+)
 
 __all__ = [
     "MATRIX_FAMILIES",
@@ -180,10 +186,7 @@ def _wmat(m: int) -> tuple[tuple[UniPoly, ...], ...]:
         num: list[int] = []
         for n in range(a + b - 1, m + 1):
             c = _msign(a + n + m + 1) * comb(n - a, b - 1)
-            d = dell(n, n - a - b + 1)
-            num.extend([0] * (len(d) - len(num)))
-            for i, x in enumerate(d):
-                num[i] += c * x
+            num = _add(num, _scale(dell(n, n - a - b + 1), c))
         return UniPoly._make("u", num)
 
     return tuple(tuple(entry(a, b) for b in range(1, m + 1))
@@ -192,9 +195,12 @@ def _wmat(m: int) -> tuple[tuple[UniPoly, ...], ...]:
 
 @cache
 def _vmat(m: int) -> RatFuncGrid:
-    """V_m(u) for odd m, upsilon_m(u) for even m: W_m / ell_{m,m}."""
-    lead = top_coeff(m)
-    return RatFuncGrid([[RatFunc(w, lead) for w in row] for row in _wmat(m)])
+    """V_m(u) for odd m, upsilon_m(u) for even m: W_m / ell_{m,m}, each
+    entry over the roots of ell_{m,m}, where ``top_coeff`` first asserts
+    the product form they come from."""
+    top_coeff(m)
+    roots = leading_coeff_roots(m)
+    return RatFuncGrid([[RatFunc(w, roots) for w in row] for row in _wmat(m)])
 
 
 def matV(k: int) -> RatFuncGrid:

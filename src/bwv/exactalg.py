@@ -7,27 +7,31 @@ conventions.
 
 Conventions
 -----------
-* ``ExactScalar`` is :class:`fractions.Fraction`: arbitrary-size rationals
-  with gcd-reduced representation and positive denominator.
+* Scalars are ints and :class:`fractions.Fraction`: arbitrary-size
+  rationals with gcd-reduced representation and positive denominator.
 * ``UniPoly`` is a polynomial over Z: dense coefficients from degree 0
   upward as a tuple of Python integers ``nums`` with no trailing zeros;
   the zero polynomial is ``nums = ()``.  So each polynomial has exactly
   one representation, and a coefficient that is not an integer is
   refused when the polynomial is built.  It is a stored value with no
   ring arithmetic: it is built, compared, evaluated, differentiated and
-  printed, and the layers that compute with polynomials do so on integer
-  coefficient lists (the ``_int_*`` kernels here, the operator algebra in
-  ``vanhove``, the pairings in ``brmatrices``).
-* ``RatFunc`` is a value of Q(u), not a field element to compute with: it
-  is reduced once, when built, to a quotient of coprime integer
-  polynomials with no common integer content and a denominator with a
-  positive leading coefficient (a primitive pseudo-remainder gcd), and is
-  then stored, compared with other RatFunc values, evaluated at a point
-  and printed.  A ``RatFuncGrid`` is a matrix of such values (V,
-  upsilon, the symbolic beta): it is compared, transposed, printed and
-  evaluated at a point, which gives an ``ExactMatrix``.  The pairings
-  that read V and upsilon are formed over Q from their polynomial
-  numerators.
+  printed.  The layers that compute with polynomials (the operator
+  algebra in ``vanhove``, the pairings in ``brmatrices``) do so on
+  integer coefficient lists, lowest degree first, with the list helpers
+  here: sum, scalar multiple, product, derivative, and composition and
+  evaluation by Horner's rule.
+* ``RatFunc`` is a value of Q(u), not a field element to compute with: a
+  numerator over Z divided by ∏(u − c) over integer poles c, which may
+  repeat.  Each pole where the numerator vanishes is cancelled when the
+  value is built, by one exact synthetic division, and the poles left
+  multiply into a monic denominator.  So numerator and denominator are
+  coprime, with no common integer content, and the zero numerator has
+  denominator 1.  It is then stored, compared with other RatFunc values,
+  evaluated at a point and printed.  A ``RatFuncGrid`` is a matrix of
+  such values (V and upsilon over the roots of ell_{m,m}, the symbolic
+  beta with no poles): it is compared, transposed, printed and evaluated
+  at a point, which gives an ``ExactMatrix``.  The pairings that read V
+  and upsilon are formed over Q from their polynomial numerators.
 * ``ExactMatrix`` is a matrix over Q.  It stores integer rows ``nums``
   over one positive common denominator ``den``, with
   gcd(den, every entry) = 1; the zero matrix has ``den = 1``.  Each
@@ -51,7 +55,6 @@ from operator import mul
 from typing import Iterable, Sequence, Union
 
 __all__ = [
-    "ExactScalar",
     "UniPoly",
     "RatFunc",
     "ExactMatrix",
@@ -62,8 +65,6 @@ __all__ = [
     "exact_det",
     "exact_inverse",
 ]
-
-ExactScalar = Fraction
 
 ScalarLike = Union[int, Fraction]
 
@@ -114,6 +115,62 @@ def recip_fact_ext(n: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
+# Coefficient lists over Z: lowest degree first, no trailing zeros
+# ---------------------------------------------------------------------------
+
+
+def _add(a: list, b: list) -> list:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, y in enumerate(b):
+        out[i] += y
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _scale(a: list, c) -> list:
+    return [x * c for x in a] if c else []
+
+
+def _mul(a: list, b: list) -> list:
+    if not a or not b:
+        return []
+    if len(a) > len(b):  # the short factor, often linear, outside
+        a, b = b, a
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
+def _deriv(a: list, order: int = 1) -> list:
+    out = list(a)
+    for _ in range(order):
+        out = [i * c for i, c in enumerate(out)][1:]
+    return out
+
+
+def _compose(a: list, inner: list) -> list:
+    """a(inner), by Horner's rule."""
+    acc: list = []
+    for c in reversed(a):
+        acc = _add(_mul(acc, inner), [c])
+    return acc
+
+
+def _eval(a: list, x):
+    """a(x), by Horner's rule."""
+    acc = 0
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+# ---------------------------------------------------------------------------
 # Dense univariate polynomials over Z
 # ---------------------------------------------------------------------------
 
@@ -135,67 +192,13 @@ def _integer(x: ScalarLike) -> int:
     return x.numerator
 
 
-def _int_primitive(a: Sequence[int]) -> list[int]:
-    """Primitive part of a nonzero integer coefficient list: content
-    removed and leading coefficient positive."""
-    c = gcd(*a)
-    if a[-1] < 0:
-        c = -c
-    return list(a) if c == 1 else [x // c for x in a]
-
-
-def _int_divmod(
-    a: Sequence[int], b: Sequence[int]
-) -> tuple[list[int], list[int], int]:
-    """Division with remainder over Q, kept in integers: (q, r, s) with
-    s·a = q·b + r, deg r < deg b and no trailing zeros in r.
-
-    Each step scales the running quotient and remainder by lc(b)/g only,
-    where g = gcd(top coefficient, lc(b)), so no rational is formed and
-    s = 1 whenever b divides a in Z[x].
-    """
-    r = list(a)
-    lb, nb = b[-1], len(b)
-    q = [0] * max(len(r) - nb + 1, 0)
-    s = 1
-    for k in range(len(q) - 1, -1, -1):
-        top = r[-1]
-        if top:
-            g = gcd(top, lb)
-            f = lb // g
-            if f != 1:
-                r = [x * f for x in r]
-                q = [x * f for x in q]
-                s *= f
-            c = top // g
-            q[k] = c
-            for j, y in enumerate(b, k):
-                r[j] -= c * y
-        r.pop()
-    while r and not r[-1]:
-        r.pop()
-    return q, r, s
-
-
-def _int_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Primitive gcd of two nonzero integer polynomials by the primitive
-    pseudo-remainder sequence (Collins 1967; Knuth TAOCP 2, 4.6.1)."""
-    a, b = _int_primitive(a), _int_primitive(b)
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        r = _int_divmod(a, b)[1]
-        a, b = b, (_int_primitive(r) if r else r)
-    return a
-
-
 class UniPoly:
     """Dense univariate polynomial over Z, coefficients from degree 0 up.
 
     Stored as the integers ``nums`` with no trailing zeros (see the module
     docstring), so equal polynomials have equal fields.  Instances are
-    immutable; build them with :meth:`of`, :meth:`const`, :meth:`x` or
-    :meth:`zero`, which refuse a coefficient that is not an integer.
+    immutable; build them with :meth:`of` or :meth:`zero`, which refuse a
+    coefficient that is not an integer.
     """
 
     __slots__ = ("var", "nums")
@@ -222,19 +225,7 @@ class UniPoly:
     def zero(var: str) -> "UniPoly":
         return UniPoly._make(var, [])
 
-    @staticmethod
-    def const(var: str, c: ScalarLike) -> "UniPoly":
-        return UniPoly._make(var, [_integer(c)])
-
-    @staticmethod
-    def x(var: str) -> "UniPoly":
-        return UniPoly._make(var, [0, 1])
-
     # -- basic queries ------------------------------------------------------
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self.nums
 
     @property
     def is_zero(self) -> bool:
@@ -268,10 +259,7 @@ class UniPoly:
     def deriv(self, order: int = 1) -> "UniPoly":
         if order < 0:
             raise ValueError("negative derivative order")
-        nums = list(self.nums)
-        for _ in range(order):
-            nums = [i * c for i, c in enumerate(nums)][1:]
-        return UniPoly._make(self.var, nums)
+        return UniPoly._make(self.var, _deriv(self.nums, order))
 
     def eval(self, x: ScalarLike) -> Fraction:
         x = _rational(x)
@@ -305,45 +293,28 @@ class UniPoly:
 
 
 class RatFunc:
-    """Quotient of integer polynomials, reduced when built to the canonical
-    form of the module docstring.  A stored value: it compares and hashes
-    with other RatFunc values only, evaluates at a point and prints, but
-    does no arithmetic."""
+    """num / ∏_{c ∈ poles}(u − c) over integer poles c, which may repeat,
+    reduced when built to the canonical form of the module docstring.  A
+    stored value: it compares and hashes with other RatFunc values only,
+    evaluates at a point and prints, but does no arithmetic."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: UniPoly, den: UniPoly | None = None):
-        var = num.var
-        if den is None:
-            den = UniPoly._make(var, [1])
-        elif var != den.var:
-            raise ValueError("variable mismatch in RatFunc")
-        if den.is_zero:
-            raise ZeroDivisionError("zero denominator in RatFunc")
-        if den.nums != (1,):
-            N, D = num.nums, den.nums
-            if not N:
-                D = (1,)
-            elif len(D) > 1:  # a constant denominator needs no gcd
-                # g is primitive, so by Gauss's lemma it divides N and D
-                # in Z[x] and both quotients come back unscaled
-                g = _int_gcd(N, D)
-                if len(g) > 1:
-                    N, D = _int_divmod(N, g)[0], _int_divmod(D, g)[0]
-            # the common integer content, signed so that lc(D) > 0
-            c = gcd(*N, *D)
-            if D[-1] < 0:
-                c = -c
-            num = UniPoly._make(var, [x // c for x in N])
-            den = UniPoly._make(var, [x // c for x in D])
-        self.num, self.den = num, den
-
-    @staticmethod
-    def of(var: str, value: ScalarLike) -> "RatFunc":
-        """The constant p/q, as the pair of constants p and q."""
-        value = _rational(value)
-        return RatFunc(UniPoly.const(var, value.numerator),
-                       UniPoly.const(var, value.denominator))
+    def __init__(self, num: UniPoly, poles: Iterable[ScalarLike] = ()):
+        N, D = list(num.nums), [1]
+        for c in map(_integer, poles):
+            # Horner's rule at c: the partial sums before the last are the
+            # quotient of N by the monic u − c, and the last is N(c)
+            q, r = [], 0
+            for x in reversed(N):
+                q.append(r)
+                r = r * c + x
+            if r:
+                D = _mul(D, [-c, 1])
+            else:  # the pole cancels, exactly over Z (for N = 0, each does)
+                N = q[:0:-1]
+        self.num = UniPoly._make(num.var, N)
+        self.den = UniPoly._make(num.var, D)
 
     def is_polynomial(self) -> bool:
         return self.den.nums == (1,)

@@ -37,10 +37,11 @@ The Borwein–Salvy operator L_{n+2} = Σ_i t^{2i}·P_i(θ), θ = tD, is kept
 as its θ-table i ↦ P_i(x) too.
 
 All of this is computed on coefficient lists of ints, lowest degree
-first, by a few private helpers: sum, scalar multiple, product,
-derivative, and composition and evaluation by Horner's rule.  Each public
-result is one ``UniPoly``, a polynomial over Z stored as a value with no
-ring arithmetic, so integrality is a property of the type, not a check.
+first, by the list helpers of ``exactalg``: sum, scalar multiple,
+product, derivative, and composition and evaluation by Horner's rule.
+Each public result is one ``UniPoly``, a polynomial over Z stored as a
+value with no ring arithmetic, so integrality is a property of the type,
+not a check.
 
 Tuple convention: α_n ∈ [1, m+1] with the chain α_{n+1} ≤ α_n − 2 enforced
 for n ∈ [1, k−1] only; the terminator α_{k+1} := 1 enters exponents but is
@@ -56,7 +57,7 @@ from functools import cache
 from math import comb, factorial
 from typing import NamedTuple
 
-from .exactalg import UniPoly
+from .exactalg import UniPoly, _add, _compose, _deriv, _eval, _mul, _scale
 
 __all__ = [
     "VanhoveOperator",
@@ -69,63 +70,8 @@ __all__ = [
     "borwein_salvy_operator",
     "verify_bms_duality",
     "leading_coeff_product",
+    "leading_coeff_roots",
 ]
-
-
-# ---------------------------------------------------------------------------
-# Coefficient lists: lowest degree first, no trailing zeros
-# ---------------------------------------------------------------------------
-
-
-def _add(a: list, b: list) -> list:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, y in enumerate(b):
-        out[i] += y
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _scale(a: list, c) -> list:
-    return [x * c for x in a] if c else []
-
-
-def _mul(a: list, b: list) -> list:
-    if not a or not b:
-        return []
-    if len(a) > len(b):  # the short factor, often linear, outside
-        a, b = b, a
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b, i):
-                out[j] += x * y
-    return out
-
-
-def _deriv(a: list, order: int = 1) -> list:
-    out = list(a)
-    for _ in range(order):
-        out = [i * c for i, c in enumerate(out)][1:]
-    return out
-
-
-def _compose(a: list, inner: list) -> list:
-    """a(inner), by Horner's rule."""
-    acc: list = []
-    for c in reversed(a):
-        acc = _add(_mul(acc, inner), [c])
-    return acc
-
-
-def _eval(a: list, x):
-    """a(x), by Horner's rule."""
-    acc = 0
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -323,14 +269,21 @@ def vanhove_operator(m: int) -> VanhoveOperator:
     return VanhoveOperator(m, tuple(coeffs), table)
 
 
+def leading_coeff_roots(m: int) -> tuple[int, ...]:
+    """The roots of the closed-form leading coefficient ℓ_{m,m}, with
+    multiplicity: 0 repeated ⌊(m+1)/2⌋ times, then the thresholds n² for
+    n = m+1, m−1, … ≥ 1."""
+    return (0,) * ((m + 1) // 2) + tuple(n * n for n in range(m + 1, 0, -2))
+
+
 def leading_coeff_product(m: int) -> UniPoly:
-    """The closed-form leading coefficient
-    u^{⌊(m+1)/2⌋}·∏_{n ∈ [1,m+1], n ≡ m+1 (mod 2)} (u − n²),
-    built independently of the operator expansion."""
+    """The closed-form leading coefficient ∏(u − c) over
+    ``leading_coeff_roots(m)``, built independently of the operator
+    expansion."""
     poly = [1]
-    for n in range(m + 1, 0, -2):
-        poly = _mul(poly, [-n * n, 1])
-    return UniPoly.of("u", [0] * ((m + 1) // 2) + poly)
+    for c in leading_coeff_roots(m):
+        poly = _mul(poly, [-c, 1])
+    return UniPoly.of("u", poly)
 
 
 def check_vanhove_structure(op: VanhoveOperator) -> dict[str, bool]:

@@ -45,8 +45,8 @@ from bwv.brmatrices import (
 from bwv.exactalg import (
     ExactMatrix,
     RatFunc,
-    RatFuncGrid,
     UniPoly,
+    _mul,
     exact_det,
     exact_inverse,
 )
@@ -168,11 +168,36 @@ def test_V_symmetric_and_upsilon_skew():
         assert V == V.T
         ups = matUpsilon(k)
         assert ups.rows == ups.cols == 2 * k
-        # -upsilon^T, each stored value negated through its numerator
-        neg_T = RatFuncGrid(
-            [[RatFunc(UniPoly.of("u", [-c for c in e.num.coeffs]), e.den)
-              for e in row] for row in ups.T.entries])
-        assert ups == neg_T
+        # upsilon = -upsilon^T: every entry is over the roots of
+        # ell_{m,m}, so each reduced value negates through its numerator
+        # over the same denominator
+        for row, row_T in zip(ups.entries, ups.T.entries):
+            for e, e_T in zip(row, row_T):
+                assert e.num.nums == tuple(-c for c in e_T.num.nums)
+                assert e.den == e_T.den
+
+
+def _rem_by_monic(a, b):
+    """The remainder of a by the monic b, in integers."""
+    r = list(a)
+    for k in range(len(r) - len(b), -1, -1):
+        c = r[k + len(b) - 1]
+        for j, y in enumerate(b):
+            r[k + j] -= c * y
+    return r[:len(b) - 1]
+
+
+def test_V_and_upsilon_entries_are_W_over_the_leading_coefficient():
+    # each entry is W_ab / ell_{m,m} reduced over the roots of ell_{m,m}:
+    # num·ell_{m,m} = W_ab·den, with den monic and dividing ell_{m,m}
+    for m in range(1, 18):
+        ell = top_coeff(m).nums
+        for row, w_row in zip(brmatrices._vmat(m).entries,
+                              brmatrices._wmat(m)):
+            for e, w in zip(row, w_row):
+                den = e.den.nums
+                assert _mul(e.num.nums, ell) == _mul(w.nums, den)
+                assert den[-1] == 1 and not any(_rem_by_monic(ell, den))
 
 
 def test_V_antidiagonal_and_triangularity():
@@ -183,14 +208,14 @@ def test_V_antidiagonal_and_triangularity():
             for b in range(1, m + 1):
                 e = V.entries[a - 1][b - 1]
                 if a + b == m + 1:
-                    assert e == RatFunc.of("u", (-1) ** (a - 1))
+                    assert e == RatFunc(UniPoly.of("u", [(-1) ** (a - 1)]))
                 elif a + b > m + 1:
-                    assert e == RatFunc.of("u", 0)
+                    assert e == RatFunc(UniPoly.of("u", [0]))
 
 
 def test_upsilon_corner_vanishes():
     for k in range(1, 4):
-        assert matUpsilon(k).entries[0][0] == RatFunc.of("u", 0)
+        assert matUpsilon(k).entries[0][0] == RatFunc(UniPoly.of("u", [0]))
 
 
 def test_q_of_u_matrix_takes_no_arithmetic():
@@ -698,7 +723,7 @@ def test_pairing_limit_rejects_a_surviving_negative_power(monkeypatch, m):
     # (i, j), B = beta_m(1)^{-1}: a negative power wherever B_mi B_mj != 0
     bumped = [list(row) for row in W]
     w = W[m - 1][m - 1]
-    bumped[m - 1][m - 1] = UniPoly.of("u", [w.coeff(0) + 1, *w.coeffs[1:]])
+    bumped[m - 1][m - 1] = UniPoly.of("u", [w.coeff(0) + 1, *w.nums[1:]])
     monkeypatch.setattr(brmatrices, "_wmat", lambda n: bumped)
     with pytest.raises(AssertionError, match="negative power"):
         brmatrices._pairing_limit.__wrapped__(m, 0)

@@ -263,7 +263,7 @@ def test_a_bumped_operator_coefficient_fails_a_default_check(monkeypatch, m,
             return op
         coeffs = list(op.coeffs)
         c = coeffs[j]
-        coeffs[j] = UniPoly.of("u", [c.coeff(0) + 1, *c.coeffs[1:]])
+        coeffs[j] = UniPoly.of("u", [c.coeff(0) + 1, *c.nums[1:]])
         return op._replace(coeffs=tuple(coeffs))
 
     _clear_memos()
@@ -290,7 +290,7 @@ def test_symmetry_check_catches_a_bumped_numerator(monkeypatch, k, shift,
     real = brmatrices._wmat
     W = [list(row) for row in real(order)]
     w = W[i][j]
-    W[i][j] = UniPoly.of("u", [w.coeff(0) + 1, *w.coeffs[1:]])
+    W[i][j] = UniPoly.of("u", [w.coeff(0) + 1, *w.nums[1:]])
     monkeypatch.setattr(brmatrices, "_wmat",
                         lambda m: W if m == order else real(m))
     assert not harness._check_symmetry(k)
